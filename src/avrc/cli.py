@@ -50,7 +50,8 @@ def _build_parser():
     b.add_argument("--P1", type=float, required=True)
     b.add_argument("--Lambda", type=float, required=True)
     b.add_argument("--sigma2", type=float, required=True)
-    b.add_argument("--step", type=float, default=1e-3)
+    b.add_argument("--step", type=float, default=1e-3,
+                   help="alpha resolution of the search, in (0, 1]; rho is solved in closed form")
 
     f = sub.add_parser("figure", help="sweep of the bounds over P with P1 = P (CSV)")
     f.add_argument("--Lambda", type=float, required=True)
@@ -59,7 +60,8 @@ def _build_parser():
     f.add_argument("--pmax", type=float, required=True)
     f.add_argument("--step", type=float, required=True)
     f.add_argument("--out", required=True)
-    f.add_argument("--grid-step", type=float, default=1e-3)
+    f.add_argument("--grid-step", type=float, default=1e-3,
+                   help="alpha resolution of the search, in (0, 1]; rho is solved in closed form")
 
     s = sub.add_parser("symcheck", help="symmetrizability verdict for a channel JSON")
     s.add_argument("--channel", required=True)

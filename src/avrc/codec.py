@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import LOG2, GaussianSfdParams, PowerSplit
+from .gaussian import LOG2, GaussianSfdParams, PowerSplit, _lower_mask
 
 FIXED_INDEX = 0   # boundary message carried by the final block and block 0's "previous"
 
@@ -90,14 +90,8 @@ def achievable_rate_pair(params: GaussianSfdParams, split: PowerSplit):
 
 
 def split_feasible_for_codebook(params: GaussianSfdParams, split: PowerSplit) -> bool:
-    """Strict feasibility of the deterministic-code lower-bound region."""
-    P, P1, Lam = params.P, params.P1, params.Lambda
-    if P <= 0:
-        return False
-    a, rho = split.alpha, split.rho
-    c1 = (1.0 - rho * rho) * a * P > Lam
-    c2 = (P1 / P) * (np.sqrt(P1) + rho * np.sqrt(a * P)) ** 2 > Lam + (1.0 - rho * rho) * a * P
-    return bool(c1 and c2)
+    """Whether the split lies in the deterministic-code lower-bound region."""
+    return bool(_lower_mask(params, np.asarray(split.alpha), np.asarray(split.rho)))
 
 
 def _unit_rows(rng, count, n):

@@ -24,12 +24,19 @@ and upper bounds maximize F over the feasibility regions
 
 where the strict inequalities are implemented as >= with a small margin and
 an empty region yields rate 0 plus an infeasibility flag.
+
+Each program is solved as a 1-D search over alpha.  At fixed alpha the first
+term of F rises in rho and the second falls, so the best rho is where they
+cross, a quadratic root, clipped to the region's rho interval, whose ends are
+quadratic or linear roots too.  A zoom grid over alpha (resolution
+GridOptions.step) then finds the maximum of that closed-form inner value.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .optimize import zoom_grid_max_1d
 
 LOG2 = np.log(2.0)
 
@@ -74,11 +81,24 @@ class PowerSplit:
 
 @dataclass(frozen=True)
 class GridOptions:
-    """Grid step on the (alpha, rho) square plus local zoom refinement."""
+    """Resolution of the search over alpha; rho needs none, it is solved in closed form.
+
+    The search evaluates a grid of spacing `step` on [0, 1], then
+    `refine_rounds` local grids of `refine_points` points around the best
+    alpha so far, each window 4/(refine_points - 1) times as wide as the last.
+    """
 
     step: float = 1e-3
     refine_rounds: int = 12
     refine_points: int = 41
+
+    def __post_init__(self):
+        if not (np.isfinite(self.step) and 0.0 < self.step <= 1.0):
+            raise GaussianParamError(f"step must be finite and in (0, 1], got {self.step}")
+        for name, least in (("refine_rounds", 0), ("refine_points", 3)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < least:
+                raise GaussianParamError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -126,47 +146,91 @@ def _upper_mask(params, A, R):
     return P1 + A * P + 2.0 * R * np.sqrt(A * P * P1) >= Lam
 
 
-def _argmax_masked(ax, vals, mask):
-    """Best cell of a precomputed value grid under an optional mask.
+def _rho_threshold(q2, q1, q0):
+    """Least rho >= 0 with q2*rho^2 + 2*q1*rho + q0 >= 0, for q2, q1 >= 0.
 
-    Returns (value, alpha, rho, feasible).  The C-ordered flat argmax makes
-    ties resolve to the lexicographically smallest (alpha, rho).
+    The quadratic rises on rho >= 0, so the answer is 0 when q0 >= 0 and its
+    larger root otherwise, taken in the cancellation-free form
+    -q0 / (q1 + sqrt(q1^2 - q2*q0)); inf when it is a negative constant.
     """
-    if mask is not None:
-        if not mask.any():
-            return 0.0, 0.0, 0.0, False
-        vals = np.where(mask, vals, -np.inf)
-    k = int(np.argmax(vals))
-    i, j = divmod(k, ax.size)
-    return float(vals[i, j]), float(ax[i]), float(ax[j]), True
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        root = -q0 / (q1 + np.sqrt(q1 * q1 - q2 * q0))
+    return np.where(q0 >= 0.0, 0.0, root)
 
 
-def _zoom_refine(params, mask_fn, seeds, opts):
-    """Shrinking local grids around each (alpha, rho, value) seed."""
-    best_v, best_a, best_r = -np.inf, 0.0, 0.0
-    npts = opts.refine_points
-    for a0, r0, v0 in seeds:
-        if v0 > best_v:
-            best_v, best_a, best_r = v0, a0, r0
-        w = 2.0 * opts.step
-        ca, cr = a0, r0
-        for _ in range(opts.refine_rounds):
-            ax = np.linspace(max(0.0, ca - w), min(1.0, ca + w), npts)
-            rx = np.linspace(max(0.0, cr - w), min(1.0, cr + w), npts)
-            A, R = ax[:, None], rx[None, :]
-            vals = _fg_arrays(params, A, R)
-            if mask_fn is not None:
-                feas = mask_fn(params, A, R)
-                if not feas.any():
-                    break
-                vals = np.where(feas, vals, -np.inf)
-            k = int(np.argmax(vals))
-            i, j = divmod(k, npts)
-            ca, cr = float(ax[i]), float(rx[j])
-            if vals[i, j] > best_v:
-                best_v, best_a, best_r = float(vals[i, j]), ca, cr
-            w *= 0.5
-    return best_v, best_a, best_r
+def _crossing_rho(params, A):
+    """rho at which the rising MAC cut meets the falling broadcast cut, per alpha.
+
+    With K = 1 + (1-a)*P/sigma2 the two cuts are equal where
+    K*a*P*rho^2 + 2*sqrt(a*P*P1)*rho + (Lambda + P1 + a*P - K*Lambda - K*a*P) = 0.
+    """
+    P, P1, Lam, s2 = params.P, params.P1, params.Lambda, params.sigma2
+    aP = A * P
+    K = 1.0 + (1.0 - A) * P / s2
+    return _rho_threshold(K * aP, np.sqrt(aP * P1), Lam + P1 + aP - K * (Lam + aP))
+
+
+def _square_rho_range(params, A, margin):
+    return 0.0, 1.0
+
+
+def _upper_rho_range(params, A, margin):
+    """rho >= (Lambda - P1 - a*P) / (2*sqrt(a*P*P1))."""
+    P, P1, Lam = params.P, params.P1, params.Lambda
+    return _rho_threshold(0.0, np.sqrt(A * P * P1), P1 + A * P - Lam - margin), 1.0
+
+
+def _lower_rho_range(params, A, margin):
+    """c2 bounds rho from below by a quadratic root; c1 caps it from above.
+
+    c1 is (1-rho^2)*a*P >= Lambda, i.e. rho <= sqrt(1 - Lambda/(a*P)), nan where
+    it has no solution; c2 expands to
+    a*(P1+P)*rho^2 + 2*(P1/P)*sqrt(a*P*P1)*rho + (P1^2/P - Lambda - a*P) >= 0.
+    """
+    P, P1, Lam = params.P, params.P1, params.Lambda
+    if P <= 0.0:
+        return np.nan, np.nan
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        hi = np.sqrt(1.0 - (Lam + margin) / (A * P))
+        lo = _rho_threshold(A * (P1 + P), (P1 / P) * np.sqrt(A * P * P1),
+                            P1 * P1 / P - Lam - A * P - margin)
+    return lo, hi
+
+
+# (feasibility mask, closed-form rho interval at each alpha) of each program
+_SQUARE = (None, _square_rho_range)
+_UPPER = (_upper_mask, _upper_rho_range)
+_LOWER = (_lower_mask, _lower_rho_range)
+
+
+def _best_rho(params, A, region):
+    """Best rho of the region at each alpha in A, and the objective there.
+
+    Along rho the objective is the min of a rising and a falling cut, so its
+    best point in an interval is the cut crossing clipped to that interval.
+    The interval ends are drawn a few FEASIBILITY_EPS inside the region so that
+    an edge point survives roundoff; the region's mask has the last word, and
+    an alpha without a feasible rho scores -inf.
+    """
+    mask_fn, rho_range = region
+    margin = 4.0 * FEASIBILITY_EPS * (1.0 + params.Lambda + params.P)
+    lo, hi = rho_range(params, A, margin)
+    R = np.minimum(np.maximum(_crossing_rho(params, A), lo), hi)
+    vals = _fg_arrays(params, A, R)
+    if mask_fn is not None:
+        vals = np.where(mask_fn(params, A, R), vals, -np.inf)
+    return R, vals
+
+
+def _region_max(params, region, opts):
+    """(value, alpha, rho) of the region's maximum; (-inf, 0, 0) when it is empty."""
+    a, v = zoom_grid_max_1d(lambda A: _best_rho(params, A, region)[1], 0.0, 1.0,
+                            coarse=int(round(1.0 / opts.step)) + 1,
+                            rounds=opts.refine_rounds, points=opts.refine_points)
+    if v == -np.inf:
+        return v, 0.0, 0.0
+    R, _ = _best_rho(params, np.array([a]), region)
+    return v, a, float(R[0])
 
 
 def random_code_capacity(params: GaussianSfdParams, opts: GridOptions | None = None):
@@ -174,15 +238,7 @@ def random_code_capacity(params: GaussianSfdParams, opts: GridOptions | None = N
 
     Returns (rate, PowerSplit).
     """
-    opts = opts or GridOptions()
-    if params.P == 0.0:
-        return 0.0, PowerSplit(0.0, 0.0)
-    m = int(round(1.0 / opts.step))
-    ax = np.linspace(0.0, 1.0, m + 1)
-    vals = _fg_arrays(params, ax[:, None], ax[None, :])
-    v, a, r, _ = _argmax_masked(ax, vals, None)
-    v, a, r = _zoom_refine(params, None, [(a, r, v)], opts)
-    v, a, r = _ridge_polish(params, None, a, r, v, opts)
+    v, a, r = _region_max(params, _SQUARE, opts or GridOptions())
     return v, PowerSplit(a, r)
 
 
@@ -190,48 +246,19 @@ def det_code_bounds(params: GaussianSfdParams, opts: GridOptions | None = None) 
     """Deterministic-code lower/upper bounds plus the unconstrained maximum.
 
     Guarantees det_lower <= det_upper <= random_capacity exactly: the lower
-    region is contained in the upper region, which sits inside the unit
-    square, and every refined optimum is offered as a candidate to every
-    program whose region contains it.  In the regime where one optimizer's
-    point is feasible for all three programs the reported rates coincide to
-    machine precision.
+    region lies inside the upper region, which lies inside the unit square, so
+    each program takes the optimum of the program nested in it when that is
+    larger.  An empty region reports rate 0 at split (0, 0).
     """
     opts = opts or GridOptions()
-    m = int(round(1.0 / opts.step))
-    ax = np.linspace(0.0, 1.0, m + 1)
-    A, R = ax[:, None], ax[None, :]
-    vals = _fg_arrays(params, A, R)
-    v_lo, a_lo, r_lo, feas_lo = _argmax_masked(ax, vals, _lower_mask(params, A, R))
-    v_up, a_up, r_up, feas_up = _argmax_masked(ax, vals, _upper_mask(params, A, R))
-    v_rc, a_rc, r_rc, _ = _argmax_masked(ax, vals, None)
-
-    if feas_lo:
-        v_lo, a_lo, r_lo = _zoom_refine(params, _lower_mask, [(a_lo, r_lo, v_lo)], opts)
-        v_lo, a_lo, r_lo = _ridge_polish(params, _lower_mask, a_lo, r_lo, v_lo, opts)
-    if feas_up:
-        v_up, a_up, r_up = _zoom_refine(params, _upper_mask, [(a_up, r_up, v_up)], opts)
-        v_up, a_up, r_up = _ridge_polish(params, _upper_mask, a_up, r_up, v_up, opts)
-    v_rc, a_rc, r_rc = _zoom_refine(params, None, [(a_rc, r_rc, v_rc)], opts)
-    v_rc, a_rc, r_rc = _ridge_polish(params, None, a_rc, r_rc, v_rc, opts)
-
-    # cross-inject each refined point into the programs whose region holds it
-    cands = [(v_rc, a_rc, r_rc)]
-    if feas_up:
-        cands.append((v_up, a_up, r_up))
-    if feas_lo:
-        cands.append((v_lo, a_lo, r_lo))
-    if feas_lo:
-        v_lo, a_lo, r_lo = max(
-            [(v_lo, a_lo, r_lo)]
-            + [c for c in cands if _point_feasible(params, _lower_mask, c[1], c[2])])
-    if feas_up:
-        v_up, a_up, r_up = max(
-            [(v_up, a_up, r_up)]
-            + [c for c in cands if _point_feasible(params, _upper_mask, c[1], c[2])])
-        if feas_lo and v_lo > v_up:
-            v_up, a_up, r_up = v_lo, a_lo, r_lo
-    v_rc, a_rc, r_rc = max([(v_rc, a_rc, r_rc)] + [(v_up, a_up, r_up)] * feas_up
-                           + [(v_lo, a_lo, r_lo)] * feas_lo)
+    v_lo, a_lo, r_lo = _region_max(params, _LOWER, opts)
+    v_up, a_up, r_up = _region_max(params, _UPPER, opts)
+    v_rc, a_rc, r_rc = _region_max(params, _SQUARE, opts)
+    if v_lo > v_up:
+        v_up, a_up, r_up = v_lo, a_lo, r_lo
+    if v_up > v_rc:
+        v_rc, a_rc, r_rc = v_up, a_up, r_up
+    feas_lo, feas_up = v_lo > -np.inf, v_up > -np.inf
 
     return BoundsReport(
         random_capacity=v_rc,
@@ -244,116 +271,6 @@ def det_code_bounds(params: GaussianSfdParams, opts: GridOptions | None = None) 
         lower_feasible=feas_lo,
         upper_feasible=feas_up,
     )
-
-
-def _point_feasible(params, mask_fn, a, r):
-    return bool(mask_fn(params, np.asarray(a), np.asarray(r)))
-
-
-def _fg_scalar(params, a, r):
-    P, P1, Lam, s2 = params.P, params.P1, params.Lambda, params.sigma2
-    t1 = 0.5 * math.log1p(max((P1 + a * P + 2.0 * r * math.sqrt(a * P * P1)) / Lam, 0.0)) / LOG2
-    t2 = (0.5 * math.log1p(max((1.0 - a) * P / s2, 0.0))
-          + 0.5 * math.log1p(max((1.0 - r * r) * a * P / Lam, 0.0))) / LOG2
-    return min(t1, t2)
-
-
-def _lower_feas_scalar(params, a, r):
-    P, P1, Lam = params.P, params.P1, params.Lambda
-    if P <= 0.0:
-        return False
-    c1 = (1.0 - r * r) * a * P >= Lam + FEASIBILITY_EPS
-    c2 = (P1 / P) * (math.sqrt(P1) + r * math.sqrt(a * P)) ** 2 \
-        >= Lam + (1.0 - r * r) * a * P + FEASIBILITY_EPS
-    return c1 and c2
-
-
-def _upper_feas_scalar(params, a, r):
-    P, P1, Lam = params.P, params.P1, params.Lambda
-    return P1 + a * P + 2.0 * r * math.sqrt(a * P * P1) >= Lam
-
-
-def _scalar_feasibility(mask_fn):
-    if mask_fn is None:
-        return None
-    return {id(_lower_mask): _lower_feas_scalar,
-            id(_upper_mask): _upper_feas_scalar}[id(mask_fn)]
-
-
-def _rho_interval(params, mask_fn, a):
-    """Feasible rho interval at fixed alpha, or None when empty.
-
-    Every constraint is monotone in rho, so the feasible set per alpha is an
-    interval whose endpoints are located by bisection.
-    """
-    if mask_fn is None:
-        return 0.0, 1.0
-    scalar_feas = _scalar_feasibility(mask_fn)
-
-    def feas(r):
-        return scalar_feas(params, a, r)
-
-    f0, f1 = feas(0.0), feas(1.0)
-    if f0 and f1:
-        return 0.0, 1.0
-    if not f0 and not f1:
-        # the set could still be an interior interval for the lower region
-        # (c1 caps rho from above, c2 bounds it from below)
-        probe = np.linspace(0.0, 1.0, 65)
-        hits = [r for r in probe if feas(r)]
-        if not hits:
-            return None
-        inner = hits[len(hits) // 2]
-        lo = _bisect_feasibility(feas, 0.0, inner, want_left_infeasible=True)
-        hi = _bisect_feasibility(feas, inner, 1.0, want_left_infeasible=False)
-        return lo, hi
-    if f0:
-        return 0.0, _bisect_feasibility(feas, 0.0, 1.0, want_left_infeasible=False)
-    return _bisect_feasibility(feas, 0.0, 1.0, want_left_infeasible=True), 1.0
-
-
-def _bisect_feasibility(feas, lo, hi, want_left_infeasible, iters=80):
-    """Boundary of a one-sided feasible interval; returns a feasible endpoint."""
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if feas(mid) == want_left_infeasible:
-            hi = mid
-        else:
-            lo = mid
-    return hi if want_left_infeasible else lo
-
-
-def _ridge_polish(params, mask_fn, a0, r0, v0, opts):
-    """Nested coordinate golden refinement around (a0, r0).
-
-    Inner pass: exact golden maximization over the feasible rho interval (the
-    objective along rho is the min of an increasing and a decreasing term,
-    hence unimodal).  Outer pass: golden over alpha of the inner value.
-    Returns the best of the polish and the seed; every reported value is an
-    exact objective evaluation at a feasible point.
-    """
-    from .optimize import golden_section_max
-
-    def inner(a):
-        iv = _rho_interval(params, mask_fn, a)
-        if iv is None:
-            return -np.inf, r0
-        r, v = golden_section_max(lambda rr: _fg_scalar(params, a, rr),
-                                  iv[0], iv[1], tol=1e-12)
-        return v, r
-
-    a_c, w = a0, 8.0 * opts.step
-    best = (v0, a0, r0)
-    for _ in range(2):
-        lo, hi = max(0.0, a_c - w), min(1.0, a_c + w)
-        a_best, _ = golden_section_max(lambda aa: inner(aa)[0], lo, hi, tol=1e-11)
-        v_in, r_best = inner(a_best)
-        scalar_feas = _scalar_feasibility(mask_fn)
-        if np.isfinite(v_in) and v_in > best[0] and (
-                scalar_feas is None or scalar_feas(params, a_best, r_best)):
-            best = (v_in, a_best, r_best)
-        a_c = best[1]
-    return best
 
 
 def direct_transmission_rate(params: GaussianSfdParams) -> float:
@@ -378,10 +295,15 @@ def gavc_point_to_point(P: float, Lambda: float, sigma2: float):
 
 def primitive_gaussian_capacity(P: float, Lambda: float, C1: float,
                                 opts: GridOptions | None = None):
-    """Capacity of the relay-over-a-bit-pipe variant: 1-D maximization over alpha.
+    """Capacity of the relay-over-a-bit-pipe variant: maximum over alpha of
 
-    objective(alpha) = 0.5*log2(1 + alpha*P/Lambda)
-                       + min(C1, 0.5*log2(1 + (1-alpha)*P/Lambda))
+        objective(alpha) = 0.5*log2(1 + alpha*P/Lambda)
+                           + min(C1, 0.5*log2(1 + (1-alpha)*P/Lambda))
+
+    in closed form.  The cap C1 binds for alpha <= alpha0 = 1 - Lambda*(2^(2*C1) - 1)/P,
+    where the objective rises; above alpha0 it is concave and symmetric about
+    1/2, so alpha* = min(1, max(1/2, alpha0)).  `opts` is accepted for
+    compatibility and unused.
 
     Returns (rate, alpha_star).
     """
@@ -389,20 +311,14 @@ def primitive_gaussian_capacity(P: float, Lambda: float, C1: float,
         raise GaussianParamError("C1 must be >= 0")
     if Lambda <= 0:
         raise GaussianParamError("Lambda must be > 0")
-    opts = opts or GridOptions()
     if P == 0.0:
         return 0.0, 0.0
-
-    def obj(alpha):
-        a = np.asarray(alpha)
-        return _half_log2_1p(a * P / Lambda) + np.minimum(C1, _half_log2_1p((1.0 - a) * P / Lambda))
-
-    from .optimize import zoom_grid_max_1d
-
-    coarse = int(round(1.0 / opts.step)) + 1
-    a_star, v = zoom_grid_max_1d(obj, 0.0, 1.0, coarse=coarse,
-                                 rounds=opts.refine_rounds, points=opts.refine_points)
-    return float(v), float(a_star)
+    if _half_log2_1p(0.5 * P / Lambda) <= C1:      # alpha0 <= 1/2
+        a = 0.5
+    else:                                           # 1/2 < alpha0 <= 1
+        a = 1.0 - Lambda * np.expm1(2.0 * C1 * LOG2) / P
+    v = _half_log2_1p(a * P / Lambda) + min(C1, _half_log2_1p((1.0 - a) * P / Lambda))
+    return float(v), float(a)
 
 
 @dataclass(frozen=True)

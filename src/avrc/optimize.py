@@ -1,4 +1,4 @@
-"""Derivative-free maximization helpers: golden section, zoom grids, simplex search.
+"""Derivative-free maximization helpers: zoom grids and simplex search.
 
 Everything here is deterministic given the seed carried by the caller; ties are
 broken toward the first (lexicographically smallest) candidate, which is what
@@ -6,29 +6,6 @@ broken toward the first (lexicographically smallest) candidate, which is what
 """
 
 import numpy as np
-
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
-
-
-def golden_section_max(f, lo, hi, tol=1e-10, max_iter=200):
-    """Golden-section search for the maximum of a unimodal f on [lo, hi]."""
-    a, b = float(lo), float(hi)
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(max_iter):
-        if abs(b - a) <= tol:
-            break
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
 
 
 def zoom_grid_max_1d(f_vec, lo, hi, coarse=1001, rounds=3, points=41):

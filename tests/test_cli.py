@@ -149,6 +149,22 @@ def test_usage_error_exit_code(capsys):
     assert code == 1 and "usage" in err
 
 
+@pytest.mark.parametrize("step", ["2", "0"])
+def test_bounds_rejects_step_outside_unit_interval(capsys, step):
+    code, out, err = run_cli(capsys, "bounds", "--P", "2", "--P1", "2", "--Lambda", "1",
+                             "--sigma2", "0.5", "--step", step)
+    assert code == 2 and out == ""
+    assert "step must be finite and in (0, 1]" in err
+
+
+def test_figure_rejects_bad_grid_step(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "figure", "--Lambda", "1", "--sigma2", "0.5",
+                           "--pmin", "1", "--pmax", "1", "--step", "1",
+                           "--out", str(tmp_path / "fig.csv"), "--grid-step", "0")
+    assert code == 2 and "step must be finite" in err
+    assert not (tmp_path / "fig.csv").exists()
+
+
 def test_computation_error_exit_code(capsys, tmp_path):
     code, _, err = run_cli(capsys, "symcheck", "--channel", "/no/such/file.json",
                            "--target", "relay")

@@ -1,0 +1,13 @@
+import runpy
+from pathlib import Path
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
+
+def test_gaussian_bounds_tour_writes_its_csv(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    runpy.run_path(str(DEMOS / "gaussian_bounds_tour.py"), run_name="__main__")
+    lines = (tmp_path / "gaussian_bounds_tour.csv").read_text().strip().splitlines()
+    assert lines[0] == "P,random_capacity,det_lower,det_upper,direct_transmission"
+    assert len(lines) == 11                      # header + the tour's 10 powers
+    assert "capacity" in capsys.readouterr().out

@@ -1,7 +1,18 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avrc.gaussian import (
+    _LOWER,
+    _SQUARE,
+    _UPPER,
+    _best_rho,
+    _fg_arrays,
+    _lower_mask,
+    _upper_mask,
     GaussianParamError,
     GaussianSfdParams,
     GridOptions,
@@ -167,17 +178,85 @@ def test_direct_transmission_threshold():
     assert abs(v - f_g(GaussianSfdParams(2, 2, 1, 0.5), PowerSplit(1, 0))) < 1e-15
 
 
-def test_scalar_and_array_objective_paths_agree():
-    from avrc.gaussian import _fg_scalar
-
-    rng = np.random.default_rng(17)
-    for _ in range(100):
-        params = GaussianSfdParams(float(rng.uniform(0, 5)), float(rng.uniform(0, 5)),
-                                   float(rng.uniform(0.1, 3)), float(rng.uniform(0.1, 2)))
-        a, r = float(rng.uniform(0, 1)), float(rng.uniform(0, 1))
-        assert abs(_fg_scalar(params, a, r) - f_g(params, PowerSplit(a, r))) < 1e-12
-
-
 def test_gaussian_mi_quadrature_matches_closed_form():
     for P, N in [(1.0, 0.5), (3.0, 1.0), (0.2, 2.0)]:
         assert abs(gaussian_mi_quadrature(P, N) - 0.5 * np.log2(1 + P / N)) < 1e-4
+
+
+def test_grid_options_validation():
+    GridOptions(step=1.0, refine_rounds=0, refine_points=3)
+    for bad in (0.0, -1.0, 2.0, float("nan"), float("inf")):
+        with pytest.raises(GaussianParamError, match="step"):
+            GridOptions(step=bad)
+    for bad in (-1, 1.5, "3"):
+        with pytest.raises(GaussianParamError, match="refine_rounds"):
+            GridOptions(refine_rounds=bad)
+    for bad in (2, 0, 41.0):
+        with pytest.raises(GaussianParamError, match="refine_points"):
+            GridOptions(refine_points=bad)
+
+
+def test_closed_form_rho_beats_dense_scan():
+    # oracle: a 2001-point rho scan of the objective, masked by the region
+    rng = np.random.default_rng(29)
+    scan = np.linspace(0.0, 1.0, 2001)
+    hits = {"square": 0, "upper": 0, "lower": 0}
+    for _ in range(300):
+        params = GaussianSfdParams(float(rng.uniform(0, 6)), float(rng.uniform(0, 6)),
+                                   float(rng.uniform(0.2, 3)), float(rng.uniform(0.1, 2)))
+        a = float(rng.uniform(0, 1))
+        A = np.full_like(scan, a)
+        for name, region, mask in (("square", _SQUARE, None), ("upper", _UPPER, _upper_mask),
+                                   ("lower", _LOWER, _lower_mask)):
+            R, v = _best_rho(params, np.array([a]), region)
+            vals = _fg_arrays(params, A, scan)
+            if mask is not None:
+                vals = np.where(mask(params, A, scan), vals, -np.inf)
+            if np.isfinite(v[0]):
+                assert mask is None or mask(params, np.array([a]), R)[0]
+                assert abs(v[0] - f_g(params, PowerSplit(a, float(R[0])))) < 1e-15
+            assert v[0] >= vals.max() - 1e-12
+            hits[name] += bool(np.isfinite(vals.max()))
+    assert min(hits.values()) >= 50          # every region was exercised
+
+
+# det_lower where its optimum sits on the edge of the lower region, as
+# computed by the former 2-D grid, zoom and ridge-polish optimizer
+LOWER_EDGE_VALUES = {
+    (0.9091, 0.9091, 0.764152, 0.0811929): 0.9241460633,
+    (3.32489, 3.32489, 2.93175, 0.175601): 0.6327818489,
+    (1.24947, 1.24947, 1.0, 0.5): 0.7020233917,
+}
+
+
+@pytest.mark.parametrize("key", sorted(LOWER_EDGE_VALUES))
+def test_det_lower_on_the_region_edge(key):
+    rep = det_code_bounds(GaussianSfdParams(*key))
+    assert rep.lower_feasible
+    assert abs(rep.det_lower - LOWER_EDGE_VALUES[key]) < 1e-6
+    assert _lower_mask(GaussianSfdParams(*key), np.asarray(rep.lower_split.alpha),
+                       np.asarray(rep.lower_split.rho))
+
+
+def _primitive_objective(alpha, P, Lam, C1):
+    return (0.5 * np.log2(1 + alpha * P / Lam)
+            + np.minimum(C1, 0.5 * np.log2(1 + (1 - alpha) * P / Lam)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(P=st.floats(0.0, 10.0), P1=st.floats(0.0, 10.0), Lam=st.floats(0.05, 5.0),
+       s2=st.floats(0.05, 2.0), C1=st.floats(0.0, 4.0))
+def test_bounds_properties(P, P1, Lam, s2, C1):
+    params = GaussianSfdParams(P, P1, Lam, s2)
+    rep = det_code_bounds(params, GridOptions(step=5e-3))
+    assert rep.det_lower <= rep.det_upper <= rep.random_capacity
+    assert rep.upper_feasible == (P1 + P + 2 * math.sqrt(P * P1) >= Lam)
+    for feasible, split, mask in ((rep.lower_feasible, rep.lower_split, _lower_mask),
+                                  (rep.upper_feasible, rep.upper_split, _upper_mask)):
+        if feasible:
+            assert mask(params, np.asarray(split.alpha), np.asarray(split.rho))
+
+    v, a = primitive_gaussian_capacity(P, Lam, C1)
+    grid = np.linspace(0.0, 1.0, 10001)
+    assert v >= _primitive_objective(grid, P, Lam, C1).max() - 1e-12
+    assert abs(v - _primitive_objective(a, P, Lam, C1)) < 1e-12

@@ -1,20 +1,7 @@
 import numpy as np
 import pytest
 
-from avrc.optimize import golden_section_max, search_simplex, simplex_grid, zoom_grid_max_1d
-
-
-def test_golden_section_quadratic():
-    x, v = golden_section_max(lambda t: -(t - 0.3) ** 2, 0, 1, tol=1e-12)
-    assert abs(x - 0.3) < 1e-9
-    assert abs(v) < 1e-15
-
-
-def test_golden_section_kinked_unimodal():
-    # min of an increasing and a decreasing line peaks at their crossing
-    x, v = golden_section_max(lambda t: min(2 * t, 1 - t), 0, 1, tol=1e-12)
-    assert abs(x - 1 / 3) < 1e-9
-    assert abs(v - 2 / 3) < 1e-9
+from avrc.optimize import search_simplex, simplex_grid, zoom_grid_max_1d
 
 
 def test_zoom_grid_matches_golden():
