@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import FIXED_INDEX, SfdCodebook, encode, relay_chain
+from .codec import FIXED_INDEX, PowerCapError, SfdCodebook, encode, relay_chain
 
 STRATEGY_KINDS = ("zero", "fixed", "iid_gaussian", "impostor", "symmetrizing")
 
@@ -124,7 +124,8 @@ def make_state(strategy: StateStrategy, n: int, context=None, rng=None,
             s = np.zeros(n)
         details = ImpostorDraw(s, False, None, None)
 
-    assert s @ s <= budget * (1.0 + 1e-12)
+    if not s @ s <= budget * (1.0 + 1e-12):
+        raise PowerCapError(f"{strategy.kind} state has power {s @ s!r} over the budget {budget!r}")
     return details if return_details else s
 
 

@@ -35,6 +35,10 @@ class CodebookBudgetError(RuntimeError):
     pass
 
 
+class PowerCapError(RuntimeError):
+    """A transmitted or injected sequence exceeds its power budget."""
+
+
 @dataclass(frozen=True)
 class CodebookConfig:
     n: int

@@ -3,10 +3,11 @@
 A channel here is a 4-index kernel W[x, s, y, y1]: for each input x and state
 s, a joint pmf over the destination output y and the relay observation y1.
 The relay talks to the destination over a noiseless link of `relay_rate` bits
-per use.  The module computes exact finite-sum mutual informations, decides
-symmetrizability by linear programming, classifies degradedness by factor
-checks, evaluates the cutset and decode-forward bounds by nested simplex
-optimization, and applies the capacity classification rules.
+per use.  Every information quantity here is I(A;O) of a finite joint pmf,
+computed by one exact kernel (`_mi`).  The module decides symmetrizability by
+linear programming, classifies degradedness by factor checks, evaluates the
+cutset and decode-forward bounds by nested simplex optimization (one q-search
+helper, one p-search helper), and applies the capacity classification rules.
 """
 
 import json
@@ -111,7 +112,7 @@ def dmc_to_json(dmc: Dmc) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# mutual information (exact finite sums, in bits)
+# mutual information: one kernel, I(A;O) from a joint pmf (exact, in bits)
 # ---------------------------------------------------------------------------
 
 def mutual_information(p, q, channel) -> float:
@@ -121,46 +122,21 @@ def mutual_information(p, q, channel) -> float:
     q = validate_pmf(q)
     if W.ndim != 3 or W.shape[0] != p.size or W.shape[1] != q.size:
         raise ChannelFormatError("channel dimensions do not match the pmfs")
-    wq = np.einsum("s,xso->xo", q, W)
-    return float(_mi_rows(p[None, :], wq[None, :, :])[0])
+    return float(_mi(p[:, None] * np.einsum("s,xso->xo", q, W)))
 
 
-def _mi_rows(P, WQ):
-    """I(X;O) for batched priors P (N,X) and batched row kernels WQ (N,X,O)."""
-    joint = P[:, :, None] * WQ
-    out = joint.sum(axis=1)
+def _mi(J):
+    """I(A;O) in bits from joint pmfs J[..., a, o], broadcast over the leading axes."""
+    pa = J.sum(axis=-1, keepdims=True)
+    po = J.sum(axis=-2, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.log2(np.where(joint > 0, WQ, 1.0)) - np.log2(
-            np.where(joint > 0, out[:, None, :], 1.0))
-    return (np.where(joint > 0, joint * ratio, 0.0)).sum(axis=(1, 2))
+        terms = J * (np.log2(J) - np.log2(pa * po))
+    return np.where(J > 0, terms, 0.0).sum(axis=(-2, -1))
 
 
 def _wq_batch(Q, W3):
     """Averaged kernels for a batch of state pmfs: (N,S)x(X,S,O) -> (N,X,O)."""
     return np.einsum("ns,xso->nxo", Q, W3)
-
-
-def _mi_uy_rows(Pux, WQ):
-    """I(U;O) for fixed joint p(u,x) and batched kernels WQ (N,X,O)."""
-    J = np.einsum("ux,nxo->nuo", Pux, WQ)
-    pu = Pux.sum(axis=1)
-    out = J.sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.log2(np.where(J > 0, J, 1.0)) - np.log2(
-            np.where(J > 0, pu[None, :, None] * out[:, None, :], 1.0))
-    return (np.where(J > 0, J * ratio, 0.0)).sum(axis=(1, 2))
-
-
-def _mi_xy_given_u_rows(Pux, WQ):
-    """I(X;O|U) for fixed joint p(u,x) and batched kernels WQ (N,X,O)."""
-    pu = Pux.sum(axis=1)
-    T = Pux[None, :, :, None] * WQ[:, None, :, :]   # (N,U,X,O)
-    J = T.sum(axis=2)                               # (N,U,O)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = (np.log2(np.where(T > 0, WQ[:, None, :, :], 1.0))
-                 + np.log2(np.where(T > 0, pu[None, :, None, None], 1.0))
-                 - np.log2(np.where(T > 0, J[:, :, None, :], 1.0)))
-    return (np.where(T > 0, T * ratio, 0.0)).sum(axis=(1, 2, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +344,35 @@ def _min_over_q(objective_batch, ns, qset, opts, rng):
     return q, v
 
 
+def _max_over_p(objective_batch, nx, opts, rng, top):
+    """Maximize a batched function of p over the input simplex.  Returns (p*, value)."""
+    res = opts.p_resolution if nx <= 3 else None
+    return search_simplex(objective_batch, nx, resolution=res, rounds=opts.refine_rounds,
+                          top=top, rng=rng, max_grid_points=opts.max_grid_points)
+
+
+def _min_q_max_p(p_objective, dmc, qset, opts, rng, top):
+    """min over q of max over p; p_objective(q) is the batched objective in p at q."""
+    def outer_batch(Q):
+        return np.array([_max_over_p(p_objective(q), dmc.nx, opts, rng, top)[1] for q in Q])
+    return _min_over_q(outer_batch, dmc.ns, qset, opts, rng)[1]
+
+
+# largest batched array (in entries) that a pooled p-objective builds at once
+_BLOCK_ENTRIES = 1 << 22
+
+
+def _in_blocks(objective_batch, row_entries):
+    """Evaluate a batched objective over blocks of candidate rows, each row
+    costing row_entries entries, so that no batched array exceeds _BLOCK_ENTRIES."""
+    step = max(1, _BLOCK_ENTRIES // row_entries)
+
+    def blocked(P):
+        return np.concatenate([objective_batch(P[i:i + step])
+                               for i in range(0, P.shape[0], step)])
+    return blocked
+
+
 def cutset_bound(dmc: Dmc, state_set=None, opts: BoundOptions | None = None) -> float:
     """inf over state pmfs of max over input pmfs of
     min{ I(X;Y) + C1, I(X;Y,Y1) }."""
@@ -379,25 +384,12 @@ def cutset_bound(dmc: Dmc, state_set=None, opts: BoundOptions | None = None) -> 
     W_j = dmc.joint_output()
     c1 = dmc.relay_rate
 
-    def inner_max(q):
-        wq_y = _wq_batch(q[None, :], W_y)[0]
-        wq_j = _wq_batch(q[None, :], W_j)[0]
+    def at_q(q):
+        wq_y = np.einsum("s,xso->xo", q, W_y)
+        wq_j = np.einsum("s,xso->xo", q, W_j)
+        return lambda P: np.minimum(_mi(P[:, :, None] * wq_y) + c1, _mi(P[:, :, None] * wq_j))
 
-        def f_batch(P):
-            return np.minimum(_mi_rows(P, np.broadcast_to(wq_y, (P.shape[0],) + wq_y.shape)) + c1,
-                              _mi_rows(P, np.broadcast_to(wq_j, (P.shape[0],) + wq_j.shape)))
-
-        res = opts.p_resolution if dmc.nx <= 3 else None
-        _, v = search_simplex(f_batch, dmc.nx, resolution=res,
-                              rounds=opts.refine_rounds, top=opts.multistart_top,
-                              rng=rng, max_grid_points=opts.max_grid_points)
-        return v
-
-    def outer_batch(Q):
-        return np.array([inner_max(q) for q in Q])
-
-    _, v = _min_over_q(outer_batch, dmc.ns, qset, opts, rng)
-    return float(v)
+    return float(_min_q_max_p(at_q, dmc, qset, opts, rng, opts.multistart_top))
 
 
 def _q_pool(dmc, qset, opts, rng):
@@ -415,43 +407,10 @@ def _q_pool(dmc, qset, opts, rng):
                            rng.dirichlet(np.ones(dmc.ns), size=192)])
 
 
-def _mi_xy_grid(Pb, WQ):
-    """I(X;O) for candidate priors Pb (C,X) against kernels WQ (N,X,O) -> (C,N)."""
-    joint = Pb[:, None, :, None] * WQ[None, :, :, :]
-    out = joint.sum(axis=2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.log2(np.where(joint > 0, WQ[None, :, :, :], 1.0)) - np.log2(
-            np.where(joint > 0, out[:, :, None, :], 1.0))
-    return (np.where(joint > 0, joint * ratio, 0.0)).sum(axis=(2, 3))
-
-
-def _mi_uy_grid(Pb, WQ):
-    """I(U;O) for candidate joints Pb (C,U,X) against kernels WQ (N,X,O) -> (C,N)."""
-    J = np.einsum("cux,nxo->cnuo", Pb, WQ)
-    pu = Pb.sum(axis=2)
-    out = J.sum(axis=2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.log2(np.where(J > 0, J, 1.0)) - np.log2(
-            np.where(J > 0, pu[:, None, :, None] * out[:, :, None, :], 1.0))
-    return (np.where(J > 0, J * ratio, 0.0)).sum(axis=(2, 3))
-
-
-def _mi_xyu_grid(Pb, WQ):
-    """I(X;O|U) for candidate joints Pb (C,U,X) against kernels WQ (N,X,O) -> (C,N)."""
-    pu = Pb.sum(axis=2)
-    T = Pb[:, None, :, :, None] * WQ[None, :, None, :, :]   # (C,N,U,X,O)
-    J = T.sum(axis=3)                                       # (C,N,U,O)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = (np.log2(np.where(T > 0, WQ[None, :, None, :, :], 1.0))
-                 + np.log2(np.where(T > 0, pu[:, None, :, None, None], 1.0))
-                 - np.log2(np.where(T > 0, J[:, :, :, None, :], 1.0)))
-    return (np.where(T > 0, T * ratio, 0.0)).sum(axis=(2, 3, 4))
-
-
 def _qmin_xy_refined(p, W3, dmc, qset, opts, rng):
     """Tight min over q of I(X;O) at a fixed prior p."""
     def over_q(Q):
-        return _mi_rows(np.broadcast_to(p, (Q.shape[0], p.size)), _wq_batch(Q, W3))
+        return _mi(p[None, :, None] * _wq_batch(Q, W3))
     return _min_over_q(over_q, dmc.ns, qset, opts, rng)[1]
 
 
@@ -459,13 +418,8 @@ def _df_direct(dmc, qset, opts, rng):
     """max_p of min_q I(X;Y): the no-relay-help rate.  Returns (value, p*)."""
     W_y = dmc.receiver_marginal()
     WQ = _wq_batch(_q_pool(dmc, qset, opts, rng), W_y)
-
-    def obj_p(P):
-        return _mi_xy_grid(P, WQ).min(axis=1)
-
-    res = opts.p_resolution if dmc.nx <= 3 else None
-    p, _ = search_simplex(obj_p, dmc.nx, resolution=res, rounds=opts.refine_rounds,
-                          top=2, rng=rng, max_grid_points=opts.max_grid_points)
+    obj_p = _in_blocks(lambda P: _mi(P[:, None, :, None] * WQ).min(axis=1), WQ.size)
+    p, _ = _max_over_p(obj_p, dmc.nx, opts, rng, top=2)
     return _qmin_xy_refined(p, W_y, dmc, qset, opts, rng), p
 
 
@@ -478,12 +432,10 @@ def _df_full(dmc, qset, opts, rng):
     WQ1 = _wq_batch(_q_pool(dmc, qset, opts, rng), W_1)
 
     def obj_p(P):
-        return np.minimum(_mi_xy_grid(P, WQy).min(axis=1) + c1,
-                          _mi_xy_grid(P, WQ1).min(axis=1))
+        return np.minimum(_mi(P[:, None, :, None] * WQy).min(axis=1) + c1,
+                          _mi(P[:, None, :, None] * WQ1).min(axis=1))
 
-    res = opts.p_resolution if dmc.nx <= 3 else None
-    p, _ = search_simplex(obj_p, dmc.nx, resolution=res, rounds=opts.refine_rounds,
-                          top=2, rng=rng, max_grid_points=opts.max_grid_points)
+    p, _ = _max_over_p(_in_blocks(obj_p, max(WQy.size, WQ1.size)), dmc.nx, opts, rng, top=2)
     v = min(_qmin_xy_refined(p, W_y, dmc, qset, opts, rng) + c1,
             _qmin_xy_refined(p, W_1, dmc, qset, opts, rng))
     return float(v), p
@@ -540,29 +492,35 @@ def df_bound(dmc: Dmc, state_set=None, aux_size: int | None = None,
     starts = [start_direct.ravel(), start_full.ravel(), np.full(dim, 1.0 / dim)]
     starts += [rng.dirichlet(np.ones(dim)) for _ in range(opts.aux_starts)]
 
+    # U - X - O is a Markov chain (O sees U only through X, and the state is
+    # independent of (U, X)), so I(X;O|U) = I(X;O) - I(U;O) with p(x) = sum_u p(u,x)
     def batch_obj(Pflat):
         Pb = Pflat.reshape(-1, nu, nx)
-        term_b = _mi_xyu_grid(Pb, WQy).min(axis=1)
-        term_a = _mi_uy_grid(Pb, WQy).min(axis=1)
-        term_c = _mi_uy_grid(Pb, WQ1).min(axis=1)
-        return np.minimum(term_a + term_b + c1, term_c + term_b)
+        i_xy = _mi(Pb.sum(axis=1)[:, None, :, None] * WQy)
+        i_uy = _mi(np.einsum("cux,nxo->cnuo", Pb, WQy))
+        i_uy1 = _mi(np.einsum("cux,nxo->cnuo", Pb, WQ1))
+        term_b = (i_xy - i_uy).min(axis=1)
+        return np.minimum(i_uy.min(axis=1) + term_b + c1, i_uy1.min(axis=1) + term_b)
 
-    p_best, _ = search_simplex(batch_obj, dim, resolution=None,
+    row_entries = WQy.shape[0] * max(nu, nx) * max(dmc.ny, dmc.ny1)
+    p_best, _ = search_simplex(_in_blocks(batch_obj, row_entries), dim, resolution=None,
                                rounds=opts.refine_rounds, top=opts.multistart_top,
                                rng=rng, extra_starts=np.array(starts),
                                max_grid_points=opts.max_grid_points)
 
     # re-evaluate the winner with tight per-term q-minimizations
     Pux = p_best.reshape(nu, nx)
+    px = Pux.sum(axis=0)
 
-    def term(fn, W3):
-        def over_q(Q):
-            return fn(Pux, _wq_batch(Q, W3))
-        return _min_over_q(over_q, dmc.ns, qset, opts, rng)[1]
+    def qmin(info):
+        return _min_over_q(info, dmc.ns, qset, opts, rng)[1]
 
-    a = term(_mi_uy_rows, W_y)
-    b = term(_mi_xy_given_u_rows, W_y)
-    c = term(_mi_uy_rows, W_1)
+    def i_uo(Q, W3):
+        return _mi(np.einsum("ux,nxo->nuo", Pux, _wq_batch(Q, W3)))
+
+    a = qmin(lambda Q: i_uo(Q, W_y))
+    b = qmin(lambda Q: _mi(px[None, :, None] * _wq_batch(Q, W_y)) - i_uo(Q, W_y))
+    c = qmin(lambda Q: i_uo(Q, W_1))
     v = min(a + b + c1, c + b)
     return float(max(v, v_direct, v_full))
 
@@ -580,22 +538,11 @@ def minimax_receiver_information(dmc: Dmc, order: str = "qp",
     if order != "qp":
         raise ValueError("order must be 'qp' or 'pq'")
 
-    def outer_batch(Q):
-        vals = np.empty(Q.shape[0])
-        for i, q in enumerate(Q):
-            wq = _wq_batch(q[None, :], W_y)[0]
+    def at_q(q):
+        wq = np.einsum("s,xso->xo", q, W_y)
+        return lambda P: _mi(P[:, :, None] * wq)
 
-            def f_batch(P, wq=wq):
-                return _mi_rows(P, np.broadcast_to(wq, (P.shape[0],) + wq.shape))
-
-            res = opts.p_resolution if dmc.nx <= 3 else None
-            _, vals[i] = search_simplex(f_batch, dmc.nx, resolution=res,
-                                        rounds=opts.refine_rounds, top=2, rng=rng,
-                                        max_grid_points=opts.max_grid_points)
-        return vals
-
-    _, v = _min_over_q(outer_batch, dmc.ns, None, opts, rng)
-    return float(v)
+    return float(_min_q_max_p(at_q, dmc, None, opts, rng, top=2))
 
 
 # ---------------------------------------------------------------------------
@@ -668,17 +615,11 @@ def _strongly_degraded_value(dmc, relay_rows, opts):
     rng = np.random.default_rng(opts.seed)
     W_y = dmc.receiver_marginal()
     c1 = dmc.relay_rate
-    W1 = relay_rows[:, None, :]   # fake single-state kernel for I(X;Y1)
 
     def obj_p(P):
-        vals = np.empty(P.shape[0])
-        i_xy1 = _mi_rows(P, np.broadcast_to(W1[:, 0, :], (P.shape[0],) + relay_rows.shape))
-        for i, p in enumerate(P):
-            def over_q(Q, p=p):
-                return _mi_rows(np.broadcast_to(p, (Q.shape[0], p.size)), _wq_batch(Q, W_y))
-            _, v = _min_over_q(over_q, dmc.ns, None, opts, rng)
-            vals[i] = min(v + c1, i_xy1[i])
-        return vals
+        i_xy1 = _mi(P[:, :, None] * relay_rows)
+        return np.array([min(_qmin_xy_refined(p, W_y, dmc, None, opts, rng) + c1, i_xy1[i])
+                         for i, p in enumerate(P)])
 
     res = min(opts.p_resolution, 32) if dmc.nx <= 3 else None
     _, v = search_simplex(obj_p, dmc.nx, resolution=res, rounds=opts.refine_rounds,

@@ -307,10 +307,12 @@ def primitive_gaussian_capacity(P: float, Lambda: float, C1: float,
 
     Returns (rate, alpha_star).
     """
-    if C1 < 0:
-        raise GaussianParamError("C1 must be >= 0")
-    if Lambda <= 0:
-        raise GaussianParamError("Lambda must be > 0")
+    if not C1 >= 0:
+        raise GaussianParamError(f"C1 must be >= 0, got {C1!r}")
+    if not (np.isfinite(P) and P >= 0):
+        raise GaussianParamError(f"P must be finite and >= 0, got {P!r}")
+    if not Lambda > 0:
+        raise GaussianParamError(f"Lambda must be > 0, got {Lambda!r}")
     if P == 0.0:
         return 0.0, 0.0
     if _half_log2_1p(0.5 * P / Lambda) <= C1:      # alpha0 <= 1/2

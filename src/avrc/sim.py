@@ -19,6 +19,7 @@ from .codec import (
     CodebookConfig,
     PermutedCode,
     PlainCode,
+    PowerCapError,
     build_codebook,
     codebook_config_from_json,
     draw_permutation,
@@ -28,6 +29,15 @@ WILSON_Z = 1.959963984540054   # two-sided 95%
 
 class SimConfigError(ValueError):
     pass
+
+
+def _check_simulable(strategy):
+    """Trials hand the jammer an ImpostorContext; a strategy that needs a
+    codeword table could never run, so it is a usage error."""
+    if strategy.kind == "symmetrizing":
+        raise SimConfigError(f"strategy kind {strategy.kind!r} cannot be simulated: "
+                             "it needs a discrete codeword table")
+    return strategy
 
 
 @dataclass(frozen=True)
@@ -44,6 +54,7 @@ class SimConfig:
             raise SimConfigError("trials must be >= 1")
         if self.relay_mode not in ("min_distance", "ideal"):
             raise SimConfigError("relay_mode must be min_distance or ideal")
+        _check_simulable(self.strategy)
 
 
 @dataclass(frozen=True)
@@ -81,6 +92,12 @@ def resolve_workers(requested=None):
     return os.cpu_count() or 1
 
 
+def _check_power(name, energies, budget):
+    """Raise PowerCapError unless every block energy is within the budget."""
+    if not (energies <= budget).all():
+        raise PowerCapError(f"{name} block energy {energies.max()!r} exceeds {budget!r}")
+
+
 def _trial(config, codebook, t):
     rng = np.random.default_rng(np.random.SeedSequence([config.master_seed, t]))
     rng_jam = np.random.default_rng(
@@ -98,16 +115,16 @@ def _trial(config, codebook, t):
     clipped = sum(b.power_clipped for b in blocks)
     p = cb.config.params
     slack = 1e-9 * n
-    assert (np.einsum("bi,bi->b", x_prime, x_prime)
-            <= n * cb.config.split.alpha * p.P + slack).all()
-    assert (np.einsum("bi,bi->b", x_prime, x_prime)
-            + np.einsum("bi,bi->b", x_direct, x_direct) <= n * p.P + slack).all()
+    e_prime = np.einsum("bi,bi->b", x_prime, x_prime)
+    _check_power("x'", e_prime, n * cb.config.split.alpha * p.P + slack)
+    _check_power("x' + x''", e_prime + np.einsum("bi,bi->b", x_direct, x_direct),
+                 n * p.P + slack)
 
     z = rng.normal(0.0, np.sqrt(cb.config.params.sigma2), (B, n))
     y1 = x_direct + z
     true_idx = msgs[:, 0] if config.relay_mode == "ideal" else None
     _, x1_blocks = code.relay_chain(y1, config.relay_mode, true_idx)
-    assert (np.einsum("bi,bi->b", x1_blocks, x1_blocks) <= n * p.P1 + slack).all()
+    _check_power("x1", np.einsum("bi,bi->b", x1_blocks, x1_blocks), n * p.P1 + slack)
 
     context = ImpostorContext(cb, config.relay_mode)
     s = make_state(config.strategy, B * n, context=context, rng=rng_jam).reshape(B, n)
@@ -230,6 +247,6 @@ def sim_config_from_json(obj) -> tuple:
     sweep = obj.get("sweep")
     if sweep is not None:
         sweep = {"lambdas": [float(v) for v in sweep["lambdas"]],
-                 "strategies": [strategy_from_json(s) for s in sweep.get(
+                 "strategies": [_check_simulable(strategy_from_json(s)) for s in sweep.get(
                      "strategies", [strategy_to_json(sim.strategy)])]}
     return sim, sweep

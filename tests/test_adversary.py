@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from avrc import adversary
 from avrc.adversary import (
     ImpostorContext,
     StateStrategy,
@@ -12,7 +13,7 @@ from avrc.adversary import (
     strategy_from_json,
     strategy_to_json,
 )
-from avrc.codec import CodebookConfig, build_codebook, encode, relay_chain
+from avrc.codec import CodebookConfig, PowerCapError, build_codebook, encode, relay_chain
 from avrc.gaussian import GaussianSfdParams, PowerSplit
 
 
@@ -139,3 +140,13 @@ def test_hard_constraint_universal_randomized():
                               variance=lam if kind == "iid_gaussian" else None)
         s = make_state(strat, n, context=ctx, rng=np.random.default_rng((8, t)))
         assert s @ s <= n * lam * (1 + 1e-12)
+
+
+def test_over_power_draw_raises_power_cap_error(monkeypatch):
+    # the cap is an explicit check, so it holds under python -O as well
+    def over_power(strategy, n, context, rng):
+        return adversary.ImpostorDraw(np.full(n, 2.0), False, None, None)
+
+    monkeypatch.setattr(adversary, "_impostor_state", over_power)
+    with pytest.raises(PowerCapError):
+        make_state(StateStrategy("impostor", Lambda=1.0), 8)

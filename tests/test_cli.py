@@ -136,6 +136,29 @@ def test_simulate_sweep_branch(capsys, tmp_path):
     assert len(json.loads(out)) == 4             # JSON mirror on stdout
 
 
+@pytest.mark.parametrize("where", ["base", "sweep"])
+def test_simulate_rejects_symmetrizing_strategy(capsys, tmp_path, where):
+    symmetrizing = {"kind": "symmetrizing", "Lambda": 1.0, "witness": [[1.0, 0.0], [0.0, 1.0]]}
+    cfg = {
+        "codebook": {"n": 48, "blocks": 2, "rate_relayed": 0.05, "rate_direct": 0.05,
+                     "P": 4.0, "P1": 4.0, "Lambda": 1.0, "sigma2": 0.25,
+                     "alpha": 0.6, "rho": 0.0, "seed": 3},
+        "strategy": symmetrizing if where == "base" else {"kind": "zero", "Lambda": 1.0},
+        "trials": 20,
+    }
+    if where == "sweep":
+        cfg["sweep"] = {"lambdas": [1.0],
+                        "strategies": [{"kind": "zero", "Lambda": 1.0}, symmetrizing]}
+    cfg_path = tmp_path / "sim.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out_path = tmp_path / "rows.csv"
+    code, out, err = run_cli(capsys, "simulate", "--config", str(cfg_path),
+                             "--out", str(out_path))
+    assert code == 2
+    assert "'symmetrizing'" in err
+    assert out == "" and not out_path.exists()
+
+
 def test_figure_rejects_empty_range(capsys, tmp_path):
     code, _, err = run_cli(capsys, "figure", "--Lambda", "1", "--sigma2", "0.5",
                            "--pmin", "2", "--pmax", "1", "--step", "0.5",

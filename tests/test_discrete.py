@@ -2,7 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from avrc import discrete
 from avrc.discrete import (
     BoundOptions,
     ChannelFormatError,
@@ -118,6 +121,47 @@ def test_mi_permutation_invariance():
     px = rng.permutation(3)
     po = rng.permutation(4)
     assert abs(mutual_information(p[px], q, W[px][:, :, po]) - base) < 1e-12
+
+
+def _zeroed_pmfs(rng, shape, k):
+    """Random pmfs on k atoms with about a third of the entries exactly zero."""
+    P = rng.dirichlet(np.ones(k), size=shape) * (rng.random(shape + (k,)) > 0.33)
+    P[..., 0] += P.sum(axis=-1) == 0
+    return P / P.sum(axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("lead", [(7,), (3, 5)])
+def test_mi_kernel_matches_exhaustive_oracle_on_batches_with_zeros(lead):
+    rng = np.random.default_rng(17)
+    X, S, O = 3, 2, 4
+    p = _zeroed_pmfs(rng, lead, X)
+    q = _zeroed_pmfs(rng, lead, S)
+    W = _zeroed_pmfs(rng, lead + (X, S), O)
+    J = p[..., :, None] * np.einsum("...s,...xso->...xo", q, W)
+    assert (J == 0).any()
+    got = discrete._mi(J)
+    assert got.shape == lead
+    for idx in np.ndindex(*lead):
+        assert abs(got[idx] - exhaustive_mi(p[idx], q[idx], W[idx])) < 1e-12
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(U=st.integers(1, 4), X=st.integers(1, 4), O=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_mi_chain_rule_equals_conditional_sum(U, X, O, seed):
+    # U - X - O Markov: I(X;O) - I(U;O) is I(X;O|U) = sum_u p(u) I(X;O | U=u)
+    rng = np.random.default_rng(seed)
+    Pux = _zeroed_pmfs(rng, (), U * X).reshape(U, X)
+    Pux[rng.integers(U)] = 0.0                 # an unused value of U
+    if Pux.sum() == 0:
+        Pux[0, 0] = 1.0
+    Pux /= Pux.sum()
+    WQ = _zeroed_pmfs(rng, (X,), O)
+    chain = discrete._mi(Pux.sum(axis=0)[:, None] * WQ) - discrete._mi(Pux @ WQ)
+    direct = sum(Pux[u].sum() * discrete._mi((Pux[u] / Pux[u].sum())[:, None] * WQ)
+                 for u in range(U) if Pux[u].sum() > 0)
+    assert abs(chain - direct) < 1e-12
+    assert chain >= -1e-12
 
 
 def test_mi_dimension_mismatch():
@@ -273,7 +317,7 @@ def test_df_full_on_strongly_degraded_toy():
 def test_aux_information_terms_embedding_identities():
     # with U = X (diagonal joint) the U-terms reduce to plain I(X;O) and the
     # conditional term vanishes; with U independent of X they swap roles
-    from avrc.discrete import _mi_uy_rows, _mi_xy_given_u_rows, _wq_batch
+    from avrc.discrete import _mi, _wq_batch
 
     rng = np.random.default_rng(21)
     W = rng.dirichlet(np.ones(3), size=(2, 2))
@@ -282,14 +326,30 @@ def test_aux_information_terms_embedding_identities():
     WQ = _wq_batch(q[None, :], W)
     i_xy = mutual_information(p, q, W)
 
+    def i_uy(Pux):
+        return _mi(np.einsum("ux,nxo->nuo", Pux, WQ))[0]
+
+    def i_xy_given_u(Pux):   # chain rule, as in the aux objective
+        return _mi(Pux.sum(axis=0)[None, :, None] * WQ)[0] - i_uy(Pux)
+
     diag = np.diag(p)
-    assert abs(_mi_uy_rows(diag, WQ)[0] - i_xy) < 1e-12
-    assert abs(_mi_xy_given_u_rows(diag, WQ)[0]) < 1e-12
+    assert abs(i_uy(diag) - i_xy) < 1e-12
+    assert abs(i_xy_given_u(diag)) < 1e-12
 
     u_marg = rng.dirichlet(np.ones(3))
     indep = u_marg[:, None] * p[None, :]
-    assert abs(_mi_uy_rows(indep, WQ)[0]) < 1e-12
-    assert abs(_mi_xy_given_u_rows(indep, WQ)[0] - i_xy) < 1e-12
+    assert abs(i_uy(indep)) < 1e-12
+    assert abs(i_xy_given_u(indep) - i_xy) < 1e-12
+
+
+def test_df_blocks_leave_values_unchanged(monkeypatch):
+    # a 64-entry block cap splits every pooled objective into many blocks
+    rng = np.random.default_rng(41)
+    dmc = Dmc(rng.dirichlet(np.ones(6), size=(2, 2)).reshape(2, 2, 3, 2), relay_rate=0.3)
+    modes = ("direct", "full", "aux")
+    whole = [df_bound(dmc, mode=m, opts=FAST) for m in modes]
+    monkeypatch.setattr(discrete, "_BLOCK_ENTRIES", 64)
+    assert [df_bound(dmc, mode=m, opts=FAST) for m in modes] == whole
 
 
 def test_df_general_dominates_special_modes():

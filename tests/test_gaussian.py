@@ -150,6 +150,15 @@ def test_primitive_capacity_examples():
     assert abs(v - 0.5) < 1e-9 and abs(a - 1.0) < 1e-6
 
 
+@pytest.mark.parametrize("P, Lambda, C1", [
+    (2, 1, float("nan")), (2, 1, -1), (-1, 1, 1), (float("nan"), 1, 1),
+    (float("inf"), 1, 1), (2, 0, 1), (2, -1, 1), (2, float("nan"), 1),
+])
+def test_primitive_capacity_rejects_bad_inputs(P, Lambda, C1):
+    with pytest.raises(GaussianParamError):
+        primitive_gaussian_capacity(P, Lambda, C1)
+
+
 def test_figure_sweep_rows(tmp_path):
     rows = figure_sweep([0.05, 0.1, 0.2], 1.0, 0.5, GridOptions(step=5e-3))
     assert all(r.det_upper == 0.0 for r in rows)              # all P < Lambda/4
