@@ -30,8 +30,8 @@ from .codec import (
     build_codebook,
     decode_backward,
     encode,
-    permutation_wrap,
     relay_process,
+    transmit,
 )
 from .adversary import StateStrategy, make_state
 from .sim import ErrorEstimate, SimConfig, attack_sweep, run_monte_carlo
@@ -43,6 +43,6 @@ __all__ = [
     "build_codebook", "classify_capacity", "cutset_bound", "decode_backward",
     "degradedness_classify", "det_code_bounds", "df_bound", "encode", "f_g",
     "figure_sweep", "gavc_point_to_point", "make_state", "mutual_information",
-    "permutation_wrap", "primitive_gaussian_capacity", "random_code_capacity",
-    "relay_process", "run_monte_carlo", "symmetrizability",
+    "primitive_gaussian_capacity", "random_code_capacity", "relay_process",
+    "run_monte_carlo", "symmetrizability", "transmit",
 ]

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import FIXED_INDEX, PowerCapError, SfdCodebook, encode, relay_chain
+from .codec import PowerCapError, SfdCodebook, transmit
 
 STRATEGY_KINDS = ("zero", "fixed", "iid_gaussian", "impostor", "symmetrizing")
 
@@ -31,10 +31,13 @@ class StateStrategy:
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
             raise StrategyError(f"unknown strategy kind {self.kind!r}")
-        if self.Lambda <= 0:
-            raise StrategyError("Lambda must be > 0")
-        if self.kind == "iid_gaussian" and (self.variance is None or self.variance < 0):
-            raise StrategyError("iid_gaussian needs a nonnegative variance")
+        # written so that nan fails each check
+        if not (np.isfinite(self.Lambda) and self.Lambda > 0):
+            raise StrategyError(f"Lambda must be finite and > 0, got {self.Lambda!r}")
+        if self.kind == "iid_gaussian" and self.variance is None:
+            raise StrategyError("iid_gaussian needs a variance")
+        if self.variance is not None and not (np.isfinite(self.variance) and self.variance >= 0):
+            raise StrategyError(f"variance must be finite and >= 0, got {self.variance!r}")
         if self.kind == "fixed" and self.vector is None:
             raise StrategyError("fixed strategy needs a vector")
         if self.kind == "symmetrizing" and self.witness is None:
@@ -144,12 +147,8 @@ def _impostor_state(strategy, n, context, rng):
         raise StrategyError(f"impostor state length {n} != blocks*n = {B * cb.n}")
     fake = np.stack([rng.integers(0, cb.m1_count, B - 1),
                      rng.integers(0, cb.m2_count, B - 1)], axis=1)
-    blocks = encode(cb, fake)
-    z = rng.normal(0.0, np.sqrt(cb.config.params.sigma2), (B, cb.n))
-    y1 = np.stack([blk.x_direct for blk in blocks]) + z
-    true_idx = fake[:, 0] if context.relay_mode == "ideal" else None
-    _, x1_blocks = relay_chain(cb, y1, context.relay_mode, true_idx)
-    s = (np.stack([blk.x_prime for blk in blocks]) + x1_blocks).ravel()
+    tx, y1, x1 = transmit(cb, fake, rng, context.relay_mode)
+    s = (tx.x_prime + x1).ravel()
     if s @ s > n * strategy.Lambda:
         return ImpostorDraw(np.zeros(n), True, fake, y1)
     return ImpostorDraw(s, False, fake, y1)

@@ -16,6 +16,15 @@ Power accounting, with split (alpha, rho), backoff delta and gamma = P1/P:
     x''(m1)           rescaled Gaussian rows of power n*(1-alpha)*P
 
 A block whose x' exceeds the power budget n*alpha*P is sent as zero (flagged).
+
+The randomized code shares a time permutation perm of the n symbols of every
+block: both transmitters send x[:, inv] (inv = argsort(perm)) and both
+receivers read their observations back through perm.  Reading a sum of
+permuted codewords and an additive term back through perm gives the codewords
+plus that term read through perm, element by element and in the same order
+of addition.  So the relay sees x'' + z[:, perm] and the destination
+x' + x1 + s[:, perm], the same floats as permuting and un-permuting, and the
+code applies the permutation to the noise and the state alone.
 """
 
 from dataclasses import dataclass
@@ -157,14 +166,14 @@ def build_codebook(config: CodebookConfig, max_table_bytes: int = 1 << 30) -> Sf
 
 
 @dataclass(frozen=True)
-class TransmittedBlock:
-    x_prime: np.ndarray
-    x_direct: np.ndarray
-    power_clipped: bool
+class Transmission:
+    x_prime: np.ndarray         # (B, n) destination-band blocks, clipped blocks zeroed
+    x_direct: np.ndarray        # (B, n) relay-band blocks
+    power_clipped: np.ndarray   # (B,) bool
 
 
-def encode(codebook: SfdCodebook, messages) -> list:
-    """Map B-1 message pairs to B transmitted blocks.
+def encode(codebook: SfdCodebook, messages) -> Transmission:
+    """Map B-1 message pairs to the B transmitted blocks.
 
     messages is a (B-1, 2) array of (m1, m2) indices; the final block carries
     the fixed pair.  A block whose destination component overshoots the
@@ -177,18 +186,32 @@ def encode(codebook: SfdCodebook, messages) -> list:
     if (msgs < 0).any() or (msgs[:, 0] >= codebook.m1_count).any() \
             or (msgs[:, 1] >= codebook.m2_count).any():
         raise CodecConfigError("message index out of range")
-    chain = np.vstack([msgs, [[FIXED_INDEX, FIXED_INDEX]]])
-    blocks = []
-    prev = FIXED_INDEX
-    for b in range(B):
-        m1, m2 = int(chain[b, 0]), int(chain[b, 1])
-        xp = codebook.x_prime(m1, m2, prev)
-        clipped = bool(xp @ xp > codebook.clip_budget)
-        if clipped:
-            xp = np.zeros(codebook.n)
-        blocks.append(TransmittedBlock(xp, codebook.x2[m1], clipped))
-        prev = m1
-    return blocks
+    chain = np.full((B + 1, 2), FIXED_INDEX)   # row b+1 is block b; row 0 is block 0's previous
+    chain[1:B] = msgs
+    m1 = chain[1:, 0]
+    xp = codebook.x_prime(m1, chain[1:, 1], chain[:-1, 0])
+    # one dot product per row, the same float as xp[b] @ xp[b]
+    clipped = (xp[:, None, :] @ xp[:, :, None])[:, 0, 0] > codebook.clip_budget
+    xp[clipped] = 0.0
+    return Transmission(xp, codebook.x2[m1], clipped)
+
+
+def transmit(codebook: SfdCodebook, messages, rng, relay_mode: str = "min_distance",
+             perm=None):
+    """One sender -> relay pass: encode, draw the relay noise z, run the relay.
+
+    Returns (tx, y1, x1): the Transmission, the relay observations
+    x_direct + z (z[:, perm] under a shared permutation, see the module
+    docstring) and the relay's (B, n) codewords.
+    """
+    if perm is not None and not np.array_equal(np.sort(perm), np.arange(codebook.n)):
+        raise CodecConfigError("perm must be a permutation of range(n)")
+    tx = encode(codebook, messages)
+    z = rng.normal(0.0, np.sqrt(codebook.config.params.sigma2), tx.x_direct.shape)
+    y1 = tx.x_direct + (z if perm is None else z[:, perm])
+    true_idx = np.asarray(messages)[:, 0] if relay_mode == "ideal" else None
+    _, x1 = relay_chain(codebook, y1, relay_mode, true_idx)
+    return tx, y1, x1
 
 
 def _argmax_corr(table, y):
@@ -272,63 +295,3 @@ def decode_backward(codebook: SfdCodebook, y_blocks) -> DecodeResult:
         m2_hat[b] = k
         ties += t
     return DecodeResult(m1_hat, m2_hat, ties)
-
-
-# ---------------------------------------------------------------------------
-# shared time-permutation wrapper
-# ---------------------------------------------------------------------------
-
-def draw_permutation(n: int, rng) -> np.ndarray:
-    return rng.permutation(n)
-
-
-class PlainCode:
-    """Direct view of a codebook with the encode/relay/decode entry points."""
-
-    def __init__(self, codebook: SfdCodebook):
-        self.codebook = codebook
-
-    def encode(self, messages):
-        return encode(self.codebook, messages)
-
-    def relay_chain(self, y1_blocks, mode="min_distance", true_indices=None):
-        return relay_chain(self.codebook, y1_blocks, mode, true_indices)
-
-    def decode(self, y_blocks):
-        return decode_backward(self.codebook, y_blocks)
-
-
-class PermutedCode(PlainCode):
-    """Randomized code: one shared permutation of the per-block time axis.
-
-    Transmitted blocks (sender and relay) pass through the inverse
-    permutation; every received block is permuted back before standard
-    processing.  The identity permutation reproduces the plain code exactly.
-    """
-
-    def __init__(self, codebook: SfdCodebook, perm):
-        super().__init__(codebook)
-        perm = np.asarray(perm, dtype=int)
-        if perm.shape != (codebook.n,) or not np.array_equal(np.sort(perm), np.arange(codebook.n)):
-            raise CodecConfigError("perm must be a permutation of range(n)")
-        self.perm = perm
-        self.inv = np.argsort(perm)
-
-    def encode(self, messages):
-        blocks = encode(self.codebook, messages)
-        return [TransmittedBlock(b.x_prime[self.inv], b.x_direct[self.inv],
-                                 b.power_clipped) for b in blocks]
-
-    def relay_chain(self, y1_blocks, mode="min_distance", true_indices=None):
-        y1 = np.asarray(y1_blocks, dtype=float)[:, self.perm]
-        est, x1_blocks = relay_chain(self.codebook, y1, mode, true_indices)
-        return est, x1_blocks[:, self.inv]
-
-    def decode(self, y_blocks):
-        return decode_backward(self.codebook, np.asarray(y_blocks, dtype=float)[:, self.perm])
-
-
-def permutation_wrap(codebook: SfdCodebook, seed: int) -> PermutedCode:
-    """Draw the shared permutation from a seed and wrap the codebook."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return PermutedCode(codebook, draw_permutation(codebook.n, rng))

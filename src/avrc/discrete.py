@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linprog
 
-from .optimize import search_simplex, simplex_grid, _simplex_count
+from .optimize import search_simplex, simplex_grid
 
 PMF_TOL = 1e-12
 
@@ -313,11 +313,6 @@ def _check_budget(dmc, opts):
     if dmc.kernel.size > opts.max_kernel_entries:
         raise ResourceLimitError(
             f"kernel has {dmc.kernel.size} entries, budget {opts.max_kernel_entries}")
-    for k, res in ((dmc.ns, opts.q_resolution), (dmc.nx, opts.p_resolution)):
-        if k <= 3:
-            continue
-        if _simplex_count(k, 12) > opts.max_grid_points:
-            raise ResourceLimitError(f"simplex dimension {k} exceeds the grid budget")
 
 
 def _normalize_state_set(dmc, state_set):

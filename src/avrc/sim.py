@@ -8,7 +8,6 @@ of its B-1 message pairs decodes wrongly.  Per-trial seeds derive from
 """
 
 import json
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -17,12 +16,11 @@ import numpy as np
 from .adversary import ImpostorContext, StateStrategy, make_state, strategy_from_json, strategy_to_json
 from .codec import (
     CodebookConfig,
-    PermutedCode,
-    PlainCode,
     PowerCapError,
     build_codebook,
     codebook_config_from_json,
-    draw_permutation,
+    decode_backward,
+    transmit,
 )
 WILSON_Z = 1.959963984540054   # two-sided 95%
 
@@ -83,13 +81,9 @@ def wilson_interval(errors: int, trials: int, z: float = WILSON_Z):
 
 
 def resolve_workers(requested=None):
-    """Worker count: explicit argument, else AVRC_THREADS, else the host's."""
-    if requested is not None:
-        return max(1, int(requested))
-    env = os.environ.get("AVRC_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    """Worker count: the explicit argument, else 1.  Trials are short and hold
+    the GIL for much of their time, so extra threads can make a run slower."""
+    return 1 if requested is None else max(1, int(requested))
 
 
 def _check_power(name, energies, budget):
@@ -107,32 +101,25 @@ def _trial(config, codebook, t):
 
     msgs = np.stack([rng.integers(0, cb.m1_count, B - 1),
                      rng.integers(0, cb.m2_count, B - 1)], axis=1)
-    code = PermutedCode(cb, draw_permutation(n, rng)) if config.permute else PlainCode(cb)
+    perm = rng.permutation(n) if config.permute else None
+    tx, _, x1 = transmit(cb, msgs, rng, config.relay_mode, perm)
 
-    blocks = code.encode(msgs)
-    x_prime = np.stack([b.x_prime for b in blocks])
-    x_direct = np.stack([b.x_direct for b in blocks])
-    clipped = sum(b.power_clipped for b in blocks)
     p = cb.config.params
     slack = 1e-9 * n
-    e_prime = np.einsum("bi,bi->b", x_prime, x_prime)
+    e_prime = np.einsum("bi,bi->b", tx.x_prime, tx.x_prime)
     _check_power("x'", e_prime, n * cb.config.split.alpha * p.P + slack)
-    _check_power("x' + x''", e_prime + np.einsum("bi,bi->b", x_direct, x_direct),
+    _check_power("x' + x''", e_prime + np.einsum("bi,bi->b", tx.x_direct, tx.x_direct),
                  n * p.P + slack)
-
-    z = rng.normal(0.0, np.sqrt(cb.config.params.sigma2), (B, n))
-    y1 = x_direct + z
-    true_idx = msgs[:, 0] if config.relay_mode == "ideal" else None
-    _, x1_blocks = code.relay_chain(y1, config.relay_mode, true_idx)
-    _check_power("x1", np.einsum("bi,bi->b", x1_blocks, x1_blocks), n * p.P1 + slack)
+    _check_power("x1", np.einsum("bi,bi->b", x1, x1), n * p.P1 + slack)
 
     context = ImpostorContext(cb, config.relay_mode)
     s = make_state(config.strategy, B * n, context=context, rng=rng_jam).reshape(B, n)
 
-    res = code.decode(x_prime + x1_blocks + s)
+    res = decode_backward(cb, tx.x_prime + x1 + (s if perm is None else s[:, perm]))
     rel_err = res.m_relayed != msgs[:, 0]
     dir_err = res.m_direct != msgs[:, 1]
-    return bool(rel_err.any() or dir_err.any()), rel_err, dir_err, clipped, res.tie_count
+    return (bool(rel_err.any() or dir_err.any()), rel_err, dir_err,
+            int(tx.power_clipped.sum()), res.tie_count)
 
 
 def run_monte_carlo(config: SimConfig, workers=None) -> ErrorEstimate:
@@ -193,18 +180,19 @@ def attack_sweep(base: SimConfig, lambda_grid, strategies=None, workers=None):
     if not lambdas:
         raise SimConfigError("empty Lambda grid")
     strategies = list(strategies) if strategies is not None else [base.strategy]
+    # build (and so check) every row's config before any codebook is built
+    configs = [SimConfig(codebook=base.codebook,
+                         strategy=StateStrategy(kind=strat.kind, Lambda=lam, seed=strat.seed,
+                                                variance=strat.variance, vector=strat.vector,
+                                                witness=strat.witness),
+                         trials=base.trials, master_seed=base.master_seed,
+                         relay_mode=base.relay_mode, permute=base.permute)
+               for lam in sorted(lambdas) for strat in sorted(strategies, key=lambda s: s.kind)]
     rows = []
-    for lam in sorted(lambdas):
-        for strat in sorted(strategies, key=lambda s: s.kind):
-            patched = StateStrategy(kind=strat.kind, Lambda=lam, seed=strat.seed,
-                                    variance=strat.variance, vector=strat.vector,
-                                    witness=strat.witness)
-            cfg = SimConfig(codebook=base.codebook, strategy=patched,
-                            trials=base.trials, master_seed=base.master_seed,
-                            relay_mode=base.relay_mode, permute=base.permute)
-            est = run_monte_carlo(cfg, workers)
-            rows.append(SweepEntry(lam, strat.kind, est.trials, est.errors,
-                                   est.rate, est.ci_low, est.ci_high, est.clip_rate))
+    for cfg in configs:
+        est = run_monte_carlo(cfg, workers)
+        rows.append(SweepEntry(cfg.strategy.Lambda, cfg.strategy.kind, est.trials, est.errors,
+                               est.rate, est.ci_low, est.ci_high, est.clip_rate))
     return rows
 
 

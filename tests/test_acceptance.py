@@ -178,18 +178,17 @@ def test_criterion_08_round_trip_randomized():
         cb = build_codebook(cfg)
         msgs = np.stack([rng.integers(0, cb.m1_count, B - 1),
                          rng.integers(0, cb.m2_count, B - 1)], axis=1)
-        blocks = encode(cb, msgs)
-        for blk in blocks:
-            xp2 = blk.x_prime @ blk.x_prime
+        tx = encode(cb, msgs)
+        for xp, xd in zip(tx.x_prime, tx.x_direct):
+            xp2 = xp @ xp
             if xp2 > n * alpha * P + 1e-9:
                 invariant_bad += 1
-            if xp2 + blk.x_direct @ blk.x_direct > n * P + 1e-9:
+            if xp2 + xd @ xd > n * P + 1e-9:
                 invariant_bad += 1
         if (np.linalg.norm(cb.x1, axis=1) ** 2 > n * P1).any():
             invariant_bad += 1
-        y1 = np.stack([b.x_direct for b in blocks])
-        _, x1 = relay_chain(cb, y1, "ideal", msgs[:, 0])
-        res = decode_backward(cb, np.stack([b.x_prime for b in blocks]) + x1)
+        _, x1 = relay_chain(cb, tx.x_direct, "ideal", msgs[:, 0])
+        res = decode_backward(cb, tx.x_prime + x1)
         if not (np.array_equal(res.m_relayed, msgs[:, 0])
                 and np.array_equal(res.m_direct, msgs[:, 1])):
             fails += 1

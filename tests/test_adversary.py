@@ -69,9 +69,9 @@ def test_impostor_replay_contract():
     draw = make_state(strat, cb.num_blocks * cb.n, context=ctx, rng=rng, return_details=True)
     assert not draw.fallback
     # replay: the emitted state is exactly fake-encoder plus fake-relay output
-    blocks = encode(cb, draw.fake_messages)
+    tx = encode(cb, draw.fake_messages)
     _, x1 = relay_chain(cb, draw.fake_y1, "min_distance")
-    rebuilt = (np.stack([b.x_prime for b in blocks]) + x1).ravel()
+    rebuilt = (tx.x_prime + x1).ravel()
     assert np.array_equal(draw.state, rebuilt)
     assert draw.state @ draw.state <= cb.num_blocks * cb.n * 1.0
 
@@ -126,6 +126,19 @@ def test_strategy_validation():
         StateStrategy("iid_gaussian", Lambda=1.0)
     with pytest.raises(StrategyError):
         StateStrategy("zero", Lambda=0.0)
+
+
+@pytest.mark.parametrize("kind, Lambda, variance, field", [
+    ("zero", float("nan"), None, "Lambda"),
+    ("impostor", float("inf"), None, "Lambda"),
+    ("iid_gaussian", -1.0, 1.0, "Lambda"),
+    ("iid_gaussian", 1.0, float("nan"), "variance"),
+    ("iid_gaussian", 1.0, float("inf"), "variance"),
+    ("iid_gaussian", 1.0, -0.5, "variance"),
+])
+def test_strategy_rejects_non_finite_inputs(kind, Lambda, variance, field):
+    with pytest.raises(StrategyError, match=field):
+        StateStrategy(kind, Lambda=Lambda, variance=variance)
 
 
 def test_hard_constraint_universal_randomized():

@@ -159,6 +159,31 @@ def test_simulate_rejects_symmetrizing_strategy(capsys, tmp_path, where):
     assert out == "" and not out_path.exists()
 
 
+@pytest.mark.parametrize("where, field", [("base", "Lambda"), ("base", "variance"),
+                                          ("sweep", "Lambda")])
+def test_simulate_rejects_non_finite_jammer_inputs(capsys, tmp_path, where, field):
+    strategy = {"kind": "iid_gaussian", "Lambda": 1.0, "variance": 1.0, "seed": 4}
+    cfg = {
+        "codebook": {"n": 48, "blocks": 2, "rate_relayed": 0.05, "rate_direct": 0.05,
+                     "P": 4.0, "P1": 4.0, "Lambda": 1.0, "sigma2": 0.25,
+                     "alpha": 0.6, "rho": 0.0, "seed": 3},
+        "strategy": strategy,
+        "trials": 20,
+    }
+    if where == "sweep":
+        cfg["sweep"] = {"lambdas": [1.0, float("nan")]}
+    else:
+        strategy[field] = float("nan")
+    cfg_path = tmp_path / "sim.json"
+    cfg_path.write_text(json.dumps(cfg))      # written as NaN, which json.loads reads back
+    out_path = tmp_path / "rows.csv"
+    code, out, err = run_cli(capsys, "simulate", "--config", str(cfg_path),
+                             "--out", str(out_path))
+    assert code == 2
+    assert f"{field} must be finite" in err
+    assert out == "" and not out_path.exists()
+
+
 def test_figure_rejects_empty_range(capsys, tmp_path):
     code, _, err = run_cli(capsys, "figure", "--Lambda", "1", "--sigma2", "0.5",
                            "--pmin", "2", "--pmax", "1", "--step", "0.5",

@@ -5,14 +5,13 @@ from avrc.codec import (
     CodebookBudgetError,
     CodebookConfig,
     CodecConfigError,
-    PermutedCode,
     achievable_rate_pair,
     build_codebook,
     decode_backward,
     encode,
-    permutation_wrap,
     relay_chain,
     relay_process,
+    transmit,
 )
 from avrc.gaussian import GaussianSfdParams, PowerSplit
 
@@ -28,10 +27,9 @@ def make_config(n=64, blocks=3, m1=8, m2=8, P=4.0, P1=4.0, Lam=1.0, s2=0.5,
 
 def transmit_clean(cb, msgs, relay_mode="ideal"):
     """Noiseless, stateless channel pass; returns received destination blocks."""
-    blocks = encode(cb, msgs)
-    y1 = np.stack([b.x_direct for b in blocks])
-    _, x1 = relay_chain(cb, y1, relay_mode, msgs[:, 0])
-    return np.stack([b.x_prime for b in blocks]) + x1, blocks
+    tx = encode(cb, msgs)
+    _, x1 = relay_chain(cb, tx.x_direct, relay_mode, msgs[:, 0])
+    return tx.x_prime + x1, tx
 
 
 def test_codebook_norm_invariants():
@@ -93,10 +91,10 @@ def test_split_feasibility_flag():
 
 def test_encode_boundary_and_range_checks():
     cb = build_codebook(make_config(blocks=2))
-    blocks = encode(cb, [[3, 4]])
-    assert len(blocks) == 2
+    tx = encode(cb, [[3, 4]])
+    assert tx.x_prime.shape == tx.x_direct.shape == (2, cb.n)
     # the final block carries the fixed pair with the previous index = 3
-    assert np.allclose(blocks[1].x_prime, cb.x_prime(0, 0, 3))
+    assert np.allclose(tx.x_prime[1], cb.x_prime(0, 0, 3))
     with pytest.raises(CodecConfigError):
         encode(cb, [[99, 0]])
     with pytest.raises(CodecConfigError):
@@ -107,9 +105,9 @@ def test_rho_zero_never_clips():
     cb = build_codebook(make_config(rho=0.0))
     rng = np.random.default_rng(0)
     msgs = np.stack([rng.integers(0, 8, 2), rng.integers(0, 8, 2)], axis=1)
-    blocks = encode(cb, msgs)
-    assert not any(b.power_clipped for b in blocks)
-    assert all(abs(b.x_prime @ b.x_prime - cb.beta ** 2) < 1e-9 for b in blocks[:-1])
+    tx = encode(cb, msgs)
+    assert not tx.power_clipped.any()
+    assert all(abs(xp @ xp - cb.beta ** 2) < 1e-9 for xp in tx.x_prime[:-1])
 
 
 def test_collinear_pair_clips_and_zeroes():
@@ -119,13 +117,13 @@ def test_collinear_pair_clips_and_zeroes():
     cb.v[2, 3] = cb.a[1]
     xp = cb.x_prime(2, 3, 1)
     assert xp @ xp > cb.clip_budget
-    blocks = encode(cb, [[2, 3], [0, 0]])
+    tx = encode(cb, [[2, 3], [0, 0]])
     # message block 0 has previous index fixed, so build the collision there
     cb.v[2, 3] = cb.a[0]
-    blocks = encode(cb, [[2, 3], [0, 0]])
-    assert blocks[0].power_clipped
-    assert np.array_equal(blocks[0].x_prime, np.zeros(cb.n))
-    assert not blocks[1].power_clipped
+    tx = encode(cb, [[2, 3], [0, 0]])
+    assert tx.power_clipped[0]
+    assert np.array_equal(tx.x_prime[0], np.zeros(cb.n))
+    assert not tx.power_clipped[1]
 
 
 def test_relay_modes():
@@ -197,7 +195,7 @@ def test_achievable_rate_pair_sum_identity():
 
 
 # ---------------------------------------------------------------------------
-# permutation wrapper
+# transmit and the shared time permutation
 # ---------------------------------------------------------------------------
 
 def test_permutation_norm_identity():
@@ -209,25 +207,79 @@ def test_permutation_norm_identity():
     assert abs(np.linalg.norm(y[perm] - x) - np.linalg.norm(y - x[inv])) < 1e-12
 
 
+def test_encode_gathers_the_per_block_codewords():
+    cb = build_codebook(make_config(blocks=4, rho=0.5, delta=0.4))
+    msgs = np.array([[3, 1], [5, 7], [0, 2]])
+    tx = encode(cb, msgs)
+    assert tx.power_clipped.any() and not tx.power_clipped.all()   # both rules run
+    chain = [(3, 1, 0), (5, 7, 3), (0, 2, 5), (0, 0, 0)]   # (m1, m2, previous m1)
+    for b, (m1, m2, prev) in enumerate(chain):
+        xp = cb.x_prime(m1, m2, prev)
+        clipped = xp @ xp > cb.clip_budget
+        assert tx.power_clipped[b] == clipped
+        assert np.array_equal(tx.x_prime[b], np.zeros(cb.n) if clipped else xp)
+        assert np.array_equal(tx.x_direct[b], cb.x2[m1])
+    assert tx.power_clipped.dtype == bool and tx.power_clipped.shape == (4,)
+
+
+def _wrapped_pass(cb, msgs, rng, perm, s):
+    """The randomized code written out: both transmitters send x[:, inv], both
+    receivers un-permute.  Returns (relay observations, relay codewords,
+    destination observations), each un-permuted."""
+    inv = np.argsort(perm)
+    tx = encode(cb, msgs)
+    z = rng.normal(0.0, np.sqrt(cb.config.params.sigma2), (cb.num_blocks, cb.n))
+    y1 = (tx.x_direct[:, inv] + z)[:, perm]
+    _, x1 = relay_chain(cb, y1, "min_distance")
+    y = (tx.x_prime[:, inv] + x1[:, inv] + s)[:, perm]
+    return y1, x1, y
+
+
+def test_transmit_permutation_matches_wrapped_code_bit_for_bit():
+    cb = build_codebook(make_config(n=128, blocks=4, s2=2.0, rho=0.5))
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        msgs = np.stack([rng.integers(0, 8, 3), rng.integers(0, 8, 3)], axis=1)
+        perm = rng.permutation(cb.n)
+        s = rng.normal(size=(cb.num_blocks, cb.n))
+        seed = int(rng.integers(1 << 30))
+        tx, y1, x1 = transmit(cb, msgs, np.random.default_rng(seed), perm=perm)
+        y1_w, x1_w, y_w = _wrapped_pass(cb, msgs, np.random.default_rng(seed), perm, s)
+        assert np.array_equal(y1, y1_w)
+        assert np.array_equal(x1, x1_w)
+        assert np.array_equal(tx.x_prime + x1 + s[:, perm], y_w)
+
+
+def test_transmit_rejects_a_non_permutation():
+    cb = build_codebook(make_config())
+    msgs = np.array([[1, 1], [2, 2]])
+    with pytest.raises(CodecConfigError):
+        transmit(cb, msgs, np.random.default_rng(0), perm=np.zeros(cb.n, dtype=int))
+
+
 def test_identity_permutation_matches_plain():
     cb = build_codebook(make_config())
-    ident = PermutedCode(cb, np.arange(cb.n))
     rng = np.random.default_rng(2)
     msgs = np.stack([rng.integers(0, 8, 2), rng.integers(0, 8, 2)], axis=1)
-    plain_blocks = encode(cb, msgs)
-    for pb, ib in zip(plain_blocks, ident.encode(msgs)):
-        assert np.array_equal(pb.x_prime, ib.x_prime)
+    tx_p, y1_p, x1_p = transmit(cb, msgs, np.random.default_rng(3))
+    tx_i, y1_i, x1_i = transmit(cb, msgs, np.random.default_rng(3), perm=np.arange(cb.n))
+    assert np.array_equal(tx_p.x_prime, tx_i.x_prime)
+    assert np.array_equal(tx_p.x_direct, tx_i.x_direct)
+    assert np.array_equal(y1_p, y1_i) and np.array_equal(x1_p, x1_i)
+
+
+def _seeded_permutation(n, seed):
+    return np.random.default_rng(np.random.SeedSequence(seed)).permutation(n)
 
 
 def test_wrapped_round_trip_any_permutation():
     cb = build_codebook(make_config(n=128))
-    code = permutation_wrap(cb, seed=77)
+    perm = _seeded_permutation(cb.n, 77)
     rng = np.random.default_rng(4)
     msgs = np.stack([rng.integers(0, 8, 2), rng.integers(0, 8, 2)], axis=1)
-    blocks = code.encode(msgs)
-    y1 = np.stack([b.x_direct for b in blocks])
-    _, x1 = code.relay_chain(y1, "ideal", msgs[:, 0])
-    res = code.decode(np.stack([b.x_prime for b in blocks]) + x1)
+    # the ideal relay ignores its noisy observations
+    tx, _, x1 = transmit(cb, msgs, rng, "ideal", perm)
+    res = decode_backward(cb, tx.x_prime + x1)
     assert np.array_equal(res.m_relayed, msgs[:, 0])
     assert np.array_equal(res.m_direct, msgs[:, 1])
 
@@ -244,13 +296,11 @@ def test_wrapped_beats_plain_on_burst_state():
     plain_err = wrapped_err = 0
     for trial in range(300):
         msgs = np.stack([rng.integers(0, 4, 2), rng.integers(0, 4, 2)], axis=1)
-        wrapped = permutation_wrap(cb, seed=trial)
-        for code, bucket in ((PermutedCode(cb, np.arange(n)), "plain"), (wrapped, "wrapped")):
-            blocks = code.encode(msgs)
-            y1 = np.stack([b.x_direct for b in blocks])
-            _, x1 = code.relay_chain(y1, "ideal", msgs[:, 0])
-            y = np.stack([b.x_prime for b in blocks]) + x1 + burst
-            res = code.decode(y)
+        wrapped = _seeded_permutation(n, trial)
+        for perm, bucket in ((None, "plain"), (wrapped, "wrapped")):
+            # the ideal relay ignores its noisy observations
+            tx, _, x1 = transmit(cb, msgs, np.random.default_rng(0), "ideal", perm)
+            res = decode_backward(cb, tx.x_prime + x1 + (burst if perm is None else burst[perm]))
             bad = (not np.array_equal(res.m_relayed, msgs[:, 0])
                    or not np.array_equal(res.m_direct, msgs[:, 1]))
             if bucket == "plain":

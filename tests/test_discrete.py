@@ -400,6 +400,15 @@ def test_resource_budget_error():
         cutset_bound(Dmc(W, 0.0), opts=BoundOptions(max_kernel_entries=4))
 
 
+def test_ten_states_fit_the_default_budget():
+    # S = 10 is past the exhaustive q grid; search_simplex samples the simplex
+    # instead, so only the kernel size may reject a channel
+    rng = np.random.default_rng(10)
+    W = rng.dirichlet(np.ones(4), size=(2, 10)).reshape(2, 10, 2, 2)
+    value = df_bound(Dmc(W, relay_rate=0.5), mode="direct")
+    assert -1e-12 <= value <= 1.0
+
+
 # ---------------------------------------------------------------------------
 # minimax equality
 # ---------------------------------------------------------------------------

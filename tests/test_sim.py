@@ -117,14 +117,12 @@ def test_estimate_json_fields():
     json.dumps(blob)   # must be serializable as-is
 
 
-def test_worker_resolution_env(monkeypatch):
+def test_worker_resolution_env():
     from avrc.sim import resolve_workers
 
+    assert resolve_workers() == 1           # the default ignores the host's core count
+    assert resolve_workers(1) == 1
     assert resolve_workers(3) == 3
-    monkeypatch.setenv("AVRC_THREADS", "2")
-    assert resolve_workers() == 2
-    monkeypatch.delenv("AVRC_THREADS")
-    assert resolve_workers() >= 1
 
 
 def test_codebook_config_json_round_trip():
