@@ -29,6 +29,7 @@ from .codec import (
     SfdCodebook,
     build_codebook,
     decode_backward,
+    destination_observation,
     encode,
     relay_process,
     transmit,
@@ -41,8 +42,8 @@ __all__ = [
     "Dmc", "ErrorEstimate", "GaussianSfdParams", "GridOptions", "PowerSplit",
     "SfdCodebook", "SimConfig", "StateStrategy", "SymVerdict", "attack_sweep",
     "build_codebook", "classify_capacity", "cutset_bound", "decode_backward",
-    "degradedness_classify", "det_code_bounds", "df_bound", "encode", "f_g",
-    "figure_sweep", "gavc_point_to_point", "make_state", "mutual_information",
+    "degradedness_classify", "destination_observation", "det_code_bounds", "df_bound",
+    "encode", "f_g", "figure_sweep", "gavc_point_to_point", "make_state", "mutual_information",
     "primitive_gaussian_capacity", "random_code_capacity", "relay_process",
     "run_monte_carlo", "symmetrizability", "transmit",
 ]

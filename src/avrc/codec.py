@@ -214,6 +214,12 @@ def transmit(codebook: SfdCodebook, messages, rng, relay_mode: str = "min_distan
     return tx, y1, x1
 
 
+def destination_observation(tx: Transmission, x1, s, perm=None):
+    """What the destination decodes: x' + x1 + s, with s[:, perm] under a shared
+    permutation (see the module docstring)."""
+    return tx.x_prime + x1 + (s if perm is None else s[:, perm])
+
+
 def _argmax_corr(table, y):
     """Index maximizing <y, row>; equal-energy rows make this min-distance.
 

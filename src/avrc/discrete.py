@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linprog
 
-from .optimize import search_simplex, simplex_grid
+from .optimize import refine_batch_size, search_simplex, simplex_grid
 
 PMF_TOL = 1e-12
 
@@ -309,10 +309,18 @@ class BoundOptions:
     max_kernel_entries: int = 1_000_000
 
 
-def _check_budget(dmc, opts):
+def _check_budget(dmc, opts, *extra_dims):
+    """Refuse a channel before searching it: its kernel must fit, and so must the
+    refinement batches of the simplex searches over S, X and any extra_dims."""
     if dmc.kernel.size > opts.max_kernel_entries:
         raise ResourceLimitError(
             f"kernel has {dmc.kernel.size} entries, budget {opts.max_kernel_entries}")
+    top = max(2, opts.multistart_top)
+    for k in (dmc.ns, dmc.nx, *extra_dims):
+        if refine_batch_size(k, top) > opts.max_grid_points:
+            raise ResourceLimitError(
+                f"a search over a {k}-point simplex refines {refine_batch_size(k, top)} "
+                f"candidates at once, budget {opts.max_grid_points}")
 
 
 def _normalize_state_set(dmc, state_set):
@@ -453,7 +461,12 @@ def df_bound(dmc: Dmc, state_set=None, aux_size: int | None = None,
     general mode never reports less than the special modes.
     """
     opts = opts or BoundOptions()
-    _check_budget(dmc, opts)
+    if mode not in ("direct", "full", "aux"):
+        raise ValueError("mode must be one of direct|full|aux")
+    nu = aux_size if aux_size is not None else dmc.nx + 1
+    if mode == "aux" and nu < 1:
+        raise ChannelFormatError("aux cardinality must be >= 1")
+    _check_budget(dmc, opts, *((nu * dmc.nx,) if mode == "aux" else ()))
     qset = _normalize_state_set(dmc, state_set)
     rng = np.random.default_rng(opts.seed)
 
@@ -461,12 +474,7 @@ def df_bound(dmc: Dmc, state_set=None, aux_size: int | None = None,
         return _df_direct(dmc, qset, opts, rng)[0]
     if mode == "full":
         return _df_full(dmc, qset, opts, rng)[0]
-    if mode != "aux":
-        raise ValueError("mode must be one of direct|full|aux")
 
-    nu = aux_size if aux_size is not None else dmc.nx + 1
-    if nu < 1:
-        raise ChannelFormatError("aux cardinality must be >= 1")
     nx = dmc.nx
     W_y = dmc.receiver_marginal()
     W_1 = dmc.relay_marginal()

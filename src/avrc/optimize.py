@@ -54,10 +54,6 @@ def simplex_grid(k, resolution):
     return _compositions(k, resolution) / float(resolution)
 
 
-def _contract(points, center, factor):
-    return center[None, :] + factor * (points - center[None, :])
-
-
 def search_simplex(f_batch, k, *, minimize=False, resolution=None, rounds=6,
                    shrink=0.35, top=4, rng=None, extra_starts=None,
                    max_grid_points=200_000):
@@ -96,11 +92,14 @@ def search_simplex(f_batch, k, *, minimize=False, resolution=None, rounds=6,
     best_x = pool[order[0]].copy()
     best_v = float(vals[order[0]])
 
-    pat_res = {1: 1, 2: 12, 3: 6, 4: 4, 5: 3, 6: 2}.get(k, 2)
-    pattern = simplex_grid(k, pat_res)
+    pattern = simplex_grid(k, _pattern_resolution(k))
     factor = 0.5
     for _ in range(rounds):
-        cands = np.concatenate([_contract(pattern, c, factor) for c in centers], axis=0)
+        # the pattern contracted toward each centre, built in place: c + factor * (pattern - c)
+        cands = pattern[None, :, :] - centers[:, None, :]
+        cands *= factor
+        cands += centers[:, None, :]
+        cands = cands.reshape(-1, k)
         vals = eval_batch(cands)
         j = int(np.argmax(vals))
         if vals[j] > best_v:
@@ -108,8 +107,20 @@ def search_simplex(f_batch, k, *, minimize=False, resolution=None, rounds=6,
             best_x = cands[j].copy()
         order = np.argsort(-vals, kind="stable")[: max(1, top)]
         centers = np.concatenate([best_x[None, :], cands[order]], axis=0)[: max(1, top)]
+        del cands   # free this round's batch before the next one is built
         factor *= shrink
     return best_x, sign * best_v
+
+
+def _pattern_resolution(k):
+    return {1: 1, 2: 12, 3: 6, 4: 4, 5: 3, 6: 2}.get(k, 2)
+
+
+def refine_batch_size(k, top):
+    """Candidates search_simplex builds in one refinement round: the contraction
+    pattern around each of the `top` centres.  Unlike the first pool, this is not
+    capped by max_grid_points; it grows as k^2 / 2 * top for k > 6."""
+    return max(1, top) * _simplex_count(k, _pattern_resolution(k))
 
 
 def _simplex_count(k, resolution):

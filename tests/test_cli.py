@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from avrc.cli import main
-from avrc.discrete import binary_pipe_dmc, dmc_to_json
+from avrc.discrete import Dmc, binary_pipe_dmc, dmc_to_json
 
 
 @pytest.fixture
@@ -223,3 +223,13 @@ def test_computation_error_exit_code(capsys, tmp_path):
     code, _, err = run_cli(capsys, "symcheck", "--channel", str(bad),
                            "--target", "relay")
     assert code == 2 and "x=0, s=0" in err
+
+
+def test_primitive_df_refuses_an_aux_search_over_budget(capsys, tmp_path):
+    # X = 30: the default aux mode would search a 930-point simplex
+    W = np.random.default_rng(30).dirichlet(np.ones(4), size=(30, 2)).reshape(30, 2, 2, 2)
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(dmc_to_json(Dmc(W, relay_rate=0.5))))
+    code, out, err = run_cli(capsys, "primitive", "--channel", str(path), "--bound", "df")
+    assert code == 2 and out == ""
+    assert "930-point simplex" in err and "budget 200000" in err

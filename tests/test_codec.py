@@ -8,6 +8,7 @@ from avrc.codec import (
     achievable_rate_pair,
     build_codebook,
     decode_backward,
+    destination_observation,
     encode,
     relay_chain,
     relay_process,
@@ -247,7 +248,7 @@ def test_transmit_permutation_matches_wrapped_code_bit_for_bit():
         y1_w, x1_w, y_w = _wrapped_pass(cb, msgs, np.random.default_rng(seed), perm, s)
         assert np.array_equal(y1, y1_w)
         assert np.array_equal(x1, x1_w)
-        assert np.array_equal(tx.x_prime + x1 + s[:, perm], y_w)
+        assert np.array_equal(destination_observation(tx, x1, s, perm), y_w)
 
 
 def test_transmit_rejects_a_non_permutation():
@@ -277,9 +278,14 @@ def test_wrapped_round_trip_any_permutation():
     perm = _seeded_permutation(cb.n, 77)
     rng = np.random.default_rng(4)
     msgs = np.stack([rng.integers(0, 8, 2), rng.integers(0, 8, 2)], axis=1)
-    # the ideal relay ignores its noisy observations
+    # the ideal relay ignores its noisy observations; the state is a ramp,
+    # so reading it through the wrong permutation (or none) changes y
     tx, _, x1 = transmit(cb, msgs, rng, "ideal", perm)
-    res = decode_backward(cb, tx.x_prime + x1)
+    s = np.tile(np.linspace(-0.1, 0.1, cb.n), (cb.num_blocks, 1))
+    y = destination_observation(tx, x1, s, perm)
+    inv = np.argsort(perm)
+    assert np.array_equal(y, (tx.x_prime[:, inv] + x1[:, inv] + s)[:, perm])
+    res = decode_backward(cb, y)
     assert np.array_equal(res.m_relayed, msgs[:, 0])
     assert np.array_equal(res.m_direct, msgs[:, 1])
 
@@ -292,6 +298,7 @@ def test_wrapped_beats_plain_on_burst_state():
     n = cb.n
     burst = np.zeros(n)
     burst[: n // 4] = np.sqrt(4.0 * n / (n // 4))
+    bursts = np.tile(burst, (cb.num_blocks, 1))
     rng = np.random.default_rng(5)
     plain_err = wrapped_err = 0
     for trial in range(300):
@@ -300,7 +307,7 @@ def test_wrapped_beats_plain_on_burst_state():
         for perm, bucket in ((None, "plain"), (wrapped, "wrapped")):
             # the ideal relay ignores its noisy observations
             tx, _, x1 = transmit(cb, msgs, np.random.default_rng(0), "ideal", perm)
-            res = decode_backward(cb, tx.x_prime + x1 + (burst if perm is None else burst[perm]))
+            res = decode_backward(cb, destination_observation(tx, x1, bursts, perm))
             bad = (not np.array_equal(res.m_relayed, msgs[:, 0])
                    or not np.array_equal(res.m_direct, msgs[:, 1]))
             if bucket == "plain":

@@ -402,11 +402,30 @@ def test_resource_budget_error():
 
 def test_ten_states_fit_the_default_budget():
     # S = 10 is past the exhaustive q grid; search_simplex samples the simplex
-    # instead, so only the kernel size may reject a channel
+    # instead, and its refinement batches (6 * C(11, 2) = 330 candidates) fit
     rng = np.random.default_rng(10)
     W = rng.dirichlet(np.ones(4), size=(2, 10)).reshape(2, 10, 2, 2)
     value = df_bound(Dmc(W, relay_rate=0.5), mode="direct")
     assert -1e-12 <= value <= 1.0
+
+
+def test_aux_search_past_the_grid_budget_is_refused(monkeypatch):
+    # with X = 30 the aux joint p(u, x) has 31 * 30 = 930 atoms, so one
+    # refinement round would build 6 * C(931, 2) candidates of 930 entries
+    # each (about 20 GB); the channel is refused before any search runs
+    rng = np.random.default_rng(30)
+    W = rng.dirichlet(np.ones(4), size=(30, 2)).reshape(30, 2, 2, 2)
+    dmc = Dmc(W, relay_rate=0.5)
+    discrete._check_budget(dmc, BoundOptions())      # X and S alone fit
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("a simplex search ran before the budget check")
+
+    monkeypatch.setattr(discrete, "search_simplex", no_search)
+    with pytest.raises(ResourceLimitError, match="930-point simplex"):
+        df_bound(dmc)                                 # aux is the default mode
+    with pytest.raises(ResourceLimitError, match="930-point simplex"):
+        classify_capacity(dmc)
 
 
 # ---------------------------------------------------------------------------

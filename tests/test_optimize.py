@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from avrc.optimize import search_simplex, simplex_grid, zoom_grid_max_1d
+from avrc.optimize import refine_batch_size, search_simplex, simplex_grid, zoom_grid_max_1d
 
 
 def test_zoom_grid_matches_golden():
@@ -41,3 +41,16 @@ def test_search_simplex_min_mode_and_determinism():
 def test_search_simplex_rejects_bad_dim():
     with pytest.raises(ValueError):
         simplex_grid(0, 4)
+
+
+@pytest.mark.parametrize("k", [2, 5, 9, 12])
+def test_refine_batch_size_counts_each_refinement_batch(k):
+    sizes = []
+
+    def f(P):
+        sizes.append(P.shape[0])
+        return -((P - 1.0 / k) ** 2).sum(axis=1)
+
+    search_simplex(f, k, rounds=3, top=3)
+    # the first batch is the start pool; every later one is a refinement round
+    assert sizes[1:] == [refine_batch_size(k, 3)] * 3
