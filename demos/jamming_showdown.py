@@ -6,7 +6,7 @@ impostor attack -- replaying a fake codeword plus fake relay response as the
 state -- wrecks the deterministic code once the jamming budget exceeds the
 total signal power, but the permutation makes the fake signal incoherent.
 
-Run:  python demos/jamming_showdown.py        (about a minute)
+Run:  python demos/jamming_showdown.py        (a few seconds)
 """
 
 from avrc.adversary import StateStrategy

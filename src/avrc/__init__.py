@@ -31,7 +31,6 @@ from .codec import (
     decode_backward,
     destination_observation,
     encode,
-    relay_process,
     transmit,
 )
 from .adversary import StateStrategy, make_state
@@ -44,6 +43,6 @@ __all__ = [
     "build_codebook", "classify_capacity", "cutset_bound", "decode_backward",
     "degradedness_classify", "destination_observation", "det_code_bounds", "df_bound",
     "encode", "f_g", "figure_sweep", "gavc_point_to_point", "make_state", "mutual_information",
-    "primitive_gaussian_capacity", "random_code_capacity", "relay_process",
+    "primitive_gaussian_capacity", "random_code_capacity",
     "run_monte_carlo", "symmetrizability", "transmit",
 ]

@@ -6,13 +6,13 @@ transmission through the real encoder and relay map and injects it as the
 state, falling back to all zeros when the fake sequence lands over power.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .codec import PowerCapError, SfdCodebook, transmit
 
-STRATEGY_KINDS = ("zero", "fixed", "iid_gaussian", "impostor", "symmetrizing")
+STRATEGY_KINDS = ("zero", "fixed", "iid_gaussian", "impostor")
 
 
 class StrategyError(ValueError):
@@ -26,7 +26,6 @@ class StateStrategy:
     seed: int = 0
     variance: float | None = None          # iid_gaussian
     vector: tuple | None = None            # fixed
-    witness: tuple | None = None           # symmetrizing: J(s|x) rows
 
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
@@ -40,8 +39,6 @@ class StateStrategy:
             raise StrategyError(f"variance must be finite and >= 0, got {self.variance!r}")
         if self.kind == "fixed" and self.vector is None:
             raise StrategyError("fixed strategy needs a vector")
-        if self.kind == "symmetrizing" and self.witness is None:
-            raise StrategyError("symmetrizing strategy needs a witness table")
 
 
 def strategy_from_json(obj) -> StateStrategy:
@@ -56,8 +53,6 @@ def strategy_from_json(obj) -> StateStrategy:
         kw["variance"] = float(obj["variance"])
     if "vector" in obj and obj["vector"] is not None:
         kw["vector"] = tuple(float(v) for v in obj["vector"])
-    if "witness" in obj and obj["witness"] is not None:
-        kw["witness"] = tuple(tuple(float(v) for v in row) for row in obj["witness"])
     return StateStrategy(**kw)
 
 
@@ -67,8 +62,6 @@ def strategy_to_json(strategy: StateStrategy) -> dict:
         out["variance"] = strategy.variance
     if strategy.vector is not None:
         out["vector"] = list(strategy.vector)
-    if strategy.witness is not None:
-        out["witness"] = [list(r) for r in strategy.witness]
     return out
 
 
@@ -78,13 +71,6 @@ class ImpostorContext:
 
     codebook: SfdCodebook
     relay_mode: str = "min_distance"
-
-
-@dataclass(frozen=True)
-class SymmetrizingContext:
-    """Discrete-codeword access for the state-randomizing strategy."""
-
-    codewords: np.ndarray        # (M, n) integer codeword table
 
 
 @dataclass(frozen=True)
@@ -118,14 +104,9 @@ def make_state(strategy: StateStrategy, n: int, context=None, rng=None,
         if power > budget:
             s = s * np.sqrt(budget / power)
         details = ImpostorDraw(s, False, None, None)
-    elif strategy.kind == "impostor":
+    else:  # impostor
         details = _impostor_state(strategy, n, context, rng)
         s = details.state
-    else:  # symmetrizing
-        s = _symmetrizing_state(strategy, n, context, rng)
-        if s @ s > budget:
-            s = np.zeros(n)
-        details = ImpostorDraw(s, False, None, None)
 
     if not s @ s <= budget * (1.0 + 1e-12):
         raise PowerCapError(f"{strategy.kind} state has power {s @ s!r} over the budget {budget!r}")
@@ -152,20 +133,3 @@ def _impostor_state(strategy, n, context, rng):
     if s @ s > n * strategy.Lambda:
         return ImpostorDraw(np.zeros(n), True, fake, y1)
     return ImpostorDraw(s, False, fake, y1)
-
-
-def _symmetrizing_state(strategy, n, context, rng):
-    """Component-wise draw from J(.|x_i) along a uniformly drawn codeword."""
-    if context is None or not isinstance(context, SymmetrizingContext):
-        raise StrategyError("symmetrizing strategy needs a codeword table in context")
-    table = np.asarray(context.codewords, dtype=int)
-    if table.ndim != 2 or table.shape[1] != n:
-        raise StrategyError(f"codeword table must have shape (M, {n})")
-    J = np.asarray(strategy.witness, dtype=float)
-    xt = table[int(rng.integers(0, table.shape[0]))]
-    if xt.max() >= J.shape[0]:
-        raise StrategyError("codeword symbol outside the witness table")
-    s = np.empty(n, dtype=float)
-    for i, x in enumerate(xt):
-        s[i] = rng.choice(J.shape[1], p=J[x] / J[x].sum())
-    return s

@@ -220,49 +220,43 @@ def destination_observation(tx: Transmission, x1, s, perm=None):
     return tx.x_prime + x1 + (s if perm is None else s[:, perm])
 
 
-def _argmax_corr(table, y):
-    """Index maximizing <y, row>; equal-energy rows make this min-distance.
+def _argmax_corr(tables, Y):
+    """Per block k, the row of tables[k] maximizing <Y[k], row>; equal-energy
+    rows make this min-distance.  tables is one (M, n) table shared by all
+    blocks or a (K, M, n) stack, Y is (K, n).
 
-    Returns (index, tie_count) with exact-equality ties resolved downward.
+    np.matmul does one matrix-vector product per block, the same floats as
+    table @ y (a GEMM Y @ table.T differs in the last bits, and ties are exact
+    equalities).  Returns (indices (K,), ties (K,), correlations (K, M)), with
+    ties resolved to the smallest index and counted per block.
     """
-    corr = table @ y
-    k = int(np.argmax(corr))
-    ties = int((corr == corr[k]).sum()) - 1
-    return k, ties
-
-
-def relay_process(codebook: SfdCodebook, y1_block, mode: str = "min_distance",
-                  true_index: int | None = None):
-    """One relay step: estimate the m1 of this block, emit next block's codeword."""
-    if mode == "ideal":
-        if true_index is None:
-            raise CodecConfigError("ideal relay mode needs the true index")
-        m_bar = int(true_index)
-    elif mode == "min_distance":
-        m_bar, _ = _argmax_corr(codebook.x2, np.asarray(y1_block, dtype=float))
-    else:
-        raise CodecConfigError("relay mode must be min_distance or ideal")
-    return m_bar, codebook.x1[m_bar]
+    corr = np.matmul(tables, Y[:, :, None])[..., 0]
+    ties = (corr == corr.max(axis=1, keepdims=True)).sum(axis=1) - 1
+    return corr.argmax(axis=1), ties, corr
 
 
 def relay_chain(codebook: SfdCodebook, y1_blocks, mode: str = "min_distance",
                 true_indices=None):
     """Run the relay over all blocks: x1 of block 0 is fixed, then one-block delay.
 
+    The estimate for block b reads only y1[b], so all B-1 are decided at once.
     Returns (estimates (B-1,), x1_blocks (B, n)).
     """
     B, n = codebook.num_blocks, codebook.n
     y1_blocks = np.asarray(y1_blocks, dtype=float)
     if y1_blocks.shape != (B, n):
         raise CodecConfigError(f"expected {(B, n)} relay observations")
-    x1_out = np.empty((B, n))
-    x1_out[0] = codebook.x1[FIXED_INDEX]
-    est = np.empty(B - 1, dtype=int)
-    for b in range(B - 1):
-        true_b = None if true_indices is None else int(true_indices[b])
-        est[b], nxt = relay_process(codebook, y1_blocks[b], mode, true_b)
-        x1_out[b + 1] = nxt
-    return est, x1_out
+    if mode == "ideal":
+        if true_indices is None:
+            raise CodecConfigError("ideal relay mode needs the true indices")
+        est = np.array(true_indices, dtype=int)
+        if est.shape != (B - 1,):
+            raise CodecConfigError(f"ideal relay mode needs {B - 1} true indices")
+    elif mode == "min_distance":
+        est = _argmax_corr(codebook.x2, y1_blocks[:-1])[0]
+    else:
+        raise CodecConfigError("relay mode must be min_distance or ideal")
+    return est, codebook.x1[np.concatenate(([FIXED_INDEX], est))]
 
 
 @dataclass(frozen=True)
@@ -273,31 +267,23 @@ class DecodeResult:
 
 
 def decode_backward(codebook: SfdCodebook, y_blocks) -> DecodeResult:
-    """Two backward passes over the received blocks.
+    """Two passes over the received blocks, each deciding every block at once.
 
-    Pass 1, for b = B-2..0: m1_hat[b] minimizes
+    Pass 1: m1_hat[b] minimizes
         || y[b+1] - (1 + rho*sqrt(alpha/gamma)) * x1(m) ||.
-    Pass 2, for b = B-2..0: with prev = m1_hat[b-1] (fixed index at b=0),
-    m2_hat[b] minimizes
+    Pass 2: with prev = m1_hat[b-1] (fixed index at b=0), m2_hat[b] minimizes
         || y[b] - x1(prev) - x_prime(m1_hat[b], m | prev) ||.
-    Exact distance ties resolve to the smallest index and are counted.
+    Pass 2 reads only pass 1's estimates, so the order of the blocks within a
+    pass does not matter.  Exact distance ties resolve to the smallest index
+    and are counted.
     """
     B, n = codebook.num_blocks, codebook.n
     y_blocks = np.asarray(y_blocks, dtype=float)
     if y_blocks.shape != (B, n):
         raise CodecConfigError(f"expected {(B, n)} received blocks")
     scale = 1.0 + codebook.combine
-    ties = 0
-    m1_hat = np.empty(B - 1, dtype=int)
-    for b in range(B - 2, -1, -1):
-        k, t = _argmax_corr(scale * codebook.x1, y_blocks[b + 1])
-        m1_hat[b] = k
-        ties += t
-    m2_hat = np.empty(B - 1, dtype=int)
-    for b in range(B - 2, -1, -1):
-        prev = FIXED_INDEX if b == 0 else m1_hat[b - 1]
-        resid = y_blocks[b] - scale * codebook.x1[prev]
-        k, t = _argmax_corr(codebook.beta * codebook.v[m1_hat[b]], resid)
-        m2_hat[b] = k
-        ties += t
-    return DecodeResult(m1_hat, m2_hat, ties)
+    m1_hat, ties1, _ = _argmax_corr(scale * codebook.x1, y_blocks[1:])
+    prev = np.concatenate(([FIXED_INDEX], m1_hat[:-1]))
+    resid = y_blocks[:-1] - scale * codebook.x1[prev]
+    m2_hat, ties2, _ = _argmax_corr(codebook.beta * codebook.v[m1_hat], resid)
+    return DecodeResult(m1_hat, m2_hat, int(ties1.sum() + ties2.sum()))

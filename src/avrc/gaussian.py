@@ -293,8 +293,7 @@ def gavc_point_to_point(P: float, Lambda: float, sigma2: float):
     return random_rate, det_rate
 
 
-def primitive_gaussian_capacity(P: float, Lambda: float, C1: float,
-                                opts: GridOptions | None = None):
+def primitive_gaussian_capacity(P: float, Lambda: float, C1: float):
     """Capacity of the relay-over-a-bit-pipe variant: maximum over alpha of
 
         objective(alpha) = 0.5*log2(1 + alpha*P/Lambda)
@@ -302,8 +301,7 @@ def primitive_gaussian_capacity(P: float, Lambda: float, C1: float,
 
     in closed form.  The cap C1 binds for alpha <= alpha0 = 1 - Lambda*(2^(2*C1) - 1)/P,
     where the objective rises; above alpha0 it is concave and symmetric about
-    1/2, so alpha* = min(1, max(1/2, alpha0)).  `opts` is accepted for
-    compatibility and unused.
+    1/2, so alpha* = min(1, max(1/2, alpha0)).
 
     Returns (rate, alpha_star).
     """
@@ -368,21 +366,3 @@ def write_sweep_csv(rows, path):
             fh.write(",".join(f"{v:.9g}" for v in
                               (r.P, r.random_capacity, r.det_lower,
                                r.det_upper, r.direct_transmission)) + "\n")
-
-
-def gaussian_mi_quadrature(P: float, N: float, order: int = 120) -> float:
-    """I(X; X+S) for independent X ~ N(0,P), S ~ N(0,N) by Gauss-Hermite quadrature.
-
-    Integrates the differential entropies of X+S and S numerically; the
-    closed form is 0.5*log2(1 + P/N).  Used as an independent cross-check of
-    the rate formulas.
-    """
-    nodes, weights = np.polynomial.hermite.hermgauss(order)
-
-    def entropy_bits(var):
-        # h(Y) = -E[log2 f(Y)] for Y ~ N(0, var), with y = sqrt(2 var) x
-        y = np.sqrt(2.0 * var) * nodes
-        log_f = -0.5 * y * y / var - 0.5 * np.log(2.0 * np.pi * var)
-        return float(-(weights * log_f).sum() / np.sqrt(np.pi) / LOG2)
-
-    return entropy_bits(P + N) - entropy_bits(N)

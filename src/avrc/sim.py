@@ -9,7 +9,7 @@ of its B-1 message pairs decodes wrongly.  Per-trial seeds derive from
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,15 +30,6 @@ class SimConfigError(ValueError):
     pass
 
 
-def _check_simulable(strategy):
-    """Trials hand the jammer an ImpostorContext; a strategy that needs a
-    codeword table could never run, so it is a usage error."""
-    if strategy.kind == "symmetrizing":
-        raise SimConfigError(f"strategy kind {strategy.kind!r} cannot be simulated: "
-                             "it needs a discrete codeword table")
-    return strategy
-
-
 @dataclass(frozen=True)
 class SimConfig:
     codebook: CodebookConfig
@@ -53,7 +44,6 @@ class SimConfig:
             raise SimConfigError("trials must be >= 1")
         if self.relay_mode not in ("min_distance", "ideal"):
             raise SimConfigError("relay_mode must be min_distance or ideal")
-        _check_simulable(self.strategy)
 
 
 @dataclass(frozen=True)
@@ -82,10 +72,13 @@ def wilson_interval(errors: int, trials: int, z: float = WILSON_Z):
 
 
 def resolve_workers(requested=None):
-    """Worker count: the explicit argument, else 1.  On a 2-vCPU host, 2 threads
-    ran the mc_impostor and mc_sweep_permuted workloads at about half the
-    1-thread speed; hosts with more cores have not been measured."""
-    return 1 if requested is None else max(1, int(requested))
+    """Worker count: the explicit argument (at least 1), else 1.  On a 2-vCPU
+    host, 2 threads ran the mc_impostor and mc_sweep_permuted workloads at
+    about half the 1-thread speed; hosts with more cores have not been measured."""
+    workers = 1 if requested is None else int(requested)
+    if workers < 1:
+        raise SimConfigError(f"workers must be >= 1, got {requested!r}")
+    return workers
 
 
 def _check_power(name, energies, budget):
@@ -126,8 +119,8 @@ def _trial(config, codebook, t):
 
 def run_monte_carlo(config: SimConfig, workers=None) -> ErrorEstimate:
     """Estimate the message error rate of the configured code under attack."""
-    codebook = build_codebook(config.codebook)
     nworkers = resolve_workers(workers)
+    codebook = build_codebook(config.codebook)
     B = codebook.num_blocks
     results = [None] * config.trials
 
@@ -183,12 +176,7 @@ def attack_sweep(base: SimConfig, lambda_grid, strategies=None, workers=None):
         raise SimConfigError("empty Lambda grid")
     strategies = list(strategies) if strategies is not None else [base.strategy]
     # build (and so check) every row's config before any codebook is built
-    configs = [SimConfig(codebook=base.codebook,
-                         strategy=StateStrategy(kind=strat.kind, Lambda=lam, seed=strat.seed,
-                                                variance=strat.variance, vector=strat.vector,
-                                                witness=strat.witness),
-                         trials=base.trials, master_seed=base.master_seed,
-                         relay_mode=base.relay_mode, permute=base.permute)
+    configs = [replace(base, strategy=replace(strat, Lambda=lam))
                for lam in sorted(lambdas) for strat in sorted(strategies, key=lambda s: s.kind)]
     rows = []
     for cfg in configs:
@@ -237,6 +225,6 @@ def sim_config_from_json(obj) -> tuple:
     sweep = obj.get("sweep")
     if sweep is not None:
         sweep = {"lambdas": [float(v) for v in sweep["lambdas"]],
-                 "strategies": [_check_simulable(strategy_from_json(s)) for s in sweep.get(
+                 "strategies": [strategy_from_json(s) for s in sweep.get(
                      "strategies", [strategy_to_json(sim.strategy)])]}
     return sim, sweep

@@ -8,7 +8,6 @@ from avrc.adversary import (
     ImpostorContext,
     StateStrategy,
     StrategyError,
-    SymmetrizingContext,
     make_state,
     strategy_from_json,
     strategy_to_json,
@@ -91,24 +90,6 @@ def test_impostor_fallback_when_over_power():
         if draw.fallback:
             assert not draw.state.any()
     assert falls == 50
-
-
-def test_symmetrizing_draws_follow_the_witness():
-    J = np.array([[1.0, 0.0], [0.0, 1.0]])     # state copies the codeword bit
-    table = np.array([[0, 1, 0, 1], [1, 1, 0, 0]])
-    strat = StateStrategy("symmetrizing", Lambda=2.0, witness=tuple(map(tuple, J)))
-    rng = np.random.default_rng(3)
-    s = make_state(strat, 4, context=SymmetrizingContext(table), rng=rng)
-    assert any(np.array_equal(s, row) for row in table)
-
-
-def test_symmetrizing_over_power_falls_back_to_zeros():
-    J = np.array([[0.0, 1.0], [0.0, 1.0]])     # always state 1: power n
-    table = np.array([[0, 0, 0, 0]])
-    strat = StateStrategy("symmetrizing", Lambda=0.5, witness=tuple(map(tuple, J)))
-    s = make_state(strat, 4, context=SymmetrizingContext(table),
-                   rng=np.random.default_rng(0))
-    assert np.array_equal(s, np.zeros(4))
 
 
 def test_strategy_json_round_trip():

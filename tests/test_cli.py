@@ -184,6 +184,25 @@ def test_simulate_rejects_non_finite_jammer_inputs(capsys, tmp_path, where, fiel
     assert out == "" and not out_path.exists()
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_simulate_rejects_a_worker_count_below_one(capsys, tmp_path, workers):
+    cfg = {
+        "codebook": {"n": 48, "blocks": 2, "rate_relayed": 0.05, "rate_direct": 0.05,
+                     "P": 4.0, "P1": 4.0, "Lambda": 1.0, "sigma2": 0.25,
+                     "alpha": 0.6, "rho": 0.0, "seed": 3},
+        "strategy": {"kind": "zero", "Lambda": 1.0},
+        "trials": 20,
+    }
+    cfg_path = tmp_path / "sim.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out_path = tmp_path / "rows.csv"
+    code, out, err = run_cli(capsys, "simulate", "--config", str(cfg_path),
+                             "--out", str(out_path), "--workers", workers)
+    assert code == 2
+    assert f"workers must be >= 1, got {workers}" in err
+    assert out == "" and not out_path.exists()
+
+
 def test_figure_rejects_empty_range(capsys, tmp_path):
     code, _, err = run_cli(capsys, "figure", "--Lambda", "1", "--sigma2", "0.5",
                            "--pmin", "2", "--pmax", "1", "--step", "0.5",

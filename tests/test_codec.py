@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avrc.codec import (
     CodebookBudgetError,
     CodebookConfig,
     CodecConfigError,
+    _argmax_corr,
     achievable_rate_pair,
     build_codebook,
     decode_backward,
     destination_observation,
     encode,
     relay_chain,
-    relay_process,
     transmit,
 )
 from avrc.gaussian import GaussianSfdParams, PowerSplit
@@ -129,13 +131,18 @@ def test_collinear_pair_clips_and_zeroes():
 
 def test_relay_modes():
     cb = build_codebook(make_config())
-    noiseless = cb.x2[5]
-    m, nxt = relay_process(cb, noiseless, "min_distance")
-    assert m == 5 and np.array_equal(nxt, cb.x1[5])
-    m, _ = relay_process(cb, noiseless, "ideal", true_index=2)
-    assert m == 2
+    noiseless = cb.x2[[5, 1, 3]]          # the final block is not decoded
+    est, x1 = relay_chain(cb, noiseless, "min_distance")
+    assert np.array_equal(est, [5, 1])
+    assert np.array_equal(x1, cb.x1[[0, 5, 1]])
+    est, x1 = relay_chain(cb, noiseless, "ideal", [2, 4])
+    assert np.array_equal(est, [2, 4]) and np.array_equal(x1, cb.x1[[0, 2, 4]])
     with pytest.raises(CodecConfigError):
-        relay_process(cb, noiseless, "ideal")
+        relay_chain(cb, noiseless, "ideal")
+    with pytest.raises(CodecConfigError):
+        relay_chain(cb, noiseless, "ideal", [2])
+    with pytest.raises(CodecConfigError):
+        relay_chain(cb, noiseless, "oracle")
 
 
 def test_relay_min_distance_error_rate_under_noise():
@@ -143,13 +150,30 @@ def test_relay_min_distance_error_rate_under_noise():
     cfg = make_config(n=256, m1=8, P=4.0, alpha=0.5, s2=0.5, seed=7)
     cb = build_codebook(cfg)
     rng = np.random.default_rng(1)
+    y1 = np.tile(cb.x2[0], (cb.num_blocks, 1))   # rows past block 0 stay fixed
     errors = 0
     for _ in range(1000):
         m = int(rng.integers(0, cb.m1_count))
-        y1 = cb.x2[m] + rng.normal(0, np.sqrt(0.5), cb.n)
-        m_hat, _ = relay_process(cb, y1, "min_distance")
-        errors += m_hat != m
+        y1[0] = cb.x2[m] + rng.normal(0, np.sqrt(0.5), cb.n)
+        est, _ = relay_chain(cb, y1, "min_distance")
+        errors += est[0] != m
     assert errors / 1000 <= 0.05
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(K=st.integers(1, 5), M=st.integers(1, 9), n=st.integers(1, 40),
+       stacked=st.booleans(), zero_mask=st.integers(0, 31), seed=st.integers(0, 2**32 - 1))
+def test_batched_argmax_corr_matches_a_per_row_loop(K, M, n, stacked, zero_mask, seed):
+    rng = np.random.default_rng(seed)
+    tables = rng.normal(size=(K, M, n) if stacked else (M, n))
+    Y = rng.normal(size=(K, n))
+    Y[[k for k in range(K) if zero_mask >> k & 1]] = 0.0   # all-zero rows tie exactly
+    idx, ties, corr = _argmax_corr(tables, Y)
+    for k in range(K):
+        row_corr = (tables[k] if stacked else tables) @ Y[k]
+        assert np.array_equal(corr[k], row_corr)          # the same bits
+        assert idx[k] == int(np.argmax(row_corr))
+        assert ties[k] == int((row_corr == row_corr[idx[k]]).sum()) - 1
 
 
 def test_round_trip_zero_state_ideal_relay():
@@ -291,14 +315,19 @@ def test_wrapped_round_trip_any_permutation():
 
 
 def test_wrapped_beats_plain_on_burst_state():
-    # all the jamming power packed into the first quarter of each block
+    # the state is a fixed in-budget fake transmission: its codewords line up
+    # with the plain code's tables, and read through a permutation they do not
     cfg = make_config(n=256, blocks=3, m1=4, m2=4, P=2.0, P1=2.0, Lam=4.0,
                       alpha=0.5, rho=0.0, seed=13)
     cb = build_codebook(cfg)
     n = cb.n
-    burst = np.zeros(n)
-    burst[: n // 4] = np.sqrt(4.0 * n / (n // 4))
-    bursts = np.tile(burst, (cb.num_blocks, 1))
+    fake = np.array([[1, 2], [3, 0]])
+    fake_tx = encode(cb, fake)
+    _, fake_x1 = relay_chain(cb, fake_tx.x_direct, "ideal", fake[:, 0])
+    state = fake_tx.x_prime + fake_x1
+    per_symbol = np.einsum("bi,bi->b", state, state) / n   # 2.69, 3.00, 3.31
+    assert (per_symbol < 4.0).all()                          # in budget block by block
+    assert 2.7 <= per_symbol.mean() <= 3.3
     rng = np.random.default_rng(5)
     plain_err = wrapped_err = 0
     for trial in range(300):
@@ -307,11 +336,12 @@ def test_wrapped_beats_plain_on_burst_state():
         for perm, bucket in ((None, "plain"), (wrapped, "wrapped")):
             # the ideal relay ignores its noisy observations
             tx, _, x1 = transmit(cb, msgs, np.random.default_rng(0), "ideal", perm)
-            res = decode_backward(cb, destination_observation(tx, x1, bursts, perm))
+            res = decode_backward(cb, destination_observation(tx, x1, state, perm))
             bad = (not np.array_equal(res.m_relayed, msgs[:, 0])
                    or not np.array_equal(res.m_direct, msgs[:, 1]))
             if bucket == "plain":
                 plain_err += bad
             else:
                 wrapped_err += bad
+    assert plain_err > 0
     assert wrapped_err <= plain_err

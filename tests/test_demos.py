@@ -11,3 +11,10 @@ def test_gaussian_bounds_tour_writes_its_csv(tmp_path, monkeypatch, capsys):
     assert lines[0] == "P,random_capacity,det_lower,det_upper,direct_transmission"
     assert len(lines) == 11                      # header + the tour's 10 powers
     assert "capacity" in capsys.readouterr().out
+
+
+def test_jamming_showdown_permutation_defeats_the_impostor(capsys):
+    runpy.run_path(str(DEMOS / "jamming_showdown.py"), run_name="__main__")
+    out = capsys.readouterr().out
+    row = next(line.split() for line in out.splitlines() if line.split()[:1] == ["impostor"])
+    assert row[1:] == ["0.595", "0.000"]     # plain code, permuted code

@@ -21,7 +21,6 @@ from avrc.gaussian import (
     direct_transmission_rate,
     f_g,
     figure_sweep,
-    gaussian_mi_quadrature,
     gavc_point_to_point,
     primitive_gaussian_capacity,
     random_code_capacity,
@@ -185,11 +184,6 @@ def test_direct_transmission_threshold():
     assert direct_transmission_rate(GaussianSfdParams(1.0, 1.0, 1.0, 0.5)) == 0.0
     v = direct_transmission_rate(GaussianSfdParams(2.0, 2.0, 1.0, 0.5))
     assert abs(v - f_g(GaussianSfdParams(2, 2, 1, 0.5), PowerSplit(1, 0))) < 1e-15
-
-
-def test_gaussian_mi_quadrature_matches_closed_form():
-    for P, N in [(1.0, 0.5), (3.0, 1.0), (0.2, 2.0)]:
-        assert abs(gaussian_mi_quadrature(P, N) - 0.5 * np.log2(1 + P / N)) < 1e-4
 
 
 def test_grid_options_validation():
