@@ -6,8 +6,10 @@ The relay talks to the destination over a noiseless link of `relay_rate` bits
 per use.  Every information quantity here is I(A;O) of a finite joint pmf,
 computed by one exact kernel (`_mi`).  The module decides symmetrizability by
 linear programming, classifies degradedness by factor checks, evaluates the
-cutset and decode-forward bounds by nested simplex optimization (one q-search
-helper, one p-search helper), and applies the capacity classification rules.
+cutset and decode-forward bounds, and applies the capacity classification
+rules.  Every min-max and max-min over state pmfs q and input pmfs p is solved
+one way: a fixed pool over the inner simplex steers a simplex search over the
+outer one, and the inner optimum is refined once, at the winner.
 """
 
 import json
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linprog
 
-from .optimize import refine_batch_size, search_simplex, simplex_grid
+from .optimize import refine_batch_size, search_simplex, simplex_grid, start_pool
 
 PMF_TOL = 1e-12
 
@@ -33,7 +35,8 @@ def validate_pmf(p, tol=PMF_TOL):
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise ChannelFormatError("pmf must be a nonempty vector")
-    if (p < -tol).any() or abs(p.sum() - 1.0) > tol:
+    # each check is written so that a NaN fails it
+    if not ((p >= -tol).all() and abs(p.sum() - 1.0) <= tol):
         raise ChannelFormatError("pmf entries must be >= 0 and sum to 1")
     return np.clip(p, 0.0, None)
 
@@ -49,16 +52,17 @@ class Dmc:
         W = np.asarray(self.kernel, dtype=float)
         if W.ndim != 4:
             raise ChannelFormatError("kernel must have shape (X, S, Y, Y1)")
-        if (W < -PMF_TOL).any():
-            raise ChannelFormatError("kernel entries must be >= 0")
+        # each check is written so that a NaN fails it
+        if not (W >= -PMF_TOL).all():
+            raise ChannelFormatError("kernel entries must be numbers >= 0")
         sums = W.sum(axis=(2, 3))
-        bad = np.argwhere(np.abs(sums - 1.0) > PMF_TOL)
+        bad = np.argwhere(~(np.abs(sums - 1.0) <= PMF_TOL))
         if bad.size:
             x, s = bad[0]
             raise ChannelFormatError(
                 f"slice (x={x}, s={s}) sums to {sums[x, s]!r}, not 1")
-        if self.relay_rate < 0:
-            raise ChannelFormatError("relay_rate must be >= 0")
+        if not self.relay_rate >= 0:
+            raise ChannelFormatError(f"relay_rate (C1) must be >= 0, got {self.relay_rate!r}")
         object.__setattr__(self, "kernel", W)
 
     @property
@@ -347,21 +351,18 @@ def _min_over_q(objective_batch, ns, qset, opts, rng):
     return q, v
 
 
+def _p_resolution(nx, opts):
+    return opts.p_resolution if nx <= 3 else None
+
+
 def _max_over_p(objective_batch, nx, opts, rng, top):
     """Maximize a batched function of p over the input simplex.  Returns (p*, value)."""
-    res = opts.p_resolution if nx <= 3 else None
-    return search_simplex(objective_batch, nx, resolution=res, rounds=opts.refine_rounds,
-                          top=top, rng=rng, max_grid_points=opts.max_grid_points)
+    return search_simplex(objective_batch, nx, resolution=_p_resolution(nx, opts),
+                          rounds=opts.refine_rounds, top=top, rng=rng,
+                          max_grid_points=opts.max_grid_points)
 
 
-def _min_q_max_p(p_objective, dmc, qset, opts, rng, top):
-    """min over q of max over p; p_objective(q) is the batched objective in p at q."""
-    def outer_batch(Q):
-        return np.array([_max_over_p(p_objective(q), dmc.nx, opts, rng, top)[1] for q in Q])
-    return _min_over_q(outer_batch, dmc.ns, qset, opts, rng)[1]
-
-
-# largest batched array (in entries) that a pooled p-objective builds at once
+# largest batched array (in entries) that a pooled objective builds at once
 _BLOCK_ENTRIES = 1 << 22
 
 
@@ -376,23 +377,34 @@ def _in_blocks(objective_batch, row_entries):
     return blocked
 
 
+def _min_q_max_p(combine, kernels, dmc, qset, opts, rng, top):
+    """min over q of max over p of combine(I(X;O_1), I(X;O_2), ...), O_k seen
+    through kernels[k].  The start pool of the p search steers the q search;
+    the max over p is refined once, at the winning q."""
+    P0 = start_pool(dmc.nx, _p_resolution(dmc.nx, opts), rng, opts.max_grid_points)
+
+    def at(P, Q):   # (M, X) inputs x (N, S) states -> (N, M) values
+        return combine(*(_mi(P[None, :, :, None] * _wq_batch(Q, W)[:, None])
+                         for W in kernels))
+
+    row_entries = P0.size * max(W.shape[2] for W in kernels)
+    q, _ = _min_over_q(_in_blocks(lambda Q: at(P0, Q).max(axis=1), row_entries),
+                       dmc.ns, qset, opts, rng)
+    return _max_over_p(lambda P: at(P, q[None])[0], dmc.nx, opts, rng, top)[1]
+
+
 def cutset_bound(dmc: Dmc, state_set=None, opts: BoundOptions | None = None) -> float:
     """inf over state pmfs of max over input pmfs of
-    min{ I(X;Y) + C1, I(X;Y,Y1) }."""
+    min{ I(X;Y) + C1, I(X;Y,Y1) }, reported as the refined max over p at the
+    state pmf the search picks."""
     opts = opts or BoundOptions()
     _check_budget(dmc, opts)
     qset = _normalize_state_set(dmc, state_set)
     rng = np.random.default_rng(opts.seed)
-    W_y = dmc.receiver_marginal()
-    W_j = dmc.joint_output()
     c1 = dmc.relay_rate
-
-    def at_q(q):
-        wq_y = np.einsum("s,xso->xo", q, W_y)
-        wq_j = np.einsum("s,xso->xo", q, W_j)
-        return lambda P: np.minimum(_mi(P[:, :, None] * wq_y) + c1, _mi(P[:, :, None] * wq_j))
-
-    return float(_min_q_max_p(at_q, dmc, qset, opts, rng, opts.multistart_top))
+    return float(_min_q_max_p(lambda i_y, i_j: np.minimum(i_y + c1, i_j),
+                              [dmc.receiver_marginal(), dmc.joint_output()],
+                              dmc, qset, opts, rng, opts.multistart_top))
 
 
 def _q_pool(dmc, qset, opts, rng):
@@ -410,55 +422,44 @@ def _q_pool(dmc, qset, opts, rng):
                            rng.dirichlet(np.ones(dmc.ns), size=192)])
 
 
-def _qmin_xy_refined(p, W3, dmc, qset, opts, rng):
-    """Tight min over q of I(X;O) at a fixed prior p."""
-    def over_q(Q):
-        return _mi(p[None, :, None] * _wq_batch(Q, W3))
-    return _min_over_q(over_q, dmc.ns, qset, opts, rng)[1]
-
-
-def _df_direct(dmc, qset, opts, rng):
-    """max_p of min_q I(X;Y): the no-relay-help rate.  Returns (value, p*)."""
+def _df_value(Pux, dmc, qset, opts, rng):
+    """The decode-forward combination at a joint p(u,x), each min over q refined."""
     W_y = dmc.receiver_marginal()
-    WQ = _wq_batch(_q_pool(dmc, qset, opts, rng), W_y)
-    obj_p = _in_blocks(lambda P: _mi(P[:, None, :, None] * WQ).min(axis=1), WQ.size)
-    p, _ = _max_over_p(obj_p, dmc.nx, opts, rng, top=2)
-    return _qmin_xy_refined(p, W_y, dmc, qset, opts, rng), p
+    px = Pux.sum(axis=0)
 
+    def qmin(info):
+        return _min_over_q(info, dmc.ns, qset, opts, rng)[1]
 
-def _df_full(dmc, qset, opts, rng):
-    """max_p of min{min_q I(X;Y) + C1, min_q I(X;Y1)}.  Returns (value, p*)."""
-    W_y = dmc.receiver_marginal()
-    W_1 = dmc.relay_marginal()
-    c1 = dmc.relay_rate
-    WQy = _wq_batch(_q_pool(dmc, qset, opts, rng), W_y)
-    WQ1 = _wq_batch(_q_pool(dmc, qset, opts, rng), W_1)
+    def i_uo(Q, W3):
+        return _mi(np.einsum("ux,nxo->nuo", Pux, _wq_batch(Q, W3)))
 
-    def obj_p(P):
-        return np.minimum(_mi(P[:, None, :, None] * WQy).min(axis=1) + c1,
-                          _mi(P[:, None, :, None] * WQ1).min(axis=1))
-
-    p, _ = _max_over_p(_in_blocks(obj_p, max(WQy.size, WQ1.size)), dmc.nx, opts, rng, top=2)
-    v = min(_qmin_xy_refined(p, W_y, dmc, qset, opts, rng) + c1,
-            _qmin_xy_refined(p, W_1, dmc, qset, opts, rng))
-    return float(v), p
+    a = qmin(lambda Q: i_uo(Q, W_y))
+    b = qmin(lambda Q: _mi(px[None, :, None] * _wq_batch(Q, W_y)) - i_uo(Q, W_y))
+    c = qmin(lambda Q: i_uo(Q, dmc.relay_marginal()))
+    return float(min(a + b + dmc.relay_rate, c + b))
 
 
 def df_bound(dmc: Dmc, state_set=None, aux_size: int | None = None,
              mode: str = "aux", opts: BoundOptions | None = None) -> float:
-    """Partial decode-forward lower bound.
-
-    mode "direct": U absent — max_p min_q I(X;Y).
-    mode "full":   U = X — max_p min{min_q I(X;Y)+C1, min_q I(X;Y1)}.
-    mode "aux":    free auxiliary of cardinality aux_size (default |X|+1);
-                   maximizes over joints p(u,x) the displayed combination
+    """Partial decode-forward lower bound: the displayed combination
 
         min{ [min_q I(U;Y)] + [min_q I(X;Y|U)] + C1,
              [min_q I(U;Y1)] + [min_q I(X;Y|U)] }
 
-    with each minimum over q taken separately, by seeded multi-start search.
-    The "direct" and "full" optima are embedded as starting points, so the
-    general mode never reports less than the special modes.
+    at the best joint p(u,x) found, each minimum over q taken separately.  The
+    modes search p(u,x) in different embeddings:
+
+    mode "direct": U constant, p(u,x) = p(x) in one row; the value is
+                   max_p min_q I(X;Y), the no-relay-help rate.
+    mode "full":   U = X, p(u,x) = diag(p(x)); the value is
+                   max_p min{min_q I(X;Y) + C1, min_q I(X;Y1)}.
+    mode "aux":    free p(u,x) with |U| = aux_size (default |X|+1), searched
+                   from the direct optimum and, when aux_size >= |X|, the full
+                   one, so it starts no lower than either.
+
+    One fixed pool of state pmfs steers every search over inputs, each mode
+    with its own objective; the winner is re-evaluated once, with refined
+    minimizations over q.
     """
     opts = opts or BoundOptions()
     if mode not in ("direct", "full", "aux"):
@@ -470,29 +471,36 @@ def df_bound(dmc: Dmc, state_set=None, aux_size: int | None = None,
     qset = _normalize_state_set(dmc, state_set)
     rng = np.random.default_rng(opts.seed)
 
-    if mode == "direct":
-        return _df_direct(dmc, qset, opts, rng)[0]
-    if mode == "full":
-        return _df_full(dmc, qset, opts, rng)[0]
-
     nx = dmc.nx
-    W_y = dmc.receiver_marginal()
-    W_1 = dmc.relay_marginal()
     c1 = dmc.relay_rate
-    WQy = _wq_batch(_q_pool(dmc, qset, opts, rng), W_y)
-    WQ1 = _wq_batch(_q_pool(dmc, qset, opts, rng), W_1)
+    Q = _q_pool(dmc, qset, opts, rng)
+    WQy = _wq_batch(Q, dmc.receiver_marginal())
+    WQ1 = _wq_batch(Q, dmc.relay_marginal())
 
-    v_direct, p_direct = _df_direct(dmc, qset, opts, rng)
-    v_full, p_full = _df_full(dmc, qset, opts, rng)
+    def steer(obj_p):
+        return _max_over_p(_in_blocks(obj_p, max(WQy.size, WQ1.size)), nx, opts, rng, top=2)[0]
 
-    # embed the special modes into the joint p(u,x)
+    def direct(P):   # min over the pool of I(X;Y)
+        return _mi(P[:, None, :, None] * WQy).min(axis=1)
+
+    def full(P):
+        return np.minimum(direct(P) + c1, _mi(P[:, None, :, None] * WQ1).min(axis=1))
+
+    if mode == "direct":
+        return _df_value(steer(direct)[None, :], dmc, qset, opts, rng)
+    if mode == "full":
+        return _df_value(np.diag(steer(full)), dmc, qset, opts, rng)
+
+    # embed the special modes into the joint p(u,x); U = X only fits when |U| >= |X|
     start_direct = np.zeros((nu, nx))
-    start_direct[0, :] = p_direct
-    start_full = np.zeros((nu, nx))
-    start_full[:nx, :nx] = np.diag(p_full)
-
+    start_direct[0, :] = steer(direct)
+    starts = [start_direct.ravel()]
+    if nu >= nx:
+        start_full = np.zeros((nu, nx))
+        start_full[:nx, :nx] = np.diag(steer(full))
+        starts.append(start_full.ravel())
     dim = nu * nx
-    starts = [start_direct.ravel(), start_full.ravel(), np.full(dim, 1.0 / dim)]
+    starts.append(np.full(dim, 1.0 / dim))
     starts += [rng.dirichlet(np.ones(dim)) for _ in range(opts.aux_starts)]
 
     # U - X - O is a Markov chain (O sees U only through X, and the state is
@@ -510,42 +518,24 @@ def df_bound(dmc: Dmc, state_set=None, aux_size: int | None = None,
                                rounds=opts.refine_rounds, top=opts.multistart_top,
                                rng=rng, extra_starts=np.array(starts),
                                max_grid_points=opts.max_grid_points)
-
-    # re-evaluate the winner with tight per-term q-minimizations
-    Pux = p_best.reshape(nu, nx)
-    px = Pux.sum(axis=0)
-
-    def qmin(info):
-        return _min_over_q(info, dmc.ns, qset, opts, rng)[1]
-
-    def i_uo(Q, W3):
-        return _mi(np.einsum("ux,nxo->nuo", Pux, _wq_batch(Q, W3)))
-
-    a = qmin(lambda Q: i_uo(Q, W_y))
-    b = qmin(lambda Q: _mi(px[None, :, None] * _wq_batch(Q, W_y)) - i_uo(Q, W_y))
-    c = qmin(lambda Q: i_uo(Q, W_1))
-    v = min(a + b + c1, c + b)
-    return float(max(v, v_direct, v_full))
+    return _df_value(p_best.reshape(nu, nx), dmc, qset, opts, rng)
 
 
 def minimax_receiver_information(dmc: Dmc, order: str = "qp",
                                  opts: BoundOptions | None = None) -> float:
-    """min-max (order "qp") or max-min (order "pq") of I(X;Y) over q and p."""
+    """min-max (order "qp") or max-min (order "pq") of I(X;Y) over q and p.
+
+    The max-min is df_bound's direct mode; the min-max is searched like the
+    cutset bound and reported as the refined max over p at its state pmf."""
+    if order == "pq":
+        return df_bound(dmc, mode="direct", opts=opts)
+    if order != "qp":
+        raise ValueError("order must be 'qp' or 'pq'")
     opts = opts or BoundOptions()
     _check_budget(dmc, opts)
     rng = np.random.default_rng(opts.seed)
-    W_y = dmc.receiver_marginal()
-
-    if order == "pq":
-        return _df_direct(dmc, None, opts, rng)[0]
-    if order != "qp":
-        raise ValueError("order must be 'qp' or 'pq'")
-
-    def at_q(q):
-        wq = np.einsum("s,xso->xo", q, W_y)
-        return lambda P: _mi(P[:, :, None] * wq)
-
-    return float(_min_q_max_p(at_q, dmc, None, opts, rng, top=2))
+    return float(_min_q_max_p(lambda i_y: i_y, [dmc.receiver_marginal()],
+                              dmc, None, opts, rng, top=2))
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +587,9 @@ def classify_capacity(dmc: Dmc, tol: float = 1e-9,
             m1 = deg.factors["relay_marginal"].mean(axis=1)   # (X,Y1), state-free
             rows_distinct = bool(np.abs(m1[:, None, :] - m1[None, :, :]).max() > tol)
             if rows_distinct:
-                v = _strongly_degraded_value(dmc, m1, opts)
+                # the relay term does not depend on q here, so this is
+                # max_p min{ min_q I(X;Y) + C1, I(X;Y1) }
+                v = df_bound(dmc, None, mode="full", opts=opts)
                 return CapacityClassification("equals_random_capacity", 3, v, v, v,
                                               False, False, deg.label)
         aux = dmc.nx + 1
@@ -611,23 +603,6 @@ def classify_capacity(dmc: Dmc, tol: float = 1e-9,
     r_cs = cutset_bound(dmc, None, opts)
     return CapacityClassification("undetermined", None, r_df, r_cs, None,
                                   relay.symmetrizable, False, deg.label, aux_size=aux)
-
-
-def _strongly_degraded_value(dmc, relay_rows, opts):
-    """max_p min{ min_q I(X;Y) + C1, I(X;Y1) } with a state-free relay marginal."""
-    rng = np.random.default_rng(opts.seed)
-    W_y = dmc.receiver_marginal()
-    c1 = dmc.relay_rate
-
-    def obj_p(P):
-        i_xy1 = _mi(P[:, :, None] * relay_rows)
-        return np.array([min(_qmin_xy_refined(p, W_y, dmc, None, opts, rng) + c1, i_xy1[i])
-                         for i, p in enumerate(P)])
-
-    res = min(opts.p_resolution, 32) if dmc.nx <= 3 else None
-    _, v = search_simplex(obj_p, dmc.nx, resolution=res, rounds=opts.refine_rounds,
-                          top=2, rng=rng, max_grid_points=opts.max_grid_points)
-    return float(v)
 
 
 # ---------------------------------------------------------------------------

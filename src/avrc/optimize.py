@@ -54,16 +54,35 @@ def simplex_grid(k, resolution):
     return _compositions(k, resolution) / float(resolution)
 
 
+def start_pool(k, resolution=None, rng=None, max_grid_points=200_000, extra_starts=None):
+    """The pmfs search_simplex evaluates first: the simplex grid at `resolution`
+    (a seeded Dirichlet sample when the grid would pass max_grid_points), the
+    vertices, the centre and any extra starts.  Returns an (N, k) array."""
+    if resolution is None:
+        resolution = {1: 1, 2: 256, 3: 64, 4: 24, 5: 12, 6: 8}.get(k, 6)
+    if _simplex_count(k, resolution) <= max_grid_points:
+        grid = simplex_grid(k, resolution)
+    else:
+        if rng is None:
+            rng = np.random.default_rng(0)
+        grid = rng.dirichlet(np.ones(k), size=4096)
+    starts = [grid, np.eye(k), np.full((1, k), 1.0 / k)]
+    if extra_starts is not None and len(extra_starts):
+        starts.append(np.atleast_2d(np.asarray(extra_starts, dtype=float)))
+    return np.concatenate(starts, axis=0)
+
+
 def search_simplex(f_batch, k, *, minimize=False, resolution=None, rounds=6,
                    shrink=0.35, top=4, rng=None, extra_starts=None,
                    max_grid_points=200_000):
     """Optimize a batched function over the probability simplex of dimension k.
 
     f_batch maps an (N, k) array of pmfs to an (N,) array of values.  The
-    search runs a coarse simplex grid (or Dirichlet sample when the grid would
-    blow past max_grid_points), then contracts a fixed pattern around the best
-    `top` candidates.  Convex/concave objectives converge to the optimum; for
-    general objectives this is a seeded multi-start ascent.
+    search evaluates `start_pool` (a coarse simplex grid, or a Dirichlet sample
+    when the grid would blow past max_grid_points), then contracts a fixed
+    pattern around the best `top` candidates.  Convex/concave objectives
+    converge to the optimum; for general objectives this is a seeded
+    multi-start ascent.
 
     Returns (x_best, value_best).
     """
@@ -72,20 +91,7 @@ def search_simplex(f_batch, k, *, minimize=False, resolution=None, rounds=6,
     def eval_batch(pts):
         return sign * f_batch(pts)
 
-    if resolution is None:
-        resolution = {1: 1, 2: 256, 3: 64, 4: 24, 5: 12, 6: 8}.get(k, 6)
-    n_grid = _simplex_count(k, resolution)
-    if n_grid <= max_grid_points:
-        pool = simplex_grid(k, resolution)
-    else:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        pool = rng.dirichlet(np.ones(k), size=4096)
-    starts = [pool, np.eye(k), np.full((1, k), 1.0 / k)]
-    if extra_starts is not None and len(extra_starts):
-        starts.append(np.atleast_2d(np.asarray(extra_starts, dtype=float)))
-    pool = np.concatenate(starts, axis=0)
-
+    pool = start_pool(k, resolution, rng, max_grid_points, extra_starts)
     vals = eval_batch(pool)
     order = np.argsort(-vals, kind="stable")[: max(1, top)]
     centers = pool[order]

@@ -84,6 +84,30 @@ def test_primitive_df_reports_aux(capsys, channel_file):
     assert rep["aux_size"] is None
 
 
+def test_primitive_df_aux_size_below_input_size(capsys, channel_file):
+    code, out, _ = run_cli(capsys, "primitive", "--channel", channel_file,
+                           "--bound", "df", "--aux-size", "1")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["aux_size"] == 1
+    code, out, _ = run_cli(capsys, "primitive", "--channel", channel_file,
+                           "--bound", "df", "--df-mode", "direct")
+    assert code == 0
+    assert rep["df_bound"] >= json.loads(out)["df_bound"] - 1e-9
+
+
+def test_primitive_rejects_nan_relay_rate(capsys, tmp_path):
+    obj = dmc_to_json(binary_pipe_dmc())
+    obj["C1"] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(obj))             # json writes the literal NaN
+    code, out, err = run_cli(capsys, "primitive", "--channel", str(path),
+                             "--bound", "classify")
+    assert code == 2
+    assert out == ""
+    assert "C1" in err
+
+
 def test_simulate_csv_and_worker_independence(capsys, tmp_path):
     cfg = {
         "codebook": {"n": 48, "blocks": 3, "rate_relayed": 0.05, "rate_direct": 0.05,

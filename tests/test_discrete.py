@@ -24,6 +24,7 @@ from avrc.discrete import (
     single_use_code_table,
     symmetrizability,
 )
+from avrc.optimize import simplex_grid
 
 FAST = BoundOptions(q_resolution=48, p_resolution=64, refine_rounds=6, aux_starts=6)
 
@@ -60,6 +61,18 @@ def exhaustive_mi(p, q, W):
     return total
 
 
+def _entropy(P):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return -np.where(P > 0, P * np.log2(P), 0.0).sum(axis=-1)
+
+
+def mi_grid(P, Q, W):
+    # independent grid oracle: I(X;O) = H(O) - H(O|X) for every (q, p) pair,
+    # returned as an array of shape (len(Q), len(P))
+    WQ = np.einsum("qs,xso->qxo", Q, W)
+    return _entropy(np.einsum("px,qxo->qpo", P, WQ)) - _entropy(WQ) @ P.T
+
+
 # ---------------------------------------------------------------------------
 # types and serialization
 # ---------------------------------------------------------------------------
@@ -70,6 +83,62 @@ def test_dmc_validation_reports_offending_slice():
     W[1, 1, 0, 0] = 0.5
     with pytest.raises(ChannelFormatError, match=r"x=1, s=1"):
         Dmc(W)
+
+
+def test_dmc_rejects_nan_kernel_entry():
+    W = binary_pipe_dmc().kernel.copy()
+    W[0, 0, 0, 0] = np.nan
+    with pytest.raises(ChannelFormatError, match="kernel entries"):
+        Dmc(W)
+
+
+def test_dmc_rejects_infinite_slice_sum():
+    # an infinite entry passes the sign check and fails the slice sum
+    W = binary_pipe_dmc().kernel.copy()
+    W[1, 0, 0, 0] = np.inf
+    with pytest.raises(ChannelFormatError, match=r"x=1, s=0"):
+        Dmc(W)
+
+
+@pytest.mark.parametrize("rate", [np.nan, -0.5])
+def test_dmc_rejects_bad_relay_rate(rate):
+    with pytest.raises(ChannelFormatError, match=r"relay_rate \(C1\)"):
+        Dmc(binary_pipe_dmc().kernel, relay_rate=rate)
+
+
+@pytest.mark.parametrize("p", [[np.nan, 1.0], [0.5, np.nan], [np.nan, np.nan], [-0.1, 1.1],
+                               [0.5, 0.6]])
+def test_validate_pmf_rejects_nan_negative_and_missum(p):
+    with pytest.raises(ChannelFormatError):
+        discrete.validate_pmf(p)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(X=st.integers(1, 3), S=st.integers(1, 3), Y=st.integers(1, 3), Y1=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1),
+       defect=st.sampled_from(["none", "nan", "negative", "missum"]))
+def test_validation_accepts_pmfs_and_rejects_any_bad_entry(X, S, Y, Y1, seed, defect):
+    rng = np.random.default_rng(seed)
+    W = _zeroed_pmfs(rng, (X, S), Y * Y1).reshape(X, S, Y, Y1)
+    p = _zeroed_pmfs(rng, (), X)
+    where = tuple(int(rng.integers(n)) for n in W.shape)
+    j = int(rng.integers(X))
+    if defect == "none":
+        Dmc(W, relay_rate=float(rng.uniform(0, 2)))
+        assert np.array_equal(discrete.validate_pmf(p), p)
+        return
+    if defect == "nan":
+        W[where] = p[j] = np.nan
+    elif defect == "negative":
+        W[where] = p[j] = -float(rng.uniform(1e-9, 1.0))
+    else:   # one entry off by more than the tolerance, so its sum misses 1
+        off = float(rng.uniform(1e-9, 1.0))
+        W[where] += off
+        p[j] += off
+    with pytest.raises(ChannelFormatError):
+        Dmc(W)
+    with pytest.raises(ChannelFormatError):
+        discrete.validate_pmf(p)
 
 
 def test_dmc_json_round_trip():
@@ -162,6 +231,17 @@ def test_mi_chain_rule_equals_conditional_sum(U, X, O, seed):
                  for u in range(U) if Pux[u].sum() > 0)
     assert abs(chain - direct) < 1e-12
     assert chain >= -1e-12
+
+
+def test_mi_grid_oracle_matches_exhaustive_oracle():
+    rng = np.random.default_rng(3)
+    W = rng.dirichlet(np.ones(4), size=(3, 2))
+    P = _zeroed_pmfs(rng, (5,), 3)
+    Q = _zeroed_pmfs(rng, (4,), 2)
+    grid = mi_grid(P, Q, W)
+    for i, q in enumerate(Q):
+        for j, p in enumerate(P):
+            assert abs(grid[i, j] - exhaustive_mi(p, q, W)) < 1e-12
 
 
 def test_mi_dimension_mismatch():
@@ -362,6 +442,15 @@ def test_df_general_dominates_special_modes():
         assert v_aux >= v_dir - 1e-6
 
 
+def test_df_aux_below_input_size():
+    # |U| < |X| leaves no room for the U = X start; the search still starts
+    # from the direct optimum, so it ends no lower than the direct mode
+    W = np.random.default_rng(7).dirichlet(np.ones(6), size=(3, 2)).reshape(3, 2, 3, 2)
+    for dmc, aux in ((binary_pipe_dmc(), 1), (Dmc(W, relay_rate=0.4), 2)):
+        v_aux = df_bound(dmc, aux_size=aux, opts=FAST)
+        assert v_aux >= df_bound(dmc, mode="direct", opts=FAST) - 1e-9
+
+
 def test_df_cutset_sandwich_randomized():
     rng = np.random.default_rng(8)
     for _ in range(5):
@@ -446,8 +535,13 @@ def test_minimax_orders_agree_on_reversely_strongly_degraded():
 
 def test_minimax_orders_agree_on_strongly_degraded_program():
     # both nestings of the pipe-limited program
-    # min{ I_q(X;Y) + C1, I(X;Y1) } agree (concave in p, quasi-convex in q)
+    # min{ I_q(X;Y) + C1, I(X;Y1) } agree (concave in p, quasi-convex in q);
+    # it is also the program classification clause 3 solves
     rng = np.random.default_rng(13)
+    ps = np.linspace(1e-6, 1 - 1e-6, 201)
+    qs = np.linspace(0, 1, 201)
+    P = np.stack([ps, 1 - ps], axis=1)
+    Q = np.stack([qs, 1 - qs], axis=1)
     for _ in range(3):
         A = rng.dirichlet(np.ones(2), size=2)            # state-free (X, Y1)
         B = rng.dirichlet(np.ones(3), size=(2, 2))       # (Y1, S, Y)
@@ -456,20 +550,31 @@ def test_minimax_orders_agree_on_strongly_degraded_program():
         # order max_p min_q via the library's full decode-forward mode
         v_pq = df_bound(dmc, mode="full", opts=FAST)
         # order min_q max_p via an exhaustive nested grid (independent)
-        W_y = dmc.receiver_marginal()
-        ps = np.linspace(1e-6, 1 - 1e-6, 201)
-        qs = np.linspace(0, 1, 201)
-        v_qp = np.inf
-        for qa in qs:
-            q = np.array([qa, 1 - qa])
-            best = -np.inf
-            for pa in ps:
-                p = np.array([pa, 1 - pa])
-                v = min(mutual_information(p, q, W_y) + dmc.relay_rate,
-                        mutual_information(p, q, dmc.relay_marginal()))
-                best = max(best, v)
-            v_qp = min(v_qp, best)
+        v = np.minimum(mi_grid(P, Q, dmc.receiver_marginal()) + dmc.relay_rate,
+                       mi_grid(P, Q, dmc.relay_marginal()))
+        v_qp = v.max(axis=1).min()
         assert abs(v_qp - v_pq) < 1e-3
+        cls = classify_capacity(dmc, opts=FAST)
+        assert cls.clause == 3 and cls.exact_value == v_pq
+
+
+@pytest.mark.parametrize("seed", [0, 2])
+def test_four_input_min_max_matches_nested_grid(seed):
+    # at |X| = 4 the p pool steering the q search is the p search's own start
+    # grid; the min-max and the cutset agree with an exhaustive nested grid
+    rng = np.random.default_rng(seed)
+    W = rng.dirichlet(np.ones(6), size=(4, 2)).reshape(4, 2, 3, 2)
+    dmc = Dmc(W, relay_rate=0.1)
+    P = simplex_grid(4, 40)
+    qs = np.linspace(0, 1, 201)
+    Q = np.stack([qs, 1 - qs], axis=1)
+    i_y = np.concatenate([mi_grid(P, Qc, dmc.receiver_marginal())
+                          for Qc in np.array_split(Q, 8)])
+    i_j = np.concatenate([mi_grid(P, Qc, dmc.joint_output()) for Qc in np.array_split(Q, 8)])
+    v_mm = i_y.max(axis=1).min()
+    v_cs = np.minimum(i_y + dmc.relay_rate, i_j).max(axis=1).min()
+    assert abs(minimax_receiver_information(dmc, "qp", FAST) - v_mm) < 1e-3
+    assert abs(cutset_bound(dmc, opts=FAST) - v_cs) < 1e-3
 
 
 # ---------------------------------------------------------------------------
