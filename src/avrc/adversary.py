@@ -1,7 +1,7 @@
 """Jammer strategies under the hard power constraint ||s||^2 <= n * Lambda.
 
 Strategies are immutable descriptors; `make_state` is pure given (strategy,
-n, context, rng).  The codebook-aware impostor synthesizes a fake
+n, rng, codebook).  The codebook-aware impostor synthesizes a fake
 transmission through the real encoder and relay map and injects it as the
 state, falling back to all zeros when the fake sequence lands over power.
 """
@@ -65,71 +65,50 @@ def strategy_to_json(strategy: StateStrategy) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class ImpostorContext:
-    """Codebook access handed to codebook-aware strategies by the simulator."""
+def make_state(strategy: StateStrategy, n: int, rng=None, codebook: SfdCodebook | None = None,
+               relay_mode: str = "min_distance"):
+    """Draw one state sequence of length n; always satisfies ||s||^2 <= n*Lambda.
 
-    codebook: SfdCodebook
-    relay_mode: str = "min_distance"
-
-
-@dataclass(frozen=True)
-class ImpostorDraw:
-    state: np.ndarray
-    fallback: bool
-    fake_messages: np.ndarray | None
-    fake_y1: np.ndarray | None
-
-
-def make_state(strategy: StateStrategy, n: int, context=None, rng=None,
-               return_details: bool = False):
-    """Draw one state sequence of length n; always satisfies ||s||^2 <= n*Lambda."""
+    The impostor reads the codebook and the relay mode of the code it attacks."""
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence(strategy.seed))
     budget = n * strategy.Lambda
 
     if strategy.kind == "zero":
         s = np.zeros(n)
-        details = ImpostorDraw(s, False, None, None)
     elif strategy.kind == "fixed":
         s = np.asarray(strategy.vector, dtype=float)
         if s.shape != (n,):
             raise StrategyError(f"fixed vector has length {s.size}, expected {n}")
         if s @ s > budget:
             raise StrategyError("fixed vector violates the power constraint")
-        details = ImpostorDraw(s, False, None, None)
     elif strategy.kind == "iid_gaussian":
         s = rng.normal(0.0, np.sqrt(strategy.variance), n)
         power = s @ s
         if power > budget:
             s = s * np.sqrt(budget / power)
-        details = ImpostorDraw(s, False, None, None)
     else:  # impostor
-        details = _impostor_state(strategy, n, context, rng)
-        s = details.state
+        s = _impostor_state(strategy, n, rng, codebook, relay_mode)
 
     if not s @ s <= budget * (1.0 + 1e-12):
         raise PowerCapError(f"{strategy.kind} state has power {s @ s!r} over the budget {budget!r}")
-    return details if return_details else s
+    return s
 
 
-def _impostor_state(strategy, n, context, rng):
+def _impostor_state(strategy, n, rng, codebook, relay_mode):
     """Fake message + fake relay response, used as the state when under power.
 
     The fake relay observations are the fake direct-band codewords plus fresh
     relay-link noise; the relay map applied to them is the real one.  Over
     power, the state is all zeros.
     """
-    if context is None or not isinstance(context, ImpostorContext):
-        raise StrategyError("impostor strategy needs codebook access in context")
-    cb = context.codebook
-    B = cb.num_blocks
-    if n != B * cb.n:
-        raise StrategyError(f"impostor state length {n} != blocks*n = {B * cb.n}")
-    fake = np.stack([rng.integers(0, cb.m1_count, B - 1),
-                     rng.integers(0, cb.m2_count, B - 1)], axis=1)
-    tx, y1, x1 = transmit(cb, fake, rng, context.relay_mode)
+    if not isinstance(codebook, SfdCodebook):
+        raise StrategyError("impostor strategy needs the codebook")
+    B = codebook.num_blocks
+    if n != B * codebook.n:
+        raise StrategyError(f"impostor state length {n} != blocks*n = {B * codebook.n}")
+    fake = np.stack([rng.integers(0, codebook.m1_count, B - 1),
+                     rng.integers(0, codebook.m2_count, B - 1)], axis=1)
+    tx, _, x1 = transmit(codebook, fake, rng, relay_mode)
     s = (tx.x_prime + x1).ravel()
-    if s @ s > n * strategy.Lambda:
-        return ImpostorDraw(np.zeros(n), True, fake, y1)
-    return ImpostorDraw(s, False, fake, y1)
+    return np.zeros(n) if s @ s > n * strategy.Lambda else s

@@ -7,6 +7,7 @@ All numeric output is printed with 9 significant digits.
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -85,18 +86,7 @@ def _build_parser():
 
 def _cmd_bounds(args):
     params = GaussianSfdParams(P=args.P, P1=args.P1, Lambda=args.Lambda, sigma2=args.sigma2)
-    rep = gaussian.det_code_bounds(params, GridOptions(step=args.step))
-    _emit({
-        "random_capacity": rep.random_capacity,
-        "det_lower": rep.det_lower,
-        "det_upper": rep.det_upper,
-        "direct_transmission": rep.direct_transmission,
-        "random_split": {"alpha": rep.random_split.alpha, "rho": rep.random_split.rho},
-        "lower_split": {"alpha": rep.lower_split.alpha, "rho": rep.lower_split.rho},
-        "upper_split": {"alpha": rep.upper_split.alpha, "rho": rep.upper_split.rho},
-        "lower_feasible": rep.lower_feasible,
-        "upper_feasible": rep.upper_feasible,
-    })
+    _emit(asdict(gaussian.det_code_bounds(params, GridOptions(step=args.step))))
 
 
 def _cmd_figure(args):
@@ -135,16 +125,7 @@ def _cmd_primitive(args):
         _emit({"df_bound": value, "mode": args.df_mode,
                "aux_size": aux if args.df_mode == "aux" else None})
     else:
-        cls = discrete.classify_capacity(dmc)
-        _emit({
-            "verdict": cls.verdict, "clause": cls.clause,
-            "df_lower": cls.df_lower, "cs_upper": cls.cs_upper,
-            "exact_value": cls.exact_value,
-            "relay_marginal_symmetrizable": cls.relay_marginal_symmetrizable,
-            "joint_output_symmetrizable": cls.joint_output_symmetrizable,
-            "degradedness": cls.degradedness,
-            "aux_size": cls.aux_size,
-        })
+        _emit(asdict(discrete.classify_capacity(dmc)))
 
 
 def _cmd_simulate(args):
@@ -156,11 +137,11 @@ def _cmd_simulate(args):
                              est.trials, est.errors, est.rate,
                              est.ci_low, est.ci_high, est.clip_rate)
         sim.write_attack_csv([row], args.out)
-        _emit(sim.estimate_to_json(est))
+        _emit(asdict(est))
     else:
         rows = sim.attack_sweep(config, sweep["lambdas"], sweep["strategies"], args.workers)
         sim.write_attack_csv(rows, args.out)
-        _emit(sim.sweep_rows_json(rows))
+        _emit([asdict(r) for r in rows])
 
 
 def _cmd_example1(_args):

@@ -125,15 +125,24 @@ class SfdCodebook:
             raise CodecConfigError("delta must satisfy 0 < delta < P")
         if config.n < 1 or config.num_blocks < 2:
             raise CodecConfigError("need n >= 1 and at least 2 blocks")
+        for name in ("rate_relayed", "rate_direct"):
+            rate = getattr(config, name)
+            if not (np.isfinite(rate) and rate >= 0):
+                raise CodecConfigError(f"{name} must be finite and >= 0, got {rate!r}")
+            # each table holds at least 2^(n*rate) rows; refuse before computing that power
+            if config.n * rate > np.log2(max_table_bytes):
+                raise CodebookBudgetError(
+                    f"{name}={rate!r} at n={config.n} needs 2^{config.n * rate:.6g} codewords, "
+                    f"over the table budget of {max_table_bytes} bytes")
         m1 = int(np.floor(2.0 ** (config.n * config.rate_relayed)))
         m2 = int(np.floor(2.0 ** (config.n * config.rate_direct)))
         if m1 < 2 or m2 < 2:
             raise CodecConfigError(
                 f"message counts ({m1}, {m2}) below 2; raise the rates or n")
-        for cnt in ((m1 + m1 * m2 + 2 * m1) * config.n * 8,):
-            if cnt > max_table_bytes:
-                raise CodebookBudgetError(
-                    f"codeword tables need {cnt} bytes, budget {max_table_bytes}")
+        cnt = (m1 + m1 * m2 + 2 * m1) * config.n * 8
+        if cnt > max_table_bytes:
+            raise CodebookBudgetError(
+                f"codeword tables need {cnt} bytes, budget {max_table_bytes}")
 
         self.config = config
         self.n = config.n

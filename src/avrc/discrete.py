@@ -13,7 +13,7 @@ outer one, and the inner optimum is refined once, at the winner.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
@@ -180,34 +180,20 @@ def symmetrizability(channel, tol: float = 1e-9) -> SymVerdict:
         J = np.full((1, S), 1.0 / S)
         return SymVerdict(True, J, residual_of_witness(W, J))
 
-    nvar = X * S + 1   # J entries plus the residual bound t
-
-    def jidx(x, s):
-        return x * S + s
-
-    rows, rhs = [], []
-    for x in range(X):
-        for xt in range(x + 1, X):
-            for o in range(O):
-                row = np.zeros(nvar)
-                row[[jidx(xt, s) for s in range(S)]] += W[x, :, o]
-                row[[jidx(x, s) for s in range(S)]] -= W[xt, :, o]
-                row[-1] = -1.0
-                rows.append(row.copy())
-                rhs.append(0.0)
-                row[:-1] *= -1.0
-                rows.append(row)
-                rhs.append(0.0)
-    A_ub = np.array(rows)
-    b_ub = np.array(rhs)
-    A_eq = np.zeros((X, nvar))
-    for x in range(X):
-        A_eq[x, x * S:(x + 1) * S] = 1.0
-    b_eq = np.ones(X)
-    c = np.zeros(nvar)
+    # one row pair per (x < xt, o): +-(sum_s W(o|x,s) J(s|xt) - sum_s W(o|xt,s) J(s|x)) <= t
+    x, xt = np.triu_indices(X, 1)
+    pairs = np.arange(x.size)
+    D = np.zeros((x.size, O, X, S))
+    D[pairs, :, xt] = W[x].transpose(0, 2, 1)
+    D[pairs, :, x] = -W[xt].transpose(0, 2, 1)
+    D = D.reshape(-1, X * S)
+    A_ub = np.column_stack([np.stack([D, -D], axis=1).reshape(-1, X * S),
+                            np.full(2 * len(D), -1.0)])
+    A_eq = np.column_stack([np.kron(np.eye(X), np.ones(S)), np.zeros(X)])
+    c = np.zeros(X * S + 1)   # J entries, then the residual bound t
     c[-1] = 1.0
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                  bounds=[(0, None)] * (X * S) + [(0, None)], method="highs")
+    res = linprog(c, A_ub=A_ub, b_ub=np.zeros(len(A_ub)), A_eq=A_eq, b_eq=np.ones(X),
+                  bounds=(0, None), method="highs")
     if not res.success:
         raise RuntimeError(f"symmetrizability LP failed: {res.message}")
     J = np.clip(res.x[:-1].reshape(X, S), 0.0, None)
@@ -227,58 +213,41 @@ class DegradednessReport:
                           # degraded_only | reversely_degraded_only | neither
     degraded: bool
     reversely_degraded: bool
-    factors: dict = field(default_factory=dict)
 
 
-def _safe_div(num, den):
-    out = np.where(den > 0, num, 0.0) / np.where(den > 0, den, 1.0)
-    return out
+def _factors_through(W, parent_axis, tol, state_free=False):
+    """Whether W[x, s, y, y1] = M(parent | x, s) * K(other | parent, s).
+
+    M is the kernel's marginal over the parent output (axis 2 for Y, 3 for
+    Y1).  K is the conditional of the other output given the parent, read off
+    the kernel with x mixed uniformly, and s too when state_free (then K does
+    not depend on s).  Conditionals of zero-mass parents stay uniform; they
+    never enter the residual, since the kernel has no mass there.
+    """
+    other = 5 - parent_axis
+    mixed = (0, 1) if state_free else 0
+    M = W.sum(axis=other, keepdims=True)
+    den = M.sum(axis=mixed, keepdims=True)
+    K = np.where(den > 0, W.sum(axis=mixed, keepdims=True) / np.where(den > 0, den, 1.0),
+                 1.0 / W.shape[other])
+    return bool(np.abs(M * K - W).max() <= tol)
 
 
 def degradedness_classify(dmc: Dmc, tol: float = 1e-9) -> DegradednessReport:
-    """Test the two factorizations of the kernel and their state-independent forms.
+    """Label the kernel by which factorizations it passes.
 
-    Candidate factors are extracted from conditionals of the kernel (inputs
-    mixed uniformly); conditionals of zero-probability events default to
-    uniform rows, which never enter the reconstruction residual because the
-    corresponding kernel mass is zero.
+    degraded:            the relay observation Y1 is the parent of Y;
+    reversely degraded:  Y is the parent of Y1;
+    reversely strongly:  Y is the parent of Y1 through a state-free factor;
+    strongly degraded:   degraded, and the relay marginal does not depend on s.
     """
     W = dmc.kernel
-    X, S, Y, Y1 = W.shape
-    m_relay = dmc.relay_marginal()       # (X,S,Y1)
-    m_recv = dmc.receiver_marginal()     # (X,S,Y)
-
-    # degraded: W = m_relay(y1|x,s) * B(y|y1,s)
-    num = W.sum(axis=0)                  # (S,Y,Y1)
-    den = m_relay.sum(axis=0)            # (S,Y1)
-    B = _safe_div(num.transpose(2, 0, 1), den.T[:, :, None])   # (Y1,S,Y)
-    B = np.where(den.T[:, :, None] > 0, B, 1.0 / Y)
-    recon = np.einsum("xsk,ksy->xsyk", m_relay, B)
-    degraded = bool(np.abs(recon - W).max() <= tol)
-
-    # reversely degraded: W = m_recv(y|x,s) * B1(y1|y,s)
-    num_r = W.sum(axis=0)                # (S,Y,Y1)
-    den_r = m_recv.sum(axis=0)           # (S,Y)
-    B1 = _safe_div(num_r.transpose(1, 0, 2), den_r.T[:, :, None])  # (Y,S,Y1)
-    B1 = np.where(den_r.T[:, :, None] > 0, B1, 1.0 / Y1)
-    recon_r = np.einsum("xsy,ysk->xsyk", m_recv, B1)
-    reversely = bool(np.abs(recon_r - W).max() <= tol)
-
-    # strongly degraded: relay marginal state-independent on top of degraded
-    relay_dev = float(np.abs(m_relay - m_relay.mean(axis=1, keepdims=True)).max())
-    strongly = degraded and relay_dev <= tol
-
-    # reversely strongly degraded: a single B1(y1|y) reconstructs the kernel
-    num_p = W.sum(axis=(0, 1))           # (Y,Y1)
-    den_p = m_recv.sum(axis=(0, 1))      # (Y,)
-    B1p = _safe_div(num_p, den_p[:, None])
-    B1p = np.where(den_p[:, None] > 0, B1p, 1.0 / Y1)
-    recon_p = np.einsum("xsy,yk->xsyk", m_recv, B1p)
-    reversely_strongly = bool(np.abs(recon_p - W).max() <= tol)
-
-    if strongly:
+    m_relay = dmc.relay_marginal()
+    degraded = _factors_through(W, 3, tol)
+    reversely = _factors_through(W, 2, tol)
+    if degraded and np.abs(m_relay - m_relay.mean(axis=1, keepdims=True)).max() <= tol:
         label = "strongly_degraded"
-    elif reversely_strongly:
+    elif _factors_through(W, 2, tol, state_free=True):
         label = "reversely_strongly_degraded"
     elif degraded:
         label = "degraded_only"
@@ -286,15 +255,7 @@ def degradedness_classify(dmc: Dmc, tol: float = 1e-9) -> DegradednessReport:
         label = "reversely_degraded_only"
     else:
         label = "neither"
-    factors = {
-        "relay_marginal": m_relay,
-        "receiver_marginal": m_recv,
-        "degraded_factor": B,
-        "reverse_factor": B1,
-        "state_free_reverse_factor": B1p,
-    }
-    return DegradednessReport(label=label, degraded=degraded,
-                              reversely_degraded=reversely, factors=factors)
+    return DegradednessReport(label=label, degraded=degraded, reversely_degraded=reversely)
 
 
 # ---------------------------------------------------------------------------
@@ -578,31 +539,24 @@ def classify_capacity(dmc: Dmc, tol: float = 1e-9,
 
     relay = symmetrizability(dmc.relay_marginal(), tol)
     deg = degradedness_classify(dmc, tol)
-    if not relay.symmetrizable and dmc.relay_rate > 0:
-        if deg.label == "reversely_strongly_degraded":
-            v = minimax_receiver_information(dmc, "qp", opts)
-            return CapacityClassification("equals_random_capacity", 2, v, v, v,
+    clause_1 = not relay.symmetrizable and dmc.relay_rate > 0
+    if clause_1 and deg.label == "reversely_strongly_degraded":
+        v = minimax_receiver_information(dmc, "qp", opts)
+        return CapacityClassification("equals_random_capacity", 2, v, v, v,
+                                      False, False, deg.label)
+    if clause_1 and deg.label == "strongly_degraded":
+        m1 = dmc.relay_marginal().mean(axis=1)   # (X,Y1), state-free
+        if np.abs(m1[:, None, :] - m1[None, :, :]).max() > tol:   # distinct relay rows
+            # the relay term does not depend on q here, so this is
+            # max_p min{ min_q I(X;Y) + C1, I(X;Y1) }
+            v = df_bound(dmc, None, mode="full", opts=opts)
+            return CapacityClassification("equals_random_capacity", 3, v, v, v,
                                           False, False, deg.label)
-        if deg.label == "strongly_degraded":
-            m1 = deg.factors["relay_marginal"].mean(axis=1)   # (X,Y1), state-free
-            rows_distinct = bool(np.abs(m1[:, None, :] - m1[None, :, :]).max() > tol)
-            if rows_distinct:
-                # the relay term does not depend on q here, so this is
-                # max_p min{ min_q I(X;Y) + C1, I(X;Y1) }
-                v = df_bound(dmc, None, mode="full", opts=opts)
-                return CapacityClassification("equals_random_capacity", 3, v, v, v,
-                                              False, False, deg.label)
-        aux = dmc.nx + 1
-        r_df = df_bound(dmc, None, aux, "aux", opts)
-        r_cs = cutset_bound(dmc, None, opts)
-        return CapacityClassification("equals_random_capacity", 1, r_df, r_cs, None,
-                                      False, False, deg.label, aux_size=aux)
-
     aux = dmc.nx + 1
-    r_df = df_bound(dmc, None, aux, "aux", opts)
-    r_cs = cutset_bound(dmc, None, opts)
-    return CapacityClassification("undetermined", None, r_df, r_cs, None,
-                                  relay.symmetrizable, False, deg.label, aux_size=aux)
+    return CapacityClassification(
+        "equals_random_capacity" if clause_1 else "undetermined", 1 if clause_1 else None,
+        df_bound(dmc, None, aux, "aux", opts), cutset_bound(dmc, None, opts), None,
+        relay.symmetrizable, False, deg.label, aux_size=aux)
 
 
 # ---------------------------------------------------------------------------

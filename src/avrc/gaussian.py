@@ -350,6 +350,9 @@ def figure_sweep(p_values, Lambda: float, sigma2: float,
 
 def sweep_range(p_min: float, p_max: float, step: float):
     """Inclusive arithmetic grid from p_min to p_max."""
+    for name, v in (("pmin", p_min), ("pmax", p_max), ("step", step)):
+        if not np.isfinite(v):
+            raise GaussianParamError(f"{name} must be finite, got {v!r}")
     if step <= 0:
         raise GaussianParamError("step must be > 0")
     if p_max < p_min:

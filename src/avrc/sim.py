@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .adversary import ImpostorContext, StateStrategy, make_state, strategy_from_json, strategy_to_json
+from .adversary import StateStrategy, make_state, strategy_from_json, strategy_to_json
 from .codec import (
     CodebookConfig,
     PowerCapError,
@@ -107,8 +107,7 @@ def _trial(config, codebook, t):
                  n * p.P + slack)
     _check_power("x1", np.einsum("bi,bi->b", x1, x1), n * p.P1 + slack)
 
-    context = ImpostorContext(cb, config.relay_mode)
-    s = make_state(config.strategy, B * n, context=context, rng=rng_jam).reshape(B, n)
+    s = make_state(config.strategy, B * n, rng_jam, cb, config.relay_mode).reshape(B, n)
 
     res = decode_backward(cb, destination_observation(tx, x1, s, perm))
     rel_err = res.m_relayed != msgs[:, 0]
@@ -197,34 +196,22 @@ def write_attack_csv(rows, path):
                      f"{r.rate:.9g},{r.ci_low:.9g},{r.ci_high:.9g},{r.clip_rate:.9g}\n")
 
 
-def sweep_rows_json(rows):
-    return [{"Lambda": r.Lambda, "strategy": r.strategy, "trials": r.trials,
-             "errors": r.errors, "rate": r.rate, "ci_low": r.ci_low,
-             "ci_high": r.ci_high, "clip_rate": r.clip_rate} for r in rows]
-
-
-def estimate_to_json(est: ErrorEstimate) -> dict:
-    return {"trials": est.trials, "errors": est.errors, "rate": est.rate,
-            "ci_low": est.ci_low, "ci_high": est.ci_high,
-            "relayed_block_errors": list(est.relayed_block_errors),
-            "direct_block_errors": list(est.direct_block_errors),
-            "clip_rate": est.clip_rate, "tie_count": est.tie_count}
-
-
 def sim_config_from_json(obj) -> tuple:
     """Parse a full simulation request; returns (SimConfig, sweep dict or None)."""
     if isinstance(obj, (str, bytes)):
         obj = json.loads(obj)
-    config = codebook_config_from_json(obj["codebook"])
-    sim = SimConfig(codebook=config,
-                    strategy=strategy_from_json(obj["strategy"]),
-                    trials=int(obj["trials"]),
-                    master_seed=int(obj.get("master_seed", 0)),
-                    relay_mode=obj.get("relay_mode", "min_distance"),
-                    permute=bool(obj.get("permute", False)))
-    sweep = obj.get("sweep")
-    if sweep is not None:
-        sweep = {"lambdas": [float(v) for v in sweep["lambdas"]],
-                 "strategies": [strategy_from_json(s) for s in sweep.get(
-                     "strategies", [strategy_to_json(sim.strategy)])]}
+    try:
+        sim = SimConfig(codebook=codebook_config_from_json(obj["codebook"]),
+                        strategy=strategy_from_json(obj["strategy"]),
+                        trials=int(obj["trials"]),
+                        master_seed=int(obj.get("master_seed", 0)),
+                        relay_mode=obj.get("relay_mode", "min_distance"),
+                        permute=bool(obj.get("permute", False)))
+        sweep = obj.get("sweep")
+        if sweep is not None:
+            sweep = {"lambdas": [float(v) for v in sweep["lambdas"]],
+                     "strategies": [strategy_from_json(s) for s in sweep.get(
+                         "strategies", [strategy_to_json(sim.strategy)])]}
+    except KeyError as exc:
+        raise SimConfigError(f"simulation config is missing the key {exc}") from exc
     return sim, sweep

@@ -2,10 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avrc import adversary
 from avrc.adversary import (
-    ImpostorContext,
     StateStrategy,
     StrategyError,
     make_state,
@@ -62,34 +63,31 @@ def test_impostor_requires_context():
 
 def test_impostor_replay_contract():
     cb = small_codebook()
-    ctx = ImpostorContext(cb, relay_mode="min_distance")
     strat = StateStrategy("impostor", Lambda=1.0, seed=9)
+    s = make_state(strat, cb.num_blocks * cb.n, rng=np.random.default_rng(42), codebook=cb)
+    assert s.any()   # under power, so no fallback
+    # replay from a fresh rng with the same seed, in the impostor's draw order:
+    # fake m1, fake m2, the relay noise, then the real encoder and relay map
     rng = np.random.default_rng(42)
-    draw = make_state(strat, cb.num_blocks * cb.n, context=ctx, rng=rng, return_details=True)
-    assert not draw.fallback
-    # replay: the emitted state is exactly fake-encoder plus fake-relay output
-    tx = encode(cb, draw.fake_messages)
-    _, x1 = relay_chain(cb, draw.fake_y1, "min_distance")
-    rebuilt = (tx.x_prime + x1).ravel()
-    assert np.array_equal(draw.state, rebuilt)
-    assert draw.state @ draw.state <= cb.num_blocks * cb.n * 1.0
+    B = cb.num_blocks
+    fake = np.stack([rng.integers(0, cb.m1_count, B - 1),
+                     rng.integers(0, cb.m2_count, B - 1)], axis=1)
+    tx = encode(cb, fake)
+    y1 = tx.x_direct + rng.normal(0.0, np.sqrt(cb.config.params.sigma2), (B, cb.n))
+    _, x1 = relay_chain(cb, y1, "min_distance")
+    assert np.array_equal(s, (tx.x_prime + x1).ravel())
+    assert s @ s <= cb.num_blocks * cb.n * 1.0
 
 
 def test_impostor_fallback_when_over_power():
     # every fake transmission carries about (alpha + gamma) * P of per-symbol
     # power, far above this tiny budget, so the zero fallback must fire
     cb = small_codebook(P=0.2, P1=0.2)
-    ctx = ImpostorContext(cb)
     strat = StateStrategy("impostor", Lambda=0.05, seed=1)
-    falls = 0
     for t in range(50):
-        rng = np.random.default_rng((1, t))
-        draw = make_state(strat, cb.num_blocks * cb.n, context=ctx, rng=rng,
-                          return_details=True)
-        falls += draw.fallback
-        if draw.fallback:
-            assert not draw.state.any()
-    assert falls == 50
+        s = make_state(strat, cb.num_blocks * cb.n, rng=np.random.default_rng((1, t)),
+                       codebook=cb)
+        assert s.shape == (cb.num_blocks * cb.n,) and not s.any()
 
 
 def test_strategy_json_round_trip():
@@ -122,24 +120,31 @@ def test_strategy_rejects_non_finite_inputs(kind, Lambda, variance, field):
         StateStrategy(kind, Lambda=Lambda, variance=variance)
 
 
-def test_hard_constraint_universal_randomized():
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["zero", "fixed", "iid_gaussian", "impostor"]),
+       lam=st.floats(0.01, 4.0), scale=st.floats(0.0, 3.0), seed=st.integers(0, 2**32 - 1))
+def test_hard_constraint_universal_randomized(kind, lam, scale, seed):
+    # every kind stays within n * Lambda or refuses: a fixed vector over the
+    # budget raises, the others rescale or fall back to zero
     cb = small_codebook()
-    ctx = ImpostorContext(cb)
     n = cb.num_blocks * cb.n
-    rng = np.random.default_rng(8)
-    for t in range(40):
-        lam = float(rng.uniform(0.1, 2.0))
-        kind = ("zero", "iid_gaussian", "impostor")[t % 3]
-        strat = StateStrategy(kind, Lambda=lam, seed=t,
-                              variance=lam if kind == "iid_gaussian" else None)
-        s = make_state(strat, n, context=ctx, rng=np.random.default_rng((8, t)))
-        assert s @ s <= n * lam * (1 + 1e-12)
+    rng = np.random.default_rng(seed)
+    vector = tuple(scale * np.sqrt(lam) * rng.standard_normal(n)) if kind == "fixed" else None
+    strat = StateStrategy(kind, Lambda=lam, seed=seed, vector=vector,
+                          variance=scale * lam if kind == "iid_gaussian" else None)
+    if kind == "fixed" and np.asarray(vector) @ np.asarray(vector) > n * lam:
+        with pytest.raises(StrategyError):
+            make_state(strat, n, rng=rng, codebook=cb)
+        return
+    s = make_state(strat, n, rng=rng, codebook=cb)
+    assert s.shape == (n,)
+    assert s @ s <= n * lam * (1 + 1e-12)
 
 
 def test_over_power_draw_raises_power_cap_error(monkeypatch):
     # the cap is an explicit check, so it holds under python -O as well
-    def over_power(strategy, n, context, rng):
-        return adversary.ImpostorDraw(np.full(n, 2.0), False, None, None)
+    def over_power(strategy, n, rng, codebook, relay_mode):
+        return np.full(n, 2.0)
 
     monkeypatch.setattr(adversary, "_impostor_state", over_power)
     with pytest.raises(PowerCapError):

@@ -276,3 +276,43 @@ def test_primitive_df_refuses_an_aux_search_over_budget(capsys, tmp_path):
     code, out, err = run_cli(capsys, "primitive", "--channel", str(path), "--bound", "df")
     assert code == 2 and out == ""
     assert "930-point simplex" in err and "budget 200000" in err
+
+
+@pytest.mark.parametrize("flag", ["pmin", "pmax", "step"])
+def test_figure_names_a_non_finite_sweep_input(capsys, tmp_path, flag):
+    values = {"pmin": "1", "pmax": "2", "step": "0.5"}
+    values[flag] = "nan"
+    out_path = tmp_path / "fig.csv"
+    code, out, err = run_cli(capsys, "figure", "--Lambda", "1", "--sigma2", "0.5",
+                             *(a for k, v in values.items() for a in (f"--{k}", v)),
+                             "--out", str(out_path))
+    assert code == 2 and out == ""
+    assert f"{flag} must be finite, got nan" in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("case, field", [("nan_rate", "rate_relayed"),
+                                         ("huge_rate", "rate_relayed"),
+                                         ("no_codebook", "'codebook'")])
+def test_simulate_names_a_bad_codebook_field(capsys, tmp_path, case, field):
+    cfg = {
+        "codebook": {"n": 128, "blocks": 2, "rate_relayed": 0.05, "rate_direct": 0.05,
+                     "P": 4.0, "P1": 4.0, "Lambda": 1.0, "sigma2": 0.25,
+                     "alpha": 0.6, "rho": 0.0, "seed": 3},
+        "strategy": {"kind": "zero", "Lambda": 1.0},
+        "trials": 20,
+    }
+    if case == "nan_rate":
+        cfg["codebook"]["rate_relayed"] = float("nan")
+    elif case == "huge_rate":
+        cfg["codebook"]["rate_relayed"] = 20.0    # 2^2560 codewords
+    else:
+        del cfg["codebook"]
+    cfg_path = tmp_path / "sim.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out_path = tmp_path / "rows.csv"
+    code, out, err = run_cli(capsys, "simulate", "--config", str(cfg_path),
+                             "--out", str(out_path))
+    assert code == 2 and out == ""
+    assert field in err
+    assert not out_path.exists()

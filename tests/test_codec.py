@@ -176,6 +176,21 @@ def test_batched_argmax_corr_matches_a_per_row_loop(K, M, n, stacked, zero_mask,
         assert ties[k] == int((row_corr == row_corr[idx[k]]).sum()) - 1
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 48), blocks=st.integers(2, 5), m1=st.integers(2, 6),
+       m2=st.integers(2, 6), P=st.floats(0.01, 10.0), ratio=st.floats(0.1, 10.0),
+       alpha=st.floats(0.0, 1.0), rho=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_encode_never_exceeds_destination_power(n, blocks, m1, m2, P, ratio, alpha, rho, seed):
+    # the power clip: no emitted x' block carries more than n * alpha * P
+    cb = build_codebook(make_config(n=n, blocks=blocks, m1=m1, m2=m2, P=P, P1=ratio * P,
+                                    alpha=alpha, rho=rho, seed=seed % (1 << 30)))
+    rng = np.random.default_rng(seed)
+    msgs = np.stack([rng.integers(0, cb.m1_count, blocks - 1),
+                     rng.integers(0, cb.m2_count, blocks - 1)], axis=1)
+    xp = encode(cb, msgs).x_prime
+    assert all(row @ row <= n * alpha * P for row in xp)
+
+
 def test_round_trip_zero_state_ideal_relay():
     rng = np.random.default_rng(3)
     for trial in range(20):

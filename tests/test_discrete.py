@@ -344,6 +344,63 @@ def test_degraded_only_with_state_dependent_relay_factor():
     assert rep.label == "degraded_only"
 
 
+def degradedness_oracle(W, tol=1e-9):
+    """The four factor reconstructions written out.  Each conditional is read
+    off the kernel with x summed out (and s too for the state-free factor);
+    rows of zero mass are uniform."""
+    X, S, Y, Y1 = W.shape
+    m_relay, m_recv = W.sum(axis=2), W.sum(axis=3)
+
+    def cond(num, den, k):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(den > 0, num / den, 1.0 / k)
+
+    B = cond(W.sum(axis=0).transpose(2, 0, 1), m_relay.sum(axis=0).T[:, :, None], Y)
+    degraded = np.abs(np.einsum("xsk,ksy->xsyk", m_relay, B) - W).max() <= tol
+    B1 = cond(W.sum(axis=0).transpose(1, 0, 2), m_recv.sum(axis=0).T[:, :, None], Y1)
+    reversely = np.abs(np.einsum("xsy,ysk->xsyk", m_recv, B1) - W).max() <= tol
+    B1p = cond(W.sum(axis=(0, 1)), m_recv.sum(axis=(0, 1))[:, None], Y1)
+    rsd = np.abs(np.einsum("xsy,yk->xsyk", m_recv, B1p) - W).max() <= tol
+    strongly = degraded and np.abs(m_relay - m_relay.mean(axis=1, keepdims=True)).max() <= tol
+    if strongly:
+        return "strongly_degraded", degraded, reversely
+    if rsd:
+        return "reversely_strongly_degraded", degraded, reversely
+    if degraded:
+        return "degraded_only", degraded, reversely
+    return ("reversely_degraded_only" if reversely else "neither"), degraded, reversely
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(X=st.integers(1, 3), S=st.integers(1, 3), Y=st.integers(1, 3), Y1=st.integers(1, 3),
+       kind=st.sampled_from(["degraded", "strongly", "reverse", "reverse_strongly", "free"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_degradedness_labels_match_oracle(X, S, Y, Y1, kind, seed):
+    # factors with exact zeros leave some parent outputs without mass
+    rng = np.random.default_rng(seed)
+    if kind == "degraded":
+        W = np.einsum("xsk,ksy->xsyk", _zeroed_pmfs(rng, (X, S), Y1), _zeroed_pmfs(rng, (Y1, S), Y))
+    elif kind == "strongly":
+        W = np.einsum("xk,ksy->xsyk", _zeroed_pmfs(rng, (X,), Y1), _zeroed_pmfs(rng, (Y1, S), Y))
+    elif kind == "reverse":
+        W = np.einsum("xsy,ysk->xsyk", _zeroed_pmfs(rng, (X, S), Y), _zeroed_pmfs(rng, (Y, S), Y1))
+    elif kind == "reverse_strongly":
+        W = np.einsum("xsy,yk->xsyk", _zeroed_pmfs(rng, (X, S), Y), _zeroed_pmfs(rng, (Y,), Y1))
+    else:
+        W = _zeroed_pmfs(rng, (X, S), Y * Y1).reshape(X, S, Y, Y1)
+    W /= W.sum(axis=(2, 3), keepdims=True)
+    rep = degradedness_classify(Dmc(W, 1.0))
+    assert (rep.label, rep.degraded, rep.reversely_degraded) == degradedness_oracle(W)
+    if kind in ("degraded", "strongly"):
+        assert rep.degraded
+    if kind in ("reverse", "reverse_strongly"):
+        assert rep.reversely_degraded
+    if kind == "strongly":
+        assert rep.label == "strongly_degraded"
+    if kind == "reverse_strongly":
+        assert rep.label in ("strongly_degraded", "reversely_strongly_degraded")
+
+
 def test_mi_bounds_property():
     rng = np.random.default_rng(15)
     for _ in range(20):

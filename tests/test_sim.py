@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -10,10 +11,8 @@ from avrc.sim import (
     SimConfig,
     SimConfigError,
     attack_sweep,
-    estimate_to_json,
     run_monte_carlo,
     sim_config_from_json,
-    sweep_rows_json,
     wilson_interval,
     write_attack_csv,
 )
@@ -93,9 +92,9 @@ def test_attack_sweep_rows_and_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "Lambda,strategy,trials,errors,rate,ci_low,ci_high,clip_rate"
     assert len(lines) == 5
-    mirror = sweep_rows_json(rows)
-    assert set(mirror[0]) == {"Lambda", "strategy", "trials", "errors", "rate",
-                              "ci_low", "ci_high", "clip_rate"}
+    mirror = asdict(rows[0])
+    assert list(mirror) == ["Lambda", "strategy", "trials", "errors", "rate",
+                            "ci_low", "ci_high", "clip_rate"]
     with pytest.raises(SimConfigError):
         attack_sweep(base, [])
 
@@ -110,10 +109,10 @@ def test_single_lambda_single_strategy_row():
 def test_estimate_json_fields():
     cfg = SimConfig(base_codebook_config(), StateStrategy("zero", Lambda=1.0),
                     trials=5, master_seed=0, relay_mode="ideal")
-    blob = estimate_to_json(run_monte_carlo(cfg))
-    assert set(blob) == {"trials", "errors", "rate", "ci_low", "ci_high",
-                         "relayed_block_errors", "direct_block_errors",
-                         "clip_rate", "tie_count"}
+    blob = asdict(run_monte_carlo(cfg))
+    assert list(blob) == ["trials", "errors", "rate", "ci_low", "ci_high",
+                          "relayed_block_errors", "direct_block_errors",
+                          "clip_rate", "tie_count"]
     json.dumps(blob)   # must be serializable as-is
 
 
