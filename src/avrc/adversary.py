@@ -1,7 +1,8 @@
 """Jammer strategies under the hard power constraint ||s||^2 <= n * Lambda.
 
 Strategies are immutable descriptors; `make_state` is pure given (strategy,
-n, rng, codebook).  The codebook-aware impostor synthesizes a fake
+n, rng, codebook), and draws one state per generator when handed a sequence
+of them.  The codebook-aware impostor synthesizes a fake
 transmission through the real encoder and relay map and injects it as the
 state, falling back to all zeros when the fake sequence lands over power.
 """
@@ -10,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import PowerCapError, SfdCodebook, transmit
+from ._fields import int_field
+from .codec import PowerCapError, SfdCodebook, draw_messages, transmit
 
 STRATEGY_KINDS = ("zero", "fixed", "iid_gaussian", "impostor")
 
@@ -48,7 +50,7 @@ def strategy_from_json(obj) -> StateStrategy:
     if isinstance(obj, (str, bytes)):
         obj = json.loads(obj)
     kw = {"kind": obj["kind"], "Lambda": float(obj["Lambda"]),
-          "seed": int(obj.get("seed", 0))}
+          "seed": int_field(obj, "seed", 0)}
     if "variance" in obj and obj["variance"] is not None:
         kw["variance"] = float(obj["variance"])
     if "vector" in obj and obj["vector"] is not None:
@@ -69,46 +71,60 @@ def make_state(strategy: StateStrategy, n: int, rng=None, codebook: SfdCodebook 
                relay_mode: str = "min_distance"):
     """Draw one state sequence of length n; always satisfies ||s||^2 <= n*Lambda.
 
-    The impostor reads the codebook and the relay mode of the code it attacks."""
+    rng is one generator, or a sequence of T generators for a (T, n) stack of
+    states, one drawn from each generator in turn.  The impostor reads the
+    codebook and the relay mode of the code it attacks."""
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence(strategy.seed))
+    single = isinstance(rng, np.random.Generator)
+    rngs = [rng] if single else list(rng)
     budget = n * strategy.Lambda
 
     if strategy.kind == "zero":
-        s = np.zeros(n)
+        s = np.zeros((len(rngs), n))
     elif strategy.kind == "fixed":
-        s = np.asarray(strategy.vector, dtype=float)
-        if s.shape != (n,):
-            raise StrategyError(f"fixed vector has length {s.size}, expected {n}")
-        if s @ s > budget:
+        vec = np.asarray(strategy.vector, dtype=float)
+        if vec.shape != (n,):
+            raise StrategyError(f"fixed vector has length {vec.size}, expected {n}")
+        if vec @ vec > budget:
             raise StrategyError("fixed vector violates the power constraint")
+        s = np.tile(vec, (len(rngs), 1))
     elif strategy.kind == "iid_gaussian":
-        s = rng.normal(0.0, np.sqrt(strategy.variance), n)
-        power = s @ s
-        if power > budget:
-            s = s * np.sqrt(budget / power)
+        s = np.stack([_iid_state(strategy, n, r) for r in rngs])
     else:  # impostor
-        s = _impostor_state(strategy, n, rng, codebook, relay_mode)
+        s = _impostor_state(strategy, n, rngs, codebook, relay_mode)
 
-    if not s @ s <= budget * (1.0 + 1e-12):
-        raise PowerCapError(f"{strategy.kind} state has power {s @ s!r} over the budget {budget!r}")
-    return s
+    s = s.reshape(len(rngs), n)
+    for row in s:
+        if not row @ row <= budget * (1.0 + 1e-12):
+            raise PowerCapError(
+                f"{strategy.kind} state has power {row @ row!r} over the budget {budget!r}")
+    return s[0] if single else s
 
 
-def _impostor_state(strategy, n, rng, codebook, relay_mode):
+def _iid_state(strategy, n, rng):
+    """iid N(0, variance) symbols, rescaled onto the sphere of radius sqrt(n*Lambda)
+    when they land outside it."""
+    s = rng.normal(0.0, np.sqrt(strategy.variance), n)
+    power = s @ s
+    budget = n * strategy.Lambda
+    return s * np.sqrt(budget / power) if power > budget else s
+
+
+def _impostor_state(strategy, n, rngs, codebook, relay_mode):
     """Fake message + fake relay response, used as the state when under power.
 
-    The fake relay observations are the fake direct-band codewords plus fresh
-    relay-link noise; the relay map applied to them is the real one.  Over
-    power, the state is all zeros.
+    Each generator draws its fake m1, fake m2 and then its fake relay-link
+    noise; the fake direct-band codewords plus that noise pass through the
+    real relay map, all trials as one stack.  A fake sequence over power is
+    replaced by all zeros.  Returns (T, n), one state per generator.
     """
     if not isinstance(codebook, SfdCodebook):
         raise StrategyError("impostor strategy needs the codebook")
     B = codebook.num_blocks
     if n != B * codebook.n:
         raise StrategyError(f"impostor state length {n} != blocks*n = {B * codebook.n}")
-    fake = np.stack([rng.integers(0, codebook.m1_count, B - 1),
-                     rng.integers(0, codebook.m2_count, B - 1)], axis=1)
-    tx, _, x1 = transmit(codebook, fake, rng, relay_mode)
-    s = (tx.x_prime + x1).ravel()
-    return np.zeros(n) if s @ s > n * strategy.Lambda else s
+    tx, _, x1 = transmit(codebook, draw_messages(codebook, rngs), rngs, relay_mode)
+    s = (tx.x_prime + x1).reshape(len(rngs), n)
+    s[[row @ row > n * strategy.Lambda for row in s]] = 0.0
+    return s

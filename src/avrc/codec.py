@@ -25,12 +25,19 @@ plus that term read through perm, element by element and in the same order
 of addition.  So the relay sees x'' + z[:, perm] and the destination
 x' + x1 + s[:, perm], the same floats as permuting and un-permuting, and the
 code applies the permutation to the noise and the state alone.
+
+`encode`, `transmit`, `relay_chain`, `destination_observation` and
+`decode_backward` take one trial, or a stack of T trials with a leading trial
+axis, each with its own permutation.  A stack runs the same matrix-vector
+products as its trials one by one, so each trial's floats do not depend on
+the stack it came in.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._fields import int_field
 from .gaussian import LOG2, GaussianSfdParams, PowerSplit, _lower_mask
 
 FIXED_INDEX = 0   # boundary message carried by the final block and block 0's "previous"
@@ -78,11 +85,11 @@ def codebook_config_from_json(obj) -> CodebookConfig:
     params = GaussianSfdParams(P=float(obj["P"]), P1=float(obj["P1"]),
                                Lambda=float(obj["Lambda"]), sigma2=float(obj["sigma2"]))
     return CodebookConfig(
-        n=int(obj["n"]), num_blocks=int(obj["blocks"]),
+        n=int_field(obj, "n"), num_blocks=int_field(obj, "blocks"),
         rate_relayed=float(obj["rate_relayed"]), rate_direct=float(obj["rate_direct"]),
         params=params, split=PowerSplit(alpha=float(obj["alpha"]), rho=float(obj["rho"])),
         delta=None if obj.get("delta") is None else float(obj["delta"]),
-        seed=int(obj.get("seed", 0)))
+        seed=int_field(obj, "seed", 0))
 
 
 def achievable_rate_pair(params: GaussianSfdParams, split: PowerSplit):
@@ -174,35 +181,64 @@ def build_codebook(config: CodebookConfig, max_table_bytes: int = 1 << 30) -> Sf
     return SfdCodebook(config, max_table_bytes)
 
 
+def _stacked(arr, core, what):
+    """arr as a (T, *core) stack of trials, and whether it came as one trial (core)."""
+    if arr.shape == core:
+        return arr[None], True
+    if arr.shape[1:] != core:
+        raise CodecConfigError(f"expected {core} {what}, or a (T, *{core}) stack, "
+                               f"got {arr.shape}")
+    return arr, False
+
+
+def _unstacked(single, *arrays):
+    """The arrays of a stack, or of its one trial when it came as one (see _stacked)."""
+    return tuple(a[0] for a in arrays) if single else arrays
+
+
+def _through(a, perm):
+    """a (..., B, n) read through each trial's permutation perm (..., n): a[..., perm]."""
+    return a if perm is None else np.take_along_axis(a, np.asarray(perm)[..., None, :], axis=-1)
+
+
 @dataclass(frozen=True)
 class Transmission:
     x_prime: np.ndarray         # (B, n) destination-band blocks, clipped blocks zeroed
     x_direct: np.ndarray        # (B, n) relay-band blocks
-    power_clipped: np.ndarray   # (B,) bool
+    power_clipped: np.ndarray   # (B,) bool; each with a leading (T,) for a stack of trials
 
 
 def encode(codebook: SfdCodebook, messages) -> Transmission:
     """Map B-1 message pairs to the B transmitted blocks.
 
-    messages is a (B-1, 2) array of (m1, m2) indices; the final block carries
-    the fixed pair.  A block whose destination component overshoots the
-    budget n*alpha*P is replaced by zero and flagged.
+    messages is a (B-1, 2) array of (m1, m2) indices, or a (T, B-1, 2) stack
+    of T trials, whose arrays then carry the same leading trial axis; the
+    final block carries the fixed pair.  A block whose destination component
+    overshoots the budget n*alpha*P is replaced by zero and flagged.
     """
-    msgs = np.asarray(messages, dtype=int)
-    B = codebook.num_blocks
-    if msgs.shape != (B - 1, 2):
-        raise CodecConfigError(f"expected {(B - 1, 2)} message array, got {msgs.shape}")
-    if (msgs < 0).any() or (msgs[:, 0] >= codebook.m1_count).any() \
-            or (msgs[:, 1] >= codebook.m2_count).any():
+    B, n = codebook.num_blocks, codebook.n
+    msgs, single = _stacked(np.asarray(messages, dtype=int), (B - 1, 2), "message array")
+    if (msgs < 0).any() or (msgs[..., 0] >= codebook.m1_count).any() \
+            or (msgs[..., 1] >= codebook.m2_count).any():
         raise CodecConfigError("message index out of range")
-    chain = np.full((B + 1, 2), FIXED_INDEX)   # row b+1 is block b; row 0 is block 0's previous
-    chain[1:B] = msgs
-    m1 = chain[1:, 0]
-    xp = codebook.x_prime(m1, chain[1:, 1], chain[:-1, 0])
+    T = len(msgs)
+    chain = np.full((T, B + 1, 2), FIXED_INDEX)   # row b+1 is block b; row 0 is block 0's previous
+    chain[:, 1:B] = msgs
+    m1 = chain[:, 1:, 0]
+    xp = codebook.x_prime(m1, chain[:, 1:, 1], chain[:, :-1, 0]).reshape(T * B, n)
     # one dot product per row, the same float as xp[b] @ xp[b]
     clipped = (xp[:, None, :] @ xp[:, :, None])[:, 0, 0] > codebook.clip_budget
     xp[clipped] = 0.0
-    return Transmission(xp, codebook.x2[m1], clipped)
+    return Transmission(*_unstacked(single, xp.reshape(T, B, n), codebook.x2[m1],
+                                    clipped.reshape(T, B)))
+
+
+def draw_messages(codebook: SfdCodebook, rngs):
+    """A (T, B-1, 2) stack of uniform message pairs, one frame per generator:
+    each draws its B-1 m1 indices, then its B-1 m2 indices."""
+    B = codebook.num_blocks
+    return np.array([[r.integers(0, codebook.m1_count, B - 1),
+                      r.integers(0, codebook.m2_count, B - 1)] for r in rngs]).transpose(0, 2, 1)
 
 
 def transmit(codebook: SfdCodebook, messages, rng, relay_mode: str = "min_distance",
@@ -211,22 +247,30 @@ def transmit(codebook: SfdCodebook, messages, rng, relay_mode: str = "min_distan
 
     Returns (tx, y1, x1): the Transmission, the relay observations
     x_direct + z (z[:, perm] under a shared permutation, see the module
-    docstring) and the relay's (B, n) codewords.
+    docstring) and the relay's (B, n) codewords.  For a (T, B-1, 2) stack of
+    messages, rng is a sequence of T generators, each drawing its own trial's
+    z, perm (if any) is (T, n), one permutation per trial, and every array
+    carries the leading trial axis.
     """
-    if perm is not None and not np.array_equal(np.sort(perm), np.arange(codebook.n)):
+    B, n = codebook.num_blocks, codebook.n
+    if perm is not None and (np.shape(perm)[-1:] != (n,)
+                             or (np.sort(perm, axis=-1) != np.arange(n)).any()):
         raise CodecConfigError("perm must be a permutation of range(n)")
     tx = encode(codebook, messages)
-    z = rng.normal(0.0, np.sqrt(codebook.config.params.sigma2), tx.x_direct.shape)
-    y1 = tx.x_direct + (z if perm is None else z[:, perm])
-    true_idx = np.asarray(messages)[:, 0] if relay_mode == "ideal" else None
+    sd = np.sqrt(codebook.config.params.sigma2)
+    rngs = [rng] if tx.x_direct.ndim == 2 else rng
+    z = np.stack([r.normal(0.0, sd, (B, n)) for r in rngs]).reshape(tx.x_direct.shape)
+    y1 = tx.x_direct + _through(z, perm)
+    true_idx = np.asarray(messages)[..., 0] if relay_mode == "ideal" else None
     _, x1 = relay_chain(codebook, y1, relay_mode, true_idx)
     return tx, y1, x1
 
 
 def destination_observation(tx: Transmission, x1, s, perm=None):
     """What the destination decodes: x' + x1 + s, with s[:, perm] under a shared
-    permutation (see the module docstring)."""
-    return tx.x_prime + x1 + (s if perm is None else s[:, perm])
+    permutation (see the module docstring); a stack of trials reads each trial's
+    state through its own permutation."""
+    return tx.x_prime + x1 + _through(s, perm)
 
 
 def _argmax_corr(tables, Y):
@@ -244,35 +288,49 @@ def _argmax_corr(tables, Y):
     return corr.argmax(axis=1), ties, corr
 
 
+def _argmax_corr_direct(codebook: SfdCodebook, m1, Y):
+    """_argmax_corr(beta * v[m1], Y) without the (K, M2, n) gather: the rows
+    sharing an m1 are decided against their one table beta * v[m1], the same
+    matrix-vector products.  Returns (indices (K,), ties (K,))."""
+    idx = np.empty(len(m1), dtype=int)
+    ties = np.empty(len(m1), dtype=int)
+    for m in np.unique(m1):
+        rows = np.flatnonzero(m1 == m)
+        idx[rows], ties[rows], _ = _argmax_corr(codebook.beta * codebook.v[m], Y[rows])
+    return idx, ties
+
+
 def relay_chain(codebook: SfdCodebook, y1_blocks, mode: str = "min_distance",
                 true_indices=None):
     """Run the relay over all blocks: x1 of block 0 is fixed, then one-block delay.
 
-    The estimate for block b reads only y1[b], so all B-1 are decided at once.
-    Returns (estimates (B-1,), x1_blocks (B, n)).
+    The estimate for block b reads only y1[b], so all B-1 are decided at once,
+    and a (T, B, n) stack of trials as one batch.  Returns (estimates (B-1,),
+    x1_blocks (B, n)), each with the stack's leading trial axis.
     """
     B, n = codebook.num_blocks, codebook.n
-    y1_blocks = np.asarray(y1_blocks, dtype=float)
-    if y1_blocks.shape != (B, n):
-        raise CodecConfigError(f"expected {(B, n)} relay observations")
+    y1, single = _stacked(np.asarray(y1_blocks, dtype=float), (B, n), "relay observations")
+    T = len(y1)
     if mode == "ideal":
         if true_indices is None:
             raise CodecConfigError("ideal relay mode needs the true indices")
         est = np.array(true_indices, dtype=int)
-        if est.shape != (B - 1,):
-            raise CodecConfigError(f"ideal relay mode needs {B - 1} true indices")
+        if est.shape != ((B - 1,) if single else (T, B - 1)):
+            raise CodecConfigError(f"ideal relay mode needs {B - 1} true indices per trial")
+        est = est.reshape(T, B - 1)
     elif mode == "min_distance":
-        est = _argmax_corr(codebook.x2, y1_blocks[:-1])[0]
+        est = _argmax_corr(codebook.x2, y1[:, :-1].reshape(-1, n))[0].reshape(T, B - 1)
     else:
         raise CodecConfigError("relay mode must be min_distance or ideal")
-    return est, codebook.x1[np.concatenate(([FIXED_INDEX], est))]
+    x1 = codebook.x1[np.concatenate((np.full((T, 1), FIXED_INDEX), est), axis=1)]
+    return _unstacked(single, est, x1)
 
 
 @dataclass(frozen=True)
 class DecodeResult:
     m_relayed: np.ndarray   # (B-1,) estimates of the m1 stream
     m_direct: np.ndarray    # (B-1,) estimates of the m2 stream
-    tie_count: int
+    tie_count: int          # for a (T, B, n) stack, a (T,) array of per-trial counts
 
 
 def decode_backward(codebook: SfdCodebook, y_blocks) -> DecodeResult:
@@ -283,16 +341,19 @@ def decode_backward(codebook: SfdCodebook, y_blocks) -> DecodeResult:
     Pass 2: with prev = m1_hat[b-1] (fixed index at b=0), m2_hat[b] minimizes
         || y[b] - x1(prev) - x_prime(m1_hat[b], m | prev) ||.
     Pass 2 reads only pass 1's estimates, so the order of the blocks within a
-    pass does not matter.  Exact distance ties resolve to the smallest index
-    and are counted.
+    pass does not matter, and a (T, B, n) stack of trials is decided as one
+    batch, with the trial axis leading every result.  Exact distance ties
+    resolve to the smallest index and are counted.
     """
     B, n = codebook.num_blocks, codebook.n
-    y_blocks = np.asarray(y_blocks, dtype=float)
-    if y_blocks.shape != (B, n):
-        raise CodecConfigError(f"expected {(B, n)} received blocks")
-    scale = 1.0 + codebook.combine
-    m1_hat, ties1, _ = _argmax_corr(scale * codebook.x1, y_blocks[1:])
-    prev = np.concatenate(([FIXED_INDEX], m1_hat[:-1]))
-    resid = y_blocks[:-1] - scale * codebook.x1[prev]
-    m2_hat, ties2, _ = _argmax_corr(codebook.beta * codebook.v[m1_hat], resid)
-    return DecodeResult(m1_hat, m2_hat, int(ties1.sum() + ties2.sum()))
+    y, single = _stacked(np.asarray(y_blocks, dtype=float), (B, n), "received blocks")
+    T = len(y)
+    table = (1.0 + codebook.combine) * codebook.x1
+    m1_hat, ties1, _ = _argmax_corr(table, y[:, 1:].reshape(-1, n))
+    m1_hat = m1_hat.reshape(T, B - 1)
+    prev = np.concatenate((np.full((T, 1), FIXED_INDEX), m1_hat[:, :-1]), axis=1)
+    resid = (y[:, :-1] - table[prev]).reshape(-1, n)
+    m2_hat, ties2 = _argmax_corr_direct(codebook, m1_hat.ravel(), resid)
+    ties = (ties1 + ties2).reshape(T, B - 1).sum(axis=1)
+    m1_hat, m2_hat, ties = _unstacked(single, m1_hat, m2_hat.reshape(T, B - 1), ties)
+    return DecodeResult(m1_hat, m2_hat, int(ties) if single else ties)

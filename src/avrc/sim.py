@@ -5,6 +5,11 @@ plus Gaussian noise of variance sigma2; the destination observes
 x' + x1 + state with no thermal noise.  A trial counts as erroneous when any
 of its B-1 message pairs decodes wrongly.  Per-trial seeds derive from
 (master seed, trial index), so results are identical for any worker count.
+
+The work runs per chunk of trials: a loop draws each trial's two seeded
+streams in the order a trial alone would, and then the chunk is encoded,
+relayed, checked, jammed and decoded as (T, B, n) arrays.  Every tally is a
+sum over trials, so the results are also identical for any chunk size.
 """
 
 import json
@@ -13,6 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._fields import int_field
 from .adversary import StateStrategy, make_state, strategy_from_json, strategy_to_json
 from .codec import (
     CodebookConfig,
@@ -21,9 +27,13 @@ from .codec import (
     codebook_config_from_json,
     decode_backward,
     destination_observation,
+    draw_messages,
     transmit,
 )
 WILSON_Z = 1.959963984540054   # two-sided 95%
+# cap on T*B*n, the symbols of one chunk of trials; a chunk's arrays are a few
+# times this many floats
+_CHUNK_ENTRIES = 1 << 14
 
 
 class SimConfigError(ValueError):
@@ -72,9 +82,11 @@ def wilson_interval(errors: int, trials: int, z: float = WILSON_Z):
 
 
 def resolve_workers(requested=None):
-    """Worker count: the explicit argument (at least 1), else 1.  On a 2-vCPU
-    host, 2 threads ran the mc_impostor and mc_sweep_permuted workloads at
-    about half the 1-thread speed; hosts with more cores have not been measured."""
+    """Worker count: the explicit argument (at least 1), else 1.  Threads take
+    whole chunks of trials.  On a 2-vCPU host, 2 threads ran the chunked
+    mc_impostor workload at 0.71 of the 1-thread speed and mc_sweep_permuted at
+    0.38 (the per-trial loop: 0.41 and 0.33), so 1 stays the default; hosts
+    with more cores have not been measured."""
     workers = 1 if requested is None else int(requested)
     if workers < 1:
         raise SimConfigError(f"workers must be >= 1, got {requested!r}")
@@ -87,58 +99,61 @@ def _check_power(name, energies, budget):
         raise PowerCapError(f"{name} block energy {energies.max()!r} exceeds {budget!r}")
 
 
-def _trial(config, codebook, t):
-    rng = np.random.default_rng(np.random.SeedSequence([config.master_seed, t]))
-    rng_jam = np.random.default_rng(
-        np.random.SeedSequence([config.strategy.seed, config.master_seed, t]))
+def _run_chunk(config, codebook, trials):
+    """Error tallies of a range of trials: (errors, relayed block errors (B-1,),
+    direct block errors (B-1,), clipped blocks, ties).
+
+    Each trial's two streams are drawn as for a trial alone: its own stream
+    draws m1, m2, the permutation and then the relay noise; the jammer's
+    stream draws the state.  The chunk is then encoded, relayed, checked,
+    jammed and decoded as (T, B, n) arrays.
+    """
     cb = codebook
     B, n = cb.num_blocks, cb.n
-
-    msgs = np.stack([rng.integers(0, cb.m1_count, B - 1),
-                     rng.integers(0, cb.m2_count, B - 1)], axis=1)
-    perm = rng.permutation(n) if config.permute else None
-    tx, _, x1 = transmit(cb, msgs, rng, config.relay_mode, perm)
+    rngs = [np.random.default_rng(np.random.SeedSequence([config.master_seed, t]))
+            for t in trials]
+    jam_rngs = [np.random.default_rng(
+        np.random.SeedSequence([config.strategy.seed, config.master_seed, t])) for t in trials]
+    msgs = draw_messages(cb, rngs)
+    perm = np.stack([rng.permutation(n) for rng in rngs]) if config.permute else None
+    tx, _, x1 = transmit(cb, msgs, rngs, config.relay_mode, perm)
 
     p = cb.config.params
     slack = 1e-9 * n
-    e_prime = np.einsum("bi,bi->b", tx.x_prime, tx.x_prime)
+    x_prime, x_direct = tx.x_prime.reshape(-1, n), tx.x_direct.reshape(-1, n)
+    e_prime = np.einsum("bi,bi->b", x_prime, x_prime)
     _check_power("x'", e_prime, n * cb.config.split.alpha * p.P + slack)
-    _check_power("x' + x''", e_prime + np.einsum("bi,bi->b", tx.x_direct, tx.x_direct),
+    _check_power("x' + x''", e_prime + np.einsum("bi,bi->b", x_direct, x_direct),
                  n * p.P + slack)
-    _check_power("x1", np.einsum("bi,bi->b", x1, x1), n * p.P1 + slack)
+    x1_rows = x1.reshape(-1, n)
+    _check_power("x1", np.einsum("bi,bi->b", x1_rows, x1_rows), n * p.P1 + slack)
 
-    s = make_state(config.strategy, B * n, rng_jam, cb, config.relay_mode).reshape(B, n)
+    s = make_state(config.strategy, B * n, jam_rngs, cb, config.relay_mode).reshape(-1, B, n)
 
     res = decode_backward(cb, destination_observation(tx, x1, s, perm))
-    rel_err = res.m_relayed != msgs[:, 0]
-    dir_err = res.m_direct != msgs[:, 1]
-    return (bool(rel_err.any() or dir_err.any()), rel_err, dir_err,
-            int(tx.power_clipped.sum()), res.tie_count)
+    rel_err = res.m_relayed != msgs[..., 0]
+    dir_err = res.m_direct != msgs[..., 1]
+    return (int((rel_err | dir_err).any(axis=1).sum()), rel_err.sum(axis=0),
+            dir_err.sum(axis=0), int(tx.power_clipped.sum()), int(res.tie_count.sum()))
 
 
-def run_monte_carlo(config: SimConfig, workers=None) -> ErrorEstimate:
-    """Estimate the message error rate of the configured code under attack."""
-    nworkers = resolve_workers(workers)
-    codebook = build_codebook(config.codebook)
+def _estimate(config: SimConfig, codebook, workers) -> ErrorEstimate:
+    """run_monte_carlo on a built codebook, in chunks of at most _CHUNK_ENTRIES
+    trial symbols; a thread takes whole chunks."""
     B = codebook.num_blocks
-    results = [None] * config.trials
+    size = max(1, _CHUNK_ENTRIES // (B * codebook.n))
+    chunks = [range(lo, min(lo + size, config.trials)) for lo in range(0, config.trials, size)]
 
-    def run_range(indices):
-        for t in indices:
-            results[t] = _trial(config, codebook, t)
+    def run(trials):
+        return _run_chunk(config, codebook, trials)
 
-    if nworkers == 1:
-        run_range(range(config.trials))
+    if workers == 1:
+        tallies = list(map(run, chunks))
     else:
-        chunks = [range(w, config.trials, nworkers) for w in range(nworkers)]
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            list(pool.map(run_range, chunks))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            tallies = list(pool.map(run, chunks))
 
-    errors = sum(r[0] for r in results)
-    rel = np.sum([r[1] for r in results], axis=0).astype(int)
-    dr = np.sum([r[2] for r in results], axis=0).astype(int)
-    clipped = sum(r[3] for r in results)
-    ties = sum(r[4] for r in results)
+    errors, rel, dr, clipped, ties = (sum(column) for column in zip(*tallies))
     lo, hi = wilson_interval(errors, config.trials)
     return ErrorEstimate(
         trials=config.trials, errors=errors, rate=errors / config.trials,
@@ -146,6 +161,12 @@ def run_monte_carlo(config: SimConfig, workers=None) -> ErrorEstimate:
         relayed_block_errors=tuple(int(v) for v in rel),
         direct_block_errors=tuple(int(v) for v in dr),
         clip_rate=clipped / (config.trials * B), tie_count=ties)
+
+
+def run_monte_carlo(config: SimConfig, workers=None) -> ErrorEstimate:
+    """Estimate the message error rate of the configured code under attack."""
+    nworkers = resolve_workers(workers)
+    return _estimate(config, build_codebook(config.codebook), nworkers)
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +198,11 @@ def attack_sweep(base: SimConfig, lambda_grid, strategies=None, workers=None):
     # build (and so check) every row's config before any codebook is built
     configs = [replace(base, strategy=replace(strat, Lambda=lam))
                for lam in sorted(lambdas) for strat in sorted(strategies, key=lambda s: s.kind)]
+    nworkers = resolve_workers(workers)
+    codebook = build_codebook(base.codebook)
     rows = []
     for cfg in configs:
-        est = run_monte_carlo(cfg, workers)
+        est = _estimate(cfg, codebook, nworkers)
         rows.append(SweepEntry(cfg.strategy.Lambda, cfg.strategy.kind, est.trials, est.errors,
                                est.rate, est.ci_low, est.ci_high, est.clip_rate))
     return rows
@@ -203,8 +226,8 @@ def sim_config_from_json(obj) -> tuple:
     try:
         sim = SimConfig(codebook=codebook_config_from_json(obj["codebook"]),
                         strategy=strategy_from_json(obj["strategy"]),
-                        trials=int(obj["trials"]),
-                        master_seed=int(obj.get("master_seed", 0)),
+                        trials=int_field(obj, "trials"),
+                        master_seed=int_field(obj, "master_seed", 0),
                         relay_mode=obj.get("relay_mode", "min_distance"),
                         permute=bool(obj.get("permute", False)))
         sweep = obj.get("sweep")

@@ -316,3 +316,59 @@ def test_simulate_names_a_bad_codebook_field(capsys, tmp_path, case, field):
     assert code == 2 and out == ""
     assert field in err
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("path, value", [
+    (("codebook", "n"), 48.9), (("codebook", "blocks"), 2.5), (("codebook", "seed"), 2.9),
+    (("trials",), 20.9), (("master_seed",), 3.7), (("strategy", "seed"), 1.5),
+    (("sweep", "strategies", 0, "seed"), 0.5), (("codebook", "n"), "48"),
+])
+def test_simulate_rejects_a_fractional_integer_field(capsys, tmp_path, path, value):
+    # each was truncated (48.9 read as n = 48) before; now exit 2 naming the field
+    cfg = {
+        "codebook": {"n": 48, "blocks": 2, "rate_relayed": 0.05, "rate_direct": 0.05,
+                     "P": 4.0, "P1": 4.0, "Lambda": 1.0, "sigma2": 0.25,
+                     "alpha": 0.6, "rho": 0.0, "seed": 3},
+        "strategy": {"kind": "zero", "Lambda": 1.0, "seed": 0},
+        "trials": 20,
+        "master_seed": 2,
+        "sweep": {"lambdas": [1.0], "strategies": [{"kind": "zero", "Lambda": 1.0, "seed": 0}]},
+    }
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    cfg_path, out_path = tmp_path / "sim.json", tmp_path / "rows.csv"
+    cfg_path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(capsys, "simulate", "--config", str(cfg_path),
+                             "--out", str(out_path))
+    assert code == 2 and out == ""
+    assert f"{path[-1]} must be an integer, got {value!r}" in err
+    assert not out_path.exists()
+
+
+def test_simulate_reads_an_integral_float_as_its_int(capsys, tmp_path):
+    cfg = {
+        "codebook": {"n": 48.0, "blocks": 2, "rate_relayed": 0.05, "rate_direct": 0.05,
+                     "P": 4.0, "P1": 4.0, "Lambda": 1.0, "sigma2": 0.25,
+                     "alpha": 0.6, "rho": 0.0, "seed": 3},
+        "strategy": {"kind": "zero", "Lambda": 1.0},
+        "trials": 20.0,
+    }
+    cfg_path, out_path = tmp_path / "sim.json", tmp_path / "rows.csv"
+    cfg_path.write_text(json.dumps(cfg))
+    code, out, _ = run_cli(capsys, "simulate", "--config", str(cfg_path),
+                           "--out", str(out_path))
+    assert code == 0 and json.loads(out)["trials"] == 20
+
+
+@pytest.mark.parametrize("dim", ["X", "S", "Y", "Y1"])
+def test_primitive_rejects_a_fractional_channel_dimension(capsys, tmp_path, dim):
+    obj = dmc_to_json(binary_pipe_dmc())
+    obj[dim] += 0.5
+    path = tmp_path / "frac.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "primitive", "--channel", str(path),
+                             "--bound", "classify")
+    assert code == 2 and out == ""
+    assert f"{dim} must be an integer, got {obj[dim]!r}" in err

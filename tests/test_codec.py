@@ -8,6 +8,7 @@ from avrc.codec import (
     CodebookConfig,
     CodecConfigError,
     _argmax_corr,
+    _argmax_corr_direct,
     achievable_rate_pair,
     build_codebook,
     decode_backward,
@@ -174,6 +175,56 @@ def test_batched_argmax_corr_matches_a_per_row_loop(K, M, n, stacked, zero_mask,
         assert np.array_equal(corr[k], row_corr)          # the same bits
         assert idx[k] == int(np.argmax(row_corr))
         assert ties[k] == int((row_corr == row_corr[idx[k]]).sum()) - 1
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(K=st.integers(1, 12), m1=st.integers(2, 5), m2=st.integers(2, 7), n=st.integers(1, 40),
+       rho=st.sampled_from([0.0, 0.5, 1.0]), zero_mask=st.integers(0, 4095),
+       seed=st.integers(0, 2**32 - 1))
+def test_grouped_second_pass_matches_the_gathered_tables(K, m1, m2, n, rho, zero_mask, seed):
+    # deciding the rows that share an m1 against one table beta * v[m1] gives
+    # the indices and tie counts of _argmax_corr over the gathered stack, bit
+    # for bit; at rho = 1, beta = 0 and every row ties
+    cb = build_codebook(make_config(n=n, m1=m1, m2=m2, rho=rho, seed=seed % (1 << 30)))
+    rng = np.random.default_rng(seed)
+    keys = rng.integers(0, cb.m1_count, K)
+    Y = rng.normal(size=(K, n))
+    Y[[k for k in range(K) if zero_mask >> k & 1]] = 0.0
+    idx, ties = _argmax_corr_direct(cb, keys, Y)
+    gathered_idx, gathered_ties, _ = _argmax_corr(cb.beta * cb.v[keys], Y)
+    assert np.array_equal(idx, gathered_idx)
+    assert np.array_equal(ties, gathered_ties)
+
+
+def test_a_stack_of_trials_matches_each_trial_alone():
+    # encode, transmit, relay_chain, destination_observation and decode_backward
+    # take a leading trial axis; each trial of the stack is that trial alone
+    cb = build_codebook(make_config(n=48, blocks=4, m1=5, m2=6, s2=2.0, rho=0.6, delta=0.3))
+    rng = np.random.default_rng(12)
+    T, B, n = 7, cb.num_blocks, cb.n
+    msgs = np.stack([rng.integers(0, cb.m1_count, (T, B - 1)),
+                     rng.integers(0, cb.m2_count, (T, B - 1))], axis=-1)
+    perm = np.stack([rng.permutation(n) for _ in range(T)])
+    s = rng.normal(size=(T, B, n))
+    s[2] = 0.0
+    for mode in ("min_distance", "ideal"):
+        tx, y1, x1 = transmit(cb, msgs, [np.random.default_rng(t) for t in range(T)], mode, perm)
+        res = decode_backward(cb, destination_observation(tx, x1, s, perm))
+        assert tx.x_prime.shape == (T, B, n) and res.m_direct.shape == (T, B - 1)
+        assert tx.power_clipped.any()
+        for t in range(T):
+            tx_t, y1_t, x1_t = transmit(cb, msgs[t], np.random.default_rng(t), mode, perm[t])
+            res_t = decode_backward(cb, destination_observation(tx_t, x1_t, s[t], perm[t]))
+            assert np.array_equal(tx.x_prime[t], tx_t.x_prime)
+            assert np.array_equal(tx.power_clipped[t], tx_t.power_clipped)
+            assert np.array_equal(y1[t], y1_t) and np.array_equal(x1[t], x1_t)
+            assert np.array_equal(res.m_relayed[t], res_t.m_relayed)
+            assert np.array_equal(res.m_direct[t], res_t.m_direct)
+            assert res.tie_count[t] == res_t.tie_count
+    with pytest.raises(CodecConfigError):
+        relay_chain(cb, y1, "ideal", msgs[0, :, 0])     # one trial's indices for a stack
+    with pytest.raises(CodecConfigError):
+        decode_backward(cb, np.zeros((T, B, n + 1)))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

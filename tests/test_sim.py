@@ -1,11 +1,17 @@
 import json
-from dataclasses import asdict
+import tempfile
+from dataclasses import asdict, replace
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from avrc.adversary import StateStrategy
-from avrc.codec import CodebookConfig
+from avrc import sim
+from avrc.adversary import STRATEGY_KINDS, StateStrategy
+from avrc.codec import CodebookConfig, PowerCapError
 from avrc.gaussian import GaussianSfdParams, PowerSplit
 from avrc.sim import (
     SimConfig,
@@ -152,3 +158,81 @@ def test_sim_config_json_round_trip():
     config, sweep = sim_config_from_json(json.dumps(obj))
     assert sweep["lambdas"] == [0.5, 1.0]
     assert sweep["strategies"][0].kind == "zero"
+
+
+def test_attack_sweep_builds_one_codebook(monkeypatch, tmp_path):
+    base = SimConfig(base_codebook_config(),
+                     StateStrategy("iid_gaussian", Lambda=1.0, variance=1.0, seed=5),
+                     trials=30, master_seed=2, permute=True)
+    strategies = [StateStrategy("zero", Lambda=1.0),
+                  StateStrategy("iid_gaussian", Lambda=1.0, variance=2.0, seed=5),
+                  StateStrategy("impostor", Lambda=1.0, seed=3)]
+    lambdas = [0.5, 1.0, 4.0]
+    # one run per row, each building its own codebook
+    alone = [run_monte_carlo(replace(base, strategy=replace(strat, Lambda=lam)))
+             for lam in lambdas for strat in strategies]
+    builds = []
+    real = sim.build_codebook
+    monkeypatch.setattr(sim, "build_codebook", lambda config: builds.append(config) or real(config))
+    rows = attack_sweep(base, lambdas, strategies)
+    assert builds == [base.codebook]
+    assert [(r.errors, r.clip_rate) for r in rows] == [(e.errors, e.clip_rate) for e in alone]
+    write_attack_csv(rows, tmp_path / "shared.csv")
+    write_attack_csv([sim.SweepEntry(r.Lambda, r.strategy, e.trials, e.errors, e.rate,
+                                     e.ci_low, e.ci_high, e.clip_rate)
+                      for r, e in zip(rows, alone)], tmp_path / "alone.csv")
+    assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
+
+
+def _determinism_config(kind, permute, relay_mode, rho):
+    # small and loud: errors occur, rho = 0.8 clips blocks, and at rho = 1
+    # (beta = 0) every second-pass decision is a counted tie
+    cb = CodebookConfig(n=32, num_blocks=3, rate_relayed=np.log2(4.5) / 32,
+                        rate_direct=np.log2(4.5) / 32,
+                        params=GaussianSfdParams(0.4, 0.4, 1.0, 0.3),
+                        split=PowerSplit(0.6, rho), delta=0.004, seed=4)
+    n = cb.num_blocks * cb.n
+    vector = tuple(0.9 * np.sin(0.7 * np.arange(n))) if kind == "fixed" else None
+    strategy = StateStrategy(kind, Lambda=1.0, seed=6, vector=vector,
+                             variance=1.5 if kind == "iid_gaussian" else None)
+    return SimConfig(cb, strategy, trials=11, master_seed=8, relay_mode=relay_mode,
+                     permute=permute)
+
+
+def _estimate_and_sweep_bytes(config, workers):
+    est = run_monte_carlo(config, workers)
+    rows = attack_sweep(config, [0.5, 2.0], workers=workers)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sweep.csv"
+        write_attack_csv(rows, path)
+        return est, path.read_bytes()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(STRATEGY_KINDS), permute=st.booleans(),
+       relay_mode=st.sampled_from(["min_distance", "ideal"]), rho=st.sampled_from([0.8, 1.0]),
+       chunk_trials=st.sampled_from([1, 3, None]), workers=st.sampled_from([1, 2, 3]))
+def test_results_independent_of_chunk_size_and_workers(kind, permute, relay_mode, rho,
+                                                       chunk_trials, workers):
+    # ROADMAP item 5: the per-trial seeds make every tally independent of how
+    # the trials are chunked and of how many threads take the chunks
+    config = _determinism_config(kind, permute, relay_mode, rho)
+    reference = _estimate_and_sweep_bytes(config, 1)
+    cap = sim._CHUNK_ENTRIES if chunk_trials is None else chunk_trials * 3 * 32
+    with mock.patch.object(sim, "_CHUNK_ENTRIES", cap):
+        assert _estimate_and_sweep_bytes(config, workers) == reference
+
+
+def test_over_power_relay_codeword_raises_on_the_batched_path(monkeypatch):
+    real = sim.build_codebook
+
+    def loud(config):
+        cb = real(config)
+        cb.x1 = 2.0 * cb.x1     # 4x the relay's per-block budget n * P1
+        return cb
+
+    monkeypatch.setattr(sim, "build_codebook", loud)
+    cfg = SimConfig(base_codebook_config(), StateStrategy("zero", Lambda=1.0),
+                    trials=20, master_seed=1)
+    with pytest.raises(PowerCapError, match="x1 block energy"):
+        run_monte_carlo(cfg)
