@@ -1,11 +1,14 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage error, 2 computation or resource error.
+Exit codes: 0 success, 1 usage error, 2 computation or resource error.  With
+AVRC_DEBUG=1 in the environment, a computation or resource error is raised
+with its traceback instead of becoming one `error:` line and exit code 2.
 All numeric output is printed with 9 significant digits.
 """
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 
@@ -170,6 +173,8 @@ def main(argv=None) -> int:
     try:
         handlers[args.command](args)
     except Exception as exc:  # computation / resource / IO failures
+        if os.environ.get("AVRC_DEBUG") == "1":
+            raise
         sys.stderr.write(f"error: {exc}\n")
         return 2
     return 0

@@ -3,13 +3,17 @@
 A channel here is a 4-index kernel W[x, s, y, y1]: for each input x and state
 s, a joint pmf over the destination output y and the relay observation y1.
 The relay talks to the destination over a noiseless link of `relay_rate` bits
-per use.  Every information quantity here is I(A;O) of a finite joint pmf,
-computed by one exact kernel (`_mi`).  The module decides symmetrizability by
-linear programming, classifies degradedness by factor checks, evaluates the
-cutset and decode-forward bounds, and applies the capacity classification
-rules.  Every min-max and max-min over state pmfs q and input pmfs p is solved
-one way: a fixed pool over the inner simplex steers a simplex search over the
-outer one, and the inner optimum is refined once, at the winner.
+per use.  Every information quantity here is a sum of entropies of finite
+pmfs, each computed by one primitive (`_negent`, sum m log2 m): I(A;O) of a
+joint pmf (`_mi`), and, for a pool of inputs against a pool of averaged
+kernels, I(X;O) = H(O) - H(O|X) and I(U;O) = H(U) + H(O) - H(U,O) from output
+pmfs that one matrix product builds, without forming a joint per (input,
+state) pair.  The module decides symmetrizability by linear programming,
+classifies degradedness by factor checks, evaluates the cutset and
+decode-forward bounds, and applies the capacity classification rules.  Every
+min-max and max-min over state pmfs q and input pmfs p is solved one way: a
+fixed pool over the inner simplex steers a simplex search over the outer one,
+and the inner optimum is refined once, at the winner.
 """
 
 import json
@@ -117,7 +121,7 @@ def dmc_to_json(dmc: Dmc) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# mutual information: one kernel, I(A;O) from a joint pmf (exact, in bits)
+# mutual information as entropies of marginals (exact, in bits)
 # ---------------------------------------------------------------------------
 
 def mutual_information(p, q, channel) -> float:
@@ -130,18 +134,53 @@ def mutual_information(p, q, channel) -> float:
     return float(_mi(p[:, None] * np.einsum("s,xso->xo", q, W)))
 
 
+def _negent(M):
+    """sum m log2 m over the last axis: minus the entropy of each row.  Entries
+    that are not positive (0 log 0 = 0, and the tiny negatives PMF_TOL admits)
+    contribute 0."""
+    L = np.where(M > 0, M, 1.0)
+    np.log2(L, out=L)
+    L *= M
+    return L @ np.ones(M.shape[-1])   # a GEMV: .sum(axis=-1) over 2-4 entries is ~8x slower
+
+
 def _mi(J):
-    """I(A;O) in bits from joint pmfs J[..., a, o], broadcast over the leading axes."""
-    pa = J.sum(axis=-1, keepdims=True)
-    po = J.sum(axis=-2, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = J * (np.log2(J) - np.log2(pa * po))
-    return np.where(J > 0, terms, 0.0).sum(axis=(-2, -1))
+    """I(A;O) = H(A) + H(O) - H(A,O) in bits from joint pmfs J[..., a, o],
+    broadcast over the leading axes."""
+    return _negent(J).sum(axis=-1) - _negent(J.sum(axis=-1)) - _negent(J.sum(axis=-2))
 
 
 def _wq_batch(Q, W3):
     """Averaged kernels for a batch of state pmfs: (N,S)x(X,S,O) -> (N,X,O)."""
-    return np.einsum("ns,xso->nxo", Q, W3)
+    X, S, O = W3.shape
+    return (Q @ W3.transpose(1, 0, 2).reshape(S, X * O)).reshape(-1, X, O)
+
+
+def _outputs(P, WQ):
+    """p(o) for inputs P (C, X) through each kernel of WQ (N, X, O): (C, N, O),
+    one GEMM."""
+    N, X, O = WQ.shape
+    return (P @ WQ.transpose(1, 0, 2).reshape(X, N * O)).reshape(-1, N, O)
+
+
+def _info_xo(P, WQ, h=None):
+    """I(X;O) = H(O) - H(O|X) in bits for inputs P (C, X) through each kernel
+    of WQ (N, X, O), as (C, N).  h is _negent(WQ), computed here unless the
+    caller holds it for a fixed pool."""
+    if h is None:
+        h = _negent(WQ)
+    return P @ h.T - _negent(_outputs(P, WQ))
+
+
+def _info_uo(Pux, WQ):
+    """I(U;O) = H(U) + H(O) - H(U,O) in bits for joints Pux (C, U, X) through
+    each kernel of WQ (N, X, O), O seeing U only through X, as (C, N).  The
+    (U, O) joints come from one GEMM; both marginals come from Pux."""
+    C, U, X = Pux.shape
+    N, _, O = WQ.shape
+    joint = _outputs(Pux.reshape(-1, X), WQ).reshape(C, U, N, O)
+    return (_negent(joint).sum(axis=1) - _negent(Pux.sum(axis=2))[:, None]
+            - _negent(_outputs(Pux.sum(axis=1), WQ)))
 
 
 # ---------------------------------------------------------------------------
@@ -345,14 +384,14 @@ def _min_q_max_p(combine, kernels, dmc, qset, opts, rng, top):
     the max over p is refined once, at the winning q."""
     P0 = start_pool(dmc.nx, _p_resolution(dmc.nx, opts), rng, opts.max_grid_points)
 
-    def at(P, Q):   # (M, X) inputs x (N, S) states -> (N, M) values
-        return combine(*(_mi(P[None, :, :, None] * _wq_batch(Q, W)[:, None])
-                         for W in kernels))
+    def at(P, Q):   # (M, X) inputs x (N, S) states -> (M, N) values
+        return combine(*(_info_xo(P, _wq_batch(Q, W)) for W in kernels))
 
-    row_entries = P0.size * max(W.shape[2] for W in kernels)
-    q, _ = _min_over_q(_in_blocks(lambda Q: at(P0, Q).max(axis=1), row_entries),
+    # a block of q rows builds the (M, N, O) output pmfs
+    row_entries = len(P0) * max(W.shape[2] for W in kernels)
+    q, _ = _min_over_q(_in_blocks(lambda Q: at(P0, Q).max(axis=0), row_entries),
                        dmc.ns, qset, opts, rng)
-    return _max_over_p(lambda P: at(P, q[None])[0], dmc.nx, opts, rng, top)[1]
+    return _max_over_p(lambda P: at(P, q[None])[:, 0], dmc.nx, opts, rng, top)[1]
 
 
 def cutset_bound(dmc: Dmc, state_set=None, opts: BoundOptions | None = None) -> float:
@@ -393,10 +432,10 @@ def _df_value(Pux, dmc, qset, opts, rng):
         return _min_over_q(info, dmc.ns, qset, opts, rng)[1]
 
     def i_uo(Q, W3):
-        return _mi(np.einsum("ux,nxo->nuo", Pux, _wq_batch(Q, W3)))
+        return _info_uo(Pux[None], _wq_batch(Q, W3))[0]
 
     a = qmin(lambda Q: i_uo(Q, W_y))
-    b = qmin(lambda Q: _mi(px[None, :, None] * _wq_batch(Q, W_y)) - i_uo(Q, W_y))
+    b = qmin(lambda Q: _info_xo(px[None], _wq_batch(Q, W_y))[0] - i_uo(Q, W_y))
     c = qmin(lambda Q: i_uo(Q, dmc.relay_marginal()))
     return float(min(a + b + dmc.relay_rate, c + b))
 
@@ -438,15 +477,17 @@ def df_bound(dmc: Dmc, state_set=None, aux_size: int | None = None,
     Q = _q_pool(dmc, qset, opts, rng)
     WQy = _wq_batch(Q, dmc.receiver_marginal())
     WQ1 = _wq_batch(Q, dmc.relay_marginal())
+    hy, h1 = _negent(WQy), _negent(WQ1)
+    n_out = len(Q) * max(dmc.ny, dmc.ny1)   # per candidate: its (N, O) output pmfs
 
     def steer(obj_p):
-        return _max_over_p(_in_blocks(obj_p, max(WQy.size, WQ1.size)), nx, opts, rng, top=2)[0]
+        return _max_over_p(_in_blocks(obj_p, n_out), nx, opts, rng, top=2)[0]
 
     def direct(P):   # min over the pool of I(X;Y)
-        return _mi(P[:, None, :, None] * WQy).min(axis=1)
+        return _info_xo(P, WQy, hy).min(axis=1)
 
     def full(P):
-        return np.minimum(direct(P) + c1, _mi(P[:, None, :, None] * WQ1).min(axis=1))
+        return np.minimum(direct(P) + c1, _info_xo(P, WQ1, h1).min(axis=1))
 
     if mode == "direct":
         return _df_value(steer(direct)[None, :], dmc, qset, opts, rng)
@@ -469,14 +510,14 @@ def df_bound(dmc: Dmc, state_set=None, aux_size: int | None = None,
     # independent of (U, X)), so I(X;O|U) = I(X;O) - I(U;O) with p(x) = sum_u p(u,x)
     def batch_obj(Pflat):
         Pb = Pflat.reshape(-1, nu, nx)
-        i_xy = _mi(Pb.sum(axis=1)[:, None, :, None] * WQy)
-        i_uy = _mi(np.einsum("cux,nxo->cnuo", Pb, WQy))
-        i_uy1 = _mi(np.einsum("cux,nxo->cnuo", Pb, WQ1))
+        i_xy = _info_xo(Pb.sum(axis=1), WQy, hy)
+        i_uy = _info_uo(Pb, WQy)
+        i_uy1 = _info_uo(Pb, WQ1)
         term_b = (i_xy - i_uy).min(axis=1)
         return np.minimum(i_uy.min(axis=1) + term_b + c1, i_uy1.min(axis=1) + term_b)
 
-    row_entries = WQy.shape[0] * max(nu, nx) * max(dmc.ny, dmc.ny1)
-    p_best, _ = search_simplex(_in_blocks(batch_obj, row_entries), dim, resolution=None,
+    # per candidate: its (U, N, O) joint pmfs
+    p_best, _ = search_simplex(_in_blocks(batch_obj, nu * n_out), dim, resolution=None,
                                rounds=opts.refine_rounds, top=opts.multistart_top,
                                rng=rng, extra_starts=np.array(starts),
                                max_grid_points=opts.max_grid_points)

@@ -5,6 +5,9 @@ broken toward the first (lexicographically smallest) candidate, which is what
 ``np.argmax``/``np.argmin`` already do on C-ordered arrays.
 """
 
+from itertools import chain, combinations
+from math import comb
+
 import numpy as np
 
 
@@ -29,29 +32,24 @@ def zoom_grid_max_1d(f_vec, lo, hi, coarse=1001, rounds=3, points=41):
     return best_x, best_v
 
 
-def _compositions(k, total):
-    if k == 1:
-        return np.array([[total]], dtype=np.int64)
-    blocks = []
-    for first in range(total + 1):
-        tail = _compositions(k - 1, total - first)
-        block = np.empty((tail.shape[0], k), dtype=np.int64)
-        block[:, 0] = first
-        block[:, 1:] = tail
-        blocks.append(block)
-    return np.concatenate(blocks, axis=0)
-
-
 def simplex_grid(k, resolution):
     """All pmfs on k atoms with entries that are multiples of 1/resolution.
 
-    Returns an array of shape (count, k); count = C(resolution+k-1, k-1).
+    Returns an array of shape (count, k); count = C(resolution+k-1, k-1).  Rows
+    come in lexicographic order of their counts, first entry slowest: stars and
+    bars, each choice of k-1 bar positions among resolution+k-1 slots, in
+    `itertools.combinations` order, read as the k gaps between the bars.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if resolution < 1:
         return np.full((1, k), 1.0 / k)
-    return _compositions(k, resolution) / float(resolution)
+    slots = resolution + k - 1
+    count = _simplex_count(k, resolution)
+    bars = np.fromiter(chain.from_iterable(combinations(range(slots), k - 1)),
+                       dtype=np.int64, count=count * (k - 1)).reshape(count, k - 1)
+    edges = np.column_stack([np.full(count, -1), bars, np.full(count, slots)])
+    return (np.diff(edges, axis=1) - 1) / float(resolution)
 
 
 def start_pool(k, resolution=None, rng=None, max_grid_points=200_000, extra_starts=None):
@@ -130,6 +128,4 @@ def refine_batch_size(k, top):
 
 
 def _simplex_count(k, resolution):
-    from math import comb
-
     return comb(resolution + k - 1, k - 1)

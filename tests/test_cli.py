@@ -268,6 +268,25 @@ def test_computation_error_exit_code(capsys, tmp_path):
     assert code == 2 and "x=0, s=0" in err
 
 
+@pytest.mark.parametrize("debug", [None, "0", "1"])
+def test_avrc_debug_raises_what_exit_code_2_would_hide(capsys, monkeypatch, debug):
+    if debug is None:
+        monkeypatch.delenv("AVRC_DEBUG", raising=False)
+    else:
+        monkeypatch.setenv("AVRC_DEBUG", debug)
+    argv = ("symcheck", "--channel", "/no/such/file.json", "--target", "relay")
+    if debug == "1":
+        with pytest.raises(FileNotFoundError, match="/no/such/file.json"):
+            main(list(argv))
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "")
+    else:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "/no/such/file.json" in err
+    assert run_cli(capsys, "nonsense")[0] == 1   # usage errors keep exit code 1
+
+
 def test_primitive_df_refuses_an_aux_search_over_budget(capsys, tmp_path):
     # X = 30: the default aux mode would search a 930-point simplex
     W = np.random.default_rng(30).dirichlet(np.ones(4), size=(30, 2)).reshape(30, 2, 2, 2)

@@ -233,6 +233,31 @@ def test_mi_chain_rule_equals_conditional_sum(U, X, O, seed):
     assert chain >= -1e-12
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(U=st.integers(1, 4), X=st.integers(1, 4), O=st.integers(1, 4),
+       S=st.integers(1, 3), N=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_pooled_informations_match_the_kernel_on_built_joints(U, X, O, S, N, seed):
+    # I(X;O) and I(U;O) for every (candidate, q) pair, from marginal entropies,
+    # against _mi on each joint built out
+    rng = np.random.default_rng(seed)
+    Pux = _zeroed_pmfs(rng, (3,), U * X).reshape(3, U, X)
+    Pux[0, rng.integers(U)] = 0.0                 # an unused value of U
+    Pux[0, 0, 0] += Pux[0].sum() == 0
+    Pux[0] /= Pux[0].sum()
+    P = Pux.sum(axis=1)
+    W = _zeroed_pmfs(rng, (X, S), O)
+    Q = _zeroed_pmfs(rng, (N,), S)
+    WQ = discrete._wq_batch(Q, W)
+    assert np.allclose(WQ, np.einsum("ns,xso->nxo", Q, W), rtol=0, atol=1e-15)
+    i_xo = discrete._info_xo(P, WQ)
+    i_uo = discrete._info_uo(Pux, WQ)
+    assert i_xo.shape == i_uo.shape == (3, N)
+    for c in range(3):
+        for n in range(N):
+            assert abs(i_xo[c, n] - discrete._mi(P[c][:, None] * WQ[n])) < 1e-12
+            assert abs(i_uo[c, n] - discrete._mi(Pux[c] @ WQ[n])) < 1e-12
+
+
 def test_mi_grid_oracle_matches_exhaustive_oracle():
     rng = np.random.default_rng(3)
     W = rng.dirichlet(np.ones(4), size=(3, 2))
@@ -480,13 +505,18 @@ def test_aux_information_terms_embedding_identities():
 
 
 def test_df_blocks_leave_values_unchanged(monkeypatch):
-    # a 64-entry block cap splits every pooled objective into many blocks
+    # a 64-entry block cap splits every pooled objective into many blocks:
+    # the three df modes, the cutset and the min-max
     rng = np.random.default_rng(41)
     dmc = Dmc(rng.dirichlet(np.ones(6), size=(2, 2)).reshape(2, 2, 3, 2), relay_rate=0.3)
-    modes = ("direct", "full", "aux")
-    whole = [df_bound(dmc, mode=m, opts=FAST) for m in modes]
+
+    def values():
+        return ([df_bound(dmc, mode=m, opts=FAST) for m in ("direct", "full", "aux")]
+                + [cutset_bound(dmc, opts=FAST), minimax_receiver_information(dmc, "qp", FAST)])
+
+    whole = values()
     monkeypatch.setattr(discrete, "_BLOCK_ENTRIES", 64)
-    assert [df_bound(dmc, mode=m, opts=FAST) for m in modes] == whole
+    assert values() == whole
 
 
 def test_df_general_dominates_special_modes():

@@ -18,6 +18,22 @@ def test_simplex_grid_counts_and_sums():
     assert simplex_grid(1, 5).tolist() == [[1.0]]
 
 
+def _compositions_oracle(k, total):
+    # the recursive construction: first entry slowest, each tail in the same order
+    if k == 1:
+        return [[total]]
+    return [[first] + tail for first in range(total + 1)
+            for tail in _compositions_oracle(k - 1, total - first)]
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_simplex_grid_rows_in_recursive_order(k):
+    # argmax ties break toward the first row, so the row order is part of every search's output
+    for resolution in (1, 2, 5, 8):
+        want = np.array(_compositions_oracle(k, resolution)) / resolution
+        assert np.array_equal(simplex_grid(k, resolution), want)
+
+
 def test_search_simplex_concave_max():
     # entropy is maximized at the uniform pmf
     def neg_ent(P):
