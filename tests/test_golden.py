@@ -1,8 +1,12 @@
-"""Golden `simulate` CSVs: the exact bytes of seeded runs, pinned so that a
-refactor of the Monte Carlo path (codec, jammer, simulator) cannot change its
-output unnoticed.  Between them the pins reach every strategy kind, both relay
-modes and the plain and permuted codes."""
+"""Golden CLI bytes, pinned so that a refactor cannot change an output unnoticed.
 
+The `simulate` CSVs are the exact bytes of seeded runs of the Monte Carlo path
+(codec, jammer, simulator); between them they reach every strategy kind, both
+relay modes and the plain and permuted codes.  The Gaussian pins are the
+criterion-01 `figure` CSV and the `bounds` JSON of criterion 02's tuple and of
+a tuple with P = 0, where only the upper region is feasible."""
+
+import hashlib
 import json
 
 import pytest
@@ -85,3 +89,46 @@ def test_simulate_csv_bytes_are_pinned(tmp_path, capsys, config, expected):
                  "--workers", "1"]) == 0
     capsys.readouterr()
     assert out_path.read_bytes() == expected.encode()
+
+
+# `figure --Lambda 1 --sigma2 0.5 --pmin 0.05 --pmax 8 --step 0.05`: 160 rows
+FIGURE_C01_SHA256 = "b38ffa3f35272524d65c416c0d824cea29bbf9e443c8789edb417b0eb7246961"
+FIGURE_C01_FIRST = "0.05,0.0614283739,0,0,0"
+FIGURE_C01_LAST = "8,2.28083672,2.28083672,2.28083672,1.5849625"
+
+
+def test_figure_csv_bytes_are_pinned(tmp_path):
+    out = tmp_path / "fig.csv"
+    assert main(["figure", "--Lambda", "1", "--sigma2", "0.5", "--pmin", "0.05",
+                 "--pmax", "8", "--step", "0.05", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert len(lines) == 161
+    assert (lines[1], lines[-1]) == (FIGURE_C01_FIRST, FIGURE_C01_LAST)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FIGURE_C01_SHA256
+
+
+def _bounds_json(rates, splits, lower_feasible, upper_feasible):
+    names = ("random_capacity", "det_lower", "det_upper", "direct_transmission")
+    doc = dict(zip(names, rates))
+    for name, (a, r) in zip(("random_split", "lower_split", "upper_split"), splits):
+        doc[name] = {"alpha": a, "rho": r}
+    doc.update(lower_feasible=lower_feasible, upper_feasible=upper_feasible)
+    return json.dumps(doc, indent=2) + "\n"
+
+
+BOUNDS_PINS = {
+    # criterion 02's tuple: every program peaks at the same interior split
+    "criterion_02": (["--P", "2", "--P1", "1e4", "--Lambda", "0.4", "--sigma2", "0.5"],
+                     _bounds_json((1.69701695, 1.69701695, 1.69701695, 1.29248125),
+                                  [(0.525, 0.0)] * 3, True, True)),
+    # no source power: the relay alone clears Lambda, so only the upper region is feasible
+    "zero_power": (["--P", "0", "--P1", "1.5", "--Lambda", "1", "--sigma2", "0.5"],
+                   _bounds_json((0.0, 0.0, 0.0, 0.0), [(0.0, 0.0)] * 3, False, True)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDS_PINS))
+def test_bounds_stdout_is_pinned(capsys, name):
+    argv, expected = BOUNDS_PINS[name]
+    assert main(["bounds"] + argv) == 0
+    assert capsys.readouterr().out == expected
