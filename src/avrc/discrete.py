@@ -391,7 +391,8 @@ def _min_q_max_p(combine, kernels, dmc, qset, opts, rng, top):
     row_entries = len(P0) * max(W.shape[2] for W in kernels)
     q, _ = _min_over_q(_in_blocks(lambda Q: at(P0, Q).max(axis=0), row_entries),
                        dmc.ns, qset, opts, rng)
-    return _max_over_p(lambda P: at(P, q[None])[:, 0], dmc.nx, opts, rng, top)[1]
+    # a rate is >= 0; entropies that cancel can leave rounding noise below it
+    return max(float(_max_over_p(lambda P: at(P, q[None])[:, 0], dmc.nx, opts, rng, top)[1]), 0.0)
 
 
 def cutset_bound(dmc: Dmc, state_set=None, opts: BoundOptions | None = None) -> float:
@@ -437,7 +438,7 @@ def _df_value(Pux, dmc, qset, opts, rng):
     a = qmin(lambda Q: i_uo(Q, W_y))
     b = qmin(lambda Q: _info_xo(px[None], _wq_batch(Q, W_y))[0] - i_uo(Q, W_y))
     c = qmin(lambda Q: i_uo(Q, dmc.relay_marginal()))
-    return float(min(a + b + dmc.relay_rate, c + b))
+    return max(float(min(a + b + dmc.relay_rate, c + b)), 0.0)    # floored as in _min_q_max_p
 
 
 def df_bound(dmc: Dmc, state_set=None, aux_size: int | None = None,

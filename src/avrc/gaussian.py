@@ -30,9 +30,13 @@ term of F rises in rho and the second falls, so the best rho is where they
 cross, a quadratic root, clipped to the region's rho interval, whose ends are
 quadratic or linear roots too.  A zoom grid over alpha (resolution
 GridOptions.step) then finds the maximum of that closed-form inner value.
+The parameters may be (n, 1) columns: every (program, tuple) pair of a request,
+all three programs at each P of a sweep, is then one row of a single row-wise
+zoom, in chunks of whole tuples, and each row comes out as it would alone.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -133,11 +137,12 @@ def f_g(params: GaussianSfdParams, split: PowerSplit) -> float:
 
 
 def _lower_mask(params, A, R):
+    """c1 fails wherever P = 0 (Lambda > 0), so c2's division by P is harmless there."""
     P, P1, Lam = params.P, params.P1, params.Lambda
-    if P <= 0.0:
-        return np.zeros_like(A, dtype=bool)
     c1 = (1.0 - R * R) * A * P >= Lam + FEASIBILITY_EPS
-    c2 = (P1 / P) * (np.sqrt(P1) + R * np.sqrt(A * P)) ** 2 >= Lam + (1.0 - R * R) * A * P + FEASIBILITY_EPS
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c2 = (np.divide(P1, P) * (np.sqrt(P1) + R * np.sqrt(A * P)) ** 2
+              >= Lam + (1.0 - R * R) * A * P + FEASIBILITY_EPS)
     return c1 & c2
 
 
@@ -184,16 +189,14 @@ def _lower_rho_range(params, A, margin):
     """c2 bounds rho from below by a quadratic root; c1 caps it from above.
 
     c1 is (1-rho^2)*a*P >= Lambda, i.e. rho <= sqrt(1 - Lambda/(a*P)), nan where
-    it has no solution; c2 expands to
+    it has no solution (P = 0 among them); c2 expands to
     a*(P1+P)*rho^2 + 2*(P1/P)*sqrt(a*P*P1)*rho + (P1^2/P - Lambda - a*P) >= 0.
     """
     P, P1, Lam = params.P, params.P1, params.Lambda
-    if P <= 0.0:
-        return np.nan, np.nan
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         hi = np.sqrt(1.0 - (Lam + margin) / (A * P))
-        lo = _rho_threshold(A * (P1 + P), (P1 / P) * np.sqrt(A * P * P1),
-                            P1 * P1 / P - Lam - A * P - margin)
+        lo = _rho_threshold(A * (P1 + P), np.divide(P1, P) * np.sqrt(A * P * P1),
+                            np.divide(P1 * P1, P) - Lam - A * P - margin)
     return lo, hi
 
 
@@ -222,15 +225,68 @@ def _best_rho(params, A, region):
     return R, vals
 
 
-def _region_max(params, region, opts):
-    """(value, alpha, rho) of the region's maximum; (-inf, 0, 0) when it is empty."""
-    a, v = zoom_grid_max_1d(lambda A: _best_rho(params, A, region)[1], 0.0, 1.0,
-                            coarse=int(round(1.0 / opts.step)) + 1,
-                            rounds=opts.refine_rounds, points=opts.refine_points)
-    if v == -np.inf:
-        return v, 0.0, 0.0
-    R, _ = _best_rho(params, np.array([a]), region)
-    return v, a, float(R[0])
+class _Stack(NamedTuple):
+    """Parameter tuples as (n, 1) columns; the objective and regions broadcast over them."""
+
+    P: np.ndarray
+    P1: np.ndarray
+    Lambda: np.ndarray
+    sigma2: np.ndarray
+
+
+def _stack(params_list):
+    return _Stack(*np.array([[p.P, p.P1, p.Lambda, p.sigma2] for p in params_list]).T[:, :, None])
+
+
+# cap on rows x alpha points of one zoom; a longer stack runs in chunks of whole tuples
+_CHUNK_ENTRIES = 1 << 17
+
+
+def _program_max(stack, programs, opts):
+    """(value, alpha, rho) of each program's maximum at each tuple of the stack.
+
+    Every (program, tuple) pair is one row of a single row-wise zoom over
+    alpha, program-major, run in chunks of at most _CHUNK_ENTRIES coarse grid
+    entries.  Each array has shape (len(programs), n); an empty region gives
+    (-inf, 0, 0).
+    """
+    coarse = int(round(1.0 / opts.step)) + 1
+    size = max(1, _CHUNK_ENTRIES // (len(programs) * coarse))
+    chunks = [_zoom_chunk(_Stack(*(c[lo:lo + size] for c in stack)), programs, opts, coarse)
+              for lo in range(0, len(stack.P), size)]
+    return tuple(np.concatenate(part, axis=1) for part in zip(*chunks))
+
+
+def _zoom_chunk(stack, programs, opts, coarse):
+    def values(A):
+        A = np.broadcast_to(A, (len(programs) * len(stack.P), A.shape[1]))
+        return np.concatenate([_best_rho(stack, a, region)[1]
+                               for a, region in zip(np.split(A, len(programs)), programs)])
+
+    alpha, value = zoom_grid_max_1d(values, 0.0, 1.0, coarse=coarse,
+                                    rounds=opts.refine_rounds, points=opts.refine_points)
+    alpha, value = alpha.reshape(len(programs), -1), value.reshape(len(programs), -1)
+    rho = np.stack([_best_rho(stack, a[:, None], region)[0][:, 0]
+                    for a, region in zip(alpha, programs)])
+    empty = value == -np.inf
+    return value, np.where(empty, 0.0, alpha), np.where(empty, 0.0, rho)
+
+
+def _bounds(stack, opts):
+    """det_code_bounds at each tuple of the stack, one column per tuple.
+
+    Returns (rates, alpha, rho, feasible): rates (4, n) are random capacity,
+    det lower, det upper and direct transmission; alpha and rho (3, n) the
+    random, lower and upper splits; feasible (2, n) the lower and upper flags.
+    """
+    value, alpha, rho = _program_max(stack, (_LOWER, _UPPER, _SQUARE), opts)
+    for inner, outer in ((0, 1), (1, 2)):       # lower in upper, upper in square
+        take = value[inner] > value[outer]
+        for arr in (value, alpha, rho):
+            arr[outer] = np.where(take, arr[inner], arr[outer])
+    feasible = value[:2] > -np.inf
+    rates = np.vstack([value[2], np.where(feasible, value[:2], 0.0), _direct_rate(stack)[:, 0]])
+    return rates, alpha[[2, 0, 1]], rho[[2, 0, 1]], feasible
 
 
 def random_code_capacity(params: GaussianSfdParams, opts: GridOptions | None = None):
@@ -238,8 +294,8 @@ def random_code_capacity(params: GaussianSfdParams, opts: GridOptions | None = N
 
     Returns (rate, PowerSplit).
     """
-    v, a, r = _region_max(params, _SQUARE, opts or GridOptions())
-    return v, PowerSplit(a, r)
+    value, alpha, rho = _program_max(_stack([params]), (_SQUARE,), opts or GridOptions())
+    return float(value[0, 0]), PowerSplit(float(alpha[0, 0]), float(rho[0, 0]))
 
 
 def det_code_bounds(params: GaussianSfdParams, opts: GridOptions | None = None) -> BoundsReport:
@@ -250,34 +306,23 @@ def det_code_bounds(params: GaussianSfdParams, opts: GridOptions | None = None) 
     each program takes the optimum of the program nested in it when that is
     larger.  An empty region reports rate 0 at split (0, 0).
     """
-    opts = opts or GridOptions()
-    v_lo, a_lo, r_lo = _region_max(params, _LOWER, opts)
-    v_up, a_up, r_up = _region_max(params, _UPPER, opts)
-    v_rc, a_rc, r_rc = _region_max(params, _SQUARE, opts)
-    if v_lo > v_up:
-        v_up, a_up, r_up = v_lo, a_lo, r_lo
-    if v_up > v_rc:
-        v_rc, a_rc, r_rc = v_up, a_up, r_up
-    feas_lo, feas_up = v_lo > -np.inf, v_up > -np.inf
+    rates, alpha, rho, feasible = _bounds(_stack([params]), opts or GridOptions())
+    rc, lo, up, direct = (float(v) for v in rates[:, 0])
+    splits = [PowerSplit(float(a), float(r)) for a, r in zip(alpha[:, 0], rho[:, 0])]
+    return BoundsReport(random_capacity=rc, det_lower=lo, det_upper=up,
+                        direct_transmission=direct, random_split=splits[0],
+                        lower_split=splits[1], upper_split=splits[2],
+                        lower_feasible=bool(feasible[0, 0]),
+                        upper_feasible=bool(feasible[1, 0]))
 
-    return BoundsReport(
-        random_capacity=v_rc,
-        det_lower=v_lo if feas_lo else 0.0,
-        det_upper=v_up if feas_up else 0.0,
-        direct_transmission=direct_transmission_rate(params),
-        random_split=PowerSplit(a_rc, r_rc),
-        lower_split=PowerSplit(a_lo, r_lo),
-        upper_split=PowerSplit(a_up, r_up),
-        lower_feasible=feas_lo,
-        upper_feasible=feas_up,
-    )
+
+def _direct_rate(params):
+    return np.where(params.P > params.Lambda, _fg_arrays(params, 1.0, 0.0), 0.0)
 
 
 def direct_transmission_rate(params: GaussianSfdParams) -> float:
     """Rate of ignoring the relay band: objective at (1, 0) when P > Lambda, else 0."""
-    if params.P > params.Lambda:
-        return f_g(params, PowerSplit(1.0, 0.0))
-    return 0.0
+    return float(_direct_rate(params))
 
 
 def gavc_point_to_point(P: float, Lambda: float, sigma2: float):
@@ -333,19 +378,12 @@ class SweepRow:
 def figure_sweep(p_values, Lambda: float, sigma2: float,
                  opts: GridOptions | None = None):
     """Bounds as a function of P with P1 = P; one SweepRow per requested P."""
-    p_values = [float(p) for p in p_values]
-    if not p_values:
+    params = [GaussianSfdParams(P=float(p), P1=float(p), Lambda=Lambda, sigma2=sigma2)
+              for p in p_values]
+    if not params:
         raise GaussianParamError("empty sweep range")
-    rows = []
-    for p in p_values:
-        params = GaussianSfdParams(P=p, P1=p, Lambda=Lambda, sigma2=sigma2)
-        rep = det_code_bounds(params, opts)
-        rows.append(SweepRow(P=p,
-                             random_capacity=rep.random_capacity,
-                             det_lower=rep.det_lower,
-                             det_upper=rep.det_upper,
-                             direct_transmission=rep.direct_transmission))
-    return rows
+    rates = _bounds(_stack(params), opts or GridOptions())[0]
+    return [SweepRow(p.P, *(float(v) for v in col)) for p, col in zip(params, rates.T)]
 
 
 def sweep_range(p_min: float, p_max: float, step: float):

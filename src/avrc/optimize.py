@@ -11,25 +11,44 @@ from math import comb
 import numpy as np
 
 
-def zoom_grid_max_1d(f_vec, lo, hi, coarse=1001, rounds=3, points=41):
-    """Maximize f over [lo, hi] by a coarse grid plus shrinking local grids.
+def zoom_grid_max_1d(f, lo, hi, coarse=1001, rounds=3, points=41):
+    """Maximize each row of f over [lo, hi] by a coarse grid plus shrinking local grids.
 
-    f_vec takes an array of abscissae and returns an array of values.
-    Returns (argmax, max).  Robust to kinks (e.g. min of two smooth terms).
+    f maps an (m, k) array of abscissae to an (m, k) array of values, row i
+    being objective i.  The coarse grid is one (1, coarse) row shared by every
+    objective, so f broadcasts it, and m is read from the shape of its output.
+    Each row then zooms around its own best point: a local grid of `points`
+    points replaces it only when strictly larger, and ties go to the first
+    point.  Returns (argmax, max), arrays of shape (m,).  Robust to kinks
+    (e.g. min of two smooth terms).
     """
     xs = np.linspace(lo, hi, coarse)
-    vals = f_vec(xs)
-    k = int(np.argmax(vals))
-    best_x, best_v = float(xs[k]), float(vals[k])
+    vals = f(xs[None, :])
+    rows = np.arange(vals.shape[0])
+    k = np.argmax(vals, axis=1)
+    best_x, best_v = xs[k], vals[rows, k]
     w = (hi - lo) / (coarse - 1)
     for _ in range(rounds):
-        xs = np.linspace(max(lo, best_x - w), min(hi, best_x + w), points)
-        vals = f_vec(xs)
-        k = int(np.argmax(vals))
-        if vals[k] > best_v:
-            best_x, best_v = float(xs[k]), float(vals[k])
+        xs = _linspace_rows(np.maximum(lo, best_x - w), np.minimum(hi, best_x + w), points)
+        vals = f(xs)
+        k = np.argmax(vals, axis=1)
+        better = vals[rows, k] > best_v
+        best_x = np.where(better, xs[rows, k], best_x)
+        best_v = np.where(better, vals[rows, k], best_v)
         w = 4.0 * w / (points - 1)
     return best_x, best_v
+
+
+def _linspace_rows(start, stop, num):
+    """Row i is np.linspace(start[i], stop[i], num), bit for bit, for num >= 2."""
+    delta = (stop - start)[:, None]
+    step = delta / (num - 1)
+    k = np.arange(num, dtype=float)
+    # linspace scales by delta, not step, where the step underflows to 0
+    y = np.where(step == 0, k / (num - 1) * delta, k * step)
+    y += start[:, None]
+    y[:, -1] = stop
+    return y
 
 
 def simplex_grid(k, resolution):

@@ -37,6 +37,19 @@ def test_bounds_zero_power(capsys):
     assert rep["det_lower"] == 0.0 and rep["det_upper"] == 0.0
 
 
+def test_zero_power_runs_print_nothing_on_stderr(capsys, tmp_path):
+    # P = 0 divides by P in the lower region; none of that may leak as a warning
+    out_path = tmp_path / "fig.csv"
+    code, _, err = run_cli(capsys, "figure", "--Lambda", "1", "--sigma2", "0.5", "--pmin", "0",
+                           "--pmax", "1", "--step", "0.25", "--out", str(out_path))
+    assert (code, err) == (0, "")
+    assert out_path.read_text().splitlines()[1] == "0,0,0,0,0"
+    for p1 in ("0", "1.5"):
+        code, _, err = run_cli(capsys, "bounds", "--P", "0", "--P1", p1,
+                               "--Lambda", "1", "--sigma2", "0.5")
+        assert (code, err) == (0, "")
+
+
 def test_figure_csv_low_power_zeros(capsys, tmp_path):
     out_path = tmp_path / "fig.csv"
     code, _, _ = run_cli(capsys, "figure", "--Lambda", "1", "--sigma2", "0.5",

@@ -446,6 +446,15 @@ def test_cutset_zero_for_useless_outputs():
     assert abs(v) < 1e-9
 
 
+def test_rates_are_floored_at_zero_when_the_input_does_not_matter():
+    # every input sees the same kernel, so each bound is 0 up to the entropies' rounding
+    W = np.broadcast_to(np.random.default_rng(17).dirichlet(np.ones(4), size=3).reshape(3, 2, 2),
+                        (2, 3, 2, 2))
+    dmc = Dmc(W, 0.5)
+    values = [df_bound(dmc, mode=mode, opts=FAST) for mode in ("aux", "direct", "full")]
+    assert all(0.0 <= v < 1e-12 for v in values), values      # aux and direct were -2.2e-16
+
+
 def test_cutset_binary_pipe_is_one_bit():
     v = cutset_bound(binary_pipe_dmc(), opts=FAST)
     assert abs(v - 1.0) < 1e-3

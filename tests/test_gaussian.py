@@ -1,10 +1,14 @@
 import math
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from avrc import gaussian
 from avrc.gaussian import (
     _LOWER,
     _SQUARE,
@@ -263,3 +267,32 @@ def test_bounds_properties(P, P1, Lam, s2, C1):
     grid = np.linspace(0.0, 1.0, 10001)
     assert v >= _primitive_objective(grid, P, Lam, C1).max() - 1e-12
     assert abs(v - _primitive_objective(a, P, Lam, C1)) < 1e-12
+
+
+_power = st.one_of(st.just(0.0), st.floats(0.0, 8.0))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(tuples=st.lists(st.tuples(_power, _power, st.floats(0.05, 5.0), st.floats(0.05, 2.0)),
+                       min_size=1, max_size=6))
+def test_stacked_bounds_equal_one_tuple_at_a_time(tuples):
+    opts = GridOptions(step=1e-2)
+    params = [GaussianSfdParams(*t) for t in tuples]
+    rates, alpha, rho, feasible = gaussian._bounds(gaussian._stack(params), opts)
+    for j, p in enumerate(params):
+        rep = det_code_bounds(p, opts)
+        assert rates[:, j].tolist() == [rep.random_capacity, rep.det_lower, rep.det_upper,
+                                        rep.direct_transmission]
+        splits = (rep.random_split, rep.lower_split, rep.upper_split)
+        assert alpha[:, j].tolist() == [s.alpha for s in splits]
+        assert rho[:, j].tolist() == [s.rho for s in splits]
+        assert feasible[:, j].tolist() == [rep.lower_feasible, rep.upper_feasible]
+
+    # the same sweep run one P per zoom call writes the same CSV bytes
+    powers, (_, _, lam, s2) = [t[0] for t in tuples], tuples[0]
+    with tempfile.TemporaryDirectory() as tmp:
+        one, many = Path(tmp, "one.csv"), Path(tmp, "many.csv")
+        write_sweep_csv(figure_sweep(powers, lam, s2, opts), many)
+        with mock.patch.object(gaussian, "_CHUNK_ENTRIES", 1):
+            write_sweep_csv(figure_sweep(powers, lam, s2, opts), one)
+        assert one.read_bytes() == many.read_bytes()
