@@ -2,13 +2,16 @@
 
 The `simulate` CSVs are the exact bytes of seeded runs of the Monte Carlo path
 (codec, jammer, simulator); between them they reach every strategy kind, both
-relay modes and the plain and permuted codes.  The Gaussian pins are the
+relay modes and the plain and permuted codes.  A loud permuted sweep adds rows
+with errors and clipped blocks, and three `simulate` stdout documents pin the
+per-block error counts and the tie count that the CSV leaves out.  The Gaussian pins are the
 criterion-01 `figure` CSV and the `bounds` JSON of criterion 02's tuple and of
 a tuple with P = 0, where only the upper region is feasible."""
 
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from avrc.cli import main
@@ -77,11 +80,37 @@ PERMUTED_FIXED = (
     HEADER + "1,fixed,50,0,0,0,0.0713475991,0\n",
 )
 
+# small and loud, as tests/test_sim.py's determinism config: rho = 0.8 clips
+# about half the blocks, and most trials err under every jammer
+LOUD_CODE = {"n": 32, "blocks": 3, "rate_relayed": float(np.log2(4.5) / 32),
+             "rate_direct": float(np.log2(4.5) / 32), "P": 0.4, "P1": 0.4, "Lambda": 1.0,
+             "sigma2": 0.3, "alpha": 0.6, "rho": 0.8, "delta": 0.004, "seed": 4}
+
+LOUD_SWEEP = (
+    {"codebook": LOUD_CODE, "strategy": {"kind": "zero", "Lambda": 1.0},
+     "trials": 40, "master_seed": 8, "permute": True,
+     "sweep": {"lambdas": [0.5, 2.0], "strategies": [
+         {"kind": "zero", "Lambda": 1.0},
+         {"kind": "fixed", "Lambda": 1.0, "vector": (0.9 * np.sin(0.7 * np.arange(96))).tolist()},
+         {"kind": "iid_gaussian", "Lambda": 1.0, "variance": 1.5, "seed": 6},
+         {"kind": "impostor", "Lambda": 1.0, "seed": 6}]}},
+    HEADER
+    + "0.5,fixed,40,31,0.775,0.624969033,0.876839087,0.508333333\n"
+    + "0.5,iid_gaussian,40,30,0.75,0.598060386,0.858128814,0.508333333\n"
+    + "0.5,impostor,40,34,0.85,0.709276756,0.929388123,0.508333333\n"
+    + "0.5,zero,40,33,0.825,0.680500097,0.912545863,0.508333333\n"
+    + "2,fixed,40,31,0.775,0.624969033,0.876839087,0.508333333\n"
+    + "2,iid_gaussian,40,34,0.85,0.709276756,0.929388123,0.508333333\n"
+    + "2,impostor,40,32,0.8,0.652426937,0.895000103,0.508333333\n"
+    + "2,zero,40,33,0.825,0.680500097,0.912545863,0.508333333\n",
+)
+
 
 @pytest.mark.parametrize(
     "config, expected",
-    [PLAIN_IMPOSTOR, PERMUTED_SWEEP, IDEAL_SWEEP, PLAIN_FIXED, PERMUTED_FIXED],
-    ids=["plain_impostor", "permuted_sweep", "ideal_sweep", "plain_fixed", "permuted_fixed"])
+    [PLAIN_IMPOSTOR, PERMUTED_SWEEP, IDEAL_SWEEP, PLAIN_FIXED, PERMUTED_FIXED, LOUD_SWEEP],
+    ids=["plain_impostor", "permuted_sweep", "ideal_sweep", "plain_fixed", "permuted_fixed",
+         "loud_sweep"])
 def test_simulate_csv_bytes_are_pinned(tmp_path, capsys, config, expected):
     cfg_path, out_path = tmp_path / "sim.json", tmp_path / "out.csv"
     cfg_path.write_text(json.dumps(config))
@@ -89,6 +118,37 @@ def test_simulate_csv_bytes_are_pinned(tmp_path, capsys, config, expected):
                  "--workers", "1"]) == 0
     capsys.readouterr()
     assert out_path.read_bytes() == expected.encode()
+
+
+def _estimate_json(trials, errors, rate, ci, relayed, direct, clip_rate, tie_count):
+    return json.dumps({"trials": trials, "errors": errors, "rate": rate, "ci_low": ci[0],
+                       "ci_high": ci[1], "relayed_block_errors": relayed,
+                       "direct_block_errors": direct, "clip_rate": clip_rate,
+                       "tie_count": tie_count}, indent=2) + "\n"
+
+
+ESTIMATE_PINS = {
+    "plain_impostor": (PLAIN_IMPOSTOR[0], _estimate_json(
+        50, 27, 0.54, (0.403988714, 0.670303478), [13, 8], [12, 8], 0.0, 0)),
+    "plain_fixed": (PLAIN_FIXED[0], _estimate_json(
+        50, 49, 0.98, (0.895045564, 0.996460741), [26, 23], [23, 9], 0.0, 0)),
+    # rho = 1 leaves beta = 0, so every second-pass decision is a counted tie
+    "rho_one_ties": (
+        {"codebook": dict(LOUD_CODE, rho=1.0),
+         "strategy": {"kind": "iid_gaussian", "Lambda": 1.0, "variance": 1.5, "seed": 6},
+         "trials": 20, "master_seed": 8},
+        _estimate_json(20, 20, 1.0, (0.838874842, 1.0), [0, 0], [15, 15], 0.0, 120)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ESTIMATE_PINS))
+def test_simulate_stdout_is_pinned(tmp_path, capsys, name):
+    config, expected = ESTIMATE_PINS[name]
+    cfg_path = tmp_path / "sim.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out.csv"),
+                 "--workers", "1"]) == 0
+    assert capsys.readouterr().out == expected
 
 
 # `figure --Lambda 1 --sigma2 0.5 --pmin 0.05 --pmax 8 --step 0.05`: 160 rows
