@@ -1,6 +1,6 @@
 """Reading fields of the JSON inputs (simulation configs, channel files)."""
 
-from numbers import Integral
+from numbers import Integral, Real
 
 _REQUIRED = object()
 
@@ -15,3 +15,22 @@ def int_field(obj, key, default=_REQUIRED):
     if isinstance(value, Integral) and not isinstance(value, bool):
         return int(value)
     raise ValueError(f"{key} must be an integer, got {value!r}")
+
+
+def bool_field(obj, key, default=_REQUIRED):
+    """obj[key] as a JSON boolean; any other value, the string "false" among
+    them, raises ValueError naming the key instead of being read as truthy."""
+    value = obj[key] if default is _REQUIRED else obj.get(key, default)
+    if isinstance(value, bool):
+        return value
+    raise ValueError(f"{key} must be true or false, got {value!r}")
+
+
+def number_list_field(obj, key):
+    """obj[key] as a non-empty list of floats; a string, an empty list or a
+    non-numeric entry raises ValueError naming the key."""
+    value = obj[key]
+    if (isinstance(value, (list, tuple)) and value
+            and all(isinstance(v, Real) and not isinstance(v, bool) for v in value)):
+        return [float(v) for v in value]
+    raise ValueError(f"{key} must be a non-empty list of numbers, got {value!r}")

@@ -5,6 +5,12 @@ n, rng, codebook), and draws one state per generator when handed a sequence
 of them.  The codebook-aware impostor synthesizes a fake
 transmission through the real encoder and relay map and injects it as the
 state, falling back to all zeros when the fake sequence lands over power.
+
+A state is a draw that does not depend on Lambda (zeros, the fixed vector,
+iid normals or the fake transmission) followed by a budget step at n*Lambda
+(the power check, the rescale or the fallback).  So one draw can be fitted to
+several Lambda values at once, each state the same floats as at its Lambda
+alone, and a Lambda sweep draws each jammer's streams once.
 """
 
 from dataclasses import dataclass
@@ -68,56 +74,78 @@ def strategy_to_json(strategy: StateStrategy) -> dict:
 
 
 def make_state(strategy: StateStrategy, n: int, rng=None, codebook: SfdCodebook | None = None,
-               relay_mode: str = "min_distance"):
+               relay_mode: str = "min_distance", lambdas=None):
     """Draw one state sequence of length n; always satisfies ||s||^2 <= n*Lambda.
 
     rng is one generator, or a sequence of T generators for a (T, n) stack of
     states, one drawn from each generator in turn.  The impostor reads the
-    codebook and the relay mode of the code it attacks."""
+    codebook and the relay mode of the code it attacks.
+
+    lambdas, a sequence of L budgets in place of strategy.Lambda, fits one
+    draw to each of them and adds a leading axis: (L, n), or (L, T, n) for a
+    sequence of generators, with row l equal to the state at lambdas[l] alone.
+    The draw does not depend on Lambda, so it runs once; only the budget step
+    (the rescale, the fallback or the check) runs per Lambda."""
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence(strategy.seed))
     single = isinstance(rng, np.random.Generator)
     rngs = [rng] if single else list(rng)
-    budget = n * strategy.Lambda
+    lams = np.array([strategy.Lambda] if lambdas is None else lambdas, dtype=float)
+    if lams.ndim != 1 or not lams.size or not (np.isfinite(lams) & (lams > 0)).all():
+        raise StrategyError(f"Lambda values must be finite and > 0, got {lambdas!r}")
+    budget = n * lams[:, None]     # (L, 1), the same floats as n * Lambda
+    shape = (len(lams), len(rngs), n)
 
     if strategy.kind == "zero":
-        s = np.zeros((len(rngs), n))
+        s = np.zeros(shape)
     elif strategy.kind == "fixed":
         vec = np.asarray(strategy.vector, dtype=float)
         if vec.shape != (n,):
             raise StrategyError(f"fixed vector has length {vec.size}, expected {n}")
-        if vec @ vec > budget:
+        if (vec @ vec > budget).any():
             raise StrategyError("fixed vector violates the power constraint")
-        s = np.tile(vec, (len(rngs), 1))
-    elif strategy.kind == "iid_gaussian":
-        s = np.stack([_iid_state(strategy, n, r) for r in rngs])
-    else:  # impostor
-        s = _impostor_state(strategy, n, rngs, codebook, relay_mode)
+        s = np.tile(vec, shape[:2] + (1,))
+    else:
+        if strategy.kind == "iid_gaussian":
+            raw, power = _iid_draw(strategy, n, rngs)
+        else:
+            raw, power = _impostor_draw(n, rngs, codebook, relay_mode)
+        s = _fit(strategy.kind, raw, power, budget)
 
-    s = s.reshape(len(rngs), n)
-    for row in s:
-        if not row @ row <= budget * (1.0 + 1e-12):
-            raise PowerCapError(
-                f"{strategy.kind} state has power {row @ row!r} over the budget {budget!r}")
-    return s[0] if single else s
-
-
-def _iid_state(strategy, n, rng):
-    """iid N(0, variance) symbols, rescaled onto the sphere of radius sqrt(n*Lambda)
-    when they land outside it."""
-    s = rng.normal(0.0, np.sqrt(strategy.variance), n)
-    power = s @ s
-    budget = n * strategy.Lambda
-    return s * np.sqrt(budget / power) if power > budget else s
+    energy = np.einsum("lti,lti->lt", s, s)
+    over = ~(energy <= budget * (1.0 + 1e-12))
+    if over.any():
+        l, t = np.argwhere(over)[0]
+        raise PowerCapError(f"{strategy.kind} state has power {energy[l, t]!r} "
+                            f"over the budget {budget[l, 0]!r}")
+    if single:
+        s = s[:, 0]
+    return s[0] if lambdas is None else s
 
 
-def _impostor_state(strategy, n, rngs, codebook, relay_mode):
-    """Fake message + fake relay response, used as the state when under power.
+def _fit(kind, raw, power, budget):
+    """The (L, T, n) states of a (T, n) draw with row powers (T,) at budgets
+    (L, 1): an iid row over a budget is rescaled onto the sphere of radius
+    sqrt(budget), an impostor row over it falls back to all zeros."""
+    if kind == "iid_gaussian":
+        # max(power, budget) leaves sqrt(budget / budget) = 1.0 exactly on rows in budget
+        return raw * np.sqrt(budget / np.maximum(power, budget))[..., None]
+    return np.where((power > budget)[..., None], 0.0, raw)
+
+
+def _iid_draw(strategy, n, rngs):
+    """iid N(0, variance) symbols, one row per generator, and each row's power."""
+    rows = [r.normal(0.0, np.sqrt(strategy.variance), n) for r in rngs]
+    return np.stack(rows), np.array([row @ row for row in rows])
+
+
+def _impostor_draw(n, rngs, codebook, relay_mode):
+    """Fake message + fake relay response, one (T, n) row per generator, and
+    each row's power.
 
     Each generator draws its fake m1, fake m2 and then its fake relay-link
     noise; the fake direct-band codewords plus that noise pass through the
-    real relay map, all trials as one stack.  A fake sequence over power is
-    replaced by all zeros.  Returns (T, n), one state per generator.
+    real relay map, all trials as one stack.
     """
     if not isinstance(codebook, SfdCodebook):
         raise StrategyError("impostor strategy needs the codebook")
@@ -126,5 +154,4 @@ def _impostor_state(strategy, n, rngs, codebook, relay_mode):
         raise StrategyError(f"impostor state length {n} != blocks*n = {B * codebook.n}")
     tx, _, x1 = transmit(codebook, draw_messages(codebook, rngs), rngs, relay_mode)
     s = (tx.x_prime + x1).reshape(len(rngs), n)
-    s[[row @ row > n * strategy.Lambda for row in s]] = 0.0
-    return s
+    return s, np.array([row @ row for row in s])

@@ -6,10 +6,14 @@ x' + x1 + state with no thermal noise.  A trial counts as erroneous when any
 of its B-1 message pairs decodes wrongly.  Per-trial seeds derive from
 (master seed, trial index), so results are identical for any worker count.
 
-The work runs per chunk of trials: a loop draws each trial's two seeded
-streams in the order a trial alone would, and then the chunk is encoded,
-relayed, checked, jammed and decoded as (T, B, n) arrays.  Every tally is a
-sum over trials, so the results are also identical for any chunk size.
+The work runs per chunk of trials, and one chunk serves every row of a
+sweep: a loop draws each trial's own seeded stream in the order a trial alone
+would, and the chunk is encoded, relayed and checked once as (T, B, n)
+arrays.  Each jammer strategy then seeds its streams and draws once for the
+chunk, that draw is fitted to each Lambda of the sweep, and every row decodes
+its own jammed observations.  The rows' generators are separate, so each row
+gets the floats it would get alone.  Every tally is a sum over trials, so the
+results are also identical for any chunk size.
 """
 
 import json
@@ -18,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._fields import int_field
+from ._fields import bool_field, int_field, number_list_field
 from .adversary import StateStrategy, make_state, strategy_from_json, strategy_to_json
 from .codec import (
     CodebookConfig,
@@ -99,24 +103,25 @@ def _check_power(name, energies, budget):
         raise PowerCapError(f"{name} block energy {energies.max()!r} exceeds {budget!r}")
 
 
-def _run_chunk(config, codebook, trials):
-    """Error tallies of a range of trials: (errors, relayed block errors (B-1,),
-    direct block errors (B-1,), clipped blocks, ties).
+def _run_chunk(rows, codebook, trials):
+    """Error tallies of a range of trials, one per row: (errors, relayed block
+    errors (B-1,), direct block errors (B-1,), clipped blocks, ties).
 
-    Each trial's two streams are drawn as for a trial alone: its own stream
-    draws m1, m2, the permutation and then the relay noise; the jammer's
-    stream draws the state.  The chunk is then encoded, relayed, checked,
-    jammed and decoded as (T, B, n) arrays.
+    The rows share the code, the trials, the master seed, the relay mode and
+    the permutation flag, and differ only in the jammer.  Each trial's own
+    stream draws m1, m2, the permutation and then the relay noise, as for a
+    trial alone, and the chunk is encoded, relayed and checked once as
+    (T, B, n) arrays.  Each strategy then seeds its jammer streams and draws
+    once, `make_state` fits the draw to every Lambda of that strategy's rows,
+    and each row decodes its jammed observations.
     """
-    cb = codebook
+    cb, base = codebook, rows[0]
     B, n = cb.num_blocks, cb.n
-    rngs = [np.random.default_rng(np.random.SeedSequence([config.master_seed, t]))
+    rngs = [np.random.default_rng(np.random.SeedSequence([base.master_seed, t]))
             for t in trials]
-    jam_rngs = [np.random.default_rng(
-        np.random.SeedSequence([config.strategy.seed, config.master_seed, t])) for t in trials]
     msgs = draw_messages(cb, rngs)
-    perm = np.stack([rng.permutation(n) for rng in rngs]) if config.permute else None
-    tx, _, x1 = transmit(cb, msgs, rngs, config.relay_mode, perm)
+    perm = np.stack([rng.permutation(n) for rng in rngs]) if base.permute else None
+    tx, _, x1 = transmit(cb, msgs, rngs, base.relay_mode, perm)
 
     p = cb.config.params
     slack = 1e-9 * n
@@ -127,46 +132,59 @@ def _run_chunk(config, codebook, trials):
                  n * p.P + slack)
     x1_rows = x1.reshape(-1, n)
     _check_power("x1", np.einsum("bi,bi->b", x1_rows, x1_rows), n * p.P1 + slack)
+    clipped = int(tx.power_clipped.sum())
 
-    s = make_state(config.strategy, B * n, jam_rngs, cb, config.relay_mode).reshape(-1, B, n)
+    jammers = {}   # the strategy up to Lambda -> the indices of its rows
+    for i, row in enumerate(rows):
+        jammers.setdefault(replace(row.strategy, Lambda=1.0), []).append(i)
+    tallies = [None] * len(rows)
+    for strategy, idx in jammers.items():
+        jam_rngs = [np.random.default_rng(
+            np.random.SeedSequence([strategy.seed, base.master_seed, t])) for t in trials]
+        states = make_state(strategy, B * n, jam_rngs, cb, base.relay_mode,
+                            [rows[i].strategy.Lambda for i in idx])
+        for i, s in zip(idx, states):
+            res = decode_backward(cb, destination_observation(tx, x1, s.reshape(-1, B, n), perm))
+            rel_err = res.m_relayed != msgs[..., 0]
+            dir_err = res.m_direct != msgs[..., 1]
+            tallies[i] = (int((rel_err | dir_err).any(axis=1).sum()), rel_err.sum(axis=0),
+                          dir_err.sum(axis=0), clipped, int(res.tie_count.sum()))
+    return tallies
 
-    res = decode_backward(cb, destination_observation(tx, x1, s, perm))
-    rel_err = res.m_relayed != msgs[..., 0]
-    dir_err = res.m_direct != msgs[..., 1]
-    return (int((rel_err | dir_err).any(axis=1).sum()), rel_err.sum(axis=0),
-            dir_err.sum(axis=0), int(tx.power_clipped.sum()), int(res.tie_count.sum()))
 
-
-def _estimate(config: SimConfig, codebook, workers) -> ErrorEstimate:
-    """run_monte_carlo on a built codebook, in chunks of at most _CHUNK_ENTRIES
-    trial symbols; a thread takes whole chunks."""
-    B = codebook.num_blocks
+def _estimates(rows, codebook, workers) -> list:
+    """One ErrorEstimate per row of configs that differ only in the jammer
+    (see _run_chunk), from chunks of at most _CHUNK_ENTRIES trial symbols
+    that every row shares; a thread takes whole chunks."""
+    trials, B = rows[0].trials, codebook.num_blocks
     size = max(1, _CHUNK_ENTRIES // (B * codebook.n))
-    chunks = [range(lo, min(lo + size, config.trials)) for lo in range(0, config.trials, size)]
+    chunks = [range(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
 
-    def run(trials):
-        return _run_chunk(config, codebook, trials)
+    def run(chunk):
+        return _run_chunk(rows, codebook, chunk)
 
     if workers == 1:
-        tallies = list(map(run, chunks))
+        per_chunk = list(map(run, chunks))
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            tallies = list(pool.map(run, chunks))
+            per_chunk = list(pool.map(run, chunks))
 
-    errors, rel, dr, clipped, ties = (sum(column) for column in zip(*tallies))
-    lo, hi = wilson_interval(errors, config.trials)
-    return ErrorEstimate(
-        trials=config.trials, errors=errors, rate=errors / config.trials,
-        ci_low=lo, ci_high=hi,
-        relayed_block_errors=tuple(int(v) for v in rel),
-        direct_block_errors=tuple(int(v) for v in dr),
-        clip_rate=clipped / (config.trials * B), tie_count=ties)
+    estimates = []
+    for tallies in zip(*per_chunk):
+        errors, rel, dr, clipped, ties = (sum(column) for column in zip(*tallies))
+        lo, hi = wilson_interval(errors, trials)
+        estimates.append(ErrorEstimate(
+            trials=trials, errors=errors, rate=errors / trials, ci_low=lo, ci_high=hi,
+            relayed_block_errors=tuple(int(v) for v in rel),
+            direct_block_errors=tuple(int(v) for v in dr),
+            clip_rate=clipped / (trials * B), tie_count=ties))
+    return estimates
 
 
 def run_monte_carlo(config: SimConfig, workers=None) -> ErrorEstimate:
     """Estimate the message error rate of the configured code under attack."""
     nworkers = resolve_workers(workers)
-    return _estimate(config, build_codebook(config.codebook), nworkers)
+    return _estimates([config], build_codebook(config.codebook), nworkers)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +208,9 @@ def attack_sweep(base: SimConfig, lambda_grid, strategies=None, workers=None):
 
     The codebook stays fixed from the base config; only the jammer's power
     budget is rescaled, mirroring a deployed code under varying attack power.
+    The rows share one codebook, one sender pass per chunk of trials and one
+    jammer draw per strategy and chunk; each row equals run_monte_carlo on its
+    own config.
     """
     lambdas = [float(v) for v in lambda_grid]
     if not lambdas:
@@ -199,13 +220,10 @@ def attack_sweep(base: SimConfig, lambda_grid, strategies=None, workers=None):
     configs = [replace(base, strategy=replace(strat, Lambda=lam))
                for lam in sorted(lambdas) for strat in sorted(strategies, key=lambda s: s.kind)]
     nworkers = resolve_workers(workers)
-    codebook = build_codebook(base.codebook)
-    rows = []
-    for cfg in configs:
-        est = _estimate(cfg, codebook, nworkers)
-        rows.append(SweepEntry(cfg.strategy.Lambda, cfg.strategy.kind, est.trials, est.errors,
-                               est.rate, est.ci_low, est.ci_high, est.clip_rate))
-    return rows
+    estimates = _estimates(configs, build_codebook(base.codebook), nworkers)
+    return [SweepEntry(cfg.strategy.Lambda, cfg.strategy.kind, est.trials, est.errors, est.rate,
+                       est.ci_low, est.ci_high, est.clip_rate)
+            for cfg, est in zip(configs, estimates)]
 
 
 SWEEP_HEADER = "Lambda,strategy,trials,errors,rate,ci_low,ci_high,clip_rate"
@@ -229,10 +247,10 @@ def sim_config_from_json(obj) -> tuple:
                         trials=int_field(obj, "trials"),
                         master_seed=int_field(obj, "master_seed", 0),
                         relay_mode=obj.get("relay_mode", "min_distance"),
-                        permute=bool(obj.get("permute", False)))
+                        permute=bool_field(obj, "permute", False))
         sweep = obj.get("sweep")
         if sweep is not None:
-            sweep = {"lambdas": [float(v) for v in sweep["lambdas"]],
+            sweep = {"lambdas": number_list_field(sweep, "lambdas"),
                      "strategies": [strategy_from_json(s) for s in sweep.get(
                          "strategies", [strategy_to_json(sim.strategy)])]}
     except KeyError as exc:

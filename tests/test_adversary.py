@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from avrc import adversary
 from avrc.adversary import (
+    STRATEGY_KINDS,
     StateStrategy,
     StrategyError,
     make_state,
@@ -105,6 +107,9 @@ def test_strategy_validation():
         StateStrategy("iid_gaussian", Lambda=1.0)
     with pytest.raises(StrategyError):
         StateStrategy("zero", Lambda=0.0)
+    for lambdas in ([], [0.0], [1.0, float("nan")]):
+        with pytest.raises(StrategyError, match="Lambda"):
+            make_state(StateStrategy("zero", Lambda=1.0), 4, lambdas=lambdas)
 
 
 @pytest.mark.parametrize("kind, Lambda, variance, field", [
@@ -141,11 +146,39 @@ def test_hard_constraint_universal_randomized(kind, lam, scale, seed):
     assert s @ s <= n * lam * (1 + 1e-12)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(STRATEGY_KINDS),
+       lambdas=st.lists(st.floats(0.01, 4.0), min_size=1, max_size=4),
+       variance=st.floats(0.0, 3.0), seed=st.integers(0, 2**32 - 1),
+       trials=st.sampled_from([None, 1, 3]))
+def test_one_draw_fitted_to_each_lambda_equals_that_lambda_alone(kind, lambdas, variance, seed,
+                                                                 trials):
+    # a stack over Lambda is bit for bit the states at each Lambda alone: iid
+    # rows rescaled or not, impostor rows kept or fallen back to zeros
+    cb = small_codebook()
+    n = cb.num_blocks * cb.n
+    vector = tuple(np.sqrt(min(lambdas)) * np.sin(np.arange(n))) if kind == "fixed" else None
+    strat = StateStrategy(kind, Lambda=1.0, seed=seed, vector=vector,
+                          variance=variance if kind == "iid_gaussian" else None)
+
+    def rngs():
+        if trials is None:
+            return np.random.default_rng(seed)
+        return [np.random.default_rng((seed, t)) for t in range(trials)]
+
+    stack = make_state(strat, n, rngs(), cb, lambdas=lambdas)
+    assert stack.shape == (len(lambdas),) + ((n,) if trials is None else (trials, n))
+    for lam, s in zip(lambdas, stack):
+        alone = make_state(replace(strat, Lambda=lam), n, rngs(), cb)
+        assert s.tobytes() == alone.tobytes()
+
+
 def test_over_power_draw_raises_power_cap_error(monkeypatch):
     # the cap is an explicit check, so it holds under python -O as well
-    def over_power(strategy, n, rng, codebook, relay_mode):
-        return np.full(n, 2.0)
+    def over_power(kind, raw, power, budget):
+        return np.full((len(budget),) + raw.shape, 2.0)
 
-    monkeypatch.setattr(adversary, "_impostor_state", over_power)
+    monkeypatch.setattr(adversary, "_fit", over_power)
+    cb = small_codebook()
     with pytest.raises(PowerCapError):
-        make_state(StateStrategy("impostor", Lambda=1.0), 8)
+        make_state(StateStrategy("impostor", Lambda=1.0), cb.num_blocks * cb.n, codebook=cb)

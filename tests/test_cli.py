@@ -404,3 +404,60 @@ def test_primitive_rejects_a_fractional_channel_dimension(capsys, tmp_path, dim)
                              "--bound", "classify")
     assert code == 2 and out == ""
     assert f"{dim} must be an integer, got {obj[dim]!r}" in err
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("permute",), "false", "permute must be true or false, got 'false'"),
+    (("permute",), 1, "permute must be true or false, got 1"),
+    (("sweep", "lambdas"), "1", "lambdas must be a non-empty list of numbers, got '1'"),
+    (("sweep", "lambdas"), "0.5", "lambdas must be a non-empty list of numbers, got '0.5'"),
+    (("sweep", "lambdas"), [], "lambdas must be a non-empty list of numbers, got []"),
+    (("sweep", "lambdas"), [1.0, "2"], "lambdas must be a non-empty list of numbers"),
+    (("sweep", "lambdas"), [True], "lambdas must be a non-empty list of numbers"),
+])
+def test_simulate_rejects_malformed_permute_and_lambdas(capsys, tmp_path, path, value, message):
+    # "permute": "false" used to turn the permutation on, and "lambdas": "1" read as [1.0]
+    cfg = {
+        "codebook": {"n": 48, "blocks": 2, "rate_relayed": 0.05, "rate_direct": 0.05,
+                     "P": 4.0, "P1": 4.0, "Lambda": 1.0, "sigma2": 0.25,
+                     "alpha": 0.6, "rho": 0.0, "seed": 3},
+        "strategy": {"kind": "zero", "Lambda": 1.0},
+        "trials": 20,
+        "permute": False,
+        "sweep": {"lambdas": [1.0]},
+    }
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    cfg_path, out_path = tmp_path / "sim.json", tmp_path / "rows.csv"
+    cfg_path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(capsys, "simulate", "--config", str(cfg_path),
+                             "--out", str(out_path))
+    assert code == 2 and out == ""
+    assert message in err
+    assert not out_path.exists()
+
+
+def test_simulate_sweep_stops_at_a_fixed_vector_over_one_budget(capsys, tmp_path):
+    # within budget at Lambda = 4 (power 2 per symbol) but over it at 0.5: the
+    # sweep stops with one error line, and writes neither stdout nor the CSV
+    n = 2 * 48
+    cfg = {
+        "codebook": {"n": 48, "blocks": 2, "rate_relayed": 0.05, "rate_direct": 0.05,
+                     "P": 4.0, "P1": 4.0, "Lambda": 1.0, "sigma2": 0.25,
+                     "alpha": 0.6, "rho": 0.0, "seed": 3},
+        "strategy": {"kind": "zero", "Lambda": 1.0},
+        "trials": 20,
+        "sweep": {"lambdas": [4.0, 0.5],
+                  "strategies": [{"kind": "zero", "Lambda": 1.0},
+                                 {"kind": "fixed", "Lambda": 1.0,
+                                  "vector": [np.sqrt(2.0)] * n}]},
+    }
+    cfg_path, out_path = tmp_path / "sim.json", tmp_path / "rows.csv"
+    cfg_path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(capsys, "simulate", "--config", str(cfg_path),
+                             "--out", str(out_path), "--workers", "1")
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: fixed vector violates the power constraint"]
+    assert not out_path.exists()

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avrc import sim
+from avrc import adversary, sim
 from avrc.adversary import STRATEGY_KINDS, StateStrategy
-from avrc.codec import CodebookConfig, PowerCapError
+from avrc.codec import CodebookConfig, PowerCapError, build_codebook
 from avrc.gaussian import GaussianSfdParams, PowerSplit
 from avrc.sim import (
     SimConfig,
@@ -221,6 +221,59 @@ def test_results_independent_of_chunk_size_and_workers(kind, permute, relay_mode
     cap = sim._CHUNK_ENTRIES if chunk_trials is None else chunk_trials * 3 * 32
     with mock.patch.object(sim, "_CHUNK_ENTRIES", cap):
         assert _estimate_and_sweep_bytes(config, workers) == reference
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(permute=st.booleans(), relay_mode=st.sampled_from(["min_distance", "ideal"]),
+       rho=st.sampled_from([0.8, 1.0]), chunk_trials=st.sampled_from([1, None]),
+       workers=st.sampled_from([1, 2]),
+       lambdas=st.lists(st.sampled_from([0.5, 1.0, 2.0, 4.0]), min_size=1, max_size=3,
+                        unique=True))
+def test_rows_sharing_a_chunk_equal_each_row_alone(permute, relay_mode, rho, chunk_trials,
+                                                   workers, lambdas):
+    # every kind, and two iid jammers that differ only in seed and variance,
+    # each at every Lambda, in an order no sweep sorts them into
+    strategies = [_determinism_config(kind, permute, relay_mode, rho).strategy
+                  for kind in STRATEGY_KINDS]
+    strategies.append(replace(strategies[2], seed=7, variance=0.5))
+    base = _determinism_config("zero", permute, relay_mode, rho)
+    rows = [replace(base, strategy=replace(strat, Lambda=lam))
+            for strat in strategies for lam in lambdas]
+    alone = [run_monte_carlo(row) for row in rows]
+    cap = sim._CHUNK_ENTRIES if chunk_trials is None else chunk_trials * 3 * 32
+    with mock.patch.object(sim, "_CHUNK_ENTRIES", cap):
+        assert sim._estimates(rows, build_codebook(base.codebook), workers) == alone
+
+
+def test_sweep_runs_the_sender_pass_and_each_jammer_draw_once_per_chunk(monkeypatch):
+    base = SimConfig(base_codebook_config(), StateStrategy("zero", Lambda=1.0),
+                     trials=10, master_seed=2, permute=True)
+    strategies = [StateStrategy("zero", Lambda=1.0),
+                  StateStrategy("iid_gaussian", Lambda=1.0, variance=2.0, seed=5),
+                  StateStrategy("impostor", Lambda=1.0, seed=3)]
+    monkeypatch.setattr(sim, "_CHUNK_ENTRIES", 4 * 3 * 64)    # chunks of 4, 4 and 2 trials
+    transmits, seeds = [], []
+    real_transmit, real_seed = sim.transmit, np.random.SeedSequence
+
+    def counted_transmit(*args, **kwargs):
+        transmits.append(len(args[1]))
+        return real_transmit(*args, **kwargs)
+
+    def counted_seed(entropy=None, **kwargs):
+        seeds.append(entropy)
+        return real_seed(entropy, **kwargs)
+
+    monkeypatch.setattr(sim, "transmit", counted_transmit)
+    monkeypatch.setattr(adversary, "transmit", counted_transmit)
+    monkeypatch.setattr(np.random, "SeedSequence", counted_seed)
+    rows = attack_sweep(base, [0.5, 1.0, 4.0], strategies)
+    assert len(rows) == 9
+    # once per chunk for the sender and once for the impostor, not once per row
+    assert transmits == [4, 4, 4, 4, 2, 2]
+    trial_seeds = [e for e in seeds if isinstance(e, list) and len(e) == 2]
+    jammer_seeds = [e for e in seeds if isinstance(e, list) and len(e) == 3]
+    assert trial_seeds == [[2, t] for t in range(10)]
+    assert sorted(jammer_seeds) == sorted([s.seed, 2, t] for s in strategies for t in range(10))
 
 
 def test_over_power_relay_codeword_raises_on_the_batched_path(monkeypatch):
