@@ -108,17 +108,24 @@ def _run_chunk(rows, codebook, trials):
     errors (B-1,), direct block errors (B-1,), clipped blocks, ties).
 
     The rows share the code, the trials, the master seed, the relay mode and
-    the permutation flag, and differ only in the jammer.  Each trial's own
-    stream draws m1, m2, the permutation and then the relay noise, as for a
-    trial alone, and the chunk is encoded, relayed and checked once as
-    (T, B, n) arrays.  Each strategy then seeds its jammer streams and draws
-    once, `make_state` fits the draw to every Lambda of that strategy's rows,
-    and each row decodes its jammed observations.
+    the permutation flag, and differ only in the jammer.  The trials' own
+    generators and each strategy's jammer generators are seeded once.  Each
+    trial's own stream draws m1, m2, the permutation and then the relay noise,
+    as for a trial alone, and the chunk is encoded, relayed and checked once
+    as (T, B, n) arrays.  Each strategy then draws once, `make_state` fits the
+    draw to every Lambda of that strategy's rows, and each row decodes its
+    jammed observations.
     """
     cb, base = codebook, rows[0]
     B, n = cb.num_blocks, cb.n
+    jammers = {}   # the strategy up to Lambda -> the indices of its rows
+    for i, row in enumerate(rows):
+        jammers.setdefault(replace(row.strategy, Lambda=1.0), []).append(i)
     rngs = [np.random.default_rng(np.random.SeedSequence([base.master_seed, t]))
             for t in trials]
+    jam_rngs = {strategy: [np.random.default_rng(
+        np.random.SeedSequence([strategy.seed, base.master_seed, t])) for t in trials]
+        for strategy in jammers}
     msgs = draw_messages(cb, rngs)
     perm = np.stack([rng.permutation(n) for rng in rngs]) if base.permute else None
     tx, _, x1 = transmit(cb, msgs, rngs, base.relay_mode, perm)
@@ -134,14 +141,9 @@ def _run_chunk(rows, codebook, trials):
     _check_power("x1", np.einsum("bi,bi->b", x1_rows, x1_rows), n * p.P1 + slack)
     clipped = int(tx.power_clipped.sum())
 
-    jammers = {}   # the strategy up to Lambda -> the indices of its rows
-    for i, row in enumerate(rows):
-        jammers.setdefault(replace(row.strategy, Lambda=1.0), []).append(i)
     tallies = [None] * len(rows)
     for strategy, idx in jammers.items():
-        jam_rngs = [np.random.default_rng(
-            np.random.SeedSequence([strategy.seed, base.master_seed, t])) for t in trials]
-        states = make_state(strategy, B * n, jam_rngs, cb, base.relay_mode,
+        states = make_state(strategy, B * n, jam_rngs[strategy], cb, base.relay_mode,
                             [rows[i].strategy.Lambda for i in idx])
         for i, s in zip(idx, states):
             res = decode_backward(cb, destination_observation(tx, x1, s.reshape(-1, B, n), perm))
