@@ -2,11 +2,13 @@
 
 The `simulate` CSVs are the exact bytes of seeded runs of the Monte Carlo path
 (codec, jammer, simulator); between them they reach every strategy kind, both
-relay modes and the plain and permuted codes.  A loud permuted sweep adds rows
-with errors and clipped blocks, and three `simulate` stdout documents pin the
-per-block error counts and the tie count that the CSV leaves out.  The Gaussian pins are the
-criterion-01 `figure` CSV and the `bounds` JSON of criterion 02's tuple and of
-a tuple with P = 0, where only the upper region is feasible."""
+relay modes and the plain and permuted codes.  Two loud permuted sweeps add
+rows with errors and clipped blocks, the second with rows in which some
+trials' states equal those of the row before and some do not.  Three
+`simulate` stdout documents pin the per-block error counts and the tie count
+that the CSV leaves out.  The Gaussian pins are the criterion-01 `figure` CSV
+and the `bounds` JSON of criterion 02's tuple and of a tuple with P = 0, where
+only the upper region is feasible."""
 
 import hashlib
 import json
@@ -105,12 +107,36 @@ LOUD_SWEEP = (
     + "2,zero,40,33,0.825,0.680500097,0.912545863,0.508333333\n",
 )
 
+# the iid jammer's power (about 144 = 96 * 1.5) straddles the middle budget:
+# at Lambda = 2, 17 of its 40 states equal those at 1.5 (within budget at
+# both) and 23 differ (rescaled at 1.5); the impostor's fallback at 1.5
+# differs from 1 on 3 of them.  Each of those rows' counts moves if a changed
+# trial keeps the row before's decode
+LOUD_MIXED_SWEEP = (
+    dict(LOUD_SWEEP[0], master_seed=3,
+         sweep=dict(LOUD_SWEEP[0]["sweep"], lambdas=[1.0, 1.5, 2.0])),
+    HEADER
+    + "1,fixed,40,21,0.525,0.374973621,0.670645299,0.483333333\n"
+    + "1,iid_gaussian,40,29,0.725,0.571650442,0.838919838,0.483333333\n"
+    + "1,impostor,40,31,0.775,0.624969033,0.876839087,0.483333333\n"
+    + "1,zero,40,30,0.75,0.598060386,0.858128814,0.483333333\n"
+    + "1.5,fixed,40,21,0.525,0.374973621,0.670645299,0.483333333\n"
+    + "1.5,iid_gaussian,40,30,0.75,0.598060386,0.858128814,0.483333333\n"
+    + "1.5,impostor,40,29,0.725,0.571650442,0.838919838,0.483333333\n"
+    + "1.5,zero,40,30,0.75,0.598060386,0.858128814,0.483333333\n"
+    + "2,fixed,40,21,0.525,0.374973621,0.670645299,0.483333333\n"
+    + "2,iid_gaussian,40,30,0.75,0.598060386,0.858128814,0.483333333\n"
+    + "2,impostor,40,29,0.725,0.571650442,0.838919838,0.483333333\n"
+    + "2,zero,40,30,0.75,0.598060386,0.858128814,0.483333333\n",
+)
+
 
 @pytest.mark.parametrize(
     "config, expected",
-    [PLAIN_IMPOSTOR, PERMUTED_SWEEP, IDEAL_SWEEP, PLAIN_FIXED, PERMUTED_FIXED, LOUD_SWEEP],
+    [PLAIN_IMPOSTOR, PERMUTED_SWEEP, IDEAL_SWEEP, PLAIN_FIXED, PERMUTED_FIXED, LOUD_SWEEP,
+     LOUD_MIXED_SWEEP],
     ids=["plain_impostor", "permuted_sweep", "ideal_sweep", "plain_fixed", "permuted_fixed",
-         "loud_sweep"])
+         "loud_sweep", "loud_mixed_sweep"])
 def test_simulate_csv_bytes_are_pinned(tmp_path, capsys, config, expected):
     cfg_path, out_path = tmp_path / "sim.json", tmp_path / "out.csv"
     cfg_path.write_text(json.dumps(config))
