@@ -17,6 +17,24 @@ def int_field(obj, key, default=_REQUIRED):
     raise ValueError(f"{key} must be an integer, got {value!r}")
 
 
+def seed_field(obj, key):
+    """obj[key] as a seed: an int_field that defaults to 0 and is refused,
+    naming the key, when below 0."""
+    value = int_field(obj, key, 0)
+    if value < 0:
+        raise ValueError(f"{key} must be >= 0, got {value!r}")
+    return value
+
+
+def number_field(obj, key):
+    """obj[key] as a float; a string, a boolean, null or any other non-number
+    raises ValueError naming the key instead of being converted."""
+    value = obj[key]
+    if isinstance(value, Real) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"{key} must be a number, got {value!r}")
+
+
 def bool_field(obj, key, default=_REQUIRED):
     """obj[key] as a JSON boolean; any other value, the string "false" among
     them, raises ValueError naming the key instead of being read as truthy."""

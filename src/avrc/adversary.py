@@ -17,10 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fields import int_field
+from ._fields import number_field, number_list_field, seed_field
 from .codec import PowerCapError, SfdCodebook, draw_messages, transmit
 
 STRATEGY_KINDS = ("zero", "fixed", "iid_gaussian", "impostor")
+DRAWING_KINDS = ("iid_gaussian", "impostor")   # the kinds that draw from their generators
 
 
 class StrategyError(ValueError):
@@ -55,12 +56,12 @@ def strategy_from_json(obj) -> StateStrategy:
 
     if isinstance(obj, (str, bytes)):
         obj = json.loads(obj)
-    kw = {"kind": obj["kind"], "Lambda": float(obj["Lambda"]),
-          "seed": int_field(obj, "seed", 0)}
-    if "variance" in obj and obj["variance"] is not None:
-        kw["variance"] = float(obj["variance"])
-    if "vector" in obj and obj["vector"] is not None:
-        kw["vector"] = tuple(float(v) for v in obj["vector"])
+    kw = {"kind": obj["kind"], "Lambda": number_field(obj, "Lambda"),
+          "seed": seed_field(obj, "seed")}
+    if obj.get("variance") is not None:
+        kw["variance"] = number_field(obj, "variance")
+    if obj.get("vector") is not None:
+        kw["vector"] = tuple(number_list_field(obj, "vector"))
     return StateStrategy(**kw)
 
 
@@ -78,8 +79,9 @@ def make_state(strategy: StateStrategy, n: int, rng=None, codebook: SfdCodebook 
     """Draw one state sequence of length n; always satisfies ||s||^2 <= n*Lambda.
 
     rng is one generator, or a sequence of T generators for a (T, n) stack of
-    states, one drawn from each generator in turn.  The impostor reads the
-    codebook and the relay mode of the code it attacks.
+    states, one drawn from each generator in turn.  The zero and fixed kinds
+    (not in DRAWING_KINDS) never draw, so their T entries may be None.  The
+    impostor reads the codebook and the relay mode of the code it attacks.
 
     lambdas, a sequence of L budgets in place of strategy.Lambda, fits one
     draw to each of them and adds a leading axis: (L, n), or (L, T, n) for a

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fields import int_field
+from ._fields import int_field, number_field, seed_field
 from .gaussian import LOG2, GaussianSfdParams, PowerSplit, _lower_mask
 
 FIXED_INDEX = 0   # boundary message carried by the final block and block 0's "previous"
@@ -82,14 +82,16 @@ def codebook_config_from_json(obj) -> CodebookConfig:
 
     if isinstance(obj, (str, bytes)):
         obj = json.loads(obj)
-    params = GaussianSfdParams(P=float(obj["P"]), P1=float(obj["P1"]),
-                               Lambda=float(obj["Lambda"]), sigma2=float(obj["sigma2"]))
+    num = {key: number_field(obj, key) for key in
+           ("P", "P1", "Lambda", "sigma2", "rate_relayed", "rate_direct", "alpha", "rho")}
     return CodebookConfig(
         n=int_field(obj, "n"), num_blocks=int_field(obj, "blocks"),
-        rate_relayed=float(obj["rate_relayed"]), rate_direct=float(obj["rate_direct"]),
-        params=params, split=PowerSplit(alpha=float(obj["alpha"]), rho=float(obj["rho"])),
-        delta=None if obj.get("delta") is None else float(obj["delta"]),
-        seed=int_field(obj, "seed", 0))
+        rate_relayed=num["rate_relayed"], rate_direct=num["rate_direct"],
+        params=GaussianSfdParams(P=num["P"], P1=num["P1"], Lambda=num["Lambda"],
+                                 sigma2=num["sigma2"]),
+        split=PowerSplit(alpha=num["alpha"], rho=num["rho"]),
+        delta=None if obj.get("delta") is None else number_field(obj, "delta"),
+        seed=seed_field(obj, "seed"))
 
 
 def achievable_rate_pair(params: GaussianSfdParams, split: PowerSplit):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from ._fields import int_field
+from ._fields import int_field, number_field
 from .optimize import refine_batch_size, search_simplex, simplex_grid, start_pool
 
 PMF_TOL = 1e-12
@@ -106,7 +106,7 @@ def dmc_from_json(obj) -> Dmc:
         obj = json.loads(obj)
     try:
         dims = tuple(int_field(obj, k) for k in ("X", "S", "Y", "Y1"))
-        c1 = float(obj["C1"])
+        c1 = number_field(obj, "C1")
         W = np.asarray(obj["W"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ChannelFormatError(f"malformed channel object: {exc}") from exc

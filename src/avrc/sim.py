@@ -9,11 +9,14 @@ of its B-1 message pairs decodes wrongly.  Per-trial seeds derive from
 The work runs per chunk of trials, and one chunk serves every row of a
 sweep: a loop draws each trial's own seeded stream in the order a trial alone
 would, and the chunk is encoded, relayed and checked once as (T, B, n)
-arrays.  Each jammer strategy then seeds its streams and draws once for the
-chunk, that draw is fitted to each Lambda of the sweep, and every row decodes
-its own jammed observations.  The rows' generators are separate, so each row
-gets the floats it would get alone.  Every tally is a sum over trials, so the
-results are also identical for any chunk size.
+arrays.  Each jammer strategy that draws then seeds its streams and draws
+once for the chunk, and that draw is fitted to each Lambda of the sweep.  The
+rows' generators are separate, so each row gets the floats it would get
+alone.  Above a trial's state power a larger Lambda leaves the state as it
+was, and an equal state is an equal observation, so a trial is decoded again
+only in the rows where its state changed; a one-row run decodes each trial
+once, as before.  Every tally is a sum over trials, so the results are also
+identical for any chunk size.
 """
 
 import json
@@ -22,11 +25,18 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._fields import bool_field, int_field, number_list_field
-from .adversary import StateStrategy, make_state, strategy_from_json, strategy_to_json
+from ._fields import bool_field, int_field, number_list_field, seed_field
+from .adversary import (
+    DRAWING_KINDS,
+    StateStrategy,
+    make_state,
+    strategy_from_json,
+    strategy_to_json,
+)
 from .codec import (
     CodebookConfig,
     PowerCapError,
+    Transmission,
     build_codebook,
     codebook_config_from_json,
     decode_backward,
@@ -109,12 +119,14 @@ def _run_chunk(rows, codebook, trials):
 
     The rows share the code, the trials, the master seed, the relay mode and
     the permutation flag, and differ only in the jammer.  The trials' own
-    generators and each strategy's jammer generators are seeded once.  Each
-    trial's own stream draws m1, m2, the permutation and then the relay noise,
-    as for a trial alone, and the chunk is encoded, relayed and checked once
-    as (T, B, n) arrays.  Each strategy then draws once, `make_state` fits the
-    draw to every Lambda of that strategy's rows, and each row decodes its
-    jammed observations.
+    generators, and the jammer generators of each strategy that draws, are
+    seeded once.  Each trial's own stream draws m1, m2, the permutation and
+    then the relay noise, as for a trial alone, and the chunk is encoded,
+    relayed and checked once as (T, B, n) arrays.  Each strategy then draws
+    once, and `make_state` fits the draw to every Lambda of that strategy's
+    rows.  Walking a strategy's rows in order, a trial whose state equals
+    (==) its state in the row before sees the same observation, so it keeps
+    that row's decode; only the other trials are decoded, as one stack.
     """
     cb, base = codebook, rows[0]
     B, n = cb.num_blocks, cb.n
@@ -123,9 +135,10 @@ def _run_chunk(rows, codebook, trials):
         jammers.setdefault(replace(row.strategy, Lambda=1.0), []).append(i)
     rngs = [np.random.default_rng(np.random.SeedSequence([base.master_seed, t]))
             for t in trials]
-    jam_rngs = {strategy: [np.random.default_rng(
-        np.random.SeedSequence([strategy.seed, base.master_seed, t])) for t in trials]
-        for strategy in jammers}
+    # the zero and fixed kinds never draw, so they get no generators
+    jam_rngs = {strategy: [np.random.default_rng(np.random.SeedSequence(
+        [strategy.seed, base.master_seed, t])) if strategy.kind in DRAWING_KINDS else None
+        for t in trials] for strategy in jammers}
     msgs = draw_messages(cb, rngs)
     perm = np.stack([rng.permutation(n) for rng in rngs]) if base.permute else None
     tx, _, x1 = transmit(cb, msgs, rngs, base.relay_mode, perm)
@@ -144,13 +157,25 @@ def _run_chunk(rows, codebook, trials):
     tallies = [None] * len(rows)
     for strategy, idx in jammers.items():
         states = make_state(strategy, B * n, jam_rngs[strategy], cb, base.relay_mode,
-                            [rows[i].strategy.Lambda for i in idx])
-        for i, s in zip(idx, states):
-            res = decode_backward(cb, destination_observation(tx, x1, s.reshape(-1, B, n), perm))
-            rel_err = res.m_relayed != msgs[..., 0]
-            dir_err = res.m_direct != msgs[..., 1]
+                            [rows[i].strategy.Lambda for i in idx]).reshape(len(idx), -1, B, n)
+        for k, (i, s) in enumerate(zip(idx, states)):
+            # the trials whose state differs from the row before; all, in the first
+            # row.  == holds for +0.0 and -0.0, which the decoder's sums, max,
+            # argmax and == cannot tell apart either
+            fresh = None if k == 0 else np.flatnonzero((s != states[k - 1]).any(axis=(1, 2)))
+            if fresh is None or len(fresh) == len(s):
+                res = decode_backward(cb, destination_observation(tx, x1, s, perm))
+                rel_err, dir_err, ties = (res.m_relayed != msgs[..., 0],
+                                          res.m_direct != msgs[..., 1], res.tie_count)
+            elif len(fresh):
+                sub = Transmission(tx.x_prime[fresh], tx.x_direct[fresh], tx.power_clipped[fresh])
+                res = decode_backward(cb, destination_observation(
+                    sub, x1[fresh], s[fresh], None if perm is None else perm[fresh]))
+                rel_err[fresh] = res.m_relayed != msgs[fresh, :, 0]
+                dir_err[fresh] = res.m_direct != msgs[fresh, :, 1]
+                ties[fresh] = res.tie_count
             tallies[i] = (int((rel_err | dir_err).any(axis=1).sum()), rel_err.sum(axis=0),
-                          dir_err.sum(axis=0), clipped, int(res.tie_count.sum()))
+                          dir_err.sum(axis=0), clipped, int(ties.sum()))
     return tallies
 
 
@@ -247,7 +272,7 @@ def sim_config_from_json(obj) -> tuple:
         sim = SimConfig(codebook=codebook_config_from_json(obj["codebook"]),
                         strategy=strategy_from_json(obj["strategy"]),
                         trials=int_field(obj, "trials"),
-                        master_seed=int_field(obj, "master_seed", 0),
+                        master_seed=seed_field(obj, "master_seed"),
                         relay_mode=obj.get("relay_mode", "min_distance"),
                         permute=bool_field(obj, "permute", False))
         sweep = obj.get("sweep")

@@ -439,6 +439,57 @@ def test_simulate_rejects_malformed_permute_and_lambdas(capsys, tmp_path, path, 
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("path, value, message", [
+    (("strategy", "Lambda"), "1", "Lambda must be a number, got '1'"),
+    (("strategy", "Lambda"), True, "Lambda must be a number, got True"),
+    (("codebook", "P"), "0.4", "P must be a number, got '0.4'"),
+    (("codebook", "P"), None, "P must be a number, got None"),
+    (("codebook", "delta"), "0.01", "delta must be a number, got '0.01'"),
+    (("strategy", "variance"), "1", "variance must be a number, got '1'"),
+    (("sweep", "strategies", 0, "vector"), "abc",
+     "vector must be a non-empty list of numbers, got 'abc'"),
+    (("codebook", "seed"), -1, "seed must be >= 0, got -1"),
+    (("strategy", "seed"), -1, "seed must be >= 0, got -1"),
+    (("master_seed",), -1, "master_seed must be >= 0, got -1"),
+])
+def test_simulate_rejects_a_non_numeric_number_field(capsys, tmp_path, path, value, message):
+    # the strings and true were converted and run; null, "abc" and the seed -1
+    # failed without naming the field
+    cfg = {
+        "codebook": {"n": 48, "blocks": 2, "rate_relayed": 0.05, "rate_direct": 0.05,
+                     "P": 4.0, "P1": 4.0, "Lambda": 1.0, "sigma2": 0.25,
+                     "alpha": 0.6, "rho": 0.0, "delta": 0.04, "seed": 3},
+        "strategy": {"kind": "iid_gaussian", "Lambda": 1.0, "variance": 1.0, "seed": 0},
+        "trials": 20,
+        "master_seed": 2,
+        "sweep": {"lambdas": [1.0], "strategies": [
+            {"kind": "fixed", "Lambda": 1.0, "vector": [0.5] * 96}]},
+    }
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    cfg_path, out_path = tmp_path / "sim.json", tmp_path / "rows.csv"
+    cfg_path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(capsys, "simulate", "--config", str(cfg_path),
+                             "--out", str(out_path))
+    assert code == 2 and out == ""
+    assert message in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("value", ["1", True, None])
+def test_primitive_rejects_a_non_numeric_relay_rate(capsys, tmp_path, value):
+    obj = dmc_to_json(binary_pipe_dmc())
+    obj["C1"] = value
+    path = tmp_path / "c1.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "primitive", "--channel", str(path),
+                             "--bound", "classify")
+    assert code == 2 and out == ""
+    assert f"C1 must be a number, got {value!r}" in err
+
+
 def test_simulate_sweep_stops_at_a_fixed_vector_over_one_budget(capsys, tmp_path):
     # within budget at Lambda = 4 (power 2 per symbol) but over it at 0.5: the
     # sweep stops with one error line, and writes neither stdout nor the CSV

@@ -227,15 +227,16 @@ def test_results_independent_of_chunk_size_and_workers(kind, permute, relay_mode
 @given(permute=st.booleans(), relay_mode=st.sampled_from(["min_distance", "ideal"]),
        rho=st.sampled_from([0.8, 1.0]), chunk_trials=st.sampled_from([1, None]),
        workers=st.sampled_from([1, 2]),
-       lambdas=st.lists(st.sampled_from([0.5, 1.0, 2.0, 4.0]), min_size=1, max_size=3,
-                        unique=True))
+       lambdas=st.lists(st.sampled_from([0.5, 1.0, 2.0, 4.0]), min_size=1, max_size=3))
 def test_rows_sharing_a_chunk_equal_each_row_alone(permute, relay_mode, rho, chunk_trials,
                                                    workers, lambdas):
-    # every kind, and two iid jammers that differ only in seed and variance,
-    # each at every Lambda, in an order no sweep sorts them into
+    # every kind, and iid jammers that differ only in seed and variance, each
+    # at every Lambda (repeats too), in an order no sweep sorts them into; at
+    # variance 1.0 a budget of Lambda = 1.0 rescales some trials and not others
     strategies = [_determinism_config(kind, permute, relay_mode, rho).strategy
                   for kind in STRATEGY_KINDS]
-    strategies.append(replace(strategies[2], seed=7, variance=0.5))
+    strategies += [replace(strategies[2], seed=7, variance=0.5),
+                   replace(strategies[2], seed=9, variance=1.0)]
     base = _determinism_config("zero", permute, relay_mode, rho)
     rows = [replace(base, strategy=replace(strat, Lambda=lam))
             for strat in strategies for lam in lambdas]
@@ -273,7 +274,9 @@ def test_sweep_runs_the_sender_pass_and_each_jammer_draw_once_per_chunk(monkeypa
     trial_seeds = [e for e in seeds if isinstance(e, list) and len(e) == 2]
     jammer_seeds = [e for e in seeds if isinstance(e, list) and len(e) == 3]
     assert trial_seeds == [[2, t] for t in range(10)]
-    assert sorted(jammer_seeds) == sorted([s.seed, 2, t] for s in strategies for t in range(10))
+    # the zero jammer never draws, so it seeds nothing
+    assert sorted(jammer_seeds) == sorted([s.seed, 2, t] for s in strategies[1:]
+                                          for t in range(10))
 
 
 def test_over_power_relay_codeword_raises_on_the_batched_path(monkeypatch):
@@ -289,3 +292,52 @@ def test_over_power_relay_codeword_raises_on_the_batched_path(monkeypatch):
                     trials=20, master_seed=1)
     with pytest.raises(PowerCapError, match="x1 block energy"):
         run_monte_carlo(cfg)
+
+
+def test_sweep_decodes_only_the_trials_whose_state_changed(monkeypatch):
+    # impostor states have about 6.3 per symbol of power here, and the iid
+    # jammer's variance sits there too, so the middle budget splits both
+    base = SimConfig(base_codebook_config(), StateStrategy("zero", Lambda=1.0),
+                     trials=10, master_seed=2, permute=True)
+    n = base.codebook.num_blocks * base.codebook.n
+    strategies = [StateStrategy("zero", Lambda=1.0),
+                  StateStrategy("fixed", Lambda=1.0, vector=tuple(0.5 * np.cos(np.arange(n)))),
+                  StateStrategy("iid_gaussian", Lambda=1.0, variance=6.3, seed=5),
+                  StateStrategy("impostor", Lambda=1.0, seed=3)]
+    lambdas = [0.5, 6.3, 8.0]
+    chunks = [range(0, 4), range(4, 8), range(8, 10)]
+    monkeypatch.setattr(sim, "_CHUNK_ENTRIES", 4 * n)
+    cb = build_codebook(base.codebook)
+
+    def alone(strategy, lam, t):
+        rng = np.random.default_rng(np.random.SeedSequence([strategy.seed, 2, t]))
+        return adversary.make_state(replace(strategy, Lambda=lam), n, rng, cb)
+
+    # per chunk and strategy (in the sweep's row order), the first Lambda
+    # decodes every trial and each later one the trials whose state changed
+    expected, mixed = [], 0
+    for chunk in chunks:
+        for strategy in sorted(strategies, key=lambda s: s.kind):
+            states = [[alone(strategy, lam, t) for t in chunk] for lam in lambdas]
+            expected.append(len(chunk))
+            for prev, cur in zip(states, states[1:]):
+                fresh = sum(bool((a != b).any()) for a, b in zip(prev, cur))
+                expected += [fresh] if fresh else []
+                mixed += 0 < fresh < len(chunk)
+    assert mixed > 0
+    decoded = []
+    real = sim.decode_backward
+
+    def counted(codebook, y):
+        decoded.append(len(y))
+        # a tie count read off each observation, so that a stale count shows
+        return replace(real(codebook, y), tie_count=(y > 0).sum(axis=(1, 2)))
+
+    monkeypatch.setattr(sim, "decode_backward", counted)
+    rows = [replace(base, strategy=replace(strategy, Lambda=lam))
+            for lam in lambdas for strategy in sorted(strategies, key=lambda s: s.kind)]
+    shared = sim._estimates(rows, cb, 1)
+    assert decoded == expected
+    # zero and fixed decode once per chunk
+    assert sum(expected) < len(rows) * base.trials
+    assert shared == [run_monte_carlo(row) for row in rows]
