@@ -7,6 +7,7 @@ All numeric output is printed with 9 significant digits.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -45,7 +46,10 @@ def _emit(obj):
     print(json.dumps(_sig9(obj), indent=2))
 
 
+@functools.cache
 def _build_parser():
+    """The argparse tree, built once per process; parse_args keeps no state
+    between calls and returns a fresh namespace each time."""
     top = _Parser(prog="avrc", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 

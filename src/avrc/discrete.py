@@ -20,12 +20,17 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from ._fields import int_field, number_field
 from .optimize import refine_batch_size, search_simplex, simplex_grid, start_pool
 
 PMF_TOL = 1e-12
+
+# scipy.optimize.linprog, bound by the first symmetrizability LP: only the LP
+# needs scipy, and importing it costs every other command about 0.45 s.  It is
+# a module global, not a local import, so that wrappers installed on this
+# module's namespace (tracing) still see the calls.
+linprog = None
 
 
 class ChannelFormatError(ValueError):
@@ -212,6 +217,7 @@ def symmetrizability(channel, tol: float = 1e-9) -> SymVerdict:
     over row-stochastic J, and declares symmetrizable iff the optimum is
     within tol.  The returned witness is re-verified independently.
     """
+    global linprog
     W = np.asarray(channel, dtype=float)
     if W.ndim != 3:
         raise ChannelFormatError("channel must have shape (X, S, O)")
@@ -232,6 +238,8 @@ def symmetrizability(channel, tol: float = 1e-9) -> SymVerdict:
     A_eq = np.column_stack([np.kron(np.eye(X), np.ones(S)), np.zeros(X)])
     c = np.zeros(X * S + 1)   # J entries, then the residual bound t
     c[-1] = 1.0
+    if linprog is None:
+        from scipy.optimize import linprog
     res = linprog(c, A_ub=A_ub, b_ub=np.zeros(len(A_ub)), A_eq=A_eq, b_eq=np.ones(X),
                   bounds=(0, None), method="highs")
     if not res.success:

@@ -47,6 +47,10 @@ LOG2 = np.log(2.0)
 #: margin used to implement the strict inequalities of the lower-bound region
 FEASIBILITY_EPS = 1e-12
 
+#: most P values one sweep may ask for; a P costs about a millisecond, so the
+#: cap is about 15 minutes of work, and a larger count is refused before any is built
+MAX_SWEEP_POINTS = 10**6
+
 
 class GaussianParamError(ValueError):
     pass
@@ -395,8 +399,11 @@ def sweep_range(p_min: float, p_max: float, step: float):
         raise GaussianParamError("step must be > 0")
     if p_max < p_min:
         raise GaussianParamError("empty sweep range")
-    count = int(np.floor((p_max - p_min) / step + 1e-9)) + 1
-    return [p_min + i * step for i in range(count)]
+    count = np.floor((p_max - p_min) / step + 1e-9) + 1   # inf when the span overflows
+    if count > MAX_SWEEP_POINTS:
+        raise GaussianParamError(f"pmin {p_min!r} to pmax {p_max!r} at step {step!r} asks for "
+                                 f"{count:.0f} points, above the cap of {MAX_SWEEP_POINTS}")
+    return [p_min + i * step for i in range(int(count))]
 
 
 def write_sweep_csv(rows, path):

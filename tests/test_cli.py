@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from avrc import cli
 from avrc.cli import main
 from avrc.discrete import Dmc, binary_pipe_dmc, dmc_to_json
 
@@ -245,6 +251,57 @@ def test_figure_rejects_empty_range(capsys, tmp_path):
                            "--pmin", "2", "--pmax", "1", "--step", "0.5",
                            "--out", str(tmp_path / "x.csv"))
     assert code == 2 and "error" in err
+
+
+def test_figure_refuses_a_sweep_over_the_point_cap_at_once(capsys, tmp_path):
+    # 10^18 points: the list of P values must not be built
+    out_path = tmp_path / "fig.csv"
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "figure", "--Lambda", "1", "--sigma2", "0.5", "--pmin", "0",
+                             "--pmax", "1e9", "--step", "1e-9", "--out", str(out_path))
+    elapsed = time.perf_counter() - t0
+    assert (code, out) == (2, "") and not out_path.exists()
+    assert err == ("error: pmin 0.0 to pmax 1000000000.0 at step 1e-09 asks for "
+                   "1000000000000000000 points, above the cap of 1000000\n")
+    assert elapsed < 0.5
+
+
+def test_cached_parser_carries_no_state_between_calls(capsys):
+    calls = [["--help"],
+             ["figure"],
+             ["bounds", "--P", "0", "--P1", "1", "--Lambda", "1", "--sigma2", "0.5"],
+             ["--help"]]
+    first = []
+    for argv in calls:
+        cli._build_parser.cache_clear()      # each call as the first of a process
+        first.append(run_cli(capsys, *argv))
+    cli._build_parser.cache_clear()
+    in_turn = [run_cli(capsys, *argv) for argv in calls]
+    assert [r[0] for r in in_turn] == [0, 1, 0, 0]
+    assert in_turn == first
+    parser = cli._build_parser()
+    assert parser is cli._build_parser()
+    assert vars(parser.parse_args(["example1"])) == {"command": "example1"}
+
+
+def test_a_fresh_process_loads_scipy_optimize_only_for_the_lp(capsys, channel_file):
+    script = (
+        "import sys\n"
+        "import avrc, avrc.cli\n"
+        "print('scipy.optimize' in sys.modules)\n"
+        "code = avrc.cli.main(sys.argv[1:])\n"
+        "print('scipy.optimize' in sys.modules, code)\n")
+    argv = ["symcheck", "--channel", channel_file, "--target", "relay"]
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "False"               # importing the package leaves scipy out
+    assert lines[-1] == "True 0"             # the LP loaded it
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert "\n".join(lines[1:-1]) + "\n" == out
 
 
 def test_usage_error_exit_code(capsys):

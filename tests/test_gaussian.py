@@ -184,6 +184,18 @@ def test_sweep_range_inclusive():
         sweep_range(1.0, 2.0, 0.0)
 
 
+def test_sweep_range_refuses_a_count_over_the_cap_before_building_it():
+    cap = gaussian.MAX_SWEEP_POINTS
+    assert len(sweep_range(0.0, cap - 1.0, 1.0)) == cap
+    with pytest.raises(GaussianParamError, match=f"asks for {cap + 1} points, above the cap"):
+        sweep_range(0.0, float(cap), 1.0)
+    # a span that overflows to inf is refused too, rather than raising OverflowError
+    with pytest.raises(GaussianParamError, match="asks for inf points"):
+        sweep_range(-1e308, 1e308, 1e-300)
+    # criterion 01's sweep keeps its values
+    assert sweep_range(0.05, 8.0, 0.05) == [0.05 + i * 0.05 for i in range(160)]
+
+
 def test_direct_transmission_threshold():
     assert direct_transmission_rate(GaussianSfdParams(1.0, 1.0, 1.0, 0.5)) == 0.0
     v = direct_transmission_rate(GaussianSfdParams(2.0, 2.0, 1.0, 0.5))
