@@ -74,7 +74,8 @@ def _build_parser():
     s = sub.add_parser("symcheck", help="symmetrizability verdict for a channel JSON")
     s.add_argument("--channel", required=True)
     s.add_argument("--target", choices=["relay", "receiver", "joint"], required=True)
-    s.add_argument("--tol", type=float, default=1e-9)
+    s.add_argument("--tol", type=float, default=discrete.VERDICT_TOL,
+                   help="largest residual counted as zero; finite and >= 0")
 
     p = sub.add_parser("primitive", help="bounds/classification for a channel JSON")
     p.add_argument("--channel", required=True)

@@ -22,9 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fields import int_field, number_field
-from .optimize import refine_batch_size, search_simplex, simplex_grid, start_pool
+from .optimize import MAX_GRID_POINTS, refine_batch_size, search_simplex, simplex_grid, start_pool
 
 PMF_TOL = 1e-12
+VERDICT_TOL = 1e-9    # the largest residual a verdict still counts as zero
+MULTISTART_TOP = 6    # centres per refinement round; the steering searches over p keep 2
+SEARCH_SEED = 0       # the seed of each bound's search generator
 
 # scipy.optimize.linprog, bound by the first symmetrizability LP: only the LP
 # needs scipy, and importing it costs every other command about 0.45 s.  It is
@@ -41,12 +44,12 @@ class ResourceLimitError(RuntimeError):
     """Requested alphabet sizes exceed the configured optimization budget."""
 
 
-def validate_pmf(p, tol=PMF_TOL):
+def validate_pmf(p):
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise ChannelFormatError("pmf must be a nonempty vector")
     # each check is written so that a NaN fails it
-    if not ((p >= -tol).all() and abs(p.sum() - 1.0) <= tol):
+    if not ((p >= -PMF_TOL).all() and abs(p.sum() - 1.0) <= PMF_TOL):
         raise ChannelFormatError("pmf entries must be >= 0 and sum to 1")
     return np.clip(p, 0.0, None)
 
@@ -156,16 +159,11 @@ def _mi(J):
 
 
 def _wq_batch(Q, W3):
-    """Averaged kernels for a batch of state pmfs: (N,S)x(X,S,O) -> (N,X,O)."""
-    X, S, O = W3.shape
-    return (Q @ W3.transpose(1, 0, 2).reshape(S, X * O)).reshape(-1, X, O)
-
-
-def _outputs(P, WQ):
-    """p(o) for inputs P (C, X) through each kernel of WQ (N, X, O): (C, N, O),
-    one GEMM."""
-    N, X, O = WQ.shape
-    return (P @ WQ.transpose(1, 0, 2).reshape(X, N * O)).reshape(-1, N, O)
+    """sum_k Q[c, k] W3[a, k, o] as (C, A, O), one GEMM: averaged kernels
+    (N, X, O) for state pmfs Q (N, S) and a kernel W3 (X, S, O), or output
+    pmfs (C, N, O) for inputs Q (C, X) through each kernel of W3 (N, X, O)."""
+    A, K, O = W3.shape
+    return (Q @ W3.transpose(1, 0, 2).reshape(K, A * O)).reshape(-1, A, O)
 
 
 def _info_xo(P, WQ, h=None):
@@ -174,7 +172,7 @@ def _info_xo(P, WQ, h=None):
     caller holds it for a fixed pool."""
     if h is None:
         h = _negent(WQ)
-    return P @ h.T - _negent(_outputs(P, WQ))
+    return P @ h.T - _negent(_wq_batch(P, WQ))
 
 
 def _info_uo(Pux, WQ):
@@ -183,9 +181,9 @@ def _info_uo(Pux, WQ):
     (U, O) joints come from one GEMM; both marginals come from Pux."""
     C, U, X = Pux.shape
     N, _, O = WQ.shape
-    joint = _outputs(Pux.reshape(-1, X), WQ).reshape(C, U, N, O)
+    joint = _wq_batch(Pux.reshape(-1, X), WQ).reshape(C, U, N, O)
     return (_negent(joint).sum(axis=1) - _negent(Pux.sum(axis=2))[:, None]
-            - _negent(_outputs(Pux.sum(axis=1), WQ)))
+            - _negent(_wq_batch(Pux.sum(axis=1), WQ)))
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +205,12 @@ def residual_of_witness(channel, J) -> float:
     return float(np.abs(lhs - lhs.transpose(1, 0, 2)).max())
 
 
-def symmetrizability(channel, tol: float = 1e-9) -> SymVerdict:
+def _check_tol(tol):
+    if not 0 <= tol < np.inf:   # NaN fails too
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+
+
+def symmetrizability(channel, tol: float = VERDICT_TOL) -> SymVerdict:
     """Decide whether some J(s|x) averages the channel into a symmetric one.
 
     Minimizes the maximum violation of
@@ -218,6 +221,7 @@ def symmetrizability(channel, tol: float = 1e-9) -> SymVerdict:
     within tol.  The returned witness is re-verified independently.
     """
     global linprog
+    _check_tol(tol)
     W = np.asarray(channel, dtype=float)
     if W.ndim != 3:
         raise ChannelFormatError("channel must have shape (X, S, O)")
@@ -281,7 +285,7 @@ def _factors_through(W, parent_axis, tol, state_free=False):
     return bool(np.abs(M * K - W).max() <= tol)
 
 
-def degradedness_classify(dmc: Dmc, tol: float = 1e-9) -> DegradednessReport:
+def degradedness_classify(dmc: Dmc, tol: float = VERDICT_TOL) -> DegradednessReport:
     """Label the kernel by which factorizations it passes.
 
     degraded:            the relay observation Y1 is the parent of Y;
@@ -289,6 +293,7 @@ def degradedness_classify(dmc: Dmc, tol: float = 1e-9) -> DegradednessReport:
     reversely strongly:  Y is the parent of Y1 through a state-free factor;
     strongly degraded:   degraded, and the relay marginal does not depend on s.
     """
+    _check_tol(tol)
     W = dmc.kernel
     m_relay = dmc.relay_marginal()
     degraded = _factors_through(W, 3, tol)
@@ -312,13 +317,14 @@ def degradedness_classify(dmc: Dmc, tol: float = 1e-9) -> DegradednessReport:
 
 @dataclass(frozen=True)
 class BoundOptions:
+    """Grid resolutions over q and p (up to 3 atoms), refinement rounds, df's
+    random aux starts and the largest kernel searched.  The seed, the multistart
+    centres and the grid budget are the constants SEARCH_SEED, MULTISTART_TOP
+    and optimize.MAX_GRID_POINTS."""
     q_resolution: int = 64
     p_resolution: int = 128
     refine_rounds: int = 8
-    multistart_top: int = 6
     aux_starts: int = 12
-    seed: int = 0
-    max_grid_points: int = 200_000
     max_kernel_entries: int = 1_000_000
 
 
@@ -328,16 +334,15 @@ def _check_budget(dmc, opts, *extra_dims):
     if dmc.kernel.size > opts.max_kernel_entries:
         raise ResourceLimitError(
             f"kernel has {dmc.kernel.size} entries, budget {opts.max_kernel_entries}")
-    top = max(2, opts.multistart_top)
     for k in (dmc.ns, dmc.nx, *extra_dims):
-        if refine_batch_size(k, top) > opts.max_grid_points:
-            raise ResourceLimitError(
-                f"a search over a {k}-point simplex refines {refine_batch_size(k, top)} "
-                f"candidates at once, budget {opts.max_grid_points}")
+        size = refine_batch_size(k, MULTISTART_TOP)
+        if size > MAX_GRID_POINTS:
+            raise ResourceLimitError(f"a search over a {k}-point simplex refines {size} "
+                                     f"candidates at once, budget {MAX_GRID_POINTS}")
 
 
 def _normalize_state_set(dmc, state_set):
-    if state_set is None or (isinstance(state_set, str) and state_set == "simplex"):
+    if state_set is None:
         return None
     Q = np.atleast_2d(np.asarray(state_set, dtype=float))
     if Q.shape[1] != dmc.ns:
@@ -353,22 +358,20 @@ def _min_over_q(objective_batch, ns, qset, opts, rng):
         vals = objective_batch(qset)
         k = int(np.argmin(vals))
         return qset[k], float(vals[k])
-    res = opts.q_resolution if ns <= 3 else None
-    q, v = search_simplex(objective_batch, ns, minimize=True, resolution=res,
-                          rounds=opts.refine_rounds, top=opts.multistart_top,
-                          rng=rng, max_grid_points=opts.max_grid_points)
-    return q, v
+    return search_simplex(objective_batch, ns, minimize=True,
+                          resolution=_resolution(ns, opts.q_resolution),
+                          rounds=opts.refine_rounds, top=MULTISTART_TOP, rng=rng)
 
 
-def _p_resolution(nx, opts):
-    return opts.p_resolution if nx <= 3 else None
+def _resolution(k, resolution):
+    """A k-point search's grid: the option up to k = 3, else start_pool's default."""
+    return resolution if k <= 3 else None
 
 
 def _max_over_p(objective_batch, nx, opts, rng, top):
     """Maximize a batched function of p over the input simplex.  Returns (p*, value)."""
-    return search_simplex(objective_batch, nx, resolution=_p_resolution(nx, opts),
-                          rounds=opts.refine_rounds, top=top, rng=rng,
-                          max_grid_points=opts.max_grid_points)
+    return search_simplex(objective_batch, nx, resolution=_resolution(nx, opts.p_resolution),
+                          rounds=opts.refine_rounds, top=top, rng=rng)
 
 
 # largest batched array (in entries) that a pooled objective builds at once
@@ -386,11 +389,12 @@ def _in_blocks(objective_batch, row_entries):
     return blocked
 
 
-def _min_q_max_p(combine, kernels, dmc, qset, opts, rng, top):
+def _min_q_max_p(combine, kernels, dmc, qset, opts, top):
     """min over q of max over p of combine(I(X;O_1), I(X;O_2), ...), O_k seen
     through kernels[k].  The start pool of the p search steers the q search;
     the max over p is refined once, at the winning q."""
-    P0 = start_pool(dmc.nx, _p_resolution(dmc.nx, opts), rng, opts.max_grid_points)
+    rng = np.random.default_rng(SEARCH_SEED)
+    P0 = start_pool(dmc.nx, _resolution(dmc.nx, opts.p_resolution), rng)
 
     def at(P, Q):   # (M, X) inputs x (N, S) states -> (M, N) values
         return combine(*(_info_xo(P, _wq_batch(Q, W)) for W in kernels))
@@ -410,11 +414,10 @@ def cutset_bound(dmc: Dmc, state_set=None, opts: BoundOptions | None = None) -> 
     opts = opts or BoundOptions()
     _check_budget(dmc, opts)
     qset = _normalize_state_set(dmc, state_set)
-    rng = np.random.default_rng(opts.seed)
     c1 = dmc.relay_rate
-    return float(_min_q_max_p(lambda i_y, i_j: np.minimum(i_y + c1, i_j),
-                              [dmc.receiver_marginal(), dmc.joint_output()],
-                              dmc, qset, opts, rng, opts.multistart_top))
+    return _min_q_max_p(lambda i_y, i_j: np.minimum(i_y + c1, i_j),
+                        [dmc.receiver_marginal(), dmc.joint_output()],
+                        dmc, qset, opts, MULTISTART_TOP)
 
 
 def _q_pool(dmc, qset, opts, rng):
@@ -479,7 +482,7 @@ def df_bound(dmc: Dmc, state_set=None, aux_size: int | None = None,
         raise ChannelFormatError("aux cardinality must be >= 1")
     _check_budget(dmc, opts, *((nu * dmc.nx,) if mode == "aux" else ()))
     qset = _normalize_state_set(dmc, state_set)
-    rng = np.random.default_rng(opts.seed)
+    rng = np.random.default_rng(SEARCH_SEED)
 
     nx = dmc.nx
     c1 = dmc.relay_rate
@@ -527,9 +530,8 @@ def df_bound(dmc: Dmc, state_set=None, aux_size: int | None = None,
 
     # per candidate: its (U, N, O) joint pmfs
     p_best, _ = search_simplex(_in_blocks(batch_obj, nu * n_out), dim, resolution=None,
-                               rounds=opts.refine_rounds, top=opts.multistart_top,
-                               rng=rng, extra_starts=np.array(starts),
-                               max_grid_points=opts.max_grid_points)
+                               rounds=opts.refine_rounds, top=MULTISTART_TOP,
+                               rng=rng, extra_starts=np.array(starts))
     return _df_value(p_best.reshape(nu, nx), dmc, qset, opts, rng)
 
 
@@ -545,9 +547,7 @@ def minimax_receiver_information(dmc: Dmc, order: str = "qp",
         raise ValueError("order must be 'qp' or 'pq'")
     opts = opts or BoundOptions()
     _check_budget(dmc, opts)
-    rng = np.random.default_rng(opts.seed)
-    return float(_min_q_max_p(lambda i_y: i_y, [dmc.receiver_marginal()],
-                              dmc, None, opts, rng, top=2))
+    return _min_q_max_p(lambda i_y: i_y, [dmc.receiver_marginal()], dmc, None, opts, top=2)
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +567,7 @@ class CapacityClassification:
     aux_size: int | None = None
 
 
-def classify_capacity(dmc: Dmc, tol: float = 1e-9,
+def classify_capacity(dmc: Dmc, tol: float = VERDICT_TOL,
                       opts: BoundOptions | None = None) -> CapacityClassification:
     """Apply the deterministic-code capacity rules in order of decisiveness.
 

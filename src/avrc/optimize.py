@@ -10,8 +10,11 @@ from math import comb
 
 import numpy as np
 
+#: most points of start_pool's grid, and of a refinement batch discrete allows
+MAX_GRID_POINTS = 200_000
 
-def zoom_grid_max_1d(f, lo, hi, coarse=1001, rounds=3, points=41):
+
+def zoom_grid_max_1d(f, lo, hi, coarse, rounds, points):
     """Maximize each row of f over [lo, hi] by a coarse grid plus shrinking local grids.
 
     f maps an (m, k) array of abscissae to an (m, k) array of values, row i
@@ -71,18 +74,16 @@ def simplex_grid(k, resolution):
     return (np.diff(edges, axis=1) - 1) / float(resolution)
 
 
-def start_pool(k, resolution=None, rng=None, max_grid_points=200_000, extra_starts=None):
+def start_pool(k, resolution=None, rng=None, extra_starts=None):
     """The pmfs search_simplex evaluates first: the simplex grid at `resolution`
-    (a seeded Dirichlet sample when the grid would pass max_grid_points), the
+    (4096 Dirichlet draws from rng when it would pass MAX_GRID_POINTS), the
     vertices, the centre and any extra starts.  Returns an (N, k) array."""
     if resolution is None:
         resolution = {1: 1, 2: 256, 3: 64, 4: 24, 5: 12, 6: 8}.get(k, 6)
-    if _simplex_count(k, resolution) <= max_grid_points:
+    if _simplex_count(k, resolution) <= MAX_GRID_POINTS:
         grid = simplex_grid(k, resolution)
     else:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        grid = rng.dirichlet(np.ones(k), size=4096)
+        grid = (np.random.default_rng(0) if rng is None else rng).dirichlet(np.ones(k), size=4096)
     starts = [grid, np.eye(k), np.full((1, k), 1.0 / k)]
     if extra_starts is not None and len(extra_starts):
         starts.append(np.atleast_2d(np.asarray(extra_starts, dtype=float)))
@@ -90,26 +91,20 @@ def start_pool(k, resolution=None, rng=None, max_grid_points=200_000, extra_star
 
 
 def search_simplex(f_batch, k, *, minimize=False, resolution=None, rounds=6,
-                   shrink=0.35, top=4, rng=None, extra_starts=None,
-                   max_grid_points=200_000):
+                   top=4, rng=None, extra_starts=None):
     """Optimize a batched function over the probability simplex of dimension k.
 
     f_batch maps an (N, k) array of pmfs to an (N,) array of values.  The
-    search evaluates `start_pool` (a coarse simplex grid, or a Dirichlet sample
-    when the grid would blow past max_grid_points), then contracts a fixed
-    pattern around the best `top` candidates.  Convex/concave objectives
-    converge to the optimum; for general objectives this is a seeded
-    multi-start ascent.
+    search evaluates `start_pool`, then for `rounds` rounds contracts a fixed
+    pattern around the best `top` candidates, to half size and then by 0.35 a
+    round.  Convex/concave objectives converge to the optimum; for general
+    objectives this is a seeded multi-start ascent.
 
     Returns (x_best, value_best).
     """
     sign = -1.0 if minimize else 1.0
-
-    def eval_batch(pts):
-        return sign * f_batch(pts)
-
-    pool = start_pool(k, resolution, rng, max_grid_points, extra_starts)
-    vals = eval_batch(pool)
+    pool = start_pool(k, resolution, rng, extra_starts)
+    vals = sign * f_batch(pool)
     order = np.argsort(-vals, kind="stable")[: max(1, top)]
     centers = pool[order]
     best_x = pool[order[0]].copy()
@@ -123,7 +118,7 @@ def search_simplex(f_batch, k, *, minimize=False, resolution=None, rounds=6,
         cands *= factor
         cands += centers[:, None, :]
         cands = cands.reshape(-1, k)
-        vals = eval_batch(cands)
+        vals = sign * f_batch(cands)
         j = int(np.argmax(vals))
         if vals[j] > best_v:
             best_v = float(vals[j])
@@ -131,7 +126,7 @@ def search_simplex(f_batch, k, *, minimize=False, resolution=None, rounds=6,
         order = np.argsort(-vals, kind="stable")[: max(1, top)]
         centers = np.concatenate([best_x[None, :], cands[order]], axis=0)[: max(1, top)]
         del cands   # free this round's batch before the next one is built
-        factor *= shrink
+        factor *= 0.35
     return best_x, sign * best_v
 
 
@@ -142,7 +137,7 @@ def _pattern_resolution(k):
 def refine_batch_size(k, top):
     """Candidates search_simplex builds in one refinement round: the contraction
     pattern around each of the `top` centres.  Unlike the first pool, this is not
-    capped by max_grid_points; it grows as k^2 / 2 * top for k > 6."""
+    capped by MAX_GRID_POINTS; it grows as k^2 / 2 * top for k > 6."""
     return max(1, top) * _simplex_count(k, _pattern_resolution(k))
 
 

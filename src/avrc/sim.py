@@ -45,6 +45,9 @@ from .codec import (
     transmit,
 )
 WILSON_Z = 1.959963984540054   # two-sided 95%
+#: most trials one run may ask for: about 17 minutes at 100 us a trial (n = 128,
+#: B = 3); a larger count is refused before any codebook is built
+MAX_TRIALS = 10**7
 # cap on T*B*n, the symbols of one chunk of trials; a chunk's arrays are a few
 # times this many floats
 _CHUNK_ENTRIES = 1 << 14
@@ -66,6 +69,8 @@ class SimConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise SimConfigError("trials must be >= 1")
+        if self.trials > MAX_TRIALS:
+            raise SimConfigError(f"trials {self.trials} is above the cap of {MAX_TRIALS}")
         if self.relay_mode not in ("min_distance", "ideal"):
             raise SimConfigError("relay_mode must be min_distance or ideal")
 
@@ -155,27 +160,24 @@ def _run_chunk(rows, codebook, trials):
     clipped = int(tx.power_clipped.sum())
 
     tallies = [None] * len(rows)
+    err = np.zeros(msgs.shape, dtype=bool)   # (T, B-1, 2): wrong m1, wrong m2 per block
+    ties = np.zeros(len(msgs), dtype=int)
     for strategy, idx in jammers.items():
         states = make_state(strategy, B * n, jam_rngs[strategy], cb, base.relay_mode,
                             [rows[i].strategy.Lambda for i in idx]).reshape(len(idx), -1, B, n)
         for k, (i, s) in enumerate(zip(idx, states)):
-            # the trials whose state differs from the row before; all, in the first
-            # row.  == holds for +0.0 and -0.0, which the decoder's sums, max,
-            # argmax and == cannot tell apart either
-            fresh = None if k == 0 else np.flatnonzero((s != states[k - 1]).any(axis=(1, 2)))
-            if fresh is None or len(fresh) == len(s):
-                res = decode_backward(cb, destination_observation(tx, x1, s, perm))
-                rel_err, dir_err, ties = (res.m_relayed != msgs[..., 0],
-                                          res.m_direct != msgs[..., 1], res.tie_count)
-            elif len(fresh):
+            # the trials whose state differs from the row before; all, as views, in
+            # the first row.  == holds for +0.0 and -0.0, which the decoder's sums,
+            # max, argmax and == cannot tell apart either
+            fresh = slice(None) if k == 0 else np.flatnonzero((s != states[k - 1]).any(axis=(1, 2)))
+            if k == 0 or len(fresh):
                 sub = Transmission(tx.x_prime[fresh], tx.x_direct[fresh], tx.power_clipped[fresh])
                 res = decode_backward(cb, destination_observation(
                     sub, x1[fresh], s[fresh], None if perm is None else perm[fresh]))
-                rel_err[fresh] = res.m_relayed != msgs[fresh, :, 0]
-                dir_err[fresh] = res.m_direct != msgs[fresh, :, 1]
+                err[fresh] = np.stack([res.m_relayed, res.m_direct], axis=-1) != msgs[fresh]
                 ties[fresh] = res.tie_count
-            tallies[i] = (int((rel_err | dir_err).any(axis=1).sum()), rel_err.sum(axis=0),
-                          dir_err.sum(axis=0), clipped, int(ties.sum()))
+            tallies[i] = (int(err.any(axis=(1, 2)).sum()), *err.sum(axis=0).T, clipped,
+                          int(ties.sum()))
     return tallies
 
 

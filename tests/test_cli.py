@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from avrc import cli
+from avrc import cli, sim
 from avrc.cli import main
 from avrc.discrete import Dmc, binary_pipe_dmc, dmc_to_json
 
@@ -83,6 +83,20 @@ def test_symcheck_targets(capsys, channel_file):
                            "--target", "joint")
     assert code == 0
     assert json.loads(out)["symmetrizable"] is False
+
+
+@pytest.mark.parametrize("target, tol", [("receiver", "-1"), ("joint", "inf"),
+                                         ("relay", "nan")])
+def test_symcheck_refuses_a_tol_that_is_not_a_finite_number_at_least_0(capsys, channel_file,
+                                                                       target, tol):
+    code, out, err = run_cli(capsys, "symcheck", "--channel", channel_file,
+                             "--target", target, f"--tol={tol}")
+    assert (code, out) == (2, "")
+    assert err == f"error: tol must be a finite number >= 0, got {float(tol)!r}\n"
+    # a tol of 0 is a verdict like any other
+    code, out, _ = run_cli(capsys, "symcheck", "--channel", channel_file,
+                           "--target", target, "--tol=0")
+    assert code == 0 and json.loads(out)["symmetrizable"] is (target != "joint")
 
 
 def test_primitive_classify(capsys, channel_file):
@@ -244,6 +258,31 @@ def test_simulate_rejects_a_worker_count_below_one(capsys, tmp_path, workers):
     assert code == 2
     assert f"workers must be >= 1, got {workers}" in err
     assert out == "" and not out_path.exists()
+
+
+def test_simulate_refuses_trials_over_the_cap_before_building_a_codebook(capsys, tmp_path,
+                                                                         monkeypatch):
+    cfg = {
+        "codebook": {"n": 48, "blocks": 2, "rate_relayed": 0.05, "rate_direct": 0.05,
+                     "P": 4.0, "P1": 4.0, "Lambda": 1.0, "sigma2": 0.25,
+                     "alpha": 0.6, "rho": 0.0, "seed": 3},
+        "strategy": {"kind": "zero", "Lambda": 1.0},
+        "trials": 10**15,
+    }
+    cfg_path = tmp_path / "sim.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out_path = tmp_path / "rows.csv"
+
+    def no_codebook(config):
+        raise AssertionError("a codebook was built")
+
+    monkeypatch.setattr(sim, "build_codebook", no_codebook)
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "simulate", "--config", str(cfg_path),
+                             "--out", str(out_path))
+    assert time.perf_counter() - t0 < 0.5
+    assert (code, out) == (2, "") and not out_path.exists()
+    assert err == "error: trials 1000000000000000 is above the cap of 10000000\n"
 
 
 def test_figure_rejects_empty_range(capsys, tmp_path):

@@ -18,3 +18,12 @@ def test_jamming_showdown_permutation_defeats_the_impostor(capsys):
     out = capsys.readouterr().out
     row = next(line.split() for line in out.splitlines() if line.split()[:1] == ["impostor"])
     assert row[1:] == ["0.595", "0.000"]     # plain code, permuted code
+
+
+def test_discrete_channel_tour_prints_its_bounds_and_verdict(capsys):
+    runpy.run_path(str(DEMOS / "discrete_channel_tour.py"), run_name="__main__")
+    lines = [line.strip() for line in capsys.readouterr().out.splitlines()]
+    assert "decode-forward (direct mode): 0.5000" in lines
+    assert "decode-forward (general):     0.5000" in lines
+    assert "cutset:                       1.0000" in lines
+    assert "verdict: undetermined (clause None), bounds [0.5000, 1.0000]" in lines

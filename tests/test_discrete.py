@@ -697,6 +697,17 @@ def test_classify_binary_pipe_undetermined_not_zero():
     assert all(r.error == 0 for r in single_use_code_table())
 
 
+@pytest.mark.parametrize("tol", [-1e-12, float("inf"), float("nan")])
+def test_verdicts_refuse_a_tol_that_is_not_a_finite_number_at_least_0(tol):
+    dmc = binary_pipe_dmc()
+    for verdict in (lambda: symmetrizability(dmc.joint_output(), tol),
+                    lambda: degradedness_classify(dmc, tol),
+                    lambda: classify_capacity(dmc, tol, FAST)):
+        with pytest.raises(ValueError, match=r"^tol must be a finite number >= 0, got "):
+            verdict()
+    assert degradedness_classify(dmc, 0.0) == degradedness_classify(dmc)
+
+
 def test_classify_strongly_degraded_closed_form():
     # Y = X + S, Y1 = X noiselessly, pipe rate 0.5: distinct relay rows, so
     # the capacity equals max_p min{min_q I(X;X+S) + C1, I(X;Y1)} = 1

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from avrc.optimize import refine_batch_size, search_simplex, simplex_grid, zoom_grid_max_1d
+from avrc import optimize
+from avrc.optimize import (
+    refine_batch_size,
+    search_simplex,
+    simplex_grid,
+    start_pool,
+    zoom_grid_max_1d,
+)
 
 
 def test_zoom_grid_matches_golden():
@@ -70,3 +77,21 @@ def test_refine_batch_size_counts_each_refinement_batch(k):
     search_simplex(f, k, rounds=3, top=3)
     # the first batch is the start pool; every later one is a refinement round
     assert sizes[1:] == [refine_batch_size(k, 3)] * 3
+
+
+def test_start_pool_samples_the_simplex_exactly_when_the_grid_passes_the_budget(monkeypatch):
+    k, resolution = 3, 8                 # a C(10, 2) = 45-point grid
+    corners = [np.eye(k), np.full((1, k), 1.0 / k)]
+    extra = np.array([[0.1, 0.2, 0.7]])
+
+    def sample(seed):
+        return np.random.default_rng(seed).dirichlet(np.ones(k), size=4096)
+
+    monkeypatch.setattr(optimize, "MAX_GRID_POINTS", 45)
+    assert np.array_equal(start_pool(k, resolution, np.random.default_rng(7), extra),
+                          np.concatenate([simplex_grid(k, resolution), *corners, extra]))
+    monkeypatch.setattr(optimize, "MAX_GRID_POINTS", 44)
+    assert np.array_equal(start_pool(k, resolution, np.random.default_rng(7), extra),
+                          np.concatenate([sample(7), *corners, extra]))
+    # with no generator, the sample is default_rng(0)'s
+    assert np.array_equal(start_pool(k, resolution), np.concatenate([sample(0), *corners]))

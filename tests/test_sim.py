@@ -72,6 +72,13 @@ def test_trials_validation():
         SimConfig(base_codebook_config(), StateStrategy("zero", Lambda=1.0), trials=0)
 
 
+def test_trials_cap_admits_the_cap_and_refuses_one_more():
+    cb, zero = base_codebook_config(), StateStrategy("zero", Lambda=1.0)
+    assert SimConfig(cb, zero, trials=sim.MAX_TRIALS).trials == 10**7
+    with pytest.raises(SimConfigError, match=r"^trials 10000001 is above the cap of 10000000$"):
+        SimConfig(cb, zero, trials=sim.MAX_TRIALS + 1)
+
+
 def test_error_grows_with_jammer_power():
     cfg = base_codebook_config(P=2.0, P1=2.0, Lam=4.0)
     rates = []
