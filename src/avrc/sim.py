@@ -5,12 +5,17 @@ plus Gaussian noise of variance sigma2; the destination observes
 x' + x1 + state with no thermal noise.  A trial counts as erroneous when any
 of its B-1 message pairs decodes wrongly.  Per-trial seeds derive from
 (master seed, trial index), so results are identical for any worker count.
+Trial t's generator draws the stream of default_rng(SeedSequence([master
+seed, t])), and a drawing jammer's that of [jammer seed, master seed, t];
+the SeedSequence hash runs once per chunk, over all those entropies as
+uint32 arrays, and each PCG64 is handed its state words.
 
 The work runs per chunk of trials, and one chunk serves every row of a
 sweep: a loop draws each trial's own seeded stream in the order a trial alone
 would, and the chunk is encoded, relayed and checked once as (T, B, n)
-arrays.  Each jammer strategy that draws then seeds its streams and draws
-once for the chunk, and that draw is fitted to each Lambda of the sweep.  The
+arrays.  Each jammer strategy that draws then draws once for the chunk,
+from streams seeded with the trials', and that draw is fitted to each Lambda
+of the sweep.  The
 rows' generators are separate, so each row gets the floats it would get
 alone.  Above a trial's state power a larger Lambda leaves the state as it
 was, and an equal state is an equal observation, so a trial is decoded again
@@ -19,6 +24,7 @@ once, as before.  Every tally is a sum over trials, so the results are also
 identical for any chunk size.
 """
 
+import functools
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -45,12 +51,21 @@ from .codec import (
     transmit,
 )
 WILSON_Z = 1.959963984540054   # two-sided 95%
-#: most trials one run may ask for: about 17 minutes at 100 us a trial (n = 128,
-#: B = 3); a larger count is refused before any codebook is built
+#: most trials one run, or rows x trials one sweep, may ask for: about 17 minutes
+#: at 100 us a trial (n = 128, B = 3); more is refused before any codebook is built
 MAX_TRIALS = 10**7
 # cap on T*B*n, the symbols of one chunk of trials; a chunk's arrays are a few
 # times this many floats
 _CHUNK_ENTRIES = 1 << 14
+# numpy's SeedSequence hash (O'Neill's seed_seq design with numpy's constants,
+# https://www.pcg-random.org/posts/developing-a-seed_seq-alternative.html), as
+# Python ints: a uint32 scalar that overflows warns, a uint32 array does not
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875   # mix_entropy's hashmix
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED   # generate_state's
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
 
 
 class SimConfigError(ValueError):
@@ -118,32 +133,149 @@ def _check_power(name, energies, budget):
         raise PowerCapError(f"{name} block energy {energies.max()!r} exceeds {budget!r}")
 
 
+def _hash_consts(init, mult, count):
+    """The hash constant `init` and the `count` that follow it, each the one
+    before times `mult`: hashmix call k xors with the k-th, multiplies by the
+    (k+1)-th."""
+    h = [init]
+    for _ in range(count):
+        h.append(h[-1] * mult & _MASK32)
+    return h
+
+
+@functools.cache
+def _hash_tables(length):
+    """The uint32 (xor, multiply) pairs that hash an entropy of `length` >= 4
+    words, in numpy's call order and shaped for _pool_words: (2, P, 1) to hash
+    the first P words; (2, P, P, 1) to mix each pool word s into the others
+    (row s unused); (2, length - P, P, 1) to mix in each word past the pool;
+    and (2, 2P, 1) for generate_state's 2P output words."""
+    P = _POOL_SIZE
+    h = _hash_consts(_INIT_A, _MULT_A, P * length)
+    pairs = np.array([h[:-1], h[1:]], dtype=np.uint32)[..., None]
+    cross = np.zeros((2, P, P, 1), dtype=np.uint32)
+    cross[:, ~np.eye(P, dtype=bool)] = pairs[:, P:P * P]
+    h = _hash_consts(_INIT_B, _MULT_B, 2 * P)
+    state = np.array([h[:-1], h[1:]], dtype=np.uint32)[..., None]
+    return pairs[:, :P], cross, pairs[:, P * P:].reshape(2, -1, P, 1), state
+
+
+def _hashmix(value, xor, mult):
+    value = (value ^ xor) * mult
+    return value ^ (value >> _XSHIFT)
+
+
+def _mix(x, y):
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ (result >> _XSHIFT)
+
+
+def _pool_words(entropy):
+    """numpy's mix_entropy, then generate_state(4, np.uint64), on each column
+    of a (length >= 4, N) uint32 entropy array: (N, 4) uint64 words."""
+    first, cross, rest, state = _hash_tables(len(entropy))
+    mixer = _hashmix(entropy[:_POOL_SIZE], *first)
+    for src in range(_POOL_SIZE):
+        mixed = _mix(mixer, _hashmix(mixer[src], *cross[:, src]))
+        mixed[src] = mixer[src]   # a pool word is not mixed into itself
+        mixer = mixed
+    for src in range(_POOL_SIZE, len(entropy)):
+        mixer = _mix(mixer, _hashmix(entropy[src], *rest[:, src - _POOL_SIZE]))
+    words = _hashmix(np.concatenate([mixer, mixer]), *state).astype(np.uint64)
+    return (words[0::2] | words[1::2] << 32).T
+
+
+def _entropy_words(prefix):
+    """The ints of `prefix` as SeedSequence reads them: each as its
+    little-endian 32-bit words, 0 as one word."""
+    words = []
+    for v in prefix:
+        if v < 0:
+            raise ValueError(f"seed entropy must be >= 0, got {v!r}")
+        words += [v >> shift & _MASK32 for shift in range(0, max(v.bit_length(), 1), 32)]
+    return words
+
+
+def _seed_words(prefixes, trials):
+    """SeedSequence([*prefix, t]).generate_state(4, np.uint64) for every prefix
+    and trial index t, as a C-contiguous (len(prefixes), T, 4) uint64 array.
+
+    Each entropy is the prefix's words, then t as one word, so t must be below
+    2**32.  An entropy of up to 4 words hashes as if padded with zeros to 4, so
+    all of those take one pass over uint32 arrays with a column per (prefix,
+    t); a longer one takes a pass per length.
+    """
+    trials = list(trials)
+    if trials and not 0 <= min(trials) <= max(trials) < 1 << 32:
+        raise ValueError(f"trial indices must be in [0, 2**32), got {min(trials)}..{max(trials)}")
+    words = [_entropy_words(prefix) for prefix in prefixes]
+    by_length = {}
+    for j, w in enumerate(words):
+        by_length.setdefault(max(len(w) + 1, _POOL_SIZE), []).append(j)
+    # PCG64 reads its words through a raw pointer, so each (T, 4) row is contiguous
+    out = np.empty((len(prefixes), len(trials), 4), dtype=np.uint64)
+    for length, group in by_length.items():
+        entropy = np.zeros((length, len(group), len(trials)), dtype=np.uint32)
+        for col, j in enumerate(group):
+            entropy[:len(words[j]), col] = np.array(words[j], dtype=np.uint32)[:, None]
+            entropy[len(words[j]), col] = trials
+        out[group] = _pool_words(entropy.reshape(length, -1)).reshape(len(group), -1, 4)
+    return out
+
+
+@functools.cache
+def _fixed_seed_type():
+    """An ISeedSequence that hands PCG64 precomputed state words, defined on
+    first use so that importing avrc leaves numpy.random unloaded."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class FixedSeed(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError("FixedSeed holds 4 uint64 words only")
+            return self.words
+
+    return FixedSeed
+
+
+def _generators(prefixes, trials):
+    """For each prefix, one generator per trial index t with the stream of
+    default_rng(SeedSequence([*prefix, t])), all from one _seed_words call."""
+    FixedSeed, Generator, PCG64 = _fixed_seed_type(), np.random.Generator, np.random.PCG64
+    return [[Generator(PCG64(FixedSeed(w))) for w in rows]
+            for rows in _seed_words(prefixes, trials)]
+
+
 def _run_chunk(rows, codebook, trials):
     """Error tallies of a range of trials, one per row: (errors, relayed block
     errors (B-1,), direct block errors (B-1,), clipped blocks, ties).
 
     The rows share the code, the trials, the master seed, the relay mode and
     the permutation flag, and differ only in the jammer.  The trials' own
-    generators, and the jammer generators of each strategy that draws, are
-    seeded once.  Each trial's own stream draws m1, m2, the permutation and
-    then the relay noise, as for a trial alone, and the chunk is encoded,
-    relayed and checked once as (T, B, n) arrays.  Each strategy then draws
-    once, and `make_state` fits the draw to every Lambda of that strategy's
-    rows.  Walking a strategy's rows in order, a trial whose state equals
-    (==) its state in the row before sees the same observation, so it keeps
-    that row's decode; only the other trials are decoded, as one stack.
+    generators ([master_seed, t]) and the jammer generators of each strategy
+    that draws ([seed, master_seed, t]) are seeded once, by one _seed_words
+    pass over the chunk.  Each trial's own stream draws m1, m2,
+    the permutation and then the relay noise, as for a trial alone, and the
+    chunk is encoded, relayed and checked once as (T, B, n) arrays.  Each
+    strategy then draws once, and `make_state` fits the draw to every Lambda
+    of that strategy's rows.  Walking a strategy's rows in order, a trial
+    whose state equals (==) its state in the row before sees the same
+    observation, so it keeps that row's decode; only the other trials are
+    decoded, as one stack.
     """
     cb, base = codebook, rows[0]
     B, n = cb.num_blocks, cb.n
     jammers = {}   # the strategy up to Lambda -> the indices of its rows
     for i, row in enumerate(rows):
         jammers.setdefault(replace(row.strategy, Lambda=1.0), []).append(i)
-    rngs = [np.random.default_rng(np.random.SeedSequence([base.master_seed, t]))
-            for t in trials]
+    drawing = [strategy for strategy in jammers if strategy.kind in DRAWING_KINDS]
+    rngs, *drawn = _generators([[base.master_seed]] + [[strategy.seed, base.master_seed]
+                                                        for strategy in drawing], trials)
     # the zero and fixed kinds never draw, so they get no generators
-    jam_rngs = {strategy: [np.random.default_rng(np.random.SeedSequence(
-        [strategy.seed, base.master_seed, t])) if strategy.kind in DRAWING_KINDS else None
-        for t in trials] for strategy in jammers}
+    jam_rngs = {strategy: [None] * len(trials) for strategy in jammers} | dict(zip(drawing, drawn))
     msgs = draw_messages(cb, rngs)
     perm = np.stack([rng.permutation(n) for rng in rngs]) if base.permute else None
     tx, _, x1 = transmit(cb, msgs, rngs, base.relay_mode, perm)
@@ -245,6 +377,10 @@ def attack_sweep(base: SimConfig, lambda_grid, strategies=None, workers=None):
     if not lambdas:
         raise SimConfigError("empty Lambda grid")
     strategies = list(strategies) if strategies is not None else [base.strategy]
+    rows = len(lambdas) * len(strategies)
+    if rows * base.trials > MAX_TRIALS:
+        raise SimConfigError(f"sweep of {rows} rows x {base.trials} trials is above the cap "
+                             f"of {MAX_TRIALS} row-trials")
     # build (and so check) every row's config before any codebook is built
     configs = [replace(base, strategy=replace(strat, Lambda=lam))
                for lam in sorted(lambdas) for strat in sorted(strategies, key=lambda s: s.kind)]

@@ -285,6 +285,37 @@ def test_simulate_refuses_trials_over_the_cap_before_building_a_codebook(capsys,
     assert err == "error: trials 1000000000000000 is above the cap of 10000000\n"
 
 
+def test_simulate_refuses_a_sweep_over_the_trials_cap_before_building_a_codebook(
+        capsys, tmp_path, monkeypatch):
+    # each row is within the cap; 3 * 10**5 rows of 10**7 trials are not
+    cfg = {
+        "codebook": {"n": 48, "blocks": 2, "rate_relayed": 0.05, "rate_direct": 0.05,
+                     "P": 4.0, "P1": 4.0, "Lambda": 1.0, "sigma2": 0.25,
+                     "alpha": 0.6, "rho": 0.0, "seed": 3},
+        "strategy": {"kind": "zero", "Lambda": 1.0},
+        "trials": 10**7,
+        "sweep": {"lambdas": [1.0 + i / 10**5 for i in range(10**5)],
+                  "strategies": [{"kind": "zero", "Lambda": 1.0},
+                                 {"kind": "iid_gaussian", "Lambda": 1.0, "variance": 1.0},
+                                 {"kind": "impostor", "Lambda": 1.0}]},
+    }
+    cfg_path = tmp_path / "sim.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out_path = tmp_path / "rows.csv"
+
+    def no_codebook(config):
+        raise AssertionError("a codebook was built")
+
+    monkeypatch.setattr(sim, "build_codebook", no_codebook)
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "simulate", "--config", str(cfg_path),
+                             "--out", str(out_path))
+    assert time.perf_counter() - t0 < 0.5
+    assert (code, out) == (2, "") and not out_path.exists()
+    assert err == ("error: sweep of 300000 rows x 10000000 trials is above the cap "
+                   "of 10000000 row-trials\n")
+
+
 def test_figure_rejects_empty_range(capsys, tmp_path):
     code, _, err = run_cli(capsys, "figure", "--Lambda", "1", "--sigma2", "0.5",
                            "--pmin", "2", "--pmax", "1", "--step", "0.5",
@@ -341,6 +372,40 @@ def test_a_fresh_process_loads_scipy_optimize_only_for_the_lp(capsys, channel_fi
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert "\n".join(lines[1:-1]) + "\n" == out
+
+
+def test_a_fresh_process_loads_numpy_random_only_to_simulate(capsys, tmp_path):
+    # the trial generators' seed type is defined on first use, so importing the
+    # CLI leaves numpy.random out
+    cfg = {
+        "codebook": {"n": 48, "blocks": 3, "rate_relayed": 0.05, "rate_direct": 0.05,
+                     "P": 4.0, "P1": 4.0, "Lambda": 1.0, "sigma2": 0.25,
+                     "alpha": 0.6, "rho": 0.0, "seed": 3},
+        "strategy": {"kind": "impostor", "Lambda": 1.0, "seed": 7},
+        "trials": 30,
+        "master_seed": 4,
+    }
+    cfg_path = tmp_path / "sim.json"
+    cfg_path.write_text(json.dumps(cfg))
+    script = (
+        "import sys\n"
+        "import avrc, avrc.cli\n"
+        "print('numpy.random' in sys.modules)\n"
+        "code = avrc.cli.main(sys.argv[1:])\n"
+        "print('numpy.random' in sys.modules, code)\n")
+    argv = ["simulate", "--config", str(cfg_path), "--out"]
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", script, *argv, str(tmp_path / "fresh.csv")],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "False"               # importing the package leaves numpy.random out
+    assert lines[-1] == "True 0"             # seeding the trials loaded it
+    code, out, _ = run_cli(capsys, *argv, str(tmp_path / "here.csv"))
+    assert code == 0
+    assert "\n".join(lines[1:-1]) + "\n" == out
+    assert (tmp_path / "fresh.csv").read_bytes() == (tmp_path / "here.csv").read_bytes()
 
 
 def test_usage_error_exit_code(capsys):

@@ -261,29 +261,28 @@ def test_sweep_runs_the_sender_pass_and_each_jammer_draw_once_per_chunk(monkeypa
                   StateStrategy("impostor", Lambda=1.0, seed=3)]
     monkeypatch.setattr(sim, "_CHUNK_ENTRIES", 4 * 3 * 64)    # chunks of 4, 4 and 2 trials
     transmits, seeds = [], []
-    real_transmit, real_seed = sim.transmit, np.random.SeedSequence
+    real_transmit, real_seed_words = sim.transmit, sim._seed_words
 
     def counted_transmit(*args, **kwargs):
         transmits.append(len(args[1]))
         return real_transmit(*args, **kwargs)
 
-    def counted_seed(entropy=None, **kwargs):
-        seeds.append(entropy)
-        return real_seed(entropy, **kwargs)
+    def counted_seed_words(prefixes, trials):
+        seeds.append((prefixes, trials))
+        return real_seed_words(prefixes, trials)
 
     monkeypatch.setattr(sim, "transmit", counted_transmit)
     monkeypatch.setattr(adversary, "transmit", counted_transmit)
-    monkeypatch.setattr(np.random, "SeedSequence", counted_seed)
+    monkeypatch.setattr(sim, "_seed_words", counted_seed_words)
     rows = attack_sweep(base, [0.5, 1.0, 4.0], strategies)
     assert len(rows) == 9
     # once per chunk for the sender and once for the impostor, not once per row
     assert transmits == [4, 4, 4, 4, 2, 2]
-    trial_seeds = [e for e in seeds if isinstance(e, list) and len(e) == 2]
-    jammer_seeds = [e for e in seeds if isinstance(e, list) and len(e) == 3]
-    assert trial_seeds == [[2, t] for t in range(10)]
-    # the zero jammer never draws, so it seeds nothing
-    assert sorted(jammer_seeds) == sorted([s.seed, 2, t] for s in strategies[1:]
-                                          for t in range(10))
+    # one seeding per chunk: the trials with prefix [master_seed], then each drawing
+    # jammer with [seed, master_seed] in row order (iid_gaussian, impostor); the
+    # zero jammer never draws, so it seeds nothing
+    assert seeds == [([[2], [5, 2], [3, 2]], chunk)
+                     for chunk in (range(0, 4), range(4, 8), range(8, 10))]
 
 
 def test_over_power_relay_codeword_raises_on_the_batched_path(monkeypatch):
