@@ -13,7 +13,6 @@ from .gaussian import (
     random_code_capacity,
 )
 from .discrete import (
-    BoundOptions,
     CapacityClassification,
     Dmc,
     SymVerdict,
@@ -37,7 +36,7 @@ from .adversary import StateStrategy, make_state
 from .sim import ErrorEstimate, SimConfig, attack_sweep, run_monte_carlo
 
 __all__ = [
-    "BoundOptions", "BoundsReport", "CapacityClassification", "CodebookConfig",
+    "BoundsReport", "CapacityClassification", "CodebookConfig",
     "Dmc", "ErrorEstimate", "GaussianSfdParams", "GridOptions", "PowerSplit",
     "SfdCodebook", "SimConfig", "StateStrategy", "SymVerdict", "attack_sweep",
     "build_codebook", "classify_capacity", "cutset_bound", "decode_backward",

@@ -52,3 +52,15 @@ def number_list_field(obj, key):
             and all(isinstance(v, Real) and not isinstance(v, bool) for v in value)):
         return [float(v) for v in value]
     raise ValueError(f"{key} must be a non-empty list of numbers, got {value!r}")
+
+
+def object_field(obj, key, default=_REQUIRED, many=False):
+    """obj[key] as a JSON object, or with many=True as a non-empty list of
+    them; any other value, a string or a number among them, raises ValueError
+    naming the key instead of failing later on what it holds."""
+    value = obj[key] if default is _REQUIRED else obj.get(key, default)
+    entries = value if many and isinstance(value, list) else [value]
+    if isinstance(value, list) == many and entries and all(isinstance(v, dict) for v in entries):
+        return value
+    what = "a non-empty list of objects" if many else "an object"
+    raise ValueError(f"{key} must be {what}, got {value!r}")

@@ -41,6 +41,10 @@ from ._fields import int_field, number_field, seed_field
 from .gaussian import LOG2, GaussianSfdParams, PowerSplit, _lower_mask
 
 FIXED_INDEX = 0   # boundary message carried by the final block and block 0's "previous"
+MAX_TABLE_BYTES = 1 << 30   # the largest codeword tables a codebook draws
+# most symbols (n * blocks) of one trial: a chunk holds at least one trial's
+# arrays, about 230 B per symbol, so the cap is about 240 MB
+MAX_TRIAL_SYMBOLS = 1 << 20
 
 
 class CodecConfigError(ValueError):
@@ -125,7 +129,7 @@ def _unit_rows(rng, count, n):
 class SfdCodebook:
     """Immutable codeword tables for one (config, seed)."""
 
-    def __init__(self, config: CodebookConfig, max_table_bytes: int = 1 << 30):
+    def __init__(self, config: CodebookConfig):
         p, sp = config.params, config.split
         if p.P <= 0 or p.P1 <= 0:
             raise CodecConfigError("codebook needs P > 0 and P1 > 0")
@@ -134,24 +138,28 @@ class SfdCodebook:
             raise CodecConfigError("delta must satisfy 0 < delta < P")
         if config.n < 1 or config.num_blocks < 2:
             raise CodecConfigError("need n >= 1 and at least 2 blocks")
+        if config.n * config.num_blocks > MAX_TRIAL_SYMBOLS:
+            raise CodebookBudgetError(
+                f"n={config.n} x blocks={config.num_blocks} symbols per trial is above "
+                f"the cap of {MAX_TRIAL_SYMBOLS}")
         for name in ("rate_relayed", "rate_direct"):
             rate = getattr(config, name)
             if not (np.isfinite(rate) and rate >= 0):
                 raise CodecConfigError(f"{name} must be finite and >= 0, got {rate!r}")
             # each table holds at least 2^(n*rate) rows; refuse before computing that power
-            if config.n * rate > np.log2(max_table_bytes):
+            if config.n * rate > np.log2(MAX_TABLE_BYTES):
                 raise CodebookBudgetError(
                     f"{name}={rate!r} at n={config.n} needs 2^{config.n * rate:.6g} codewords, "
-                    f"over the table budget of {max_table_bytes} bytes")
+                    f"over the table budget of {MAX_TABLE_BYTES} bytes")
         m1 = int(np.floor(2.0 ** (config.n * config.rate_relayed)))
         m2 = int(np.floor(2.0 ** (config.n * config.rate_direct)))
         if m1 < 2 or m2 < 2:
             raise CodecConfigError(
                 f"message counts ({m1}, {m2}) below 2; raise the rates or n")
         cnt = (m1 + m1 * m2 + 2 * m1) * config.n * 8
-        if cnt > max_table_bytes:
+        if cnt > MAX_TABLE_BYTES:
             raise CodebookBudgetError(
-                f"codeword tables need {cnt} bytes, budget {max_table_bytes}")
+                f"codeword tables need {cnt} bytes, budget {MAX_TABLE_BYTES}")
 
         self.config = config
         self.n = config.n
@@ -179,8 +187,8 @@ class SfdCodebook:
         return self.combine * self.x1[m1_prev] + self.beta * self.v[m1, m2]
 
 
-def build_codebook(config: CodebookConfig, max_table_bytes: int = 1 << 30) -> SfdCodebook:
-    return SfdCodebook(config, max_table_bytes)
+def build_codebook(config: CodebookConfig) -> SfdCodebook:
+    return SfdCodebook(config)
 
 
 def _stacked(arr, core, what):

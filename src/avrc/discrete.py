@@ -28,6 +28,11 @@ PMF_TOL = 1e-12
 VERDICT_TOL = 1e-9    # the largest residual a verdict still counts as zero
 MULTISTART_TOP = 6    # centres per refinement round; the steering searches over p keep 2
 SEARCH_SEED = 0       # the seed of each bound's search generator
+Q_RESOLUTION = 64     # grid resolution over state pmfs q (up to 3 atoms)
+P_RESOLUTION = 128    # grid resolution over input pmfs p (up to 3 atoms)
+REFINE_ROUNDS = 8     # refinement rounds of every simplex search
+AUX_STARTS = 12       # random starts of df's aux search over p(u,x)
+MAX_KERNEL_ENTRIES = 1_000_000   # the largest kernel a bound searches
 
 # scipy.optimize.linprog, bound by the first symmetrizability LP: only the LP
 # needs scipy, and importing it costs every other command about 0.45 s.  It is
@@ -41,7 +46,7 @@ class ChannelFormatError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """Requested alphabet sizes exceed the configured optimization budget."""
+    """Requested alphabet sizes exceed the optimization budget."""
 
 
 def validate_pmf(p):
@@ -205,11 +210,6 @@ def residual_of_witness(channel, J) -> float:
     return float(np.abs(lhs - lhs.transpose(1, 0, 2)).max())
 
 
-def _check_tol(tol):
-    if not 0 <= tol < np.inf:   # NaN fails too
-        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
-
-
 def symmetrizability(channel, tol: float = VERDICT_TOL) -> SymVerdict:
     """Decide whether some J(s|x) averages the channel into a symmetric one.
 
@@ -221,7 +221,8 @@ def symmetrizability(channel, tol: float = VERDICT_TOL) -> SymVerdict:
     within tol.  The returned witness is re-verified independently.
     """
     global linprog
-    _check_tol(tol)
+    if not 0 <= tol < np.inf:   # NaN fails too
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
     W = np.asarray(channel, dtype=float)
     if W.ndim != 3:
         raise ChannelFormatError("channel must have shape (X, S, O)")
@@ -267,7 +268,7 @@ class DegradednessReport:
     reversely_degraded: bool
 
 
-def _factors_through(W, parent_axis, tol, state_free=False):
+def _factors_through(W, parent_axis, state_free=False):
     """Whether W[x, s, y, y1] = M(parent | x, s) * K(other | parent, s).
 
     M is the kernel's marginal over the parent output (axis 2 for Y, 3 for
@@ -282,25 +283,24 @@ def _factors_through(W, parent_axis, tol, state_free=False):
     den = M.sum(axis=mixed, keepdims=True)
     K = np.where(den > 0, W.sum(axis=mixed, keepdims=True) / np.where(den > 0, den, 1.0),
                  1.0 / W.shape[other])
-    return bool(np.abs(M * K - W).max() <= tol)
+    return bool(np.abs(M * K - W).max() <= VERDICT_TOL)
 
 
-def degradedness_classify(dmc: Dmc, tol: float = VERDICT_TOL) -> DegradednessReport:
-    """Label the kernel by which factorizations it passes.
+def degradedness_classify(dmc: Dmc) -> DegradednessReport:
+    """Label the kernel by which factorizations it passes, each up to VERDICT_TOL.
 
     degraded:            the relay observation Y1 is the parent of Y;
     reversely degraded:  Y is the parent of Y1;
     reversely strongly:  Y is the parent of Y1 through a state-free factor;
     strongly degraded:   degraded, and the relay marginal does not depend on s.
     """
-    _check_tol(tol)
     W = dmc.kernel
     m_relay = dmc.relay_marginal()
-    degraded = _factors_through(W, 3, tol)
-    reversely = _factors_through(W, 2, tol)
-    if degraded and np.abs(m_relay - m_relay.mean(axis=1, keepdims=True)).max() <= tol:
+    degraded = _factors_through(W, 3)
+    reversely = _factors_through(W, 2)
+    if degraded and np.abs(m_relay - m_relay.mean(axis=1, keepdims=True)).max() <= VERDICT_TOL:
         label = "strongly_degraded"
-    elif _factors_through(W, 2, tol, state_free=True):
+    elif _factors_through(W, 2, state_free=True):
         label = "reversely_strongly_degraded"
     elif degraded:
         label = "degraded_only"
@@ -315,25 +315,12 @@ def degradedness_classify(dmc: Dmc, tol: float = VERDICT_TOL) -> DegradednessRep
 # cutset and decode-forward bounds
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BoundOptions:
-    """Grid resolutions over q and p (up to 3 atoms), refinement rounds, df's
-    random aux starts and the largest kernel searched.  The seed, the multistart
-    centres and the grid budget are the constants SEARCH_SEED, MULTISTART_TOP
-    and optimize.MAX_GRID_POINTS."""
-    q_resolution: int = 64
-    p_resolution: int = 128
-    refine_rounds: int = 8
-    aux_starts: int = 12
-    max_kernel_entries: int = 1_000_000
-
-
-def _check_budget(dmc, opts, *extra_dims):
+def _check_budget(dmc, *extra_dims):
     """Refuse a channel before searching it: its kernel must fit, and so must the
     refinement batches of the simplex searches over S, X and any extra_dims."""
-    if dmc.kernel.size > opts.max_kernel_entries:
+    if dmc.kernel.size > MAX_KERNEL_ENTRIES:
         raise ResourceLimitError(
-            f"kernel has {dmc.kernel.size} entries, budget {opts.max_kernel_entries}")
+            f"kernel has {dmc.kernel.size} entries, budget {MAX_KERNEL_ENTRIES}")
     for k in (dmc.ns, dmc.nx, *extra_dims):
         size = refine_batch_size(k, MULTISTART_TOP)
         if size > MAX_GRID_POINTS:
@@ -341,37 +328,22 @@ def _check_budget(dmc, opts, *extra_dims):
                                      f"candidates at once, budget {MAX_GRID_POINTS}")
 
 
-def _normalize_state_set(dmc, state_set):
-    if state_set is None:
-        return None
-    Q = np.atleast_2d(np.asarray(state_set, dtype=float))
-    if Q.shape[1] != dmc.ns:
-        raise ChannelFormatError("state set rows must be pmfs over S")
-    for row in Q:
-        validate_pmf(row)
-    return Q
-
-
-def _min_over_q(objective_batch, ns, qset, opts, rng):
-    """Minimize a batched function of q over the simplex or an explicit set."""
-    if qset is not None:
-        vals = objective_batch(qset)
-        k = int(np.argmin(vals))
-        return qset[k], float(vals[k])
-    return search_simplex(objective_batch, ns, minimize=True,
-                          resolution=_resolution(ns, opts.q_resolution),
-                          rounds=opts.refine_rounds, top=MULTISTART_TOP, rng=rng)
-
-
 def _resolution(k, resolution):
-    """A k-point search's grid: the option up to k = 3, else start_pool's default."""
+    """A k-point search's grid: the resolution up to k = 3, else start_pool's default."""
     return resolution if k <= 3 else None
 
 
-def _max_over_p(objective_batch, nx, opts, rng, top):
+def _min_over_q(objective_batch, ns, rng):
+    """Minimize a batched function of q over the state simplex.  Returns (q*, value)."""
+    return search_simplex(objective_batch, ns, minimize=True,
+                          resolution=_resolution(ns, Q_RESOLUTION),
+                          rounds=REFINE_ROUNDS, top=MULTISTART_TOP, rng=rng)
+
+
+def _max_over_p(objective_batch, nx, rng, top):
     """Maximize a batched function of p over the input simplex.  Returns (p*, value)."""
-    return search_simplex(objective_batch, nx, resolution=_resolution(nx, opts.p_resolution),
-                          rounds=opts.refine_rounds, top=top, rng=rng)
+    return search_simplex(objective_batch, nx, resolution=_resolution(nx, P_RESOLUTION),
+                          rounds=REFINE_ROUNDS, top=top, rng=rng)
 
 
 # largest batched array (in entries) that a pooled objective builds at once
@@ -389,59 +361,53 @@ def _in_blocks(objective_batch, row_entries):
     return blocked
 
 
-def _min_q_max_p(combine, kernels, dmc, qset, opts, top):
+def _min_q_max_p(combine, kernels, dmc, top):
     """min over q of max over p of combine(I(X;O_1), I(X;O_2), ...), O_k seen
     through kernels[k].  The start pool of the p search steers the q search;
     the max over p is refined once, at the winning q."""
     rng = np.random.default_rng(SEARCH_SEED)
-    P0 = start_pool(dmc.nx, _resolution(dmc.nx, opts.p_resolution), rng)
+    P0 = start_pool(dmc.nx, _resolution(dmc.nx, P_RESOLUTION), rng)
 
     def at(P, Q):   # (M, X) inputs x (N, S) states -> (M, N) values
         return combine(*(_info_xo(P, _wq_batch(Q, W)) for W in kernels))
 
     # a block of q rows builds the (M, N, O) output pmfs
     row_entries = len(P0) * max(W.shape[2] for W in kernels)
-    q, _ = _min_over_q(_in_blocks(lambda Q: at(P0, Q).max(axis=0), row_entries),
-                       dmc.ns, qset, opts, rng)
+    q, _ = _min_over_q(_in_blocks(lambda Q: at(P0, Q).max(axis=0), row_entries), dmc.ns, rng)
     # a rate is >= 0; entropies that cancel can leave rounding noise below it
-    return max(float(_max_over_p(lambda P: at(P, q[None])[:, 0], dmc.nx, opts, rng, top)[1]), 0.0)
+    return max(float(_max_over_p(lambda P: at(P, q[None])[:, 0], dmc.nx, rng, top)[1]), 0.0)
 
 
-def cutset_bound(dmc: Dmc, state_set=None, opts: BoundOptions | None = None) -> float:
+def cutset_bound(dmc: Dmc) -> float:
     """inf over state pmfs of max over input pmfs of
     min{ I(X;Y) + C1, I(X;Y,Y1) }, reported as the refined max over p at the
     state pmf the search picks."""
-    opts = opts or BoundOptions()
-    _check_budget(dmc, opts)
-    qset = _normalize_state_set(dmc, state_set)
+    _check_budget(dmc)
     c1 = dmc.relay_rate
     return _min_q_max_p(lambda i_y, i_j: np.minimum(i_y + c1, i_j),
-                        [dmc.receiver_marginal(), dmc.joint_output()],
-                        dmc, qset, opts, MULTISTART_TOP)
+                        [dmc.receiver_marginal(), dmc.joint_output()], dmc, MULTISTART_TOP)
 
 
-def _q_pool(dmc, qset, opts, rng):
+def _q_pool(dmc, rng):
     """Fixed pool of state pmfs used while searching over inputs.
 
     Final values are always re-evaluated with a refined q-minimization, so
     this pool only steers the search.
     """
-    if qset is not None:
-        return qset
     if dmc.ns <= 3:
-        return simplex_grid(dmc.ns, opts.q_resolution)
+        return simplex_grid(dmc.ns, Q_RESOLUTION)
     return np.concatenate([np.eye(dmc.ns),
                            np.full((1, dmc.ns), 1.0 / dmc.ns),
                            rng.dirichlet(np.ones(dmc.ns), size=192)])
 
 
-def _df_value(Pux, dmc, qset, opts, rng):
+def _df_value(Pux, dmc, rng):
     """The decode-forward combination at a joint p(u,x), each min over q refined."""
     W_y = dmc.receiver_marginal()
     px = Pux.sum(axis=0)
 
     def qmin(info):
-        return _min_over_q(info, dmc.ns, qset, opts, rng)[1]
+        return _min_over_q(info, dmc.ns, rng)[1]
 
     def i_uo(Q, W3):
         return _info_uo(Pux[None], _wq_batch(Q, W3))[0]
@@ -452,8 +418,7 @@ def _df_value(Pux, dmc, qset, opts, rng):
     return max(float(min(a + b + dmc.relay_rate, c + b)), 0.0)    # floored as in _min_q_max_p
 
 
-def df_bound(dmc: Dmc, state_set=None, aux_size: int | None = None,
-             mode: str = "aux", opts: BoundOptions | None = None) -> float:
+def df_bound(dmc: Dmc, aux_size: int | None = None, mode: str = "aux") -> float:
     """Partial decode-forward lower bound: the displayed combination
 
         min{ [min_q I(U;Y)] + [min_q I(X;Y|U)] + C1,
@@ -474,26 +439,24 @@ def df_bound(dmc: Dmc, state_set=None, aux_size: int | None = None,
     with its own objective; the winner is re-evaluated once, with refined
     minimizations over q.
     """
-    opts = opts or BoundOptions()
     if mode not in ("direct", "full", "aux"):
         raise ValueError("mode must be one of direct|full|aux")
     nu = aux_size if aux_size is not None else dmc.nx + 1
     if mode == "aux" and nu < 1:
         raise ChannelFormatError("aux cardinality must be >= 1")
-    _check_budget(dmc, opts, *((nu * dmc.nx,) if mode == "aux" else ()))
-    qset = _normalize_state_set(dmc, state_set)
+    _check_budget(dmc, *((nu * dmc.nx,) if mode == "aux" else ()))
     rng = np.random.default_rng(SEARCH_SEED)
 
     nx = dmc.nx
     c1 = dmc.relay_rate
-    Q = _q_pool(dmc, qset, opts, rng)
+    Q = _q_pool(dmc, rng)
     WQy = _wq_batch(Q, dmc.receiver_marginal())
     WQ1 = _wq_batch(Q, dmc.relay_marginal())
     hy, h1 = _negent(WQy), _negent(WQ1)
     n_out = len(Q) * max(dmc.ny, dmc.ny1)   # per candidate: its (N, O) output pmfs
 
     def steer(obj_p):
-        return _max_over_p(_in_blocks(obj_p, n_out), nx, opts, rng, top=2)[0]
+        return _max_over_p(_in_blocks(obj_p, n_out), nx, rng, top=2)[0]
 
     def direct(P):   # min over the pool of I(X;Y)
         return _info_xo(P, WQy, hy).min(axis=1)
@@ -502,9 +465,9 @@ def df_bound(dmc: Dmc, state_set=None, aux_size: int | None = None,
         return np.minimum(direct(P) + c1, _info_xo(P, WQ1, h1).min(axis=1))
 
     if mode == "direct":
-        return _df_value(steer(direct)[None, :], dmc, qset, opts, rng)
+        return _df_value(steer(direct)[None, :], dmc, rng)
     if mode == "full":
-        return _df_value(np.diag(steer(full)), dmc, qset, opts, rng)
+        return _df_value(np.diag(steer(full)), dmc, rng)
 
     # embed the special modes into the joint p(u,x); U = X only fits when |U| >= |X|
     start_direct = np.zeros((nu, nx))
@@ -516,7 +479,7 @@ def df_bound(dmc: Dmc, state_set=None, aux_size: int | None = None,
         starts.append(start_full.ravel())
     dim = nu * nx
     starts.append(np.full(dim, 1.0 / dim))
-    starts += [rng.dirichlet(np.ones(dim)) for _ in range(opts.aux_starts)]
+    starts += [rng.dirichlet(np.ones(dim)) for _ in range(AUX_STARTS)]
 
     # U - X - O is a Markov chain (O sees U only through X, and the state is
     # independent of (U, X)), so I(X;O|U) = I(X;O) - I(U;O) with p(x) = sum_u p(u,x)
@@ -530,24 +493,22 @@ def df_bound(dmc: Dmc, state_set=None, aux_size: int | None = None,
 
     # per candidate: its (U, N, O) joint pmfs
     p_best, _ = search_simplex(_in_blocks(batch_obj, nu * n_out), dim, resolution=None,
-                               rounds=opts.refine_rounds, top=MULTISTART_TOP,
+                               rounds=REFINE_ROUNDS, top=MULTISTART_TOP,
                                rng=rng, extra_starts=np.array(starts))
-    return _df_value(p_best.reshape(nu, nx), dmc, qset, opts, rng)
+    return _df_value(p_best.reshape(nu, nx), dmc, rng)
 
 
-def minimax_receiver_information(dmc: Dmc, order: str = "qp",
-                                 opts: BoundOptions | None = None) -> float:
+def minimax_receiver_information(dmc: Dmc, order: str = "qp") -> float:
     """min-max (order "qp") or max-min (order "pq") of I(X;Y) over q and p.
 
     The max-min is df_bound's direct mode; the min-max is searched like the
     cutset bound and reported as the refined max over p at its state pmf."""
     if order == "pq":
-        return df_bound(dmc, mode="direct", opts=opts)
+        return df_bound(dmc, mode="direct")
     if order != "qp":
         raise ValueError("order must be 'qp' or 'pq'")
-    opts = opts or BoundOptions()
-    _check_budget(dmc, opts)
-    return _min_q_max_p(lambda i_y: i_y, [dmc.receiver_marginal()], dmc, None, opts, top=2)
+    _check_budget(dmc)
+    return _min_q_max_p(lambda i_y: i_y, [dmc.receiver_marginal()], dmc, top=2)
 
 
 # ---------------------------------------------------------------------------
@@ -567,9 +528,9 @@ class CapacityClassification:
     aux_size: int | None = None
 
 
-def classify_capacity(dmc: Dmc, tol: float = VERDICT_TOL,
-                      opts: BoundOptions | None = None) -> CapacityClassification:
-    """Apply the deterministic-code capacity rules in order of decisiveness.
+def classify_capacity(dmc: Dmc) -> CapacityClassification:
+    """Apply the deterministic-code capacity rules in order of decisiveness,
+    every verdict at VERDICT_TOL.
 
     1. joint-output channel symmetrizable        -> capacity 0
     2. relay marginal non-symmetrizable, C1 > 0  -> capacity equals the
@@ -579,34 +540,33 @@ def classify_capacity(dmc: Dmc, tol: float = VERDICT_TOL,
        sandwich is attached.
     Anything else is undetermined (bounds still attached).
     """
-    opts = opts or BoundOptions()
-    joint = symmetrizability(dmc.joint_output(), tol)
+    joint = symmetrizability(dmc.joint_output())
     if joint.symmetrizable:
         return CapacityClassification(
             verdict="zero", clause=4, df_lower=0.0, cs_upper=0.0, exact_value=0.0,
-            relay_marginal_symmetrizable=symmetrizability(dmc.relay_marginal(), tol).symmetrizable,
+            relay_marginal_symmetrizable=symmetrizability(dmc.relay_marginal()).symmetrizable,
             joint_output_symmetrizable=True,
-            degradedness=degradedness_classify(dmc, tol).label)
+            degradedness=degradedness_classify(dmc).label)
 
-    relay = symmetrizability(dmc.relay_marginal(), tol)
-    deg = degradedness_classify(dmc, tol)
+    relay = symmetrizability(dmc.relay_marginal())
+    deg = degradedness_classify(dmc)
     clause_1 = not relay.symmetrizable and dmc.relay_rate > 0
     if clause_1 and deg.label == "reversely_strongly_degraded":
-        v = minimax_receiver_information(dmc, "qp", opts)
+        v = minimax_receiver_information(dmc, "qp")
         return CapacityClassification("equals_random_capacity", 2, v, v, v,
                                       False, False, deg.label)
     if clause_1 and deg.label == "strongly_degraded":
         m1 = dmc.relay_marginal().mean(axis=1)   # (X,Y1), state-free
-        if np.abs(m1[:, None, :] - m1[None, :, :]).max() > tol:   # distinct relay rows
+        if np.abs(m1[:, None, :] - m1[None, :, :]).max() > VERDICT_TOL:   # distinct relay rows
             # the relay term does not depend on q here, so this is
             # max_p min{ min_q I(X;Y) + C1, I(X;Y1) }
-            v = df_bound(dmc, None, mode="full", opts=opts)
+            v = df_bound(dmc, mode="full")
             return CapacityClassification("equals_random_capacity", 3, v, v, v,
                                           False, False, deg.label)
     aux = dmc.nx + 1
     return CapacityClassification(
         "equals_random_capacity" if clause_1 else "undetermined", 1 if clause_1 else None,
-        df_bound(dmc, None, aux, "aux", opts), cutset_bound(dmc, None, opts), None,
+        df_bound(dmc, aux, "aux"), cutset_bound(dmc), None,
         relay.symmetrizable, False, deg.label, aux_size=aux)
 
 

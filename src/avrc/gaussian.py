@@ -29,7 +29,8 @@ Each program is solved as a 1-D search over alpha.  At fixed alpha the first
 term of F rises in rho and the second falls, so the best rho is where they
 cross, a quadratic root, clipped to the region's rho interval, whose ends are
 quadratic or linear roots too.  A zoom grid over alpha (resolution
-GridOptions.step) then finds the maximum of that closed-form inner value.
+GridOptions.step, then REFINE_ROUNDS local grids of REFINE_POINTS points) finds
+the maximum of that closed-form inner value.
 The parameters may be (n, 1) columns: every (program, tuple) pair of a request,
 all three programs at each P of a sweep, is then one row of a single row-wise
 zoom, in chunks of whole tuples, and each row comes out as it would alone.
@@ -50,6 +51,15 @@ FEASIBILITY_EPS = 1e-12
 #: most P values one sweep may ask for; a P costs about a millisecond, so the
 #: cap is about 15 minutes of work, and a larger count is refused before any is built
 MAX_SWEEP_POINTS = 10**6
+
+#: most points of the coarse alpha grid, 1/step + 1; a search holds about 90 B
+#: per point at its peak, so the cap is about 90 MB, and a finer step is refused
+MAX_ALPHA_POINTS = 10**6 + 1
+
+#: the zoom's local grids around the best alpha so far, each window
+#: 4/(REFINE_POINTS - 1) times as wide as the last
+REFINE_ROUNDS = 12
+REFINE_POINTS = 41
 
 
 class GaussianParamError(ValueError):
@@ -91,22 +101,24 @@ class PowerSplit:
 class GridOptions:
     """Resolution of the search over alpha; rho needs none, it is solved in closed form.
 
-    The search evaluates a grid of spacing `step` on [0, 1], then
-    `refine_rounds` local grids of `refine_points` points around the best
-    alpha so far, each window 4/(refine_points - 1) times as wide as the last.
+    The search evaluates a grid of spacing `step` on [0, 1], then the
+    REFINE_ROUNDS local grids of REFINE_POINTS points.
     """
 
     step: float = 1e-3
-    refine_rounds: int = 12
-    refine_points: int = 41
+
+    @property
+    def coarse(self):
+        """Points of the coarse grid over [0, 1]."""
+        return int(round(1.0 / self.step)) + 1
 
     def __post_init__(self):
         if not (np.isfinite(self.step) and 0.0 < self.step <= 1.0):
             raise GaussianParamError(f"step must be finite and in (0, 1], got {self.step}")
-        for name, least in (("refine_rounds", 0), ("refine_points", 3)):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < least:
-                raise GaussianParamError(f"{name} must be an integer >= {least}, got {value!r}")
+        # 1/step overflows to inf for a subnormal step, so it is compared before rounding
+        if not 1.0 / self.step < MAX_ALPHA_POINTS or self.coarse > MAX_ALPHA_POINTS:
+            raise GaussianParamError(f"step {self.step!r} asks for more than "
+                                     f"{MAX_ALPHA_POINTS} alpha grid points")
 
 
 @dataclass(frozen=True)
@@ -254,21 +266,21 @@ def _program_max(stack, programs, opts):
     entries.  Each array has shape (len(programs), n); an empty region gives
     (-inf, 0, 0).
     """
-    coarse = int(round(1.0 / opts.step)) + 1
+    coarse = opts.coarse
     size = max(1, _CHUNK_ENTRIES // (len(programs) * coarse))
-    chunks = [_zoom_chunk(_Stack(*(c[lo:lo + size] for c in stack)), programs, opts, coarse)
+    chunks = [_zoom_chunk(_Stack(*(c[lo:lo + size] for c in stack)), programs, coarse)
               for lo in range(0, len(stack.P), size)]
     return tuple(np.concatenate(part, axis=1) for part in zip(*chunks))
 
 
-def _zoom_chunk(stack, programs, opts, coarse):
+def _zoom_chunk(stack, programs, coarse):
     def values(A):
         A = np.broadcast_to(A, (len(programs) * len(stack.P), A.shape[1]))
         return np.concatenate([_best_rho(stack, a, region)[1]
                                for a, region in zip(np.split(A, len(programs)), programs)])
 
     alpha, value = zoom_grid_max_1d(values, 0.0, 1.0, coarse=coarse,
-                                    rounds=opts.refine_rounds, points=opts.refine_points)
+                                    rounds=REFINE_ROUNDS, points=REFINE_POINTS)
     alpha, value = alpha.reshape(len(programs), -1), value.reshape(len(programs), -1)
     rho = np.stack([_best_rho(stack, a[:, None], region)[0][:, 0]
                     for a, region in zip(alpha, programs)])

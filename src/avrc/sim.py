@@ -26,12 +26,13 @@ identical for any chunk size.
 
 import functools
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._fields import bool_field, int_field, number_list_field, seed_field
+from ._fields import bool_field, int_field, number_list_field, object_field, seed_field
 from .adversary import (
     DRAWING_KINDS,
     StateStrategy,
@@ -316,7 +317,8 @@ def _run_chunk(rows, codebook, trials):
 def _estimates(rows, codebook, workers) -> list:
     """One ErrorEstimate per row of configs that differ only in the jammer
     (see _run_chunk), from chunks of at most _CHUNK_ENTRIES trial symbols
-    that every row shares; a thread takes whole chunks."""
+    that every row shares; a thread takes whole chunks, and no more threads
+    start than the host has CPUs."""
     trials, B = rows[0].trials, codebook.num_blocks
     size = max(1, _CHUNK_ENTRIES // (B * codebook.n))
     chunks = [range(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
@@ -324,10 +326,11 @@ def _estimates(rows, codebook, workers) -> list:
     def run(chunk):
         return _run_chunk(rows, codebook, chunk)
 
-    if workers == 1:
+    threads = min(workers, os.cpu_count() or 1)
+    if threads == 1:
         per_chunk = list(map(run, chunks))
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             per_chunk = list(pool.map(run, chunks))
 
     estimates = []
@@ -407,17 +410,18 @@ def sim_config_from_json(obj) -> tuple:
     if isinstance(obj, (str, bytes)):
         obj = json.loads(obj)
     try:
-        sim = SimConfig(codebook=codebook_config_from_json(obj["codebook"]),
-                        strategy=strategy_from_json(obj["strategy"]),
+        sim = SimConfig(codebook=codebook_config_from_json(object_field(obj, "codebook")),
+                        strategy=strategy_from_json(object_field(obj, "strategy")),
                         trials=int_field(obj, "trials"),
                         master_seed=seed_field(obj, "master_seed"),
                         relay_mode=obj.get("relay_mode", "min_distance"),
                         permute=bool_field(obj, "permute", False))
         sweep = obj.get("sweep")
         if sweep is not None:
+            sweep = object_field(obj, "sweep")
             sweep = {"lambdas": number_list_field(sweep, "lambdas"),
-                     "strategies": [strategy_from_json(s) for s in sweep.get(
-                         "strategies", [strategy_to_json(sim.strategy)])]}
+                     "strategies": [strategy_from_json(s) for s in object_field(
+                         sweep, "strategies", [strategy_to_json(sim.strategy)], many=True)]}
     except KeyError as exc:
         raise SimConfigError(f"simulation config is missing the key {exc}") from exc
     return sim, sweep

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from avrc import cli, sim
+from avrc import cli, gaussian, sim
 from avrc.cli import main
 from avrc.discrete import Dmc, binary_pipe_dmc, dmc_to_json
 
@@ -673,3 +673,95 @@ def test_simulate_sweep_stops_at_a_fixed_vector_over_one_budget(capsys, tmp_path
     assert code == 2 and out == ""
     assert err.splitlines() == ["error: fixed vector violates the power constraint"]
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("strategy",), "zero", "strategy must be an object, got 'zero'"),
+    (("codebook",), 5, "codebook must be an object, got 5"),
+    (("sweep",), [1.0], "sweep must be an object, got [1.0]"),
+    (("sweep", "strategies"), {"kind": "zero", "Lambda": 1.0},
+     "strategies must be a non-empty list of objects, got {'kind': 'zero', 'Lambda': 1.0}"),
+    (("sweep", "strategies"), [], "strategies must be a non-empty list of objects, got []"),
+    (("sweep", "strategies"), ["zero"],
+     "strategies must be a non-empty list of objects, got ['zero']"),
+])
+def test_simulate_names_a_section_of_the_wrong_json_type(capsys, tmp_path, path, value, message):
+    # read unchecked, each fails later on what it holds, with an error that names no key
+    cfg = {
+        "codebook": {"n": 48, "blocks": 2, "rate_relayed": 0.05, "rate_direct": 0.05,
+                     "P": 4.0, "P1": 4.0, "Lambda": 1.0, "sigma2": 0.25,
+                     "alpha": 0.6, "rho": 0.0, "seed": 3},
+        "strategy": {"kind": "zero", "Lambda": 1.0},
+        "trials": 20,
+        "sweep": {"lambdas": [1.0]},
+    }
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    cfg_path, out_path = tmp_path / "sim.json", tmp_path / "rows.csv"
+    cfg_path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(capsys, "simulate", "--config", str(cfg_path),
+                             "--out", str(out_path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+    assert not out_path.exists()
+
+
+def test_simulate_refuses_a_trial_over_the_symbol_cap_before_running_it(capsys, tmp_path,
+                                                                       monkeypatch):
+    # 10^8 blocks of one symbol would hold about 20 GB in one trial's arrays
+    cfg = {
+        "codebook": {"n": 1, "blocks": 10**8, "rate_relayed": 1.5, "rate_direct": 1.5,
+                     "P": 4.0, "P1": 4.0, "Lambda": 1.0, "sigma2": 0.25,
+                     "alpha": 0.6, "rho": 0.0, "seed": 3},
+        "strategy": {"kind": "zero", "Lambda": 1.0},
+        "trials": 1,
+    }
+    cfg_path, out_path = tmp_path / "sim.json", tmp_path / "rows.csv"
+    cfg_path.write_text(json.dumps(cfg))
+
+    def no_chunk(*args):
+        raise AssertionError("a chunk of trials ran")
+
+    monkeypatch.setattr(sim, "_run_chunk", no_chunk)
+    code, out, err = run_cli(capsys, "simulate", "--config", str(cfg_path),
+                             "--out", str(out_path))
+    assert (code, out) == (2, "") and not out_path.exists()
+    assert err == ("error: n=1 x blocks=100000000 symbols per trial is above the cap "
+                   "of 1048576\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--P", "2", "--P1", "2", "--Lambda", "1", "--sigma2", "0.5", "--step", "1e-9"],
+    ["figure", "--Lambda", "1", "--sigma2", "0.5", "--pmin", "1", "--pmax", "1", "--step", "1",
+     "--out", "fig.csv", "--grid-step", "1e-9"],
+])
+def test_a_step_over_the_alpha_grid_cap_exits_2_before_searching(capsys, tmp_path,
+                                                                 monkeypatch, argv):
+    # a step of 1e-9 asks for a 10^9-point coarse grid, about 90 GB at its peak
+    def no_search(*args):
+        raise AssertionError("the alpha search ran")
+
+    monkeypatch.setattr(gaussian, "_program_max", no_search)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "") and not (tmp_path / "fig.csv").exists()
+    assert err == "error: step 1e-09 asks for more than 1000001 alpha grid points\n"
+
+
+def test_the_console_script_entry_point_runs_example1(tmp_path):
+    # the module:function that [project.scripts] names, called as an installed
+    # console script calls it: with no arguments, reading sys.argv
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(cli.__file__).resolve().parents[2]
+    with open(root / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["avrc"]
+    module, function = target.split(":")
+    script = f"import sys\nfrom {module} import {function}\nsys.exit({function}())\n"
+    proc = subprocess.run([sys.executable, "-c", script, "example1"], capture_output=True,
+                          text=True, timeout=120, cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[0] == "message state y y1 decoded error"
+    assert len(proc.stdout.splitlines()) == 5

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from avrc import codec
 from avrc.codec import (
     CodebookBudgetError,
     CodebookConfig,
@@ -81,9 +82,18 @@ def test_codebook_rejects_tiny_message_counts():
         build_codebook(make_config(m1=1))
 
 
-def test_codebook_budget_error():
+def test_codebook_budget_error(monkeypatch):
+    monkeypatch.setattr(codec, "MAX_TABLE_BYTES", 1024)
     with pytest.raises(CodebookBudgetError):
-        build_codebook(make_config(n=256, m1=64, m2=64), max_table_bytes=1024)
+        build_codebook(make_config(n=256, m1=64, m2=64))
+
+
+def test_codebook_refuses_a_trial_over_the_symbol_cap():
+    # a chunk holds at least one trial's (B, n) arrays, about 230 B per symbol
+    assert build_codebook(make_config(n=1, blocks=2**20, m1=2, m2=2)).num_blocks == 2**20
+    with pytest.raises(CodebookBudgetError,
+                       match=r"^n=1 x blocks=1048577 symbols per trial is above the cap of 1048576$"):
+        build_codebook(make_config(n=1, blocks=2**20 + 1, m1=2, m2=2))
 
 
 def test_split_feasibility_flag():

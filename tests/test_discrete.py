@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from avrc import discrete
 from avrc.discrete import (
-    BoundOptions,
     ChannelFormatError,
     Dmc,
     ResourceLimitError,
@@ -25,9 +24,6 @@ from avrc.discrete import (
     symmetrizability,
 )
 from avrc.optimize import simplex_grid
-
-FAST = BoundOptions(q_resolution=48, p_resolution=64, refine_rounds=6, aux_starts=6)
-
 
 def additive_channel():
     W = np.zeros((2, 2, 3))
@@ -442,7 +438,7 @@ def test_mi_bounds_property():
 # ---------------------------------------------------------------------------
 
 def test_cutset_zero_for_useless_outputs():
-    v = cutset_bound(Dmc(np.full((2, 2, 2, 2), 0.25), 1.0), opts=FAST)
+    v = cutset_bound(Dmc(np.full((2, 2, 2, 2), 0.25), 1.0))
     assert abs(v) < 1e-9
 
 
@@ -451,12 +447,12 @@ def test_rates_are_floored_at_zero_when_the_input_does_not_matter():
     W = np.broadcast_to(np.random.default_rng(17).dirichlet(np.ones(4), size=3).reshape(3, 2, 2),
                         (2, 3, 2, 2))
     dmc = Dmc(W, 0.5)
-    values = [df_bound(dmc, mode=mode, opts=FAST) for mode in ("aux", "direct", "full")]
+    values = [df_bound(dmc, mode=mode) for mode in ("aux", "direct", "full")]
     assert all(0.0 <= v < 1e-12 for v in values), values      # aux and direct were -2.2e-16
 
 
 def test_cutset_binary_pipe_is_one_bit():
-    v = cutset_bound(binary_pipe_dmc(), opts=FAST)
+    v = cutset_bound(binary_pipe_dmc())
     assert abs(v - 1.0) < 1e-3
 
 
@@ -464,12 +460,12 @@ def test_cutset_additive_receiver_only():
     # Y = X + S with a constant relay observation and no pipe: the value is
     # the saddle of I(X;Y), which a nested exhaustive grid puts at 0.5
     W = additive_channel()[:, :, :, None]
-    v = cutset_bound(Dmc(W, 0.0), opts=FAST)
+    v = cutset_bound(Dmc(W, 0.0))
     assert abs(v - 0.5) < 1e-3
 
 
 def test_df_direct_equals_maxmin_oracle():
-    v = df_bound(binary_pipe_dmc(), mode="direct", opts=FAST)
+    v = df_bound(binary_pipe_dmc(), mode="direct")
     assert abs(v - 0.5) < 1e-3     # saddle of I(X; X+S)
 
 
@@ -481,7 +477,7 @@ def test_df_full_on_strongly_degraded_toy():
         for s in range(2):
             W[x, s, x + s, x] = 1.0
     toy = Dmc(W, relay_rate=0.5)
-    v = df_bound(toy, mode="full", opts=FAST)
+    v = df_bound(toy, mode="full")
     assert abs(v - 1.0) < 2e-3
 
 
@@ -520,8 +516,8 @@ def test_df_blocks_leave_values_unchanged(monkeypatch):
     dmc = Dmc(rng.dirichlet(np.ones(6), size=(2, 2)).reshape(2, 2, 3, 2), relay_rate=0.3)
 
     def values():
-        return ([df_bound(dmc, mode=m, opts=FAST) for m in ("direct", "full", "aux")]
-                + [cutset_bound(dmc, opts=FAST), minimax_receiver_information(dmc, "qp", FAST)])
+        return ([df_bound(dmc, mode=m) for m in ("direct", "full", "aux")]
+                + [cutset_bound(dmc), minimax_receiver_information(dmc, "qp")])
 
     whole = values()
     monkeypatch.setattr(discrete, "_BLOCK_ENTRIES", 64)
@@ -533,8 +529,8 @@ def test_df_general_dominates_special_modes():
     for _ in range(3):
         W = rng.dirichlet(np.ones(4), size=(2, 2)).reshape(2, 2, 2, 2)
         dmc = Dmc(W, relay_rate=float(rng.uniform(0, 1)))
-        v_dir = df_bound(dmc, mode="direct", opts=FAST)
-        v_aux = df_bound(dmc, mode="aux", opts=FAST)
+        v_dir = df_bound(dmc, mode="direct")
+        v_aux = df_bound(dmc, mode="aux")
         assert v_aux >= v_dir - 1e-6
 
 
@@ -543,8 +539,8 @@ def test_df_aux_below_input_size():
     # from the direct optimum, so it ends no lower than the direct mode
     W = np.random.default_rng(7).dirichlet(np.ones(6), size=(3, 2)).reshape(3, 2, 3, 2)
     for dmc, aux in ((binary_pipe_dmc(), 1), (Dmc(W, relay_rate=0.4), 2)):
-        v_aux = df_bound(dmc, aux_size=aux, opts=FAST)
-        assert v_aux >= df_bound(dmc, mode="direct", opts=FAST) - 1e-9
+        v_aux = df_bound(dmc, aux_size=aux)
+        assert v_aux >= df_bound(dmc, mode="direct") - 1e-9
 
 
 def test_df_cutset_sandwich_randomized():
@@ -552,37 +548,23 @@ def test_df_cutset_sandwich_randomized():
     for _ in range(5):
         W = rng.dirichlet(np.ones(4), size=(2, 2)).reshape(2, 2, 2, 2)
         dmc = Dmc(W, relay_rate=float(rng.uniform(0, 1.2)))
-        assert df_bound(dmc, opts=FAST) <= cutset_bound(dmc, opts=FAST) + 1e-3
-
-
-def test_explicit_state_set():
-    dmc = binary_pipe_dmc()
-    qset = np.array([[1.0, 0.0], [0.0, 1.0]])
-    v_restricted = cutset_bound(dmc, state_set=qset, opts=FAST)
-    v_full = cutset_bound(dmc, opts=FAST)
-    assert v_restricted >= v_full - 1e-6
-    d_restricted = df_bound(dmc, state_set=qset, mode="direct", opts=FAST)
-    d_full = df_bound(dmc, mode="direct", opts=FAST)
-    assert d_restricted >= d_full - 1e-6
-    # a single-point state set reduces both infima to plain evaluations
-    point = np.array([[0.5, 0.5]])
-    v_point = cutset_bound(dmc, state_set=point, opts=FAST)
-    assert v_point >= v_full - 1e-6
+        assert df_bound(dmc) <= cutset_bound(dmc) + 1e-3
 
 
 def test_three_letter_state_alphabet():
     rng = np.random.default_rng(31)
     W = rng.dirichlet(np.ones(4), size=(2, 3)).reshape(2, 3, 2, 2)
     dmc = Dmc(W, relay_rate=0.5)
-    lo = df_bound(dmc, mode="direct", opts=FAST)
-    hi = cutset_bound(dmc, opts=FAST)
+    lo = df_bound(dmc, mode="direct")
+    hi = cutset_bound(dmc)
     assert 0.0 <= lo <= hi + 1e-3
 
 
-def test_resource_budget_error():
+def test_resource_budget_error(monkeypatch):
     W = np.full((2, 2, 2, 2), 0.25)
+    monkeypatch.setattr(discrete, "MAX_KERNEL_ENTRIES", 4)
     with pytest.raises(ResourceLimitError):
-        cutset_bound(Dmc(W, 0.0), opts=BoundOptions(max_kernel_entries=4))
+        cutset_bound(Dmc(W, 0.0))
 
 
 def test_ten_states_fit_the_default_budget():
@@ -601,7 +583,7 @@ def test_aux_search_past_the_grid_budget_is_refused(monkeypatch):
     rng = np.random.default_rng(30)
     W = rng.dirichlet(np.ones(4), size=(30, 2)).reshape(30, 2, 2, 2)
     dmc = Dmc(W, relay_rate=0.5)
-    discrete._check_budget(dmc, BoundOptions())      # X and S alone fit
+    discrete._check_budget(dmc)                      # X and S alone fit
 
     def no_search(*args, **kwargs):
         raise AssertionError("a simplex search ran before the budget check")
@@ -624,8 +606,8 @@ def test_minimax_orders_agree_on_reversely_strongly_degraded():
         B = rng.dirichlet(np.ones(2), size=3)
         W = np.einsum("xsy,yk->xsyk", A, B)
         dmc = Dmc(W, 1.0)
-        v_qp = minimax_receiver_information(dmc, "qp", FAST)
-        v_pq = minimax_receiver_information(dmc, "pq", FAST)
+        v_qp = minimax_receiver_information(dmc, "qp")
+        v_pq = minimax_receiver_information(dmc, "pq")
         assert abs(v_qp - v_pq) < 1e-3
 
 
@@ -644,13 +626,13 @@ def test_minimax_orders_agree_on_strongly_degraded_program():
         W = np.einsum("xk,ksy->xsyk", A, B)
         dmc = Dmc(W, relay_rate=float(rng.uniform(0.1, 0.8)))
         # order max_p min_q via the library's full decode-forward mode
-        v_pq = df_bound(dmc, mode="full", opts=FAST)
+        v_pq = df_bound(dmc, mode="full")
         # order min_q max_p via an exhaustive nested grid (independent)
         v = np.minimum(mi_grid(P, Q, dmc.receiver_marginal()) + dmc.relay_rate,
                        mi_grid(P, Q, dmc.relay_marginal()))
         v_qp = v.max(axis=1).min()
         assert abs(v_qp - v_pq) < 1e-3
-        cls = classify_capacity(dmc, opts=FAST)
+        cls = classify_capacity(dmc)
         assert cls.clause == 3 and cls.exact_value == v_pq
 
 
@@ -669,8 +651,8 @@ def test_four_input_min_max_matches_nested_grid(seed):
     i_j = np.concatenate([mi_grid(P, Qc, dmc.joint_output()) for Qc in np.array_split(Q, 8)])
     v_mm = i_y.max(axis=1).min()
     v_cs = np.minimum(i_y + dmc.relay_rate, i_j).max(axis=1).min()
-    assert abs(minimax_receiver_information(dmc, "qp", FAST) - v_mm) < 1e-3
-    assert abs(cutset_bound(dmc, opts=FAST) - v_cs) < 1e-3
+    assert abs(minimax_receiver_information(dmc, "qp") - v_mm) < 1e-3
+    assert abs(cutset_bound(dmc) - v_cs) < 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -682,12 +664,12 @@ def test_classify_zero_when_joint_output_symmetrizable():
     for x in range(2):
         for s in range(2):
             W[x, s, x + s, x + s] = 1.0
-    cls = classify_capacity(Dmc(W, 1.0), opts=FAST)
+    cls = classify_capacity(Dmc(W, 1.0))
     assert cls.verdict == "zero" and cls.clause == 4
 
 
 def test_classify_binary_pipe_undetermined_not_zero():
-    cls = classify_capacity(binary_pipe_dmc(), opts=FAST)
+    cls = classify_capacity(binary_pipe_dmc())
     assert cls.verdict == "undetermined"
     assert cls.relay_marginal_symmetrizable
     assert not cls.joint_output_symmetrizable
@@ -700,12 +682,8 @@ def test_classify_binary_pipe_undetermined_not_zero():
 @pytest.mark.parametrize("tol", [-1e-12, float("inf"), float("nan")])
 def test_verdicts_refuse_a_tol_that_is_not_a_finite_number_at_least_0(tol):
     dmc = binary_pipe_dmc()
-    for verdict in (lambda: symmetrizability(dmc.joint_output(), tol),
-                    lambda: degradedness_classify(dmc, tol),
-                    lambda: classify_capacity(dmc, tol, FAST)):
-        with pytest.raises(ValueError, match=r"^tol must be a finite number >= 0, got "):
-            verdict()
-    assert degradedness_classify(dmc, 0.0) == degradedness_classify(dmc)
+    with pytest.raises(ValueError, match=r"^tol must be a finite number >= 0, got "):
+        symmetrizability(dmc.joint_output(), tol)
 
 
 def test_classify_strongly_degraded_closed_form():
@@ -715,7 +693,7 @@ def test_classify_strongly_degraded_closed_form():
     for x in range(2):
         for s in range(2):
             W[x, s, x + s, x] = 1.0
-    cls = classify_capacity(Dmc(W, relay_rate=0.5), opts=FAST)
+    cls = classify_capacity(Dmc(W, relay_rate=0.5))
     assert cls.verdict == "equals_random_capacity" and cls.clause == 3
     assert abs(cls.exact_value - 1.0) < 2e-3
 
@@ -732,7 +710,7 @@ def test_classify_sandwich_clause_without_degradedness():
                     py = 1 - ey if y == x else ey
                     p1 = 1 - e1 if y1 == x else e1
                     W[x, s, y, y1] = py * p1
-    cls = classify_capacity(Dmc(W, relay_rate=0.5), opts=FAST)
+    cls = classify_capacity(Dmc(W, relay_rate=0.5))
     assert cls.verdict == "equals_random_capacity" and cls.clause == 1
     assert cls.aux_size == 3
     assert 0.0 < cls.df_lower <= cls.cs_upper + 1e-3
@@ -750,7 +728,7 @@ def test_classify_reversely_strongly_degraded_closed_form():
             A[x, s, 1 - x] = eps
     B = np.array([[0.9, 0.1], [0.1, 0.9]])
     W = np.einsum("xsy,yk->xsyk", A, B)
-    cls = classify_capacity(Dmc(W, relay_rate=1.0), opts=FAST)
+    cls = classify_capacity(Dmc(W, relay_rate=1.0))
     assert cls.degradedness == "reversely_strongly_degraded"
     assert cls.verdict == "equals_random_capacity" and cls.clause == 2
     h2 = lambda e: -e * np.log2(e) - (1 - e) * np.log2(1 - e)

@@ -118,13 +118,13 @@ def test_bounds_ordering_randomized():
     for _ in range(25):
         params = GaussianSfdParams(float(rng.uniform(0, 6)), float(rng.uniform(0, 6)),
                                    float(rng.uniform(0.2, 3)), float(rng.uniform(0.1, 2)))
-        rep = det_code_bounds(params, GridOptions(step=5e-3, refine_rounds=8))
+        rep = det_code_bounds(params, GridOptions(step=5e-3))
         assert rep.det_lower <= rep.det_upper + 1e-9
         assert rep.det_upper <= rep.random_capacity + 1e-9
 
 
 def test_capacity_monotonicity():
-    opts = GridOptions(step=5e-3, refine_rounds=8)
+    opts = GridOptions(step=5e-3)
     base = dict(P=2.0, P1=2.0, Lambda=1.0, sigma2=0.5)
     v0, _ = random_code_capacity(GaussianSfdParams(**base), opts)
     up_p, _ = random_code_capacity(GaussianSfdParams(**{**base, "P": 3.0}), opts)
@@ -203,16 +203,19 @@ def test_direct_transmission_threshold():
 
 
 def test_grid_options_validation():
-    GridOptions(step=1.0, refine_rounds=0, refine_points=3)
+    GridOptions(step=1.0)
     for bad in (0.0, -1.0, 2.0, float("nan"), float("inf")):
         with pytest.raises(GaussianParamError, match="step"):
             GridOptions(step=bad)
-    for bad in (-1, 1.5, "3"):
-        with pytest.raises(GaussianParamError, match="refine_rounds"):
-            GridOptions(refine_rounds=bad)
-    for bad in (2, 0, 41.0):
-        with pytest.raises(GaussianParamError, match="refine_points"):
-            GridOptions(refine_points=bad)
+
+
+def test_grid_options_refuse_a_coarse_grid_over_the_cap():
+    # the coarse grid holds 1/step + 1 points at about 90 B each
+    assert GridOptions(step=1e-6).coarse == gaussian.MAX_ALPHA_POINTS == 10**6 + 1
+    for bad in (1e-7, 1e-9, 5e-324):
+        with pytest.raises(GaussianParamError,
+                           match=r"^step .* asks for more than 1000001 alpha grid points$"):
+            GridOptions(step=bad)
 
 
 def test_closed_form_rho_beats_dense_scan():

@@ -137,6 +137,33 @@ def test_worker_resolution_env():
     assert resolve_workers(3) == 3
 
 
+@pytest.mark.parametrize("workers, cpus, threads", [(10**9, 2, [2]), (3, 8, [3]), (4, None, [])])
+def test_worker_threads_never_outnumber_the_cpus(monkeypatch, workers, cpus, threads):
+    # a fake pool records its size and maps serially, so no thread starts
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    cfg = SimConfig(base_codebook_config(), StateStrategy("impostor", Lambda=1.0, seed=5),
+                    trials=200, master_seed=7)          # 85 trials a chunk: 3 chunks
+    alone = run_monte_carlo(cfg, workers=1)
+    monkeypatch.setattr(sim, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: cpus)
+    assert run_monte_carlo(cfg, workers=workers) == alone
+    assert sizes == threads
+
+
 def test_codebook_config_json_round_trip():
     from avrc.codec import codebook_config_from_json, codebook_config_to_json
 
