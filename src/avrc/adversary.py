@@ -1,8 +1,8 @@
 """Jammer strategies under the hard power constraint ||s||^2 <= n * Lambda.
 
 Strategies are immutable descriptors; `make_state` is pure given (strategy,
-n, rng, codebook), and draws one state per generator when handed a sequence
-of them.  The codebook-aware impostor synthesizes a fake
+n, rngs, codebook, relay mode, budgets), and draws one state per generator in
+the sequence it is handed.  The codebook-aware impostor synthesizes a fake
 transmission through the real encoder and relay map and injects it as the
 state, falling back to all zeros when the fake sequence lands over power.
 
@@ -51,11 +51,7 @@ class StateStrategy:
 
 
 def strategy_from_json(obj) -> StateStrategy:
-    """Parse descriptors like {"kind":"impostor","Lambda":1.0,"seed":7}."""
-    import json
-
-    if isinstance(obj, (str, bytes)):
-        obj = json.loads(obj)
+    """Read parsed descriptors like {"kind":"impostor","Lambda":1.0,"seed":7}."""
     kw = {"kind": obj["kind"], "Lambda": number_field(obj, "Lambda"),
           "seed": seed_field(obj, "seed")}
     if obj.get("variance") is not None:
@@ -74,25 +70,23 @@ def strategy_to_json(strategy: StateStrategy) -> dict:
     return out
 
 
-def make_state(strategy: StateStrategy, n: int, rng=None, codebook: SfdCodebook | None = None,
-               relay_mode: str = "min_distance", lambdas=None):
-    """Draw one state sequence of length n; always satisfies ||s||^2 <= n*Lambda.
+def make_state(strategy: StateStrategy, n: int, rngs, codebook: SfdCodebook | None,
+               relay_mode: str, lambdas):
+    """An (L, T, n) stack of state sequences of length n, one per budget and
+    generator; row l always satisfies ||s||^2 <= n*lambdas[l].
 
-    rng is one generator, or a sequence of T generators for a (T, n) stack of
-    states, one drawn from each generator in turn.  The zero and fixed kinds
-    (not in DRAWING_KINDS) never draw, so their T entries may be None.  The
-    impostor reads the codebook and the relay mode of the code it attacks.
+    rngs is a sequence of T generators, one state drawn from each in turn.
+    The zero and fixed kinds (not in DRAWING_KINDS) never draw, so their T
+    entries may be None.  The impostor reads the codebook and the relay mode
+    of the code it attacks; the other kinds ignore them.
 
-    lambdas, a sequence of L budgets in place of strategy.Lambda, fits one
-    draw to each of them and adds a leading axis: (L, n), or (L, T, n) for a
-    sequence of generators, with row l equal to the state at lambdas[l] alone.
-    The draw does not depend on Lambda, so it runs once; only the budget step
-    (the rescale, the fallback or the check) runs per Lambda."""
-    if rng is None:
-        rng = np.random.default_rng(np.random.SeedSequence(strategy.seed))
-    single = isinstance(rng, np.random.Generator)
-    rngs = [rng] if single else list(rng)
-    lams = np.array([strategy.Lambda] if lambdas is None else lambdas, dtype=float)
+    lambdas is a sequence of L budgets, read in place of strategy.Lambda; one
+    draw is fitted to each of them, with row l equal to the state at
+    lambdas[l] alone.  The draw does not depend on Lambda, so it runs once;
+    only the budget step (the rescale, the fallback or the check) runs per
+    Lambda."""
+    rngs = list(rngs)
+    lams = np.array(lambdas, dtype=float)
     if lams.ndim != 1 or not lams.size or not (np.isfinite(lams) & (lams > 0)).all():
         raise StrategyError(f"Lambda values must be finite and > 0, got {lambdas!r}")
     budget = n * lams[:, None]     # (L, 1), the same floats as n * Lambda
@@ -120,9 +114,7 @@ def make_state(strategy: StateStrategy, n: int, rng=None, codebook: SfdCodebook 
         l, t = np.argwhere(over)[0]
         raise PowerCapError(f"{strategy.kind} state has power {energy[l, t]!r} "
                             f"over the budget {budget[l, 0]!r}")
-    if single:
-        s = s[:, 0]
-    return s[0] if lambdas is None else s
+    return s
 
 
 def _fit(kind, raw, power, budget):

@@ -106,7 +106,7 @@ def _cmd_figure(args):
 
 def _load_channel(path):
     with open(path) as fh:
-        return discrete.dmc_from_json(fh.read())
+        return discrete.dmc_from_json(json.load(fh))
 
 
 def _cmd_symcheck(args):
@@ -138,7 +138,7 @@ def _cmd_primitive(args):
 
 def _cmd_simulate(args):
     with open(args.config) as fh:
-        config, sweep = sim.sim_config_from_json(fh.read())
+        config, sweep = sim.sim_config_from_json(json.load(fh))
     if sweep is None:
         est = sim.run_monte_carlo(config, args.workers)
         row = sim.SweepEntry(config.strategy.Lambda, config.strategy.kind,

@@ -27,10 +27,10 @@ x' + x1 + s[:, perm], the same floats as permuting and un-permuting, and the
 code applies the permutation to the noise and the state alone.
 
 `encode`, `transmit`, `relay_chain`, `destination_observation` and
-`decode_backward` take one trial, or a stack of T trials with a leading trial
-axis, each with its own permutation.  A stack runs the same matrix-vector
-products as its trials one by one, so each trial's floats do not depend on
-the stack it came in.
+`decode_backward` take a stack of T trials with a leading trial axis, each
+trial with its own permutation; one trial is a stack of 1.  A stack runs the
+same matrix-vector products as its trials one by one, so each trial's floats
+do not depend on the stack it came in.
 """
 
 from dataclasses import dataclass
@@ -82,10 +82,7 @@ def codebook_config_to_json(config: CodebookConfig) -> dict:
 
 
 def codebook_config_from_json(obj) -> CodebookConfig:
-    import json
-
-    if isinstance(obj, (str, bytes)):
-        obj = json.loads(obj)
+    """Read a parsed JSON object (a dict) into a CodebookConfig."""
     num = {key: number_field(obj, key) for key in
            ("P", "P1", "Lambda", "sigma2", "rate_relayed", "rate_direct", "alpha", "rho")}
     return CodebookConfig(
@@ -191,43 +188,35 @@ def build_codebook(config: CodebookConfig) -> SfdCodebook:
     return SfdCodebook(config)
 
 
-def _stacked(arr, core, what):
-    """arr as a (T, *core) stack of trials, and whether it came as one trial (core)."""
-    if arr.shape == core:
-        return arr[None], True
+def _stack(arr, core, what):
+    """arr, refused unless it is a (T, *core) stack of trials."""
     if arr.shape[1:] != core:
-        raise CodecConfigError(f"expected {core} {what}, or a (T, *{core}) stack, "
-                               f"got {arr.shape}")
-    return arr, False
-
-
-def _unstacked(single, *arrays):
-    """The arrays of a stack, or of its one trial when it came as one (see _stacked)."""
-    return tuple(a[0] for a in arrays) if single else arrays
+        raise CodecConfigError(f"expected a (T, *{core}) stack of {what}, got {arr.shape}")
+    return arr
 
 
 def _through(a, perm):
-    """a (..., B, n) read through each trial's permutation perm (..., n): a[..., perm]."""
+    """a (T, B, n) read through each trial's permutation perm (T, n): a[t][:, perm[t]]."""
     return a if perm is None else np.take_along_axis(a, np.asarray(perm)[..., None, :], axis=-1)
 
 
 @dataclass(frozen=True)
 class Transmission:
-    x_prime: np.ndarray         # (B, n) destination-band blocks, clipped blocks zeroed
-    x_direct: np.ndarray        # (B, n) relay-band blocks
-    power_clipped: np.ndarray   # (B,) bool; each with a leading (T,) for a stack of trials
+    x_prime: np.ndarray         # (T, B, n) destination-band blocks, clipped blocks zeroed
+    x_direct: np.ndarray        # (T, B, n) relay-band blocks
+    power_clipped: np.ndarray   # (T, B) bool
 
 
 def encode(codebook: SfdCodebook, messages) -> Transmission:
     """Map B-1 message pairs to the B transmitted blocks.
 
-    messages is a (B-1, 2) array of (m1, m2) indices, or a (T, B-1, 2) stack
-    of T trials, whose arrays then carry the same leading trial axis; the
-    final block carries the fixed pair.  A block whose destination component
-    overshoots the budget n*alpha*P is replaced by zero and flagged.
+    messages is a (T, B-1, 2) stack of T trials' (m1, m2) indices, and the
+    arrays carry the same leading trial axis; the final block carries the
+    fixed pair.  A block whose destination component overshoots the budget
+    n*alpha*P is replaced by zero and flagged.
     """
     B, n = codebook.num_blocks, codebook.n
-    msgs, single = _stacked(np.asarray(messages, dtype=int), (B - 1, 2), "message array")
+    msgs = _stack(np.asarray(messages, dtype=int), (B - 1, 2), "message pairs")
     if (msgs < 0).any() or (msgs[..., 0] >= codebook.m1_count).any() \
             or (msgs[..., 1] >= codebook.m2_count).any():
         raise CodecConfigError("message index out of range")
@@ -239,8 +228,7 @@ def encode(codebook: SfdCodebook, messages) -> Transmission:
     # one dot product per row, the same float as xp[b] @ xp[b]
     clipped = (xp[:, None, :] @ xp[:, :, None])[:, 0, 0] > codebook.clip_budget
     xp[clipped] = 0.0
-    return Transmission(*_unstacked(single, xp.reshape(T, B, n), codebook.x2[m1],
-                                    clipped.reshape(T, B)))
+    return Transmission(xp.reshape(T, B, n), codebook.x2[m1], clipped.reshape(T, B))
 
 
 def draw_messages(codebook: SfdCodebook, rngs):
@@ -251,25 +239,26 @@ def draw_messages(codebook: SfdCodebook, rngs):
     return np.array([r.integers(0, high) for r in rngs]).transpose(0, 2, 1)
 
 
-def transmit(codebook: SfdCodebook, messages, rng, relay_mode: str = "min_distance",
+def transmit(codebook: SfdCodebook, messages, rngs, relay_mode: str = "min_distance",
              perm=None):
-    """One sender -> relay pass: encode, draw the relay noise z, run the relay.
+    """One sender -> relay pass over a (T, B-1, 2) stack of messages: encode,
+    draw the relay noise z, run the relay.
 
-    Returns (tx, y1, x1): the Transmission, the relay observations
-    x_direct + z (z[:, perm] under a shared permutation, see the module
-    docstring) and the relay's (B, n) codewords.  For a (T, B-1, 2) stack of
-    messages, rng is a sequence of T generators, each drawing its own trial's
-    z, perm (if any) is (T, n), one permutation per trial, and every array
-    carries the leading trial axis.
+    rngs is a sequence of T generators, each drawing its own trial's (B, n)
+    z, and perm (if any) is (T, n), one permutation per trial.  Returns (tx,
+    y1, x1): the Transmission, the relay observations x_direct + z (z[:, perm]
+    under a shared permutation, see the module docstring) and the relay's
+    (T, B, n) codewords.
     """
-    B, n = codebook.num_blocks, codebook.n
-    if perm is not None and (np.shape(perm)[-1:] != (n,)
-                             or (np.sort(perm, axis=-1) != np.arange(n)).any()):
-        raise CodecConfigError("perm must be a permutation of range(n)")
     tx = encode(codebook, messages)
+    T, B, n = tx.x_direct.shape
+    if len(rngs) != T:
+        raise CodecConfigError(f"need one generator per trial, got {len(rngs)} for {T}")
+    if perm is not None and (np.shape(perm) != (T, n)
+                             or (np.sort(perm, axis=-1) != np.arange(n)).any()):
+        raise CodecConfigError("perm must be a (T, n) stack of permutations of range(n)")
     sd = np.sqrt(codebook.config.params.sigma2)
-    rngs = [rng] if tx.x_direct.ndim == 2 else rng
-    z = np.stack([r.normal(0.0, sd, (B, n)) for r in rngs]).reshape(tx.x_direct.shape)
+    z = np.stack([r.normal(0.0, sd, (B, n)) for r in rngs])
     y1 = tx.x_direct + _through(z, perm)
     true_idx = np.asarray(messages)[..., 0] if relay_mode == "ideal" else None
     _, x1 = relay_chain(codebook, y1, relay_mode, true_idx)
@@ -278,8 +267,8 @@ def transmit(codebook: SfdCodebook, messages, rng, relay_mode: str = "min_distan
 
 def destination_observation(tx: Transmission, x1, s, perm=None):
     """What the destination decodes: x' + x1 + s, with s[:, perm] under a shared
-    permutation (see the module docstring); a stack of trials reads each trial's
-    state through its own permutation."""
+    permutation (see the module docstring), each trial's state read through its
+    own permutation."""
     return tx.x_prime + x1 + _through(s, perm)
 
 
@@ -315,32 +304,31 @@ def relay_chain(codebook: SfdCodebook, y1_blocks, mode: str = "min_distance",
     """Run the relay over all blocks: x1 of block 0 is fixed, then one-block delay.
 
     The estimate for block b reads only y1[b], so all B-1 are decided at once,
-    and a (T, B, n) stack of trials as one batch.  Returns (estimates (B-1,),
-    x1_blocks (B, n)), each with the stack's leading trial axis.
+    and a (T, B, n) stack of trials as one batch.  Returns (estimates (T, B-1),
+    x1_blocks (T, B, n)).
     """
     B, n = codebook.num_blocks, codebook.n
-    y1, single = _stacked(np.asarray(y1_blocks, dtype=float), (B, n), "relay observations")
+    y1 = _stack(np.asarray(y1_blocks, dtype=float), (B, n), "relay observations")
     T = len(y1)
     if mode == "ideal":
         if true_indices is None:
             raise CodecConfigError("ideal relay mode needs the true indices")
         est = np.array(true_indices, dtype=int)
-        if est.shape != ((B - 1,) if single else (T, B - 1)):
+        if est.shape != (T, B - 1):
             raise CodecConfigError(f"ideal relay mode needs {B - 1} true indices per trial")
-        est = est.reshape(T, B - 1)
     elif mode == "min_distance":
         est = _argmax_corr(codebook.x2, y1[:, :-1].reshape(-1, n))[0].reshape(T, B - 1)
     else:
         raise CodecConfigError("relay mode must be min_distance or ideal")
     x1 = codebook.x1[np.concatenate((np.full((T, 1), FIXED_INDEX), est), axis=1)]
-    return _unstacked(single, est, x1)
+    return est, x1
 
 
 @dataclass(frozen=True)
 class DecodeResult:
-    m_relayed: np.ndarray   # (B-1,) estimates of the m1 stream
-    m_direct: np.ndarray    # (B-1,) estimates of the m2 stream
-    tie_count: int          # for a (T, B, n) stack, a (T,) array of per-trial counts
+    m_relayed: np.ndarray   # (T, B-1) estimates of the m1 stream
+    m_direct: np.ndarray    # (T, B-1) estimates of the m2 stream
+    tie_count: np.ndarray   # (T,) exact distance ties per trial
 
 
 def decode_backward(codebook: SfdCodebook, y_blocks) -> DecodeResult:
@@ -351,12 +339,12 @@ def decode_backward(codebook: SfdCodebook, y_blocks) -> DecodeResult:
     Pass 2: with prev = m1_hat[b-1] (fixed index at b=0), m2_hat[b] minimizes
         || y[b] - x1(prev) - x_prime(m1_hat[b], m | prev) ||.
     Pass 2 reads only pass 1's estimates, so the order of the blocks within a
-    pass does not matter, and a (T, B, n) stack of trials is decided as one
+    pass does not matter, and the (T, B, n) stack of trials is decided as one
     batch, with the trial axis leading every result.  Exact distance ties
     resolve to the smallest index and are counted.
     """
     B, n = codebook.num_blocks, codebook.n
-    y, single = _stacked(np.asarray(y_blocks, dtype=float), (B, n), "received blocks")
+    y = _stack(np.asarray(y_blocks, dtype=float), (B, n), "received blocks")
     T = len(y)
     table = (1.0 + codebook.combine) * codebook.x1
     m1_hat, ties1, _ = _argmax_corr(table, y[:, 1:].reshape(-1, n))
@@ -365,5 +353,4 @@ def decode_backward(codebook: SfdCodebook, y_blocks) -> DecodeResult:
     resid = (y[:, :-1] - table[prev]).reshape(-1, n)
     m2_hat, ties2 = _argmax_corr_direct(codebook, m1_hat.ravel(), resid)
     ties = (ties1 + ties2).reshape(T, B - 1).sum(axis=1)
-    m1_hat, m2_hat, ties = _unstacked(single, m1_hat, m2_hat.reshape(T, B - 1), ties)
-    return DecodeResult(m1_hat, m2_hat, int(ties) if single else ties)
+    return DecodeResult(m1_hat, m2_hat.reshape(T, B - 1), ties)

@@ -16,7 +16,7 @@ fixed pool over the inner simplex steers a simplex search over the outer one,
 and the inner optimum is refined once, at the winner.
 """
 
-import json
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,9 +114,10 @@ class Dmc:
 
 
 def dmc_from_json(obj) -> Dmc:
-    """Parse {"X":..,"S":..,"Y":..,"Y1":..,"C1":..,"W":[[[[...]]]]}, W indexed [x][s][y][y1]."""
-    if isinstance(obj, (str, bytes)):
-        obj = json.loads(obj)
+    """Read a parsed {"X":..,"S":..,"Y":..,"Y1":..,"C1":..,"W":[[[[...]]]]}, W[x][s][y][y1]."""
+    if not isinstance(obj, dict):
+        # reprlib shortens the echo of a large value, a long list or string
+        raise ChannelFormatError(f"channel must be a JSON object, got {reprlib.repr(obj)}")
     try:
         dims = tuple(int_field(obj, k) for k in ("X", "S", "Y", "Y1"))
         c1 = number_field(obj, "C1")

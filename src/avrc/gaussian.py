@@ -347,8 +347,10 @@ def gavc_point_to_point(P: float, Lambda: float, sigma2: float):
     random_rate = 0.5*log2(1 + P/(sigma2+Lambda)); without shared randomness
     the rate survives exactly when Lambda < P, and collapses to 0 otherwise.
     """
-    if Lambda <= 0 or sigma2 <= 0 or P < 0:
-        raise GaussianParamError("need P >= 0 and Lambda, sigma2 > 0")
+    # written so that nan fails each check
+    if not (np.isfinite([P, Lambda, sigma2]).all() and P >= 0 and Lambda > 0 and sigma2 > 0):
+        raise GaussianParamError("need finite P >= 0 and Lambda, sigma2 > 0, got "
+                                 f"P={P!r}, Lambda={Lambda!r}, sigma2={sigma2!r}")
     random_rate = float(_half_log2_1p(P / (sigma2 + Lambda)))
     det_rate = random_rate if Lambda < P else 0.0
     return random_rate, det_rate

@@ -25,8 +25,8 @@ identical for any chunk size.
 """
 
 import functools
-import json
 import os
+import reprlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -406,9 +406,10 @@ def write_attack_csv(rows, path):
 
 
 def sim_config_from_json(obj) -> tuple:
-    """Parse a full simulation request; returns (SimConfig, sweep dict or None)."""
-    if isinstance(obj, (str, bytes)):
-        obj = json.loads(obj)
+    """Read a parsed simulation request; returns (SimConfig, sweep dict or None)."""
+    if not isinstance(obj, dict):
+        # reprlib shortens the echo of a large value, a long list or string
+        raise SimConfigError(f"simulation config must be a JSON object, got {reprlib.repr(obj)}")
     try:
         sim = SimConfig(codebook=codebook_config_from_json(object_field(obj, "codebook")),
                         strategy=strategy_from_json(object_field(obj, "strategy")),

@@ -178,8 +178,8 @@ def test_criterion_08_round_trip_randomized():
         cb = build_codebook(cfg)
         msgs = np.stack([rng.integers(0, cb.m1_count, B - 1),
                          rng.integers(0, cb.m2_count, B - 1)], axis=1)
-        tx = encode(cb, msgs)
-        for xp, xd in zip(tx.x_prime, tx.x_direct):
+        tx = encode(cb, msgs[None])
+        for xp, xd in zip(tx.x_prime[0], tx.x_direct[0]):
             xp2 = xp @ xp
             if xp2 > n * alpha * P + 1e-9:
                 invariant_bad += 1
@@ -187,10 +187,10 @@ def test_criterion_08_round_trip_randomized():
                 invariant_bad += 1
         if (np.linalg.norm(cb.x1, axis=1) ** 2 > n * P1).any():
             invariant_bad += 1
-        _, x1 = relay_chain(cb, tx.x_direct, "ideal", msgs[:, 0])
+        _, x1 = relay_chain(cb, tx.x_direct, "ideal", msgs[None, :, 0])
         res = decode_backward(cb, tx.x_prime + x1)
-        if not (np.array_equal(res.m_relayed, msgs[:, 0])
-                and np.array_equal(res.m_direct, msgs[:, 1])):
+        if not (np.array_equal(res.m_relayed[0], msgs[:, 0])
+                and np.array_equal(res.m_direct[0], msgs[:, 1])):
             fails += 1
     ok = fails == 0 and invariant_bad == 0
     report(8, ok, f"decode failures {fails}/100, power-invariant violations {invariant_bad}")

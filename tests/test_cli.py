@@ -708,6 +708,26 @@ def test_simulate_names_a_section_of_the_wrong_json_type(capsys, tmp_path, path,
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("argv, what", [
+    (["simulate", "--config", "{path}", "--out", "{out}"], "simulation config"),
+    (["primitive", "--channel", "{path}", "--bound", "classify"], "channel"),
+    (["symcheck", "--channel", "{path}", "--target", "joint"], "channel"),
+])
+@pytest.mark.parametrize("value, shown", [
+    ([1], "[1]"), ("zero", "'zero'"), (5, "5"), (None, "None"),
+    ([0.0] * 10**5, "[0.0, 0.0, 0.0, 0.0, 0.0, 0.0, ...]"),
+])
+def test_a_file_that_is_not_a_json_object_is_named(capsys, tmp_path, argv, what, value, shown):
+    # the top-level value is checked first, so the error names it rather than a failed
+    # lookup, and a large value is shortened rather than echoed whole
+    path, out_path = tmp_path / "in.json", tmp_path / "rows.csv"
+    path.write_text(json.dumps(value))
+    code, out, err = run_cli(capsys, *(arg.format(path=path, out=out_path) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err == f"error: {what} must be a JSON object, got {shown}\n"
+    assert not out_path.exists()
+
+
 def test_simulate_refuses_a_trial_over_the_symbol_cap_before_running_it(capsys, tmp_path,
                                                                        monkeypatch):
     # 10^8 blocks of one symbol would hold about 20 GB in one trial's arrays

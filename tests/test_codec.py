@@ -31,9 +31,10 @@ def make_config(n=64, blocks=3, m1=8, m2=8, P=4.0, P1=4.0, Lam=1.0, s2=0.5,
 
 
 def transmit_clean(cb, msgs, relay_mode="ideal"):
-    """Noiseless, stateless channel pass; returns received destination blocks."""
+    """Noiseless, stateless channel pass of a stack of trials; returns the
+    received destination blocks."""
     tx = encode(cb, msgs)
-    _, x1 = relay_chain(cb, tx.x_direct, relay_mode, msgs[:, 0])
+    _, x1 = relay_chain(cb, tx.x_direct, relay_mode, msgs[..., 0])
     return tx.x_prime + x1, tx
 
 
@@ -105,23 +106,23 @@ def test_split_feasibility_flag():
 
 def test_encode_boundary_and_range_checks():
     cb = build_codebook(make_config(blocks=2))
-    tx = encode(cb, [[3, 4]])
-    assert tx.x_prime.shape == tx.x_direct.shape == (2, cb.n)
+    tx = encode(cb, [[[3, 4]]])
+    assert tx.x_prime.shape == tx.x_direct.shape == (1, 2, cb.n)
     # the final block carries the fixed pair with the previous index = 3
-    assert np.allclose(tx.x_prime[1], cb.x_prime(0, 0, 3))
+    assert np.allclose(tx.x_prime[0, 1], cb.x_prime(0, 0, 3))
     with pytest.raises(CodecConfigError):
-        encode(cb, [[99, 0]])
+        encode(cb, [[[99, 0]]])
     with pytest.raises(CodecConfigError):
-        encode(cb, [[0, 0], [0, 0]])
+        encode(cb, [[[0, 0], [0, 0]]])
 
 
 def test_rho_zero_never_clips():
     cb = build_codebook(make_config(rho=0.0))
     rng = np.random.default_rng(0)
     msgs = np.stack([rng.integers(0, 8, 2), rng.integers(0, 8, 2)], axis=1)
-    tx = encode(cb, msgs)
+    tx = encode(cb, msgs[None])
     assert not tx.power_clipped.any()
-    assert all(abs(xp @ xp - cb.beta ** 2) < 1e-9 for xp in tx.x_prime[:-1])
+    assert all(abs(xp @ xp - cb.beta ** 2) < 1e-9 for xp in tx.x_prime[0, :-1])
 
 
 def test_collinear_pair_clips_and_zeroes():
@@ -131,27 +132,27 @@ def test_collinear_pair_clips_and_zeroes():
     cb.v[2, 3] = cb.a[1]
     xp = cb.x_prime(2, 3, 1)
     assert xp @ xp > cb.clip_budget
-    tx = encode(cb, [[2, 3], [0, 0]])
+    tx = encode(cb, [[[2, 3], [0, 0]]])
     # message block 0 has previous index fixed, so build the collision there
     cb.v[2, 3] = cb.a[0]
-    tx = encode(cb, [[2, 3], [0, 0]])
-    assert tx.power_clipped[0]
-    assert np.array_equal(tx.x_prime[0], np.zeros(cb.n))
-    assert not tx.power_clipped[1]
+    tx = encode(cb, [[[2, 3], [0, 0]]])
+    assert tx.power_clipped[0, 0]
+    assert np.array_equal(tx.x_prime[0, 0], np.zeros(cb.n))
+    assert not tx.power_clipped[0, 1]
 
 
 def test_relay_modes():
     cb = build_codebook(make_config())
-    noiseless = cb.x2[[5, 1, 3]]          # the final block is not decoded
+    noiseless = cb.x2[[[5, 1, 3]]]        # the final block is not decoded
     est, x1 = relay_chain(cb, noiseless, "min_distance")
-    assert np.array_equal(est, [5, 1])
-    assert np.array_equal(x1, cb.x1[[0, 5, 1]])
-    est, x1 = relay_chain(cb, noiseless, "ideal", [2, 4])
-    assert np.array_equal(est, [2, 4]) and np.array_equal(x1, cb.x1[[0, 2, 4]])
+    assert np.array_equal(est, [[5, 1]])
+    assert np.array_equal(x1, cb.x1[[[0, 5, 1]]])
+    est, x1 = relay_chain(cb, noiseless, "ideal", [[2, 4]])
+    assert np.array_equal(est, [[2, 4]]) and np.array_equal(x1, cb.x1[[[0, 2, 4]]])
     with pytest.raises(CodecConfigError):
         relay_chain(cb, noiseless, "ideal")
     with pytest.raises(CodecConfigError):
-        relay_chain(cb, noiseless, "ideal", [2])
+        relay_chain(cb, noiseless, "ideal", [[2]])
     with pytest.raises(CodecConfigError):
         relay_chain(cb, noiseless, "oracle")
 
@@ -166,8 +167,8 @@ def test_relay_min_distance_error_rate_under_noise():
     for _ in range(1000):
         m = int(rng.integers(0, cb.m1_count))
         y1[0] = cb.x2[m] + rng.normal(0, np.sqrt(0.5), cb.n)
-        est, _ = relay_chain(cb, y1, "min_distance")
-        errors += est[0] != m
+        est, _ = relay_chain(cb, y1[None], "min_distance")
+        errors += est[0, 0] != m
     assert errors / 1000 <= 0.05
 
 
@@ -208,7 +209,8 @@ def test_grouped_second_pass_matches_the_gathered_tables(K, m1, m2, n, rho, zero
 
 def test_a_stack_of_trials_matches_each_trial_alone():
     # encode, transmit, relay_chain, destination_observation and decode_backward
-    # take a leading trial axis; each trial of the stack is that trial alone
+    # take a leading trial axis; each trial of the stack is that trial alone,
+    # a stack of 1
     cb = build_codebook(make_config(n=48, blocks=4, m1=5, m2=6, s2=2.0, rho=0.6, delta=0.3))
     rng = np.random.default_rng(12)
     T, B, n = 7, cb.num_blocks, cb.n
@@ -223,14 +225,15 @@ def test_a_stack_of_trials_matches_each_trial_alone():
         assert tx.x_prime.shape == (T, B, n) and res.m_direct.shape == (T, B - 1)
         assert tx.power_clipped.any()
         for t in range(T):
-            tx_t, y1_t, x1_t = transmit(cb, msgs[t], np.random.default_rng(t), mode, perm[t])
-            res_t = decode_backward(cb, destination_observation(tx_t, x1_t, s[t], perm[t]))
-            assert np.array_equal(tx.x_prime[t], tx_t.x_prime)
-            assert np.array_equal(tx.power_clipped[t], tx_t.power_clipped)
-            assert np.array_equal(y1[t], y1_t) and np.array_equal(x1[t], x1_t)
-            assert np.array_equal(res.m_relayed[t], res_t.m_relayed)
-            assert np.array_equal(res.m_direct[t], res_t.m_direct)
-            assert res.tie_count[t] == res_t.tie_count
+            one = slice(t, t + 1)
+            tx_t, y1_t, x1_t = transmit(cb, msgs[one], [np.random.default_rng(t)], mode, perm[one])
+            res_t = decode_backward(cb, destination_observation(tx_t, x1_t, s[one], perm[one]))
+            assert np.array_equal(tx.x_prime[one], tx_t.x_prime)
+            assert np.array_equal(tx.power_clipped[one], tx_t.power_clipped)
+            assert np.array_equal(y1[one], y1_t) and np.array_equal(x1[one], x1_t)
+            assert np.array_equal(res.m_relayed[one], res_t.m_relayed)
+            assert np.array_equal(res.m_direct[one], res_t.m_direct)
+            assert np.array_equal(res.tie_count[one], res_t.tie_count)
     with pytest.raises(CodecConfigError):
         relay_chain(cb, y1, "ideal", msgs[0, :, 0])     # one trial's indices for a stack
     with pytest.raises(CodecConfigError):
@@ -248,7 +251,7 @@ def test_encode_never_exceeds_destination_power(n, blocks, m1, m2, P, ratio, alp
     rng = np.random.default_rng(seed)
     msgs = np.stack([rng.integers(0, cb.m1_count, blocks - 1),
                      rng.integers(0, cb.m2_count, blocks - 1)], axis=1)
-    xp = encode(cb, msgs).x_prime
+    xp = encode(cb, msgs[None]).x_prime[0]
     assert all(row @ row <= n * alpha * P for row in xp)
 
 
@@ -262,28 +265,40 @@ def test_round_trip_zero_state_ideal_relay():
         cb = build_codebook(cfg)
         msgs = np.stack([rng.integers(0, cb.m1_count, cb.num_blocks - 1),
                          rng.integers(0, cb.m2_count, cb.num_blocks - 1)], axis=1)
-        y, _ = transmit_clean(cb, msgs)
+        y, _ = transmit_clean(cb, msgs[None])
         res = decode_backward(cb, y)
-        assert np.array_equal(res.m_relayed, msgs[:, 0])
-        assert np.array_equal(res.m_direct, msgs[:, 1])
+        assert np.array_equal(res.m_relayed[0], msgs[:, 0])
+        assert np.array_equal(res.m_direct[0], msgs[:, 1])
 
 
 def test_all_zero_input_tie_contract():
     cb = build_codebook(make_config(blocks=3))
-    res = decode_backward(cb, np.zeros((3, cb.n)))
+    res = decode_backward(cb, np.zeros((1, 3, cb.n)))
     # every relayed-stream distance ties exactly (equal-energy tables), so the
     # smallest index wins and the ties are counted; the direct-stream metric
     # has a strict minimizer there, so only the first pass contributes
-    assert np.array_equal(res.m_relayed, [0, 0])
-    assert res.tie_count == 2 * (cb.m1_count - 1)
-    again = decode_backward(cb, np.zeros((3, cb.n)))
+    assert np.array_equal(res.m_relayed, [[0, 0]])
+    assert res.tie_count.shape == (1,) and res.tie_count[0] == 2 * (cb.m1_count - 1)
+    again = decode_backward(cb, np.zeros((1, 3, cb.n)))
     assert np.array_equal(again.m_direct, res.m_direct)
 
 
 def test_decode_shape_check():
     cb = build_codebook(make_config())
+    B, n = cb.num_blocks, cb.n
     with pytest.raises(CodecConfigError):
         decode_backward(cb, np.zeros((2, cb.n + 1)))
+    # one trial's bare arrays, without the leading trial axis, are refused
+    with pytest.raises(CodecConfigError, match=r"stack of received blocks, got \(3, 64\)"):
+        decode_backward(cb, np.zeros((B, n)))
+    with pytest.raises(CodecConfigError, match="stack of relay observations"):
+        relay_chain(cb, np.zeros((B, n)), "min_distance")
+    with pytest.raises(CodecConfigError, match="stack of message pairs"):
+        encode(cb, np.zeros((B - 1, 2), dtype=int))
+    with pytest.raises(CodecConfigError, match="stack of message pairs"):
+        transmit(cb, np.zeros((B - 1, 2), dtype=int), [np.random.default_rng(0)])
+    with pytest.raises(CodecConfigError, match="one generator per trial"):
+        transmit(cb, np.zeros((2, B - 1, 2), dtype=int), [np.random.default_rng(0)])
 
 
 def test_achievable_rate_pair_sum_identity():
@@ -311,16 +326,16 @@ def test_permutation_norm_identity():
 def test_encode_gathers_the_per_block_codewords():
     cb = build_codebook(make_config(blocks=4, rho=0.5, delta=0.4))
     msgs = np.array([[3, 1], [5, 7], [0, 2]])
-    tx = encode(cb, msgs)
+    tx = encode(cb, msgs[None])
     assert tx.power_clipped.any() and not tx.power_clipped.all()   # both rules run
     chain = [(3, 1, 0), (5, 7, 3), (0, 2, 5), (0, 0, 0)]   # (m1, m2, previous m1)
     for b, (m1, m2, prev) in enumerate(chain):
         xp = cb.x_prime(m1, m2, prev)
         clipped = xp @ xp > cb.clip_budget
-        assert tx.power_clipped[b] == clipped
-        assert np.array_equal(tx.x_prime[b], np.zeros(cb.n) if clipped else xp)
-        assert np.array_equal(tx.x_direct[b], cb.x2[m1])
-    assert tx.power_clipped.dtype == bool and tx.power_clipped.shape == (4,)
+        assert tx.power_clipped[0, b] == clipped
+        assert np.array_equal(tx.x_prime[0, b], np.zeros(cb.n) if clipped else xp)
+        assert np.array_equal(tx.x_direct[0, b], cb.x2[m1])
+    assert tx.power_clipped.dtype == bool and tx.power_clipped.shape == (1, 4)
 
 
 def _wrapped_pass(cb, msgs, rng, perm, s):
@@ -328,11 +343,11 @@ def _wrapped_pass(cb, msgs, rng, perm, s):
     receivers un-permute.  Returns (relay observations, relay codewords,
     destination observations), each un-permuted."""
     inv = np.argsort(perm)
-    tx = encode(cb, msgs)
+    tx = encode(cb, msgs[None])
     z = rng.normal(0.0, np.sqrt(cb.config.params.sigma2), (cb.num_blocks, cb.n))
-    y1 = (tx.x_direct[:, inv] + z)[:, perm]
-    _, x1 = relay_chain(cb, y1, "min_distance")
-    y = (tx.x_prime[:, inv] + x1[:, inv] + s)[:, perm]
+    y1 = (tx.x_direct[0][:, inv] + z)[:, perm]
+    x1 = relay_chain(cb, y1[None], "min_distance")[1][0]
+    y = (tx.x_prime[0][:, inv] + x1[:, inv] + s)[:, perm]
     return y1, x1, y
 
 
@@ -344,26 +359,27 @@ def test_transmit_permutation_matches_wrapped_code_bit_for_bit():
         perm = rng.permutation(cb.n)
         s = rng.normal(size=(cb.num_blocks, cb.n))
         seed = int(rng.integers(1 << 30))
-        tx, y1, x1 = transmit(cb, msgs, np.random.default_rng(seed), perm=perm)
+        tx, y1, x1 = transmit(cb, msgs[None], [np.random.default_rng(seed)], perm=perm[None])
         y1_w, x1_w, y_w = _wrapped_pass(cb, msgs, np.random.default_rng(seed), perm, s)
-        assert np.array_equal(y1, y1_w)
-        assert np.array_equal(x1, x1_w)
-        assert np.array_equal(destination_observation(tx, x1, s, perm), y_w)
+        assert np.array_equal(y1[0], y1_w)
+        assert np.array_equal(x1[0], x1_w)
+        assert np.array_equal(destination_observation(tx, x1, s[None], perm[None])[0], y_w)
 
 
 def test_transmit_rejects_a_non_permutation():
     cb = build_codebook(make_config())
-    msgs = np.array([[1, 1], [2, 2]])
+    msgs = np.array([[[1, 1], [2, 2]]])
     with pytest.raises(CodecConfigError):
-        transmit(cb, msgs, np.random.default_rng(0), perm=np.zeros(cb.n, dtype=int))
+        transmit(cb, msgs, [np.random.default_rng(0)], perm=np.zeros((1, cb.n), dtype=int))
 
 
 def test_identity_permutation_matches_plain():
     cb = build_codebook(make_config())
     rng = np.random.default_rng(2)
     msgs = np.stack([rng.integers(0, 8, 2), rng.integers(0, 8, 2)], axis=1)
-    tx_p, y1_p, x1_p = transmit(cb, msgs, np.random.default_rng(3))
-    tx_i, y1_i, x1_i = transmit(cb, msgs, np.random.default_rng(3), perm=np.arange(cb.n))
+    tx_p, y1_p, x1_p = transmit(cb, msgs[None], [np.random.default_rng(3)])
+    tx_i, y1_i, x1_i = transmit(cb, msgs[None], [np.random.default_rng(3)],
+                                perm=np.arange(cb.n)[None])
     assert np.array_equal(tx_p.x_prime, tx_i.x_prime)
     assert np.array_equal(tx_p.x_direct, tx_i.x_direct)
     assert np.array_equal(y1_p, y1_i) and np.array_equal(x1_p, x1_i)
@@ -380,14 +396,14 @@ def test_wrapped_round_trip_any_permutation():
     msgs = np.stack([rng.integers(0, 8, 2), rng.integers(0, 8, 2)], axis=1)
     # the ideal relay ignores its noisy observations; the state is a ramp,
     # so reading it through the wrong permutation (or none) changes y
-    tx, _, x1 = transmit(cb, msgs, rng, "ideal", perm)
+    tx, _, x1 = transmit(cb, msgs[None], [rng], "ideal", perm[None])
     s = np.tile(np.linspace(-0.1, 0.1, cb.n), (cb.num_blocks, 1))
-    y = destination_observation(tx, x1, s, perm)
+    y = destination_observation(tx, x1, s[None], perm[None])
     inv = np.argsort(perm)
-    assert np.array_equal(y, (tx.x_prime[:, inv] + x1[:, inv] + s)[:, perm])
+    assert np.array_equal(y[0], (tx.x_prime[0][:, inv] + x1[0][:, inv] + s)[:, perm])
     res = decode_backward(cb, y)
-    assert np.array_equal(res.m_relayed, msgs[:, 0])
-    assert np.array_equal(res.m_direct, msgs[:, 1])
+    assert np.array_equal(res.m_relayed[0], msgs[:, 0])
+    assert np.array_equal(res.m_direct[0], msgs[:, 1])
 
 
 def test_wrapped_beats_plain_on_burst_state():
@@ -398,9 +414,9 @@ def test_wrapped_beats_plain_on_burst_state():
     cb = build_codebook(cfg)
     n = cb.n
     fake = np.array([[1, 2], [3, 0]])
-    fake_tx = encode(cb, fake)
-    _, fake_x1 = relay_chain(cb, fake_tx.x_direct, "ideal", fake[:, 0])
-    state = fake_tx.x_prime + fake_x1
+    fake_tx = encode(cb, fake[None])
+    _, fake_x1 = relay_chain(cb, fake_tx.x_direct, "ideal", fake[None, :, 0])
+    state = (fake_tx.x_prime + fake_x1)[0]
     per_symbol = np.einsum("bi,bi->b", state, state) / n   # 2.69, 3.00, 3.31
     assert (per_symbol < 4.0).all()                          # in budget block by block
     assert 2.7 <= per_symbol.mean() <= 3.3
@@ -411,10 +427,11 @@ def test_wrapped_beats_plain_on_burst_state():
         wrapped = _seeded_permutation(n, trial)
         for perm, bucket in ((None, "plain"), (wrapped, "wrapped")):
             # the ideal relay ignores its noisy observations
-            tx, _, x1 = transmit(cb, msgs, np.random.default_rng(0), "ideal", perm)
-            res = decode_backward(cb, destination_observation(tx, x1, state, perm))
-            bad = (not np.array_equal(res.m_relayed, msgs[:, 0])
-                   or not np.array_equal(res.m_direct, msgs[:, 1]))
+            perms = None if perm is None else perm[None]
+            tx, _, x1 = transmit(cb, msgs[None], [np.random.default_rng(0)], "ideal", perms)
+            res = decode_backward(cb, destination_observation(tx, x1, state[None], perms))
+            bad = (not np.array_equal(res.m_relayed[0], msgs[:, 0])
+                   or not np.array_equal(res.m_direct[0], msgs[:, 1]))
             if bucket == "plain":
                 plain_err += bad
             else:

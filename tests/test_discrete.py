@@ -140,7 +140,7 @@ def test_validation_accepts_pmfs_and_rejects_any_bad_entry(X, S, Y, Y1, seed, de
 def test_dmc_json_round_trip():
     dmc = binary_pipe_dmc()
     blob = json.dumps(dmc_to_json(dmc))
-    back = dmc_from_json(blob)
+    back = dmc_from_json(json.loads(blob))
     assert np.array_equal(back.kernel, dmc.kernel)
     assert back.relay_rate == 1.0
     with pytest.raises(ChannelFormatError):

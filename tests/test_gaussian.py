@@ -142,6 +142,12 @@ def test_point_to_point_dichotomy():
     assert abs(r - 0.5) < 1e-12 and d == r
     r, _ = gavc_point_to_point(1.0, 1e-9, 1.0)
     assert abs(r - 0.5 * np.log2(2)) < 1e-8
+    # a non-finite input is refused rather than carried into the rates as nan or inf
+    nan, inf = float("nan"), float("inf")
+    for bad in [(nan, 1, 1), (1, nan, 1), (1, 1, nan), (inf, 1, 1), (1, inf, 1), (1, 1, inf),
+                (-1, 1, 1), (1, 0, 1), (1, 1, 0)]:
+        with pytest.raises(GaussianParamError, match="need finite P >= 0"):
+            gavc_point_to_point(*bad)
 
 
 def test_primitive_capacity_examples():

@@ -168,7 +168,7 @@ def test_codebook_config_json_round_trip():
     from avrc.codec import codebook_config_from_json, codebook_config_to_json
 
     cfg = base_codebook_config()
-    back = codebook_config_from_json(json.dumps(codebook_config_to_json(cfg)))
+    back = codebook_config_from_json(json.loads(json.dumps(codebook_config_to_json(cfg))))
     assert back == cfg
 
 
@@ -182,14 +182,14 @@ def test_sim_config_json_round_trip():
         "master_seed": 5,
         "relay_mode": "ideal",
     }
-    config, sweep = sim_config_from_json(json.dumps(obj))
+    config, sweep = sim_config_from_json(json.loads(json.dumps(obj)))
     assert sweep is None
     assert config.codebook.n == 32 and config.strategy.kind == "zero"
     est = run_monte_carlo(config)
     assert est.trials == 12
 
     obj["sweep"] = {"lambdas": [0.5, 1.0]}
-    config, sweep = sim_config_from_json(json.dumps(obj))
+    config, sweep = sim_config_from_json(json.loads(json.dumps(obj)))
     assert sweep["lambdas"] == [0.5, 1.0]
     assert sweep["strategies"][0].kind == "zero"
 
@@ -344,7 +344,7 @@ def test_sweep_decodes_only_the_trials_whose_state_changed(monkeypatch):
 
     def alone(strategy, lam, t):
         rng = np.random.default_rng(np.random.SeedSequence([strategy.seed, 2, t]))
-        return adversary.make_state(replace(strategy, Lambda=lam), n, rng, cb)
+        return adversary.make_state(strategy, n, [rng], cb, "min_distance", [lam])[0, 0]
 
     # per chunk and strategy (in the sweep's row order), the first Lambda
     # decodes every trial and each later one the trials whose state changed
