@@ -1,8 +1,16 @@
 """Reading fields of the JSON inputs (simulation configs, channel files)."""
 
+import reprlib
 from numbers import Integral, Real
 
 _REQUIRED = object()
+
+
+def shown(value):
+    """value as an error line echoes it: its repr, or reprlib's bounded view
+    where that is shorter, so a long list or string from an input file prints
+    as a few entries rather than whole.  A dict keeps its key order unless cut."""
+    return min(repr(value), reprlib.repr(value), key=len)
 
 
 def int_field(obj, key, default=_REQUIRED):
@@ -14,7 +22,7 @@ def int_field(obj, key, default=_REQUIRED):
         return int(value)
     if isinstance(value, Integral) and not isinstance(value, bool):
         return int(value)
-    raise ValueError(f"{key} must be an integer, got {value!r}")
+    raise ValueError(f"{key} must be an integer, got {shown(value)}")
 
 
 def seed_field(obj, key):
@@ -22,7 +30,7 @@ def seed_field(obj, key):
     naming the key, when below 0."""
     value = int_field(obj, key, 0)
     if value < 0:
-        raise ValueError(f"{key} must be >= 0, got {value!r}")
+        raise ValueError(f"{key} must be >= 0, got {shown(value)}")
     return value
 
 
@@ -32,7 +40,7 @@ def number_field(obj, key):
     value = obj[key]
     if isinstance(value, Real) and not isinstance(value, bool):
         return float(value)
-    raise ValueError(f"{key} must be a number, got {value!r}")
+    raise ValueError(f"{key} must be a number, got {shown(value)}")
 
 
 def bool_field(obj, key, default=_REQUIRED):
@@ -41,7 +49,7 @@ def bool_field(obj, key, default=_REQUIRED):
     value = obj[key] if default is _REQUIRED else obj.get(key, default)
     if isinstance(value, bool):
         return value
-    raise ValueError(f"{key} must be true or false, got {value!r}")
+    raise ValueError(f"{key} must be true or false, got {shown(value)}")
 
 
 def number_list_field(obj, key):
@@ -51,7 +59,7 @@ def number_list_field(obj, key):
     if (isinstance(value, (list, tuple)) and value
             and all(isinstance(v, Real) and not isinstance(v, bool) for v in value)):
         return [float(v) for v in value]
-    raise ValueError(f"{key} must be a non-empty list of numbers, got {value!r}")
+    raise ValueError(f"{key} must be a non-empty list of numbers, got {shown(value)}")
 
 
 def object_field(obj, key, default=_REQUIRED, many=False):
@@ -63,4 +71,4 @@ def object_field(obj, key, default=_REQUIRED, many=False):
     if isinstance(value, list) == many and entries and all(isinstance(v, dict) for v in entries):
         return value
     what = "a non-empty list of objects" if many else "an object"
-    raise ValueError(f"{key} must be {what}, got {value!r}")
+    raise ValueError(f"{key} must be {what}, got {shown(value)}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fields import number_field, number_list_field, seed_field
+from ._fields import number_field, number_list_field, seed_field, shown
 from .codec import PowerCapError, SfdCodebook, draw_messages, transmit
 
 STRATEGY_KINDS = ("zero", "fixed", "iid_gaussian", "impostor")
@@ -38,7 +38,7 @@ class StateStrategy:
 
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
-            raise StrategyError(f"unknown strategy kind {self.kind!r}")
+            raise StrategyError(f"unknown strategy kind {shown(self.kind)}")
         # written so that nan fails each check
         if not (np.isfinite(self.Lambda) and self.Lambda > 0):
             raise StrategyError(f"Lambda must be finite and > 0, got {self.Lambda!r}")
@@ -88,7 +88,7 @@ def make_state(strategy: StateStrategy, n: int, rngs, codebook: SfdCodebook | No
     rngs = list(rngs)
     lams = np.array(lambdas, dtype=float)
     if lams.ndim != 1 or not lams.size or not (np.isfinite(lams) & (lams > 0)).all():
-        raise StrategyError(f"Lambda values must be finite and > 0, got {lambdas!r}")
+        raise StrategyError(f"Lambda values must be finite and > 0, got {shown(lambdas)}")
     budget = n * lams[:, None]     # (L, 1), the same floats as n * Lambda
     shape = (len(lams), len(rngs), n)
 

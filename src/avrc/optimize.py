@@ -74,12 +74,19 @@ def simplex_grid(k, resolution):
     return (np.diff(edges, axis=1) - 1) / float(resolution)
 
 
+def grid_resolution(k):
+    """The resolution of start_pool's grid on k atoms when the caller names none."""
+    return {1: 1, 2: 256, 3: 64, 4: 24, 5: 12, 6: 8}.get(k, 6)
+
+
 def start_pool(k, resolution=None, rng=None, extra_starts=None):
-    """The pmfs search_simplex evaluates first: the simplex grid at `resolution`
-    (4096 Dirichlet draws from rng when it would pass MAX_GRID_POINTS), the
-    vertices, the centre and any extra starts.  Returns an (N, k) array."""
+    """The pmfs a simplex search starts from: the simplex grid at `resolution`
+    (grid_resolution(k) when None; 4096 Dirichlet draws from rng, default_rng(0)
+    when None, when the grid would pass MAX_GRID_POINTS), then the vertices,
+    the centre and any extra starts, in that order.  Returns an (N, k) array;
+    search_simplex takes it, or any subset of its rows, as its first batch."""
     if resolution is None:
-        resolution = {1: 1, 2: 256, 3: 64, 4: 24, 5: 12, 6: 8}.get(k, 6)
+        resolution = grid_resolution(k)
     if _simplex_count(k, resolution) <= MAX_GRID_POINTS:
         grid = simplex_grid(k, resolution)
     else:
@@ -90,20 +97,20 @@ def start_pool(k, resolution=None, rng=None, extra_starts=None):
     return np.concatenate(starts, axis=0)
 
 
-def search_simplex(f_batch, k, *, minimize=False, resolution=None, rounds=6,
-                   top=4, rng=None, extra_starts=None):
+def search_simplex(f_batch, pool, *, minimize=False, rounds=6, top=4):
     """Optimize a batched function over the probability simplex of dimension k.
 
     f_batch maps an (N, k) array of pmfs to an (N,) array of values.  The
-    search evaluates `start_pool`, then for `rounds` rounds contracts a fixed
-    pattern around the best `top` candidates, to half size and then by 0.35 a
-    round.  Convex/concave objectives converge to the optimum; for general
-    objectives this is a seeded multi-start ascent.
+    search evaluates the start pool, an (N, k) array (k is read from its
+    shape), then for `rounds` rounds contracts a fixed pattern around the best
+    `top` candidates, to half size and then by 0.35 a round.  Ties among the
+    pool go to the earlier row.  Convex/concave objectives converge to the
+    optimum; for general objectives this is a multi-start ascent from the pool.
 
     Returns (x_best, value_best).
     """
     sign = -1.0 if minimize else 1.0
-    pool = start_pool(k, resolution, rng, extra_starts)
+    k = pool.shape[1]
     vals = sign * f_batch(pool)
     order = np.argsort(-vals, kind="stable")[: max(1, top)]
     centers = pool[order]

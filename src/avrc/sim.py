@@ -26,13 +26,12 @@ identical for any chunk size.
 
 import functools
 import os
-import reprlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._fields import bool_field, int_field, number_list_field, object_field, seed_field
+from ._fields import bool_field, int_field, number_list_field, object_field, seed_field, shown
 from .adversary import (
     DRAWING_KINDS,
     StateStrategy,
@@ -86,7 +85,7 @@ class SimConfig:
         if self.trials < 1:
             raise SimConfigError("trials must be >= 1")
         if self.trials > MAX_TRIALS:
-            raise SimConfigError(f"trials {self.trials} is above the cap of {MAX_TRIALS}")
+            raise SimConfigError(f"trials {shown(self.trials)} is above the cap of {MAX_TRIALS}")
         if self.relay_mode not in ("min_distance", "ideal"):
             raise SimConfigError("relay_mode must be min_distance or ideal")
 
@@ -408,8 +407,7 @@ def write_attack_csv(rows, path):
 def sim_config_from_json(obj) -> tuple:
     """Read a parsed simulation request; returns (SimConfig, sweep dict or None)."""
     if not isinstance(obj, dict):
-        # reprlib shortens the echo of a large value, a long list or string
-        raise SimConfigError(f"simulation config must be a JSON object, got {reprlib.repr(obj)}")
+        raise SimConfigError(f"simulation config must be a JSON object, got {shown(obj)}")
     try:
         sim = SimConfig(codebook=codebook_config_from_json(object_field(obj, "codebook")),
                         strategy=strategy_from_json(object_field(obj, "strategy")),

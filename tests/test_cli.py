@@ -728,6 +728,51 @@ def test_a_file_that_is_not_a_json_object_is_named(capsys, tmp_path, argv, what,
     assert not out_path.exists()
 
 
+_LONG = "~" * 200_000
+
+
+@pytest.mark.parametrize("command, path, value", [
+    ("primitive", ("W",), _LONG),
+    ("primitive", ("W",), [[[_LONG]]]),
+    ("primitive", ("X",), [0] * 10**5),
+    ("symcheck", ("W",), _LONG),
+    ("symcheck", ("C1",), _LONG),
+    ("symcheck", ("Y1",), [0.5] * 10**5),
+    ("simulate", ("codebook", "P"), _LONG),
+    ("simulate", ("trials",), [1] * 10**5),
+    ("simulate", ("permute",), _LONG),
+    ("simulate", ("strategy", "kind"), _LONG),
+    ("simulate", ("strategy", "vector"), _LONG),
+    ("simulate", ("sweep", "strategies"), [_LONG]),
+], ids=["primitive-W-string", "primitive-W-entry", "primitive-X", "symcheck-W", "symcheck-C1",
+        "symcheck-Y1", "simulate-P", "simulate-trials", "simulate-permute",
+        "simulate-kind", "simulate-vector", "simulate-strategies"])
+def test_a_long_refused_value_is_echoed_short(capsys, tmp_path, command, path, value):
+    # each wrote the whole value to stderr before, 200 KB or more
+    if command == "simulate":
+        doc = {"codebook": {"n": 48, "blocks": 2, "rate_relayed": 0.05, "rate_direct": 0.05,
+                            "P": 4.0, "P1": 4.0, "Lambda": 1.0, "sigma2": 0.25,
+                            "alpha": 0.6, "rho": 0.0, "seed": 3},
+               "strategy": {"kind": "zero", "Lambda": 1.0}, "trials": 20,
+               "sweep": {"lambdas": [1.0]}}
+        argv = ["simulate", "--config", "{file}", "--out", "{out}"]
+    else:
+        doc = dmc_to_json(binary_pipe_dmc())
+        argv = {"primitive": ["primitive", "--channel", "{file}", "--bound", "classify"],
+                "symcheck": ["symcheck", "--channel", "{file}", "--target", "joint"]}[command]
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    file, out_path = tmp_path / "in.json", tmp_path / "rows.csv"
+    file.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, *(arg.format(file=file, out=out_path) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and len(err.encode()) < 1024
+    assert path[-1] in err
+    assert not out_path.exists()
+
+
 def test_simulate_refuses_a_trial_over_the_symbol_cap_before_running_it(capsys, tmp_path,
                                                                        monkeypatch):
     # 10^8 blocks of one symbol would hold about 20 GB in one trial's arrays

@@ -23,7 +23,7 @@ from avrc.discrete import (
     single_use_code_table,
     symmetrizability,
 )
-from avrc.optimize import simplex_grid
+from avrc.optimize import grid_resolution, simplex_grid
 
 def additive_channel():
     W = np.zeros((2, 2, 3))
@@ -541,6 +541,49 @@ def test_df_aux_below_input_size():
     for dmc, aux in ((binary_pipe_dmc(), 1), (Dmc(W, relay_rate=0.4), 2)):
         v_aux = df_bound(dmc, aux_size=aux)
         assert v_aux >= df_bound(dmc, mode="direct") - 1e-9
+
+
+@pytest.mark.parametrize("nu, nx", [(1, 2), (2, 2), (3, 2), (4, 2), (2, 3), (4, 3)])
+def test_u_orbits_name_the_first_point_of_each_relabeling_orbit(nu, nx):
+    resolution = grid_resolution(nu * nx)
+    grid = simplex_grid(nu * nx, resolution)
+    first, orbit = discrete._u_orbits(grid, nu, resolution)
+    # oracle: the rows of p(u,x) as a multiset, first seen in grid order
+    seen = {}
+    for i, point in enumerate(grid.reshape(len(grid), nu, nx)):
+        seen.setdefault(tuple(sorted(map(tuple, point))), i)
+    assert orbit.shape == (len(grid),) and len(first) == len(seen)
+    assert sorted(first.tolist()) == sorted(seen.values())
+    for i, point in enumerate(grid.reshape(len(grid), nu, nx)):
+        assert first[orbit[i]] == seen[tuple(sorted(map(tuple, point)))]
+
+
+def test_u_orbits_fall_back_to_one_orbit_per_point_past_an_int64_key():
+    # (2^16 + 1)^4 passes 2^63, so the packed key would overflow
+    grid = simplex_grid(4, 3)
+    first, orbit = discrete._u_orbits(grid, 2, 2**16)
+    assert np.array_equal(first, np.arange(len(grid)))
+    assert np.array_equal(orbit, np.arange(len(grid)))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(X=st.integers(2, 3), S=st.integers(2, 3), Y=st.integers(2, 3), Y1=st.integers(2, 3),
+       aux=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_df_aux_search_from_orbits_equals_the_full_pool_search(X, S, Y, Y1, aux, seed):
+    # a table of one orbit per grid point evaluates the whole start pool, as
+    # the search did before it was split into orbits.  The equality rests on
+    # the start pool and on the objective's symmetry in U, not on the state
+    # grid, so a coarser one keeps each example to a fraction of a second
+    rng = np.random.default_rng(seed)
+    dmc = Dmc(rng.dirichlet(np.ones(Y * Y1), size=(X, S)).reshape(X, S, Y, Y1),
+              relay_rate=float(rng.uniform(0, 1.5)))
+    aux = min(aux, X + 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(discrete, "Q_RESOLUTION", 16)
+        by_orbit = df_bound(dmc, aux, "aux")
+        mp.setattr(discrete, "_u_orbits",
+                   lambda grid, nu, resolution: (np.arange(len(grid)), np.arange(len(grid))))
+        assert df_bound(dmc, aux, "aux") == by_orbit
 
 
 def test_df_cutset_sandwich_randomized():

@@ -8,7 +8,10 @@ trials' states equal those of the row before and some do not.  Three
 `simulate` stdout documents pin the per-block error counts and the tie count
 that the CSV leaves out.  The Gaussian pins are the criterion-01 `figure` CSV
 and the `bounds` JSON of criterion 02's tuple and of a tuple with P = 0, where
-only the upper region is feasible."""
+only the upper region is feasible.  The discrete pins are `primitive` stdout
+documents: the classification of a seeded 2x2x2x2 channel and of the binary
+pipe, and df's aux search at |U| = 4 on a 3x2x2x2 channel whose centres, kept
+apart, refine to a different local optimum than any one of them alone."""
 
 import hashlib
 import json
@@ -18,6 +21,7 @@ import pytest
 
 from avrc.cli import main
 from avrc.codec import build_codebook, codebook_config_from_json
+from avrc.discrete import Dmc, binary_pipe_dmc, dmc_to_json
 
 CODE = {"n": 128, "blocks": 3, "rate_relayed": 1.5 / 128, "rate_direct": 1.5 / 128,
         "P": 0.2, "P1": 0.2, "Lambda": 1.0, "sigma2": 1e-4,
@@ -217,4 +221,43 @@ BOUNDS_PINS = {
 def test_bounds_stdout_is_pinned(capsys, name):
     argv, expected = BOUNDS_PINS[name]
     assert main(["bounds"] + argv) == 0
+    assert capsys.readouterr().out == expected
+
+
+def _seeded_dmc(seed, shape, relay_rate=None):
+    """Dirichlet kernel rows from default_rng(seed), then C1 from the same
+    generator's next uniform(0, 1.5) unless relay_rate is given."""
+    rng = np.random.default_rng(seed)
+    X, S, Y, Y1 = shape
+    W = rng.dirichlet(np.ones(Y * Y1), size=(X, S)).reshape(shape)
+    return Dmc(W, float(rng.uniform(0, 1.5)) if relay_rate is None else relay_rate)
+
+
+def _classify_json(verdict, clause, df_lower, cs_upper, relay_sym, degradedness):
+    return json.dumps({"verdict": verdict, "clause": clause, "df_lower": df_lower,
+                       "cs_upper": cs_upper, "exact_value": None,
+                       "relay_marginal_symmetrizable": relay_sym,
+                       "joint_output_symmetrizable": False, "degradedness": degradedness,
+                       "aux_size": 3}, indent=2) + "\n"
+
+
+PRIMITIVE_PINS = {
+    "classify_seeded": (_seeded_dmc(22, (2, 2, 2, 2), 0.5), ["--bound", "classify"],
+                        _classify_json("equals_random_capacity", 1, 0.00202712864,
+                                       0.135818684, False, "neither")),
+    "classify_pipe": (binary_pipe_dmc(), ["--bound", "classify"],
+                      _classify_json("undetermined", None, 0.5, 1.0, True,
+                                     "reversely_degraded_only")),
+    "df_aux_4": (_seeded_dmc(103, (3, 2, 2, 2)), ["--bound", "df", "--aux-size", "4"],
+                 json.dumps({"df_bound": 0.0233608592, "mode": "aux", "aux_size": 4},
+                            indent=2) + "\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRIMITIVE_PINS))
+def test_primitive_stdout_is_pinned(tmp_path, capsys, name):
+    dmc, argv, expected = PRIMITIVE_PINS[name]
+    path = tmp_path / "channel.json"
+    path.write_text(json.dumps(dmc_to_json(dmc)))
+    assert main(["primitive", "--channel", str(path)] + argv) == 0
     assert capsys.readouterr().out == expected

@@ -48,15 +48,15 @@ def test_search_simplex_concave_max():
             t = np.where(P > 0, P * np.log2(np.where(P > 0, P, 1.0)), 0.0)
         return -t.sum(axis=1)
 
-    x, v = search_simplex(neg_ent, 3, rounds=8)
+    x, v = search_simplex(neg_ent, start_pool(3), rounds=8)
     assert abs(v - np.log2(3)) < 1e-5
     assert np.allclose(x, 1 / 3, atol=2e-3)
 
 
 def test_search_simplex_min_mode_and_determinism():
     f = lambda P: ((P - np.array([0.2, 0.3, 0.5])) ** 2).sum(axis=1)
-    x1, v1 = search_simplex(f, 3, minimize=True, rounds=8, rng=np.random.default_rng(0))
-    x2, v2 = search_simplex(f, 3, minimize=True, rounds=8, rng=np.random.default_rng(0))
+    x1, v1 = search_simplex(f, start_pool(3), minimize=True, rounds=8)
+    x2, v2 = search_simplex(f, start_pool(3), minimize=True, rounds=8)
     assert np.array_equal(x1, x2) and v1 == v2
     assert v1 < 1e-8
 
@@ -74,7 +74,7 @@ def test_refine_batch_size_counts_each_refinement_batch(k):
         sizes.append(P.shape[0])
         return -((P - 1.0 / k) ** 2).sum(axis=1)
 
-    search_simplex(f, k, rounds=3, top=3)
+    search_simplex(f, start_pool(k), rounds=3, top=3)
     # the first batch is the start pool; every later one is a refinement round
     assert sizes[1:] == [refine_batch_size(k, 3)] * 3
 
