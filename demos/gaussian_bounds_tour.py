@@ -12,7 +12,6 @@ import numpy as np
 
 from avrc.gaussian import (
     GaussianSfdParams,
-    GridOptions,
     figure_sweep,
     gavc_point_to_point,
     primitive_gaussian_capacity,
@@ -24,7 +23,7 @@ LAMBDA, SIGMA2 = 1.0, 0.5
 print(f"Jamming budget Lambda = {LAMBDA}, relay-link noise sigma2 = {SIGMA2}\n")
 
 powers = [0.05, 0.1, 0.2, 0.5, 1.0, 1.05, 1.2, 2.0, 4.0, 8.0]
-rows = figure_sweep(powers, LAMBDA, SIGMA2, GridOptions(step=2e-3))
+rows = figure_sweep(powers, LAMBDA, SIGMA2)
 
 print(f"{'P':>5} {'random':>10} {'det_lower':>10} {'det_upper':>10} {'direct':>10}")
 for r in rows:

@@ -3,7 +3,6 @@
 from .gaussian import (
     BoundsReport,
     GaussianSfdParams,
-    GridOptions,
     PowerSplit,
     det_code_bounds,
     f_g,
@@ -37,7 +36,7 @@ from .sim import ErrorEstimate, SimConfig, attack_sweep, run_monte_carlo
 
 __all__ = [
     "BoundsReport", "CapacityClassification", "CodebookConfig",
-    "Dmc", "ErrorEstimate", "GaussianSfdParams", "GridOptions", "PowerSplit",
+    "Dmc", "ErrorEstimate", "GaussianSfdParams", "PowerSplit",
     "SfdCodebook", "SimConfig", "StateStrategy", "SymVerdict", "attack_sweep",
     "build_codebook", "classify_capacity", "cutset_bound", "decode_backward",
     "degradedness_classify", "destination_observation", "det_code_bounds", "df_bound",

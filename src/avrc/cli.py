@@ -16,7 +16,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import discrete, gaussian, sim
-from .gaussian import GaussianSfdParams, GridOptions
+from .gaussian import GaussianSfdParams
 
 
 class _Parser(argparse.ArgumentParser):
@@ -58,8 +58,6 @@ def _build_parser():
     b.add_argument("--P1", type=float, required=True)
     b.add_argument("--Lambda", type=float, required=True)
     b.add_argument("--sigma2", type=float, required=True)
-    b.add_argument("--step", type=float, default=1e-3,
-                   help="alpha resolution of the search, in (0, 1]; rho is solved in closed form")
 
     f = sub.add_parser("figure", help="sweep of the bounds over P with P1 = P (CSV)")
     f.add_argument("--Lambda", type=float, required=True)
@@ -68,8 +66,6 @@ def _build_parser():
     f.add_argument("--pmax", type=float, required=True)
     f.add_argument("--step", type=float, required=True)
     f.add_argument("--out", required=True)
-    f.add_argument("--grid-step", type=float, default=1e-3,
-                   help="alpha resolution of the search, in (0, 1]; rho is solved in closed form")
 
     s = sub.add_parser("symcheck", help="symmetrizability verdict for a channel JSON")
     s.add_argument("--channel", required=True)
@@ -94,13 +90,12 @@ def _build_parser():
 
 def _cmd_bounds(args):
     params = GaussianSfdParams(P=args.P, P1=args.P1, Lambda=args.Lambda, sigma2=args.sigma2)
-    _emit(asdict(gaussian.det_code_bounds(params, GridOptions(step=args.step))))
+    _emit(asdict(gaussian.det_code_bounds(params)))
 
 
 def _cmd_figure(args):
     values = gaussian.sweep_range(args.pmin, args.pmax, args.step)
-    rows = gaussian.figure_sweep(values, args.Lambda, args.sigma2,
-                                 GridOptions(step=args.grid_step))
+    rows = gaussian.figure_sweep(values, args.Lambda, args.sigma2)
     gaussian.write_sweep_csv(rows, args.out)
 
 

@@ -25,15 +25,17 @@ and upper bounds maximize F over the feasibility regions
 where the strict inequalities are implemented as >= with a small margin and
 an empty region yields rate 0 plus an infeasibility flag.
 
-Each program is solved as a 1-D search over alpha.  At fixed alpha the first
-term of F rises in rho and the second falls, so the best rho is where they
-cross, a quadratic root, clipped to the region's rho interval, whose ends are
-quadratic or linear roots too.  A zoom grid over alpha (resolution
-GridOptions.step, then REFINE_ROUNDS local grids of REFINE_POINTS points) finds
-the maximum of that closed-form inner value.
-The parameters may be (n, 1) columns: every (program, tuple) pair of a request,
-all three programs at each P of a sweep, is then one row of a single row-wise
-zoom, in chunks of whole tuples, and each row comes out as it would alone.
+Each program is solved at its KKT points.  In theta = rho*sqrt(alpha), with
+E3 = sigma2 + (1-a)*P, E2 = Lambda + (a - theta^2)*P and
+D1 = Lambda + P1 + a*P + 2*theta*sqrt(P*P1), F = 0.5*log2(min{D1/Lambda,
+E3*E2/(sigma2*Lambda)}).  A maximum lies at a corner of a region, at a
+stationary point of E3*E2 or a crossing of the two terms on a face, or at an
+interior crossing where their gradients are opposite; each is a root of a
+polynomial of degree at most 5, found for every tuple at once as
+companion-matrix eigenvalues.  Each candidate is scored by F and masked by
+each region, and each program keeps its best.  The parameters may be (n, 1)
+columns: a sweep runs in chunks of whole tuples, and each tuple comes out as
+it would alone.
 """
 
 from dataclasses import dataclass
@@ -41,25 +43,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .optimize import zoom_grid_max_1d
-
 LOG2 = np.log(2.0)
 
 #: margin used to implement the strict inequalities of the lower-bound region
 FEASIBILITY_EPS = 1e-12
 
-#: most P values one sweep may ask for; a P costs about a millisecond, so the
-#: cap is about 15 minutes of work, and a larger count is refused before any is built
+#: most P values one sweep may ask for; a P costs about 60 us on one Xeon core,
+#: so the cap is about a minute of work, and a larger count is refused before any is built
 MAX_SWEEP_POINTS = 10**6
-
-#: most points of the coarse alpha grid, 1/step + 1; a search holds about 90 B
-#: per point at its peak, so the cap is about 90 MB, and a finer step is refused
-MAX_ALPHA_POINTS = 10**6 + 1
-
-#: the zoom's local grids around the best alpha so far, each window
-#: 4/(REFINE_POINTS - 1) times as wide as the last
-REFINE_ROUNDS = 12
-REFINE_POINTS = 41
 
 
 class GaussianParamError(ValueError):
@@ -76,13 +67,18 @@ class GaussianSfdParams:
     sigma2: float
 
     def __post_init__(self):
-        vals = (self.P, self.P1, self.Lambda, self.sigma2)
-        if not all(np.isfinite(v) for v in vals):
+        P, P1, Lam, s2 = (float(v) for v in (self.P, self.P1, self.Lambda, self.sigma2))
+        if not all(np.isfinite(v) for v in (P, P1, Lam, s2)):
             raise GaussianParamError("all parameters must be finite")
-        if self.P < 0 or self.P1 < 0:
+        if P < 0 or P1 < 0:
             raise GaussianParamError("P and P1 must be >= 0")
-        if self.Lambda <= 0 or self.sigma2 <= 0:
+        if Lam <= 0 or s2 <= 0:
             raise GaussianParamError("Lambda and sigma2 must be > 0")
+        root = P ** 0.5 + P1 ** 0.5
+        # the objective's largest terms; past the float range it reads nan
+        if max(P * P1, root * root / Lam, P / s2) == float("inf"):
+            raise GaussianParamError(f"P={P!r}, P1={P1!r}, Lambda={Lam!r}, sigma2={s2!r} "
+                                     "overflow the objective")
 
 
 @dataclass(frozen=True)
@@ -95,30 +91,6 @@ class PowerSplit:
     def __post_init__(self):
         if not (0.0 <= self.alpha <= 1.0 and 0.0 <= self.rho <= 1.0):
             raise GaussianParamError("alpha and rho must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class GridOptions:
-    """Resolution of the search over alpha; rho needs none, it is solved in closed form.
-
-    The search evaluates a grid of spacing `step` on [0, 1], then the
-    REFINE_ROUNDS local grids of REFINE_POINTS points.
-    """
-
-    step: float = 1e-3
-
-    @property
-    def coarse(self):
-        """Points of the coarse grid over [0, 1]."""
-        return int(round(1.0 / self.step)) + 1
-
-    def __post_init__(self):
-        if not (np.isfinite(self.step) and 0.0 < self.step <= 1.0):
-            raise GaussianParamError(f"step must be finite and in (0, 1], got {self.step}")
-        # 1/step overflows to inf for a subnormal step, so it is compared before rounding
-        if not 1.0 / self.step < MAX_ALPHA_POINTS or self.coarse > MAX_ALPHA_POINTS:
-            raise GaussianParamError(f"step {self.step!r} asks for more than "
-                                     f"{MAX_ALPHA_POINTS} alpha grid points")
 
 
 @dataclass(frozen=True)
@@ -153,10 +125,11 @@ def f_g(params: GaussianSfdParams, split: PowerSplit) -> float:
 
 
 def _lower_mask(params, A, R):
-    """c1 fails wherever P = 0 (Lambda > 0), so c2's division by P is harmless there."""
+    """c1 fails wherever P <= Lambda, so c2's P1/P, which divides by 0 or overflows
+    at a subnormal P, is harmless there."""
     P, P1, Lam = params.P, params.P1, params.Lambda
     c1 = (1.0 - R * R) * A * P >= Lam + FEASIBILITY_EPS
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         c2 = (np.divide(P1, P) * (np.sqrt(P1) + R * np.sqrt(A * P)) ** 2
               >= Lam + (1.0 - R * R) * A * P + FEASIBILITY_EPS)
     return c1 & c2
@@ -165,80 +138,6 @@ def _lower_mask(params, A, R):
 def _upper_mask(params, A, R):
     P, P1, Lam = params.P, params.P1, params.Lambda
     return P1 + A * P + 2.0 * R * np.sqrt(A * P * P1) >= Lam
-
-
-def _rho_threshold(q2, q1, q0):
-    """Least rho >= 0 with q2*rho^2 + 2*q1*rho + q0 >= 0, for q2, q1 >= 0.
-
-    The quadratic rises on rho >= 0, so the answer is 0 when q0 >= 0 and its
-    larger root otherwise, taken in the cancellation-free form
-    -q0 / (q1 + sqrt(q1^2 - q2*q0)); inf when it is a negative constant.
-    """
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        root = -q0 / (q1 + np.sqrt(q1 * q1 - q2 * q0))
-    return np.where(q0 >= 0.0, 0.0, root)
-
-
-def _crossing_rho(params, A):
-    """rho at which the rising MAC cut meets the falling broadcast cut, per alpha.
-
-    With K = 1 + (1-a)*P/sigma2 the two cuts are equal where
-    K*a*P*rho^2 + 2*sqrt(a*P*P1)*rho + (Lambda + P1 + a*P - K*Lambda - K*a*P) = 0.
-    """
-    P, P1, Lam, s2 = params.P, params.P1, params.Lambda, params.sigma2
-    aP = A * P
-    K = 1.0 + (1.0 - A) * P / s2
-    return _rho_threshold(K * aP, np.sqrt(aP * P1), Lam + P1 + aP - K * (Lam + aP))
-
-
-def _square_rho_range(params, A, margin):
-    return 0.0, 1.0
-
-
-def _upper_rho_range(params, A, margin):
-    """rho >= (Lambda - P1 - a*P) / (2*sqrt(a*P*P1))."""
-    P, P1, Lam = params.P, params.P1, params.Lambda
-    return _rho_threshold(0.0, np.sqrt(A * P * P1), P1 + A * P - Lam - margin), 1.0
-
-
-def _lower_rho_range(params, A, margin):
-    """c2 bounds rho from below by a quadratic root; c1 caps it from above.
-
-    c1 is (1-rho^2)*a*P >= Lambda, i.e. rho <= sqrt(1 - Lambda/(a*P)), nan where
-    it has no solution (P = 0 among them); c2 expands to
-    a*(P1+P)*rho^2 + 2*(P1/P)*sqrt(a*P*P1)*rho + (P1^2/P - Lambda - a*P) >= 0.
-    """
-    P, P1, Lam = params.P, params.P1, params.Lambda
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        hi = np.sqrt(1.0 - (Lam + margin) / (A * P))
-        lo = _rho_threshold(A * (P1 + P), np.divide(P1, P) * np.sqrt(A * P * P1),
-                            np.divide(P1 * P1, P) - Lam - A * P - margin)
-    return lo, hi
-
-
-# (feasibility mask, closed-form rho interval at each alpha) of each program
-_SQUARE = (None, _square_rho_range)
-_UPPER = (_upper_mask, _upper_rho_range)
-_LOWER = (_lower_mask, _lower_rho_range)
-
-
-def _best_rho(params, A, region):
-    """Best rho of the region at each alpha in A, and the objective there.
-
-    Along rho the objective is the min of a rising and a falling cut, so its
-    best point in an interval is the cut crossing clipped to that interval.
-    The interval ends are drawn a few FEASIBILITY_EPS inside the region so that
-    an edge point survives roundoff; the region's mask has the last word, and
-    an alpha without a feasible rho scores -inf.
-    """
-    mask_fn, rho_range = region
-    margin = 4.0 * FEASIBILITY_EPS * (1.0 + params.Lambda + params.P)
-    lo, hi = rho_range(params, A, margin)
-    R = np.minimum(np.maximum(_crossing_rho(params, A), lo), hi)
-    vals = _fg_arrays(params, A, R)
-    if mask_fn is not None:
-        vals = np.where(mask_fn(params, A, R), vals, -np.inf)
-    return R, vals
 
 
 class _Stack(NamedTuple):
@@ -254,48 +153,193 @@ def _stack(params_list):
     return _Stack(*np.array([[p.P, p.P1, p.Lambda, p.sigma2] for p in params_list]).T[:, :, None])
 
 
-# cap on rows x alpha points of one zoom; a longer stack runs in chunks of whole tuples
-_CHUNK_ENTRIES = 1 << 17
+# tuples of one candidate pass; a longer stack runs in chunks of whole tuples
+_CHUNK_TUPLES = 1 << 10
 
 
-def _program_max(stack, programs, opts):
-    """(value, alpha, rho) of each program's maximum at each tuple of the stack.
+def _poly(*coefs):
+    """Coefficient rows, highest power first, from (n, j) blocks of columns."""
+    return np.concatenate(coefs, axis=1)
 
-    Every (program, tuple) pair is one row of a single row-wise zoom over
-    alpha, program-major, run in chunks of at most _CHUNK_ENTRIES coarse grid
-    entries.  Each array has shape (len(programs), n); an empty region gives
-    (-inf, 0, 0).
+
+def _polymul(a, b):
+    out = np.zeros((len(a), a.shape[1] + b.shape[1] - 1))
+    for i in range(a.shape[1]):
+        out[:, i:i + b.shape[1]] += a[:, i:i + 1] * b
+    return out
+
+
+def _polyval(coef, t):
+    out = np.broadcast_to(coef[:, :1], t.shape)
+    for i in range(1, coef.shape[1]):
+        out = out * t + coef[:, i:i + 1]
+    return out
+
+
+def _polyder(coef):
+    return coef[:, :-1] * np.arange(coef.shape[1] - 1, 0, -1)
+
+
+def _roots(coef):
+    """Real parts of the roots of each coefficient row, as companion-matrix eigenvalues.
+
+    Each row is scaled to unit max norm.  A leading coefficient below 1e-13 is
+    raised to that floor, which sends the lost root past 1e13, and a row that
+    is not finite gives zeros.  A complex root keeps its real part: every root
+    is only a candidate.
     """
-    coarse = opts.coarse
-    size = max(1, _CHUNK_ENTRIES // (len(programs) * coarse))
-    chunks = [_zoom_chunk(_Stack(*(c[lo:lo + size] for c in stack)), programs, coarse)
-              for lo in range(0, len(stack.P), size)]
-    return tuple(np.concatenate(part, axis=1) for part in zip(*chunks))
+    coef = coef / np.abs(coef).max(axis=1, keepdims=True)
+    lead = np.where(np.abs(coef[:, :1]) > 1e-13, coef[:, :1], 1e-13)
+    d = coef.shape[1] - 1
+    comp = np.zeros((len(coef), d, d))
+    comp[:, 0, :] = -coef[:, 1:] / lead
+    comp[:, 1:, :-1] = np.eye(d - 1)
+    comp[~np.isfinite(comp).all(axis=(1, 2))] = 0.0
+    return np.linalg.eigvals(comp).real
 
 
-def _zoom_chunk(stack, programs, coarse):
-    def values(A):
-        A = np.broadcast_to(A, (len(programs) * len(stack.P), A.shape[1]))
-        return np.concatenate([_best_rho(stack, a, region)[1]
-                               for a, region in zip(np.split(A, len(programs)), programs)])
-
-    alpha, value = zoom_grid_max_1d(values, 0.0, 1.0, coarse=coarse,
-                                    rounds=REFINE_ROUNDS, points=REFINE_POINTS)
-    alpha, value = alpha.reshape(len(programs), -1), value.reshape(len(programs), -1)
-    rho = np.stack([_best_rho(stack, a[:, None], region)[0][:, 0]
-                    for a, region in zip(alpha, programs)])
-    empty = value == -np.inf
-    return value, np.where(empty, 0.0, alpha), np.where(empty, 0.0, rho)
+def _cuts(stack, A, T):
+    """D1, E3 and E2 at alpha = A, theta = rho*sqrt(alpha) = T."""
+    P, P1, Lam, s2 = stack
+    return (Lam + P1 + A * P + 2.0 * T * np.sqrt(P * P1),
+            s2 + (1.0 - A) * P, Lam + (A - T * T) * P)
 
 
-def _bounds(stack, opts):
+def _face_points(stack, a, b, degrees):
+    """Crossings and E3*E2's stationary points on the face alpha = a(t), theta = b*t.
+
+    a holds the quadratic's coefficient rows and b is 0 or 1; degrees gives the
+    true degree of the crossing polynomial sigma2*D1 - E3*E2 and, if the
+    stationary points are wanted, of theirs.  Each root in [0, 1] is kept as
+    found and after one Newton step on the residual in its unexpanded form.
+    """
+    P, P1, Lam, s2 = stack
+    e3 = _poly(-P * a[:, :2], s2 + P - P * a[:, 2:])
+    e2 = _poly(P * a[:, :1] - b * P, P * a[:, 1:2], Lam + P * a[:, 2:])
+    d1 = _poly(P * a[:, :1], P * a[:, 1:2] + 2.0 * b * np.sqrt(P * P1), Lam + P1 + P * a[:, 2:])
+    prod = _polymul(e3, e2)
+    points = []
+    for poly, degree, stationary in zip((_poly(-prod[:, :2], s2 * d1 - prod[:, 2:]),
+                                         _polyder(prod)), degrees, (False, True)):
+        poly = poly[:, -degree - 1:]
+        t = np.clip(_roots(poly), 0.0, 1.0)
+        D1, E3, E2 = _cuts(stack, _polyval(a, t), b * t)
+        if stationary:
+            da = _polyval(_polyder(a), t)
+            r = P * (E3 * (da - 2.0 * b * t) - da * E2)
+        else:
+            r = s2 * D1 - E3 * E2
+        points += [t, np.clip(t - r / _polyval(_polyder(poly), t), 0.0, 1.0)]
+    t = np.concatenate(points, axis=1)
+    return _polyval(a, t), b * t
+
+
+def _interior_points(stack):
+    """Interior crossings where the gradients of the two cuts are opposite.
+
+    With e = E3 and K = Lambda + sigma2 + P, stationarity reads
+    s*P*theta^2 + e*theta - s*(K - 2e) = 0 and the crossing
+    sigma2*D1 = E3*E2; eliminating theta leaves the quintic
+    P1*n^2 + e*n*D - (K - 2e)*D^2 with n = sigma2*(K + P1 - e) - e^2 and
+    D = e^2 - 2*sigma2*P1, solved in e/K.  theta comes from the quadratic; each
+    point is kept as found and after one Newton step on the 2x2 system.
+    """
+    P, P1, Lam, s2 = stack
+    K = Lam + s2 + P
+    s = np.sqrt(P1 / P)
+    zero = np.zeros_like(P)
+    n = _poly(-K * K, -s2 * K, s2 * (K + P1))
+    D = _poly(K * K, zero, -2.0 * s2 * P1)
+    q = _polymul(_polymul(_poly(K, zero), n), D)
+    q[:, 1:] += P1 * _polymul(n, n)
+    q -= _polymul(_poly(-2.0 * K, K), _polymul(D, D))
+    e = np.clip(K * _roots(q), s2, s2 + P)
+    A = (s2 + P - e) / P
+    T = np.maximum(2.0 * s * (K - 2.0 * e)
+                   / (e + np.sqrt(np.maximum(e * e + 4.0 * P1 * (K - 2.0 * e), 0.0))), 0.0)
+    D1, E3, E2 = _cuts(stack, A, T)
+    g1, g2 = s2 * D1 - E3 * E2, T * E3 - s * (E2 - E3)
+    j11, j12 = P * (s2 + E2 - E3), 2.0 * P * (s2 * s + T * E3)
+    j21, j22 = -P * (T + 2.0 * s), E3 + 2.0 * s * P * T
+    det = j11 * j22 - j12 * j21
+    return (np.concatenate([A, A - (j22 * g1 - j12 * g2) / det], axis=1),
+            np.concatenate([T, T - (j11 * g2 - j21 * g1) / det], axis=1))
+
+
+def _candidates(stack):
+    """(alpha, rho) rows of the candidate maxima of every program at each tuple.
+
+    They are the KKT points of each face of each region, in theta = rho*sqrt(alpha),
+    with the region's curves drawn at the margin m: the corners, with (0, 0)
+    first; f2's own maximum on theta = 0; the ends of the upper cut
+    D1 = 2*Lambda + m and of the lower boundaries alpha = theta^2 + c (c1) and
+    alpha = h(theta) (c2); the crossings and E3*E2's stationary points on each
+    face; and the interior crossings.  A point that is not finite becomes (0, 0)
+    and the rest are clipped to the unit square, so each is a feasible split.
+    """
+    alpha0 = (stack.sigma2 + stack.P - stack.Lambda) / (2.0 * stack.P)   # f2's own maximum
+    # the other points depend on ratios of the powers only, so they are found
+    # in units of Lambda + sigma2 + P, where no polynomial coefficient overflows
+    unit = stack.Lambda + stack.sigma2 + stack.P
+    m = 4.0 * FEASIBILITY_EPS * (1.0 + stack.Lambda + stack.P) / unit
+    stack = _Stack(*(col / unit for col in stack))
+    P, P1, Lam, s2 = stack
+    s = np.sqrt(P1 / P)
+    c = (Lam + m) / P                     # c1: alpha >= theta^2 + c
+    c0 = (Lam + m - P1) / P               # the cut: alpha = c0 - 2*s*theta
+    zero, one = np.zeros_like(P), np.ones_like(P)
+    h = _poly(s * s + 1.0, 2.0 * s ** 3, s ** 4 - c)     # c2: alpha <= h(theta)
+    t_cut = (np.sqrt(Lam + m) - np.sqrt(P1)) / np.sqrt(P)     # the cut meets rho = 1
+    t_c1c2 = np.sqrt(2.0 * (Lam + m) / P1) - s                 # c1 meets c2
+    points = [
+        (_poly(zero, one, one), _poly(zero, zero, one)),
+        (_poly(alpha0, c0, c, h[:, 2:]), zero),
+        (one, _poly((c0 - 1.0) / (2.0 * s), np.sqrt(1.0 - c), _roots(h - _poly(zero, zero, one)))),
+        (_poly(t_cut * t_cut, t_c1c2 * t_c1c2 + c), _poly(t_cut, t_c1c2)),
+    ]
+    for a, b, degrees in ((_poly(zero, one, zero), 0.0, (2,)),        # theta = 0
+                          (_poly(one, zero, zero), 1.0, (2,)),        # rho = 1, t = sqrt(alpha)
+                          (_poly(zero, -2.0 * s, c0), 1.0, (3, 2)),   # the upper cut
+                          (_poly(one, zero, c), 1.0, (2,)),           # c1
+                          (h, 1.0, (4, 3))):                          # c2
+        points.append(_face_points(stack, a, b, degrees))
+    points.append(_interior_points(stack))
+    A, T = (np.concatenate(part, axis=1) for part in
+            zip(*(np.broadcast_arrays(a, t) for a, t in points)))
+    ok = np.isfinite(A) & np.isfinite(T)
+    A = np.where(ok, np.clip(A, 0.0, 1.0), 0.0)
+    root = np.sqrt(A)
+    return A, np.where(ok & (A > 0.0), np.clip(T, 0.0, root) / root, 0.0)
+
+
+def _kkt_max(stack):
+    """(value, alpha, rho) of the lower, upper and square maxima at each tuple.
+
+    Every candidate is scored by the objective and masked by each region; the
+    first best candidate wins.  Each array has shape (3, n); an empty region
+    gives (-inf, 0, 0).
+    """
+    with np.errstate(all="ignore"):
+        A, R = _candidates(stack)
+    vals = _fg_arrays(stack, A, R)
+    value = np.stack([np.where(_lower_mask(stack, A, R), vals, -np.inf),
+                      np.where(_upper_mask(stack, A, R), vals, -np.inf), vals])
+    k, rows = value.argmax(axis=2), np.arange(len(A))
+    best = value.max(axis=2)
+    empty = best == -np.inf
+    return best, np.where(empty, 0.0, A[rows, k]), np.where(empty, 0.0, R[rows, k])
+
+
+def _bounds(stack):
     """det_code_bounds at each tuple of the stack, one column per tuple.
 
     Returns (rates, alpha, rho, feasible): rates (4, n) are random capacity,
     det lower, det upper and direct transmission; alpha and rho (3, n) the
     random, lower and upper splits; feasible (2, n) the lower and upper flags.
     """
-    value, alpha, rho = _program_max(stack, (_LOWER, _UPPER, _SQUARE), opts)
+    value, alpha, rho = (np.concatenate(part, axis=1) for part in zip(*(
+        _kkt_max(_Stack(*(c[lo:lo + _CHUNK_TUPLES] for c in stack)))
+        for lo in range(0, len(stack.P), _CHUNK_TUPLES))))
     for inner, outer in ((0, 1), (1, 2)):       # lower in upper, upper in square
         take = value[inner] > value[outer]
         for arr in (value, alpha, rho):
@@ -305,16 +349,16 @@ def _bounds(stack, opts):
     return rates, alpha[[2, 0, 1]], rho[[2, 0, 1]], feasible
 
 
-def random_code_capacity(params: GaussianSfdParams, opts: GridOptions | None = None):
+def random_code_capacity(params: GaussianSfdParams):
     """Shared-randomness capacity: max of the objective over the unit square.
 
     Returns (rate, PowerSplit).
     """
-    value, alpha, rho = _program_max(_stack([params]), (_SQUARE,), opts or GridOptions())
-    return float(value[0, 0]), PowerSplit(float(alpha[0, 0]), float(rho[0, 0]))
+    report = det_code_bounds(params)
+    return report.random_capacity, report.random_split
 
 
-def det_code_bounds(params: GaussianSfdParams, opts: GridOptions | None = None) -> BoundsReport:
+def det_code_bounds(params: GaussianSfdParams) -> BoundsReport:
     """Deterministic-code lower/upper bounds plus the unconstrained maximum.
 
     Guarantees det_lower <= det_upper <= random_capacity exactly: the lower
@@ -322,7 +366,7 @@ def det_code_bounds(params: GaussianSfdParams, opts: GridOptions | None = None) 
     each program takes the optimum of the program nested in it when that is
     larger.  An empty region reports rate 0 at split (0, 0).
     """
-    rates, alpha, rho, feasible = _bounds(_stack([params]), opts or GridOptions())
+    rates, alpha, rho, feasible = _bounds(_stack([params]))
     rc, lo, up, direct = (float(v) for v in rates[:, 0])
     splits = [PowerSplit(float(a), float(r)) for a, r in zip(alpha[:, 0], rho[:, 0])]
     return BoundsReport(random_capacity=rc, det_lower=lo, det_upper=up,
@@ -393,14 +437,13 @@ class SweepRow:
     direct_transmission: float
 
 
-def figure_sweep(p_values, Lambda: float, sigma2: float,
-                 opts: GridOptions | None = None):
+def figure_sweep(p_values, Lambda: float, sigma2: float):
     """Bounds as a function of P with P1 = P; one SweepRow per requested P."""
     params = [GaussianSfdParams(P=float(p), P1=float(p), Lambda=Lambda, sigma2=sigma2)
               for p in p_values]
     if not params:
         raise GaussianParamError("empty sweep range")
-    rates = _bounds(_stack(params), opts or GridOptions())[0]
+    rates = _bounds(_stack(params))[0]
     return [SweepRow(p.P, *(float(v) for v in col)) for p, col in zip(params, rates.T)]
 
 

@@ -1,4 +1,4 @@
-"""Derivative-free maximization helpers: zoom grids and simplex search.
+"""Derivative-free maximization over the probability simplex: grids, start pools, search.
 
 Everything here is deterministic given the seed carried by the caller; ties are
 broken toward the first (lexicographically smallest) candidate, which is what
@@ -12,46 +12,6 @@ import numpy as np
 
 #: most points of start_pool's grid, and of a refinement batch discrete allows
 MAX_GRID_POINTS = 200_000
-
-
-def zoom_grid_max_1d(f, lo, hi, coarse, rounds, points):
-    """Maximize each row of f over [lo, hi] by a coarse grid plus shrinking local grids.
-
-    f maps an (m, k) array of abscissae to an (m, k) array of values, row i
-    being objective i.  The coarse grid is one (1, coarse) row shared by every
-    objective, so f broadcasts it, and m is read from the shape of its output.
-    Each row then zooms around its own best point: a local grid of `points`
-    points replaces it only when strictly larger, and ties go to the first
-    point.  Returns (argmax, max), arrays of shape (m,).  Robust to kinks
-    (e.g. min of two smooth terms).
-    """
-    xs = np.linspace(lo, hi, coarse)
-    vals = f(xs[None, :])
-    rows = np.arange(vals.shape[0])
-    k = np.argmax(vals, axis=1)
-    best_x, best_v = xs[k], vals[rows, k]
-    w = (hi - lo) / (coarse - 1)
-    for _ in range(rounds):
-        xs = _linspace_rows(np.maximum(lo, best_x - w), np.minimum(hi, best_x + w), points)
-        vals = f(xs)
-        k = np.argmax(vals, axis=1)
-        better = vals[rows, k] > best_v
-        best_x = np.where(better, xs[rows, k], best_x)
-        best_v = np.where(better, vals[rows, k], best_v)
-        w = 4.0 * w / (points - 1)
-    return best_x, best_v
-
-
-def _linspace_rows(start, stop, num):
-    """Row i is np.linspace(start[i], stop[i], num), bit for bit, for num >= 2."""
-    delta = (stop - start)[:, None]
-    step = delta / (num - 1)
-    k = np.arange(num, dtype=float)
-    # linspace scales by delta, not step, where the step underflows to 0
-    y = np.where(step == 0, k / (num - 1) * delta, k * step)
-    y += start[:, None]
-    y[:, -1] = stop
-    return y
 
 
 def simplex_grid(k, resolution):

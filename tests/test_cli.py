@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from avrc import cli, gaussian, sim
+from avrc import cli, sim
 from avrc.cli import main
 from avrc.discrete import Dmc, binary_pipe_dmc, dmc_to_json
 
@@ -44,23 +44,33 @@ def test_bounds_zero_power(capsys):
 
 
 def test_zero_power_runs_print_nothing_on_stderr(capsys, tmp_path):
-    # P = 0 divides by P in the lower region; none of that may leak as a warning
+    # P = 0 divides by P in the lower region, and a subnormal P overflows P1/P;
+    # none of that may leak as a warning
     out_path = tmp_path / "fig.csv"
     code, _, err = run_cli(capsys, "figure", "--Lambda", "1", "--sigma2", "0.5", "--pmin", "0",
                            "--pmax", "1", "--step", "0.25", "--out", str(out_path))
     assert (code, err) == (0, "")
     assert out_path.read_text().splitlines()[1] == "0,0,0,0,0"
-    for p1 in ("0", "1.5"):
-        code, _, err = run_cli(capsys, "bounds", "--P", "0", "--P1", p1,
+    inputs = [(p, p1) for p in ("0", "5e-324", "1e-310") for p1 in ("0", "1e-310", "1.5", "10")]
+    for p, p1 in inputs + [("1", "5e-324"), ("1", "1e-310")]:
+        code, _, err = run_cli(capsys, "bounds", "--P", p, "--P1", p1,
                                "--Lambda", "1", "--sigma2", "0.5")
         assert (code, err) == (0, "")
+
+
+def test_bounds_scores_an_upper_region_that_only_alpha_one_reaches(capsys):
+    code, out, _ = run_cli(capsys, "bounds", "--P", "1", "--P1", "0", "--Lambda", "1",
+                           "--sigma2", "0.5")
+    rep = json.loads(out)
+    assert code == 0 and rep["upper_feasible"] is True
+    assert rep["det_upper"] == 0.5 and rep["upper_split"] == {"alpha": 1.0, "rho": 0.0}
 
 
 def test_figure_csv_low_power_zeros(capsys, tmp_path):
     out_path = tmp_path / "fig.csv"
     code, _, _ = run_cli(capsys, "figure", "--Lambda", "1", "--sigma2", "0.5",
                          "--pmin", "0.05", "--pmax", "0.2", "--step", "0.05",
-                         "--out", str(out_path), "--grid-step", "5e-3")
+                         "--out", str(out_path))
     assert code == 0
     lines = out_path.read_text().strip().splitlines()
     assert lines[0] == "P,random_capacity,det_lower,det_upper,direct_transmission"
@@ -414,19 +424,20 @@ def test_usage_error_exit_code(capsys):
     assert code == 1 and "usage" in err
 
 
+# the alpha search these flags set is gone: the maxima are solved in closed form
 @pytest.mark.parametrize("step", ["2", "0"])
 def test_bounds_rejects_step_outside_unit_interval(capsys, step):
     code, out, err = run_cli(capsys, "bounds", "--P", "2", "--P1", "2", "--Lambda", "1",
                              "--sigma2", "0.5", "--step", step)
-    assert code == 2 and out == ""
-    assert "step must be finite and in (0, 1]" in err
+    assert code == 1 and out == ""
+    assert f"unrecognized arguments: --step {step}" in err
 
 
 def test_figure_rejects_bad_grid_step(capsys, tmp_path):
     code, _, err = run_cli(capsys, "figure", "--Lambda", "1", "--sigma2", "0.5",
                            "--pmin", "1", "--pmax", "1", "--step", "1",
                            "--out", str(tmp_path / "fig.csv"), "--grid-step", "0")
-    assert code == 2 and "step must be finite" in err
+    assert code == 1 and "unrecognized arguments: --grid-step 0" in err
     assert not (tmp_path / "fig.csv").exists()
 
 
@@ -795,24 +806,6 @@ def test_simulate_refuses_a_trial_over_the_symbol_cap_before_running_it(capsys, 
     assert (code, out) == (2, "") and not out_path.exists()
     assert err == ("error: n=1 x blocks=100000000 symbols per trial is above the cap "
                    "of 1048576\n")
-
-
-@pytest.mark.parametrize("argv", [
-    ["bounds", "--P", "2", "--P1", "2", "--Lambda", "1", "--sigma2", "0.5", "--step", "1e-9"],
-    ["figure", "--Lambda", "1", "--sigma2", "0.5", "--pmin", "1", "--pmax", "1", "--step", "1",
-     "--out", "fig.csv", "--grid-step", "1e-9"],
-])
-def test_a_step_over_the_alpha_grid_cap_exits_2_before_searching(capsys, tmp_path,
-                                                                 monkeypatch, argv):
-    # a step of 1e-9 asks for a 10^9-point coarse grid, about 90 GB at its peak
-    def no_search(*args):
-        raise AssertionError("the alpha search ran")
-
-    monkeypatch.setattr(gaussian, "_program_max", no_search)
-    monkeypatch.chdir(tmp_path)
-    code, out, err = run_cli(capsys, *argv)
-    assert (code, out) == (2, "") and not (tmp_path / "fig.csv").exists()
-    assert err == "error: step 1e-09 asks for more than 1000001 alpha grid points\n"
 
 
 def test_the_console_script_entry_point_runs_example1(tmp_path):

