@@ -17,13 +17,11 @@ and the inner optimum is refined once, at the winner.
 """
 
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
 from ._fields import int_field, number_field, shown
-from .optimize import (MAX_GRID_POINTS, grid_resolution, refine_batch_size, search_simplex,
-                       simplex_grid, start_pool)
+from .optimize import MAX_GRID_POINTS, refine_batch_size, search_simplex, simplex_grid, start_pool
 
 PMF_TOL = 1e-12
 VERDICT_TOL = 1e-9    # the largest residual a verdict still counts as zero
@@ -31,9 +29,8 @@ MULTISTART_TOP = 6    # centres per refinement round; the steering searches over
 SEARCH_SEED = 0       # the seed of each bound's search generator
 Q_RESOLUTION = 64     # grid resolution over state pmfs q (up to 3 atoms)
 P_RESOLUTION = 128    # grid resolution over input pmfs p (up to 3 atoms)
-REFINE_ROUNDS = 8     # refinement rounds of every simplex search
 AUX_STARTS = 12       # random starts of df's aux search over p(u,x)
-ORBIT_TOL = 1e-9      # how far below the top starts a relabeling orbit of df's aux grid is kept
+ORBIT_TOL = 1e-9      # how far below the top starts a relabeling orbit of df's aux pool is kept
 MAX_KERNEL_ENTRIES = 1_000_000   # the largest kernel a bound searches
 
 # scipy.optimize.linprog, bound by the first symmetrizability LP: only the LP
@@ -344,13 +341,13 @@ def _resolution(k, resolution):
 def _min_over_q(objective_batch, ns, rng):
     """Minimize a batched function of q over the state simplex.  Returns (q*, value)."""
     return search_simplex(objective_batch, start_pool(ns, _resolution(ns, Q_RESOLUTION), rng),
-                          minimize=True, rounds=REFINE_ROUNDS, top=MULTISTART_TOP)
+                          minimize=True, top=MULTISTART_TOP)
 
 
 def _max_over_p(objective_batch, nx, rng, top):
     """Maximize a batched function of p over the input simplex.  Returns (p*, value)."""
     return search_simplex(objective_batch, start_pool(nx, _resolution(nx, P_RESOLUTION), rng),
-                          rounds=REFINE_ROUNDS, top=top)
+                          top=top)
 
 
 # largest batched array (in entries) that a pooled objective builds at once
@@ -445,10 +442,11 @@ def df_bound(dmc: Dmc, aux_size: int | None = None, mode: str = "aux") -> float:
     One fixed pool of state pmfs steers every search over inputs, each mode
     with its own objective; the winner is re-evaluated once, with refined
     minimizations over q.  The aux objective does not change when the rows
-    of p(u,x) are permuted, so its start grid is evaluated once per
-    relabeling orbit of U, and only the orbits that can hold a refinement
-    centre are evaluated whole (`_leading_starts`); the result is the one
-    the whole start pool gives.
+    of p(u,x) are permuted, so its start pool (start_pool's grid, vertices
+    and centre, then the starts above) is evaluated once per relabeling
+    orbit of U, and only the orbits that can hold a refinement centre are
+    kept whole (`_leading_starts`); the result is the one the whole pool
+    gives.
     """
     if mode not in ("direct", "full", "aux"):
         raise ValueError("mode must be one of direct|full|aux")
@@ -504,57 +502,44 @@ def df_bound(dmc: Dmc, aux_size: int | None = None, mode: str = "aux") -> float:
 
     # per candidate: its (U, N, O) joint pmfs
     objective = _in_blocks(batch_obj, nu * n_out)
-    pool = _leading_starts(objective, start_pool(dim, None, rng, np.array(starts)), nu)
-    p_best, _ = search_simplex(objective, pool, rounds=REFINE_ROUNDS, top=MULTISTART_TOP)
+    pool = _leading_starts(objective, np.vstack([start_pool(dim, None, rng), *starts]), nu)
+    p_best, _ = search_simplex(objective, pool, top=MULTISTART_TOP)
     return _df_value(p_best.reshape(nu, nx), dmc, rng)
 
 
-def _u_orbits(grid, nu, resolution):
-    """Group the points of a simplex grid over p(u,x), rows (G, nu * nx) at
-    `resolution`, by relabelings of U: two points share an orbit when the nu
-    rows of one are a permutation of the other's.  Returns (first, orbit):
-    first[j] is the grid index of orbit j's first point in grid order, and
-    orbit[i] the orbit of point i.
+def _u_orbits(pool, nu):
+    """Group the points of a pool over p(u,x), rows (N, nu * nx), by
+    relabelings of U: two points share an orbit when the nu rows of one are a
+    permutation of the other's.  Returns (first, orbit): first[j] is the pool
+    index of orbit j's first point in pool order, and orbit[i] the orbit of
+    point i.
 
-    Each point's counts (grid * resolution) are read as one base-(resolution+1)
-    code per row; the sorted row codes, packed into one int64, key the orbit.
-    A key that would not fit in an int64 puts every point in an orbit of its own.
+    Each row of p(u,x) is read as its bytes, and a point's rows, sorted, key
+    its orbit, so equal floats match exactly at any resolution.
     """
-    G, dim = grid.shape
-    base, nx = resolution + 1, dim // nu
-    if base ** dim >= 2 ** 63:
-        return np.arange(G), np.arange(G)
-    counts = np.rint(grid * resolution).astype(np.int64).reshape(G, nu, nx)
-    rows = counts @ base ** np.arange(nx, dtype=np.int64)
-    rows.sort(axis=1)
-    keys = rows @ (base ** nx) ** np.arange(nu, dtype=np.int64)
-    _, first, orbit = np.unique(keys, return_index=True, return_inverse=True)
+    n, dim = pool.shape
+    row_bytes = pool.itemsize * (dim // nu)
+    rows = np.sort(pool.reshape(n, nu, -1).view(f"V{row_bytes}")[..., 0], axis=1)
+    _, first, orbit = np.unique(rows.view(f"V{row_bytes * nu}")[:, 0],
+                                return_index=True, return_inverse=True)
     return first, orbit
 
 
 def _leading_starts(objective, pool, nu):
-    """The rows of df's aux start pool (start_pool's grid, then its other
-    starts) that can be among the pool's MULTISTART_TOP best, in pool order.
+    """The rows of df's aux start pool that can be among its MULTISTART_TOP
+    best, in pool order.
 
     The objective does not change when the rows of p(u,x) are permuted, so
-    only each grid orbit's first point is evaluated, next to every non-grid
-    start.  An orbit whose value is within ORBIT_TOL of the MULTISTART_TOP-th
-    best (its copies can differ from it by rounding only) is kept whole; the
-    other orbits are dropped.  The stable top MULTISTART_TOP of what is kept
-    are then those of the whole pool, so the search from it is the search from
-    the whole pool.  A Dirichlet sample, past MAX_GRID_POINTS, holds no exact
-    copies and is returned whole.
+    only each orbit's first point is evaluated.  An orbit whose value is
+    within ORBIT_TOL of the MULTISTART_TOP-th best (its copies can differ from
+    it by rounding only) is kept whole; the other orbits are dropped.  The
+    stable top MULTISTART_TOP of what is kept are then those of the whole
+    pool, so the search from it is the search from the whole pool.
     """
-    dim = pool.shape[1]
-    resolution = grid_resolution(dim)
-    n_grid = comb(resolution + dim - 1, dim - 1)
-    if n_grid > MAX_GRID_POINTS:
-        return pool
-    first, orbit = _u_orbits(pool[:n_grid], nu, resolution)
-    vals = objective(np.concatenate([pool[first], pool[n_grid:]]))
+    first, orbit = _u_orbits(pool, nu)
+    vals = objective(pool[first])
     cut = np.sort(vals)[-min(MULTISTART_TOP, len(vals))] - ORBIT_TOL
-    keep = np.concatenate([vals[orbit] >= cut, np.ones(len(pool) - n_grid, dtype=bool)])
-    return pool[keep]
+    return pool[vals[orbit] >= cut]
 
 
 def minimax_receiver_information(dmc: Dmc, order: str = "qp") -> float:

@@ -340,10 +340,6 @@ def _bounds(stack):
     value, alpha, rho = (np.concatenate(part, axis=1) for part in zip(*(
         _kkt_max(_Stack(*(c[lo:lo + _CHUNK_TUPLES] for c in stack)))
         for lo in range(0, len(stack.P), _CHUNK_TUPLES))))
-    for inner, outer in ((0, 1), (1, 2)):       # lower in upper, upper in square
-        take = value[inner] > value[outer]
-        for arr in (value, alpha, rho):
-            arr[outer] = np.where(take, arr[inner], arr[outer])
     feasible = value[:2] > -np.inf
     rates = np.vstack([value[2], np.where(feasible, value[:2], 0.0), _direct_rate(stack)[:, 0]])
     return rates, alpha[[2, 0, 1]], rho[[2, 0, 1]], feasible
@@ -361,10 +357,13 @@ def random_code_capacity(params: GaussianSfdParams):
 def det_code_bounds(params: GaussianSfdParams) -> BoundsReport:
     """Deterministic-code lower/upper bounds plus the unconstrained maximum.
 
-    Guarantees det_lower <= det_upper <= random_capacity exactly: the lower
-    region lies inside the upper region, which lies inside the unit square, so
-    each program takes the optimum of the program nested in it when that is
-    larger.  An empty region reports rate 0 at split (0, 0).
+    Guarantees det_lower <= det_upper <= random_capacity exactly: the three
+    programs score one candidate set, and on it the lower region lies inside
+    the upper region, which lies inside the unit square.  That holds in
+    floating point too: the lower region's (1-rho^2)*a*P >= Lambda + eps
+    implies a*P >= Lambda, and so the upper region's inequality, because
+    rounding is monotone and every term is >= 0.  An empty region reports
+    rate 0 at split (0, 0).
     """
     rates, alpha, rho, feasible = _bounds(_stack([params]))
     rc, lo, up, direct = (float(v) for v in rates[:, 0])

@@ -1,8 +1,9 @@
 """Derivative-free maximization over the probability simplex: grids, start pools, search.
 
-Everything here is deterministic given the seed carried by the caller; ties are
-broken toward the first (lexicographically smallest) candidate, which is what
-``np.argmax``/``np.argmin`` already do on C-ordered arrays.
+Everything here is deterministic given the generator the caller passes to
+start_pool, and every search refines for the same REFINE_ROUNDS rounds; ties
+are broken toward the first (lexicographically smallest) candidate, which is
+what ``np.argmax``/``np.argmin`` already do on C-ordered arrays.
 """
 
 from itertools import chain, combinations
@@ -12,6 +13,9 @@ import numpy as np
 
 #: most points of start_pool's grid, and of a refinement batch discrete allows
 MAX_GRID_POINTS = 200_000
+
+#: refinement rounds of every simplex search
+REFINE_ROUNDS = 8
 
 
 def simplex_grid(k, resolution):
@@ -39,33 +43,31 @@ def grid_resolution(k):
     return {1: 1, 2: 256, 3: 64, 4: 24, 5: 12, 6: 8}.get(k, 6)
 
 
-def start_pool(k, resolution=None, rng=None, extra_starts=None):
+def start_pool(k, resolution, rng):
     """The pmfs a simplex search starts from: the simplex grid at `resolution`
-    (grid_resolution(k) when None; 4096 Dirichlet draws from rng, default_rng(0)
-    when None, when the grid would pass MAX_GRID_POINTS), then the vertices,
-    the centre and any extra starts, in that order.  Returns an (N, k) array;
-    search_simplex takes it, or any subset of its rows, as its first batch."""
+    (grid_resolution(k) when None; 4096 Dirichlet draws from rng when the grid
+    would pass MAX_GRID_POINTS), then the vertices and the centre, in that
+    order.  Returns an (N, k) array; search_simplex takes it, or any subset
+    of its rows, or it with more starts appended, as its first batch."""
     if resolution is None:
         resolution = grid_resolution(k)
     if _simplex_count(k, resolution) <= MAX_GRID_POINTS:
         grid = simplex_grid(k, resolution)
     else:
-        grid = (np.random.default_rng(0) if rng is None else rng).dirichlet(np.ones(k), size=4096)
-    starts = [grid, np.eye(k), np.full((1, k), 1.0 / k)]
-    if extra_starts is not None and len(extra_starts):
-        starts.append(np.atleast_2d(np.asarray(extra_starts, dtype=float)))
-    return np.concatenate(starts, axis=0)
+        grid = rng.dirichlet(np.ones(k), size=4096)
+    return np.concatenate([grid, np.eye(k), np.full((1, k), 1.0 / k)])
 
 
-def search_simplex(f_batch, pool, *, minimize=False, rounds=6, top=4):
+def search_simplex(f_batch, pool, *, minimize=False, top=4):
     """Optimize a batched function over the probability simplex of dimension k.
 
     f_batch maps an (N, k) array of pmfs to an (N,) array of values.  The
     search evaluates the start pool, an (N, k) array (k is read from its
-    shape), then for `rounds` rounds contracts a fixed pattern around the best
-    `top` candidates, to half size and then by 0.35 a round.  Ties among the
-    pool go to the earlier row.  Convex/concave objectives converge to the
-    optimum; for general objectives this is a multi-start ascent from the pool.
+    shape), then for REFINE_ROUNDS rounds contracts a fixed pattern around
+    the best `top` candidates, to half size and then by 0.35 a round.  Ties
+    among the pool go to the earlier row.  Convex/concave objectives converge
+    to the optimum; for general objectives this is a multi-start ascent from
+    the pool.
 
     Returns (x_best, value_best).
     """
@@ -79,7 +81,7 @@ def search_simplex(f_batch, pool, *, minimize=False, rounds=6, top=4):
 
     pattern = simplex_grid(k, _pattern_resolution(k))
     factor = 0.5
-    for _ in range(rounds):
+    for _ in range(REFINE_ROUNDS):
         # the pattern contracted toward each centre, built in place: c + factor * (pattern - c)
         cands = pattern[None, :, :] - centers[:, None, :]
         cands *= factor

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avrc import discrete
+from avrc import discrete, optimize
 from avrc.discrete import (
     ChannelFormatError,
     Dmc,
@@ -23,7 +23,7 @@ from avrc.discrete import (
     single_use_code_table,
     symmetrizability,
 )
-from avrc.optimize import grid_resolution, simplex_grid
+from avrc.optimize import simplex_grid, start_pool
 
 def additive_channel():
     W = np.zeros((2, 2, 3))
@@ -545,25 +545,22 @@ def test_df_aux_below_input_size():
 
 @pytest.mark.parametrize("nu, nx", [(1, 2), (2, 2), (3, 2), (4, 2), (2, 3), (4, 3)])
 def test_u_orbits_name_the_first_point_of_each_relabeling_orbit(nu, nx):
-    resolution = grid_resolution(nu * nx)
-    grid = simplex_grid(nu * nx, resolution)
-    first, orbit = discrete._u_orbits(grid, nu, resolution)
-    # oracle: the rows of p(u,x) as a multiset, first seen in grid order
+    # df's whole aux pool: the grid, the vertices and the centre, then
+    # Dirichlet starts, a relabeled copy of each and the centre once more
+    rng = np.random.default_rng(nu * 10 + nx)
+    extra = rng.dirichlet(np.ones(nu * nx), size=4).reshape(4, nu, nx)
+    copies = np.stack([point[rng.permutation(nu)] for point in extra])
+    pool = np.vstack([start_pool(nu * nx, None, rng), extra.reshape(4, -1),
+                      copies.reshape(4, -1), np.full(nu * nx, 1.0 / (nu * nx))])
+    first, orbit = discrete._u_orbits(pool, nu)
+    # oracle: the rows of p(u,x) as a multiset, first seen in pool order
     seen = {}
-    for i, point in enumerate(grid.reshape(len(grid), nu, nx)):
+    for i, point in enumerate(pool.reshape(len(pool), nu, nx)):
         seen.setdefault(tuple(sorted(map(tuple, point))), i)
-    assert orbit.shape == (len(grid),) and len(first) == len(seen)
+    assert orbit.shape == (len(pool),) and len(first) == len(seen)
     assert sorted(first.tolist()) == sorted(seen.values())
-    for i, point in enumerate(grid.reshape(len(grid), nu, nx)):
+    for i, point in enumerate(pool.reshape(len(pool), nu, nx)):
         assert first[orbit[i]] == seen[tuple(sorted(map(tuple, point)))]
-
-
-def test_u_orbits_fall_back_to_one_orbit_per_point_past_an_int64_key():
-    # (2^16 + 1)^4 passes 2^63, so the packed key would overflow
-    grid = simplex_grid(4, 3)
-    first, orbit = discrete._u_orbits(grid, 2, 2**16)
-    assert np.array_equal(first, np.arange(len(grid)))
-    assert np.array_equal(orbit, np.arange(len(grid)))
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -582,8 +579,36 @@ def test_df_aux_search_from_orbits_equals_the_full_pool_search(X, S, Y, Y1, aux,
         mp.setattr(discrete, "Q_RESOLUTION", 16)
         by_orbit = df_bound(dmc, aux, "aux")
         mp.setattr(discrete, "_u_orbits",
-                   lambda grid, nu, resolution: (np.arange(len(grid)), np.arange(len(grid))))
+                   lambda pool, nu: (np.arange(len(pool)), np.arange(len(pool))))
         assert df_bound(dmc, aux, "aux") == by_orbit
+
+
+def test_df_aux_search_from_a_sampled_pool_equals_the_full_pool_search(monkeypatch):
+    # past optimize.MAX_GRID_POINTS start_pool samples: the 1287-point aux grid
+    # of |U| = 3, |X| = 2 becomes 4096 Dirichlet draws, while the 17- and
+    # 129-point grids over q and p still fit
+    rng = np.random.default_rng(22)
+    dmc = Dmc(rng.dirichlet(np.ones(4), size=(2, 2)).reshape(2, 2, 2, 2), relay_rate=0.7)
+    monkeypatch.setattr(discrete, "Q_RESOLUTION", 16)
+    monkeypatch.setattr(optimize, "MAX_GRID_POINTS", 1000)
+    leading, sizes = discrete._leading_starts, []
+
+    def top(objective, rows):
+        return rows[np.argsort(-objective(rows), kind="stable")[:discrete.MULTISTART_TOP]]
+
+    def checked_leading_starts(objective, pool, nu):
+        kept = leading(objective, pool, nu)
+        # the search's first centres are those of the whole pool
+        assert np.array_equal(top(objective, kept), top(objective, pool))
+        sizes.append(len(pool))
+        return kept
+
+    monkeypatch.setattr(discrete, "_leading_starts", checked_leading_starts)
+    by_orbit = df_bound(dmc)
+    # the sample, the 6 vertices and the centre, then df's own 3 + AUX_STARTS starts
+    assert sizes == [4096 + 7 + 3 + discrete.AUX_STARTS]
+    monkeypatch.setattr(discrete, "_u_orbits", lambda pool, nu: (np.arange(len(pool)),) * 2)
+    assert df_bound(dmc) == by_orbit
 
 
 def test_df_cutset_sandwich_randomized():

@@ -320,6 +320,8 @@ def test_candidate_maxima_are_at_least_the_zoom_oracle():
     expected = _chunked(oracle_max, stack)[0]
     feasible = np.isfinite(value)
     assert (feasible == np.isfinite(expected)).all() and feasible[2].all()
+    # the regions nest on the one candidate set, so the maxima do too
+    assert ((value[0] <= value[1]) & (value[1] <= value[2])).all()
     shortfall = np.where(feasible, expected, 0.0) - np.where(feasible, value, 0.0)
     assert shortfall[2].max() <= 1e-12               # square
     assert shortfall[:2].max() <= 1e-11              # lower and upper

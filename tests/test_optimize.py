@@ -3,6 +3,7 @@ import pytest
 
 from avrc import optimize
 from avrc.optimize import (
+    REFINE_ROUNDS,
     refine_batch_size,
     search_simplex,
     simplex_grid,
@@ -48,15 +49,15 @@ def test_search_simplex_concave_max():
             t = np.where(P > 0, P * np.log2(np.where(P > 0, P, 1.0)), 0.0)
         return -t.sum(axis=1)
 
-    x, v = search_simplex(neg_ent, start_pool(3), rounds=8)
+    x, v = search_simplex(neg_ent, start_pool(3, None, np.random.default_rng(0)))
     assert abs(v - np.log2(3)) < 1e-5
     assert np.allclose(x, 1 / 3, atol=2e-3)
 
 
 def test_search_simplex_min_mode_and_determinism():
     f = lambda P: ((P - np.array([0.2, 0.3, 0.5])) ** 2).sum(axis=1)
-    x1, v1 = search_simplex(f, start_pool(3), minimize=True, rounds=8)
-    x2, v2 = search_simplex(f, start_pool(3), minimize=True, rounds=8)
+    x1, v1 = search_simplex(f, start_pool(3, None, np.random.default_rng(0)), minimize=True)
+    x2, v2 = search_simplex(f, start_pool(3, None, np.random.default_rng(0)), minimize=True)
     assert np.array_equal(x1, x2) and v1 == v2
     assert v1 < 1e-8
 
@@ -74,24 +75,18 @@ def test_refine_batch_size_counts_each_refinement_batch(k):
         sizes.append(P.shape[0])
         return -((P - 1.0 / k) ** 2).sum(axis=1)
 
-    search_simplex(f, start_pool(k), rounds=3, top=3)
+    search_simplex(f, start_pool(k, None, np.random.default_rng(0)), top=3)
     # the first batch is the start pool; every later one is a refinement round
-    assert sizes[1:] == [refine_batch_size(k, 3)] * 3
+    assert sizes[1:] == [refine_batch_size(k, 3)] * REFINE_ROUNDS
 
 
 def test_start_pool_samples_the_simplex_exactly_when_the_grid_passes_the_budget(monkeypatch):
     k, resolution = 3, 8                 # a C(10, 2) = 45-point grid
     corners = [np.eye(k), np.full((1, k), 1.0 / k)]
-    extra = np.array([[0.1, 0.2, 0.7]])
-
-    def sample(seed):
-        return np.random.default_rng(seed).dirichlet(np.ones(k), size=4096)
-
+    sample = np.random.default_rng(7).dirichlet(np.ones(k), size=4096)
     monkeypatch.setattr(optimize, "MAX_GRID_POINTS", 45)
-    assert np.array_equal(start_pool(k, resolution, np.random.default_rng(7), extra),
-                          np.concatenate([simplex_grid(k, resolution), *corners, extra]))
+    assert np.array_equal(start_pool(k, resolution, np.random.default_rng(7)),
+                          np.concatenate([simplex_grid(k, resolution), *corners]))
     monkeypatch.setattr(optimize, "MAX_GRID_POINTS", 44)
-    assert np.array_equal(start_pool(k, resolution, np.random.default_rng(7), extra),
-                          np.concatenate([sample(7), *corners, extra]))
-    # with no generator, the sample is default_rng(0)'s
-    assert np.array_equal(start_pool(k, resolution), np.concatenate([sample(0), *corners]))
+    assert np.array_equal(start_pool(k, resolution, np.random.default_rng(7)),
+                          np.concatenate([sample, *corners]))

@@ -13,3 +13,50 @@ def test_package_source_has_no_assert_statements():
              if isinstance(node, ast.Assert)]
     assert sorted(SRC.glob("*.py")), f"no sources under {SRC}"
     assert found == []
+
+
+
+def _trees():
+    return {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+
+
+def _loaded_names(tree):
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_private_module_level_name_is_referenced():
+    # a helper or constant that no module reads any more is dead code
+    trees = _trees()
+    read = set()
+    for tree in trees.values():
+        read |= _loaded_names(tree)
+        read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    dead = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            dead += [f"{name}:{node.lineno} {d}" for d in defined
+                     if d.startswith("_") and not d.startswith("__") and d not in read]
+    assert dead == []
+
+
+def test_every_imported_name_is_used():
+    unused = []
+    for name, tree in _trees().items():
+        used = _loaded_names(tree)
+        # a package re-exports what it lists in __all__
+        used |= {elt.value for node in tree.body if isinstance(node, ast.Assign)
+                 for target in node.targets if getattr(target, "id", None) == "__all__"
+                 for elt in node.value.elts}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [f"{name}:{node.lineno} {alias.name}" for alias in node.names
+                           if (alias.asname or alias.name.split(".")[0]) not in used]
+    assert unused == []
