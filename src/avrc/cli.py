@@ -123,7 +123,7 @@ def _cmd_primitive(args):
     if args.bound == "cutset":
         _emit({"cutset_bound": discrete.cutset_bound(dmc)})
     elif args.bound == "df":
-        aux = args.aux_size if args.aux_size is not None else dmc.nx + 1
+        aux = discrete.aux_cardinality(dmc, args.aux_size)
         value = discrete.df_bound(dmc, aux_size=args.aux_size, mode=args.df_mode)
         _emit({"df_bound": value, "mode": args.df_mode,
                "aux_size": aux if args.df_mode == "aux" else None})

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fields import int_field, number_field, seed_field
-from .gaussian import LOG2, GaussianSfdParams, PowerSplit, _lower_mask
+from .gaussian import LOG2, GaussianSfdParams, PowerSplit
 
 FIXED_INDEX = 0   # boundary message carried by the final block and block 0's "previous"
 MAX_TABLE_BYTES = 1 << 30   # the largest codeword tables a codebook draws
@@ -112,11 +112,6 @@ def achievable_rate_pair(params: GaussianSfdParams, split: PowerSplit):
     return float(0.5 * np.log(num / mid) / LOG2), float(0.5 * np.log(mid / Lam) / LOG2)
 
 
-def split_feasible_for_codebook(params: GaussianSfdParams, split: PowerSplit) -> bool:
-    """Whether the split lies in the deterministic-code lower-bound region."""
-    return bool(_lower_mask(params, np.asarray(split.alpha), np.asarray(split.rho)))
-
-
 def _unit_rows(rng, count, n):
     rows = rng.standard_normal((count, n))
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
@@ -168,7 +163,6 @@ class SfdCodebook:
         self.beta = float(np.sqrt(config.n * (1.0 - sp.rho ** 2) * sp.alpha * (p.P - delta)))
         self.combine = sp.rho * np.sqrt(sp.alpha / self.gamma)
         self.clip_budget = config.n * sp.alpha * p.P
-        self.split_feasible = split_feasible_for_codebook(p, sp)
 
         rng = np.random.default_rng(np.random.SeedSequence(config.seed))
         self.a = _unit_rows(rng, m1, config.n)
@@ -265,11 +259,11 @@ def transmit(codebook: SfdCodebook, messages, rngs, relay_mode: str = "min_dista
     return tx, y1, x1
 
 
-def destination_observation(tx: Transmission, x1, s, perm=None):
-    """What the destination decodes: x' + x1 + s, with s[:, perm] under a shared
-    permutation (see the module docstring), each trial's state read through its
-    own permutation."""
-    return tx.x_prime + x1 + _through(s, perm)
+def destination_observation(signal, s, perm=None):
+    """What the destination decodes: the (T, B, n) signal x' + x1 plus the
+    state s, with s[:, perm] under a shared permutation (see the module
+    docstring), each trial's state read through its own permutation."""
+    return signal + _through(s, perm)
 
 
 def _argmax_corr(tables, Y):

@@ -422,6 +422,11 @@ def _df_value(Pux, dmc, rng):
     return max(float(min(a + b + dmc.relay_rate, c + b)), 0.0)    # floored as in _min_q_max_p
 
 
+def aux_cardinality(dmc: Dmc, aux_size: int | None = None) -> int:
+    """|U| of df's aux mode: aux_size if given, else the cardinality bound |X| + 1."""
+    return dmc.nx + 1 if aux_size is None else aux_size
+
+
 def df_bound(dmc: Dmc, aux_size: int | None = None, mode: str = "aux") -> float:
     """Partial decode-forward lower bound: the displayed combination
 
@@ -450,7 +455,7 @@ def df_bound(dmc: Dmc, aux_size: int | None = None, mode: str = "aux") -> float:
     """
     if mode not in ("direct", "full", "aux"):
         raise ValueError("mode must be one of direct|full|aux")
-    nu = aux_size if aux_size is not None else dmc.nx + 1
+    nu = aux_cardinality(dmc, aux_size)
     if mode == "aux" and nu < 1:
         raise ChannelFormatError("aux cardinality must be >= 1")
     _check_budget(dmc, *((nu * dmc.nx,) if mode == "aux" else ()))
@@ -584,16 +589,13 @@ def classify_capacity(dmc: Dmc) -> CapacityClassification:
        sandwich is attached.
     Anything else is undetermined (bounds still attached).
     """
-    joint = symmetrizability(dmc.joint_output())
-    if joint.symmetrizable:
-        return CapacityClassification(
-            verdict="zero", clause=4, df_lower=0.0, cs_upper=0.0, exact_value=0.0,
-            relay_marginal_symmetrizable=symmetrizability(dmc.relay_marginal()).symmetrizable,
-            joint_output_symmetrizable=True,
-            degradedness=degradedness_classify(dmc).label)
-
     relay = symmetrizability(dmc.relay_marginal())
     deg = degradedness_classify(dmc)
+    if symmetrizability(dmc.joint_output()).symmetrizable:
+        return CapacityClassification(
+            verdict="zero", clause=4, df_lower=0.0, cs_upper=0.0, exact_value=0.0,
+            relay_marginal_symmetrizable=relay.symmetrizable, joint_output_symmetrizable=True,
+            degradedness=deg.label)
     clause_1 = not relay.symmetrizable and dmc.relay_rate > 0
     if clause_1 and deg.label == "reversely_strongly_degraded":
         v = minimax_receiver_information(dmc, "qp")
@@ -607,11 +609,10 @@ def classify_capacity(dmc: Dmc) -> CapacityClassification:
             v = df_bound(dmc, mode="full")
             return CapacityClassification("equals_random_capacity", 3, v, v, v,
                                           False, False, deg.label)
-    aux = dmc.nx + 1
     return CapacityClassification(
         "equals_random_capacity" if clause_1 else "undetermined", 1 if clause_1 else None,
-        df_bound(dmc, aux, "aux"), cutset_bound(dmc), None,
-        relay.symmetrizable, False, deg.label, aux_size=aux)
+        df_bound(dmc), cutset_bound(dmc), None,
+        relay.symmetrizable, False, deg.label, aux_size=aux_cardinality(dmc))
 
 
 # ---------------------------------------------------------------------------
@@ -645,12 +646,10 @@ def single_use_code_table():
     All four trials decode correctly, certifying one bit per use with zero
     error against every state choice.
     """
+    W = binary_pipe_dmc().kernel
     rows = []
-    for m in range(2):
-        for s in range(2):
-            y = m + s
-            y1 = m * (1 - s)
-            ell = y1
-            decoded = 0 if y == 0 else (1 if y == 2 else ell)
-            rows.append(SingleUseTrial(m, s, y, y1, decoded, int(decoded != m)))
+    for m, s in np.ndindex(W.shape[:2]):
+        y, y1 = (int(v) for v in np.argwhere(W[m, s])[0])   # the kernel's one output pair
+        decoded = 0 if y == 0 else (1 if y == 2 else y1)
+        rows.append(SingleUseTrial(m, s, y, y1, decoded, int(decoded != m)))
     return rows

@@ -30,12 +30,13 @@ E3 = sigma2 + (1-a)*P, E2 = Lambda + (a - theta^2)*P and
 D1 = Lambda + P1 + a*P + 2*theta*sqrt(P*P1), F = 0.5*log2(min{D1/Lambda,
 E3*E2/(sigma2*Lambda)}).  A maximum lies at a corner of a region, at a
 stationary point of E3*E2 or a crossing of the two terms on a face, or at an
-interior crossing where their gradients are opposite; each is a root of a
-polynomial of degree at most 5, found for every tuple at once as
-companion-matrix eigenvalues.  Each candidate is scored by F and masked by
-each region, and each program keeps its best.  The parameters may be (n, 1)
-columns: a sweep runs in chunks of whole tuples, and each tuple comes out as
-it would alone.
+interior crossing where their gradients are opposite.  The 46 candidates
+per tuple are those that can meet the KKT conditions (see `_candidates`),
+each in closed form or a root of a polynomial of degree at most 5, found for
+every tuple at once as companion-matrix eigenvalues.  Each is scored by F and
+masked by each region, and each program keeps its best.  The parameters may
+be (n, 1) columns: a sweep runs in chunks of whole tuples, and each tuple
+comes out as it would alone.
 """
 
 from dataclasses import dataclass
@@ -205,12 +206,12 @@ def _cuts(stack, A, T):
             s2 + (1.0 - A) * P, Lam + (A - T * T) * P)
 
 
-def _face_points(stack, a, b, degrees):
-    """Crossings and E3*E2's stationary points on the face alpha = a(t), theta = b*t.
+def _face_points(stack, a, b, degree, stationary):
+    """One root family on the face alpha = a(t), theta = b*t: the crossings
+    sigma2*D1 = E3*E2, or E3*E2's stationary points if `stationary`.
 
-    a holds the quadratic's coefficient rows and b is 0 or 1; degrees gives the
-    true degree of the crossing polynomial sigma2*D1 - E3*E2 and, if the
-    stationary points are wanted, of theirs.  Each root in [0, 1] is kept as
+    a holds the quadratic's coefficient rows and b is 0 or 1; degree is the
+    true degree of the family's polynomial.  Each root in [0, 1] is kept as
     found and after one Newton step on the residual in its unexpanded form.
     """
     P, P1, Lam, s2 = stack
@@ -218,19 +219,13 @@ def _face_points(stack, a, b, degrees):
     e2 = _poly(P * a[:, :1] - b * P, P * a[:, 1:2], Lam + P * a[:, 2:])
     d1 = _poly(P * a[:, :1], P * a[:, 1:2] + 2.0 * b * np.sqrt(P * P1), Lam + P1 + P * a[:, 2:])
     prod = _polymul(e3, e2)
-    points = []
-    for poly, degree, stationary in zip((_poly(-prod[:, :2], s2 * d1 - prod[:, 2:]),
-                                         _polyder(prod)), degrees, (False, True)):
-        poly = poly[:, -degree - 1:]
-        t = np.clip(_roots(poly), 0.0, 1.0)
-        D1, E3, E2 = _cuts(stack, _polyval(a, t), b * t)
-        if stationary:
-            da = _polyval(_polyder(a), t)
-            r = P * (E3 * (da - 2.0 * b * t) - da * E2)
-        else:
-            r = s2 * D1 - E3 * E2
-        points += [t, np.clip(t - r / _polyval(_polyder(poly), t), 0.0, 1.0)]
-    t = np.concatenate(points, axis=1)
+    poly = _polyder(prod) if stationary else _poly(-prod[:, :2], s2 * d1 - prod[:, 2:])
+    poly = poly[:, -degree - 1:]
+    t = np.clip(_roots(poly), 0.0, 1.0)
+    D1, E3, E2 = _cuts(stack, _polyval(a, t), b * t)
+    da = _polyval(_polyder(a), t)
+    r = P * (E3 * (da - 2.0 * b * t) - da * E2) if stationary else s2 * D1 - E3 * E2
+    t = np.concatenate([t, np.clip(t - r / _polyval(_polyder(poly), t), 0.0, 1.0)], axis=1)
     return _polyval(a, t), b * t
 
 
@@ -271,11 +266,22 @@ def _candidates(stack):
 
     They are the KKT points of each face of each region, in theta = rho*sqrt(alpha),
     with the region's curves drawn at the margin m: the corners, with (0, 0)
-    first; f2's own maximum on theta = 0; the ends of the upper cut
-    D1 = 2*Lambda + m and of the lower boundaries alpha = theta^2 + c (c1) and
-    alpha = h(theta) (c2); the crossings and E3*E2's stationary points on each
-    face; and the interior crossings.  A point that is not finite becomes (0, 0)
-    and the rest are clipped to the unit square, so each is a feasible split.
+    first; F's second term f2's own maximum alpha0 on theta = 0; the ends c1
+    (alpha = theta^2 + c) & theta = 0, the upper cut (D1 = 2*Lambda + m) &
+    alpha = 1 and & rho = 1, c2 (alpha = h(theta)) & alpha = 1, and c1 & c2;
+    the crossings f1 = f2 on rho = 1, c1 and c2; E3*E2's stationary points on
+    the cut and c2; and the interior crossings.  A point that is not finite
+    becomes (0, 0) and the rest are clipped to the unit square, so each is a split.
+
+    Five families are left out: no maximum meets the KKT conditions there (multipliers >= 0).
+    - theta = 0, the crossings: df1/dtheta > 0 = df2/dtheta there, so for P*P1 > 0 the theta
+      row forces lambda1 = 0, leaving alpha0; for P1 = 0, f2 > f1 on theta = 0 save at (1, 0).
+    - the cut, the crossings: grad f1 lies along the cut's normal, so KKT puts grad f2 along it
+      too, and the point is a stationary point of E3*E2 on the cut.
+    - the ends cut & theta = 0 and c2 & theta = 0: their normals' theta parts, 2*sqrt(P*P1)
+      and h'(0) = 2*s^3, have the sign of theta >= 0's multiplier, so again alpha0.
+    - the end c1 & alpha = 1: there D1 - E2 = (sqrt(P1) + theta*sqrt(P))^2 >= 0, so F = f2,
+      which falls as theta grows, and c1 caps theta, so this end is F's least on that face.
     """
     alpha0 = (stack.sigma2 + stack.P - stack.Lambda) / (2.0 * stack.P)   # f2's own maximum
     # the other points depend on ratios of the powers only, so they are found
@@ -293,17 +299,16 @@ def _candidates(stack):
     t_c1c2 = np.sqrt(2.0 * (Lam + m) / P1) - s                 # c1 meets c2
     points = [
         (_poly(zero, one, one), _poly(zero, zero, one)),
-        (_poly(alpha0, c0, c, h[:, 2:]), zero),
-        (one, _poly((c0 - 1.0) / (2.0 * s), np.sqrt(1.0 - c), _roots(h - _poly(zero, zero, one)))),
+        (_poly(alpha0, c), zero),
+        (one, _poly((c0 - 1.0) / (2.0 * s), _roots(h - _poly(zero, zero, one)))),
         (_poly(t_cut * t_cut, t_c1c2 * t_c1c2 + c), _poly(t_cut, t_c1c2)),
+        _face_points(stack, _poly(one, zero, zero), 1.0, 2, False),     # rho = 1, t = sqrt(alpha)
+        _face_points(stack, _poly(zero, -2.0 * s, c0), 1.0, 2, True),   # the upper cut
+        _face_points(stack, _poly(one, zero, c), 1.0, 2, False),        # c1
+        _face_points(stack, h, 1.0, 4, False),                          # c2
+        _face_points(stack, h, 1.0, 3, True),
+        _interior_points(stack),
     ]
-    for a, b, degrees in ((_poly(zero, one, zero), 0.0, (2,)),        # theta = 0
-                          (_poly(one, zero, zero), 1.0, (2,)),        # rho = 1, t = sqrt(alpha)
-                          (_poly(zero, -2.0 * s, c0), 1.0, (3, 2)),   # the upper cut
-                          (_poly(one, zero, c), 1.0, (2,)),           # c1
-                          (h, 1.0, (4, 3))):                          # c2
-        points.append(_face_points(stack, a, b, degrees))
-    points.append(_interior_points(stack))
     A, T = (np.concatenate(part, axis=1) for part in
             zip(*(np.broadcast_arrays(a, t) for a, t in points)))
     ok = np.isfinite(A) & np.isfinite(T)

@@ -42,7 +42,6 @@ from .adversary import (
 from .codec import (
     CodebookConfig,
     PowerCapError,
-    Transmission,
     build_codebook,
     codebook_config_from_json,
     decode_backward,
@@ -284,12 +283,13 @@ def _run_chunk(rows, codebook, trials):
     slack = 1e-9 * n
     x_prime, x_direct = tx.x_prime.reshape(-1, n), tx.x_direct.reshape(-1, n)
     e_prime = np.einsum("bi,bi->b", x_prime, x_prime)
-    _check_power("x'", e_prime, n * cb.config.split.alpha * p.P + slack)
+    _check_power("x'", e_prime, cb.clip_budget + slack)
     _check_power("x' + x''", e_prime + np.einsum("bi,bi->b", x_direct, x_direct),
                  n * p.P + slack)
     x1_rows = x1.reshape(-1, n)
     _check_power("x1", np.einsum("bi,bi->b", x1_rows, x1_rows), n * p.P1 + slack)
     clipped = int(tx.power_clipped.sum())
+    signal = tx.x_prime + x1   # what the destination hears before the state
 
     tallies = [None] * len(rows)
     err = np.zeros(msgs.shape, dtype=bool)   # (T, B-1, 2): wrong m1, wrong m2 per block
@@ -303,9 +303,8 @@ def _run_chunk(rows, codebook, trials):
             # max, argmax and == cannot tell apart either
             fresh = slice(None) if k == 0 else np.flatnonzero((s != states[k - 1]).any(axis=(1, 2)))
             if k == 0 or len(fresh):
-                sub = Transmission(tx.x_prime[fresh], tx.x_direct[fresh], tx.power_clipped[fresh])
                 res = decode_backward(cb, destination_observation(
-                    sub, x1[fresh], s[fresh], None if perm is None else perm[fresh]))
+                    signal[fresh], s[fresh], None if perm is None else perm[fresh]))
                 err[fresh] = np.stack([res.m_relayed, res.m_direct], axis=-1) != msgs[fresh]
                 ties[fresh] = res.tie_count
             tallies[i] = (int(err.any(axis=(1, 2)).sum()), *err.sum(axis=0).T, clipped,

@@ -97,13 +97,6 @@ def test_codebook_refuses_a_trial_over_the_symbol_cap():
         build_codebook(make_config(n=1, blocks=2**20 + 1, m1=2, m2=2))
 
 
-def test_split_feasibility_flag():
-    cb = build_codebook(make_config(P=8.0, P1=8.0, alpha=0.7, rho=0.4))
-    assert cb.split_feasible
-    cb = build_codebook(make_config(P=0.5, P1=0.5))
-    assert not cb.split_feasible          # (1-rho^2) a P <= P < Lambda
-
-
 def test_encode_boundary_and_range_checks():
     cb = build_codebook(make_config(blocks=2))
     tx = encode(cb, [[[3, 4]]])
@@ -221,13 +214,14 @@ def test_a_stack_of_trials_matches_each_trial_alone():
     s[2] = 0.0
     for mode in ("min_distance", "ideal"):
         tx, y1, x1 = transmit(cb, msgs, [np.random.default_rng(t) for t in range(T)], mode, perm)
-        res = decode_backward(cb, destination_observation(tx, x1, s, perm))
+        res = decode_backward(cb, destination_observation(tx.x_prime + x1, s, perm))
         assert tx.x_prime.shape == (T, B, n) and res.m_direct.shape == (T, B - 1)
         assert tx.power_clipped.any()
         for t in range(T):
             one = slice(t, t + 1)
             tx_t, y1_t, x1_t = transmit(cb, msgs[one], [np.random.default_rng(t)], mode, perm[one])
-            res_t = decode_backward(cb, destination_observation(tx_t, x1_t, s[one], perm[one]))
+            res_t = decode_backward(
+                cb, destination_observation(tx_t.x_prime + x1_t, s[one], perm[one]))
             assert np.array_equal(tx.x_prime[one], tx_t.x_prime)
             assert np.array_equal(tx.power_clipped[one], tx_t.power_clipped)
             assert np.array_equal(y1[one], y1_t) and np.array_equal(x1[one], x1_t)
@@ -363,7 +357,7 @@ def test_transmit_permutation_matches_wrapped_code_bit_for_bit():
         y1_w, x1_w, y_w = _wrapped_pass(cb, msgs, np.random.default_rng(seed), perm, s)
         assert np.array_equal(y1[0], y1_w)
         assert np.array_equal(x1[0], x1_w)
-        assert np.array_equal(destination_observation(tx, x1, s[None], perm[None])[0], y_w)
+        assert np.array_equal(destination_observation(tx.x_prime + x1, s[None], perm[None])[0], y_w)
 
 
 def test_transmit_rejects_a_non_permutation():
@@ -398,7 +392,7 @@ def test_wrapped_round_trip_any_permutation():
     # so reading it through the wrong permutation (or none) changes y
     tx, _, x1 = transmit(cb, msgs[None], [rng], "ideal", perm[None])
     s = np.tile(np.linspace(-0.1, 0.1, cb.n), (cb.num_blocks, 1))
-    y = destination_observation(tx, x1, s[None], perm[None])
+    y = destination_observation(tx.x_prime + x1, s[None], perm[None])
     inv = np.argsort(perm)
     assert np.array_equal(y[0], (tx.x_prime[0][:, inv] + x1[0][:, inv] + s)[:, perm])
     res = decode_backward(cb, y)
@@ -429,7 +423,7 @@ def test_wrapped_beats_plain_on_burst_state():
             # the ideal relay ignores its noisy observations
             perms = None if perm is None else perm[None]
             tx, _, x1 = transmit(cb, msgs[None], [np.random.default_rng(0)], "ideal", perms)
-            res = decode_backward(cb, destination_observation(tx, x1, state[None], perms))
+            res = decode_backward(cb, destination_observation(tx.x_prime + x1, state[None], perms))
             bad = (not np.array_equal(res.m_relayed[0], msgs[:, 0])
                    or not np.array_equal(res.m_direct[0], msgs[:, 1]))
             if bucket == "plain":

@@ -563,6 +563,25 @@ def test_u_orbits_name_the_first_point_of_each_relabeling_orbit(nu, nx):
         assert first[orbit[i]] == seen[tuple(sorted(map(tuple, point)))]
 
 
+def _check_leading_starts(mp):
+    """Patch discrete._leading_starts to check that the rows it keeps hold the
+    whole pool's stable top MULTISTART_TOP, the search's first centres; returns
+    the list it appends each pool's size to."""
+    leading, sizes = discrete._leading_starts, []
+
+    def top(objective, rows):
+        return rows[np.argsort(-objective(rows), kind="stable")[:discrete.MULTISTART_TOP]]
+
+    def checked_leading_starts(objective, pool, nu):
+        kept = leading(objective, pool, nu)
+        assert np.array_equal(top(objective, kept), top(objective, pool))
+        sizes.append(len(pool))
+        return kept
+
+    mp.setattr(discrete, "_leading_starts", checked_leading_starts)
+    return sizes
+
+
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(X=st.integers(2, 3), S=st.integers(2, 3), Y=st.integers(2, 3), Y1=st.integers(2, 3),
        aux=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
@@ -570,17 +589,21 @@ def test_df_aux_search_from_orbits_equals_the_full_pool_search(X, S, Y, Y1, aux,
     # a table of one orbit per grid point evaluates the whole start pool, as
     # the search did before it was split into orbits.  The equality rests on
     # the start pool and on the objective's symmetry in U, not on the state
-    # grid, so a coarser one keeps each example to a fraction of a second
+    # grid, so a coarser one keeps each example to a fraction of a second.  The
+    # searches can end at one point from different centres, so the kept rows'
+    # top centres are checked too
     rng = np.random.default_rng(seed)
     dmc = Dmc(rng.dirichlet(np.ones(Y * Y1), size=(X, S)).reshape(X, S, Y, Y1),
               relay_rate=float(rng.uniform(0, 1.5)))
     aux = min(aux, X + 1)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(discrete, "Q_RESOLUTION", 16)
-        by_orbit = df_bound(dmc, aux, "aux")
-        mp.setattr(discrete, "_u_orbits",
-                   lambda pool, nu: (np.arange(len(pool)), np.arange(len(pool))))
-        assert df_bound(dmc, aux, "aux") == by_orbit
+        with pytest.MonkeyPatch.context() as stub:
+            stub.setattr(discrete, "_u_orbits",
+                         lambda pool, nu: (np.arange(len(pool)), np.arange(len(pool))))
+            whole_pool = df_bound(dmc, aux, "aux")
+        _check_leading_starts(mp)
+        assert df_bound(dmc, aux, "aux") == whole_pool
 
 
 def test_df_aux_search_from_a_sampled_pool_equals_the_full_pool_search(monkeypatch):
@@ -591,19 +614,7 @@ def test_df_aux_search_from_a_sampled_pool_equals_the_full_pool_search(monkeypat
     dmc = Dmc(rng.dirichlet(np.ones(4), size=(2, 2)).reshape(2, 2, 2, 2), relay_rate=0.7)
     monkeypatch.setattr(discrete, "Q_RESOLUTION", 16)
     monkeypatch.setattr(optimize, "MAX_GRID_POINTS", 1000)
-    leading, sizes = discrete._leading_starts, []
-
-    def top(objective, rows):
-        return rows[np.argsort(-objective(rows), kind="stable")[:discrete.MULTISTART_TOP]]
-
-    def checked_leading_starts(objective, pool, nu):
-        kept = leading(objective, pool, nu)
-        # the search's first centres are those of the whole pool
-        assert np.array_equal(top(objective, kept), top(objective, pool))
-        sizes.append(len(pool))
-        return kept
-
-    monkeypatch.setattr(discrete, "_leading_starts", checked_leading_starts)
+    sizes = _check_leading_starts(monkeypatch)
     by_orbit = df_bound(dmc)
     # the sample, the 6 vertices and the centre, then df's own 3 + AUX_STARTS starts
     assert sizes == [4096 + 7 + 3 + discrete.AUX_STARTS]

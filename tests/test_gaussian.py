@@ -309,13 +309,17 @@ def _chunked(fn, stack, size=1000):
     return tuple(np.concatenate(part, axis=1) for part in zip(*parts))
 
 
-def test_candidate_maxima_are_at_least_the_zoom_oracle():
+def _property_stack():
     # 10^4 tuples with each parameter log-uniform on [e^-5, e^5], then 100
     # with P = 0 and 100 with P1 = 0
     tuples = np.exp(np.random.default_rng(2021).uniform(-5.0, 5.0, (10_200, 4)))
     tuples[10_000:10_100, 0] = 0.0
     tuples[10_100:, 1] = 0.0
-    stack = gaussian._Stack(*tuples.T[:, :, None])
+    return gaussian._Stack(*tuples.T[:, :, None])
+
+
+def test_candidate_maxima_are_at_least_the_zoom_oracle():
+    stack = _property_stack()
     value, alpha, rho = _chunked(gaussian._kkt_max, stack)
     expected = _chunked(oracle_max, stack)[0]
     feasible = np.isfinite(value)
@@ -330,3 +334,52 @@ def test_candidate_maxima_are_at_least_the_zoom_oracle():
     assert ((0.0 <= alpha) & (alpha <= 1.0) & (0.0 <= rho) & (rho <= 1.0)).all()
     for row, mask in ((0, _lower_mask), (1, _upper_mask)):
         assert mask(stack, alpha[row][:, None], rho[row][:, None])[feasible[row], 0].all()
+
+
+def _ruled_out_candidates(stack):
+    """The five families _candidates leaves out, built as it built them before:
+    the crossings on theta = 0 and on the upper cut, the ends cut & theta = 0
+    and c2 & theta = 0, and the end c1 & alpha = 1."""
+    poly = gaussian._poly
+    unit = stack.Lambda + stack.sigma2 + stack.P
+    m = 4.0 * gaussian.FEASIBILITY_EPS * (1.0 + stack.Lambda + stack.P) / unit
+    stack = gaussian._Stack(*(col / unit for col in stack))
+    P, P1, Lam, s2 = stack
+    s = np.sqrt(P1 / P)
+    c, c0 = (Lam + m) / P, (Lam + m - P1) / P
+    zero, one = np.zeros_like(P), np.ones_like(P)
+    points = [gaussian._face_points(stack, poly(zero, one, zero), 0.0, 2, False),
+              gaussian._face_points(stack, poly(zero, -2.0 * s, c0), 1.0, 3, False),
+              (poly(c0, s ** 4 - c), zero),
+              (one, np.sqrt(1.0 - c))]
+    A, T = (np.concatenate(part, axis=1) for part in
+            zip(*(np.broadcast_arrays(a, t) for a, t in points)))
+    ok = np.isfinite(A) & np.isfinite(T)
+    A = np.where(ok, np.clip(A, 0.0, 1.0), 0.0)
+    root = np.sqrt(A)
+    return A, np.where(ok & (A > 0.0), np.clip(T, 0.0, root) / root, 0.0)
+
+
+def test_the_candidates_the_kkt_conditions_rule_out_never_win():
+    # appended to the candidate list, the five left-out families move no
+    # maximum, no split and no flag of any program
+    stack = _property_stack()
+    candidates, roots, solves = gaussian._candidates, gaussian._roots, []
+
+    def with_ruled_out(chunk):
+        A, R = candidates(chunk)
+        extra_A, extra_R = _ruled_out_candidates(chunk)
+        assert A.shape[1] + extra_A.shape[1] == 46 + 13
+        return np.concatenate([A, extra_A], axis=1), np.concatenate([R, extra_R], axis=1)
+
+    def counted_roots(coef):
+        solves.append(len(coef))
+        return roots(coef)
+
+    with mock.patch.object(gaussian, "_roots", counted_roots):
+        expected = _chunked(gaussian._kkt_max, stack)
+    assert solves == [1000] * 7 * 10 + [200] * 7   # 7 eigensolves per chunk
+    with mock.patch.object(gaussian, "_candidates", with_ruled_out):
+        widened = _chunked(gaussian._kkt_max, stack)
+    for e, w in zip(expected, widened):
+        assert np.array_equal(e, w)

@@ -60,3 +60,28 @@ def test_every_imported_name_is_used():
                 unused += [f"{name}:{node.lineno} {alias.name}" for alias in node.names
                            if (alias.asname or alias.name.split(".")[0]) not in used]
     assert unused == []
+
+
+def test_no_module_reads_another_modules_private_name():
+    # a private name is its own module's business; _fields is a private module
+    # of public names, shared by the readers
+    found = []
+    for name, tree in _trees().items():
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                path = (node.module or "").split(".")
+                found += [f"{name}:{node.lineno} {node.module}" for part in path
+                          if part.startswith("_") and part != "_fields"]
+                found += [f"{name}:{node.lineno} {alias.name}" for alias in node.names
+                          if alias.name.startswith("_")]
+                if node.module is None:   # from . import module
+                    modules |= {alias.asname or alias.name for alias in node.names}
+        # module.name, with the module bound by an import
+        found += [f"{name}:{attr.lineno} {attr.value.id}.{attr.attr}" for attr in ast.walk(tree)
+                  if isinstance(attr, ast.Attribute) and isinstance(attr.value, ast.Name)
+                  and attr.value.id in modules and attr.attr.startswith("_")
+                  and not attr.attr.startswith("__")]
+    assert found == []
