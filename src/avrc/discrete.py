@@ -8,7 +8,8 @@ pmfs, each computed by one primitive (`_negent`, sum m log2 m): I(A;O) of a
 joint pmf (`_mi`), and, for a pool of inputs against a pool of averaged
 kernels, I(X;O) = H(O) - H(O|X) and I(U;O) = H(U) + H(O) - H(U,O) from output
 pmfs that one matrix product builds, without forming a joint per (input,
-state) pair.  The module decides symmetrizability by linear programming,
+state) pair.  The module decides symmetrizability by a linear program that
+a short numpy simplex solves and two certificates checked outside it prove,
 classifies degradedness by factor checks, evaluates the cutset and
 decode-forward bounds, and applies the capacity classification rules.  Every
 min-max and max-min over state pmfs q and input pmfs p is solved one way: a
@@ -32,12 +33,11 @@ P_RESOLUTION = 128    # grid resolution over input pmfs p (up to 3 atoms)
 AUX_STARTS = 12       # random starts of df's aux search over p(u,x)
 ORBIT_TOL = 1e-9      # how far below the top starts a relabeling orbit of df's aux pool is kept
 MAX_KERNEL_ENTRIES = 1_000_000   # the largest kernel a bound searches
-
-# scipy.optimize.linprog, bound by the first symmetrizability LP: only the LP
-# needs scipy, and importing it costs every other command about 0.45 s.  It is
-# a module global, not a local import, so that wrappers installed on this
-# module's namespace (tracing) still see the calls.
-linprog = None
+MAX_LP_ENTRIES = 10_000_000   # the largest simplex tableau symmetrizability builds
+PIVOT_TOL = 1e-7      # the smallest tableau entry the simplex pivots on
+FEAS_TOL = 1e-12      # how far the Harris ratio test lets a basic variable go below 0
+OPT_TOL = 1e-12       # the largest reduced cost an optimal tableau keeps
+STALL_PIVOTS = 50     # pivots without gain after which the simplex prices by Bland's rule
 
 
 class ChannelFormatError(ValueError):
@@ -197,14 +197,15 @@ def _info_uo(Pux, WQ):
 
 
 # ---------------------------------------------------------------------------
-# symmetrizability (linear feasibility via an LP on the max residual)
+# symmetrizability (an LP on the max residual, its verdict certified both ways)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class SymVerdict:
     symmetrizable: bool
     witness: np.ndarray | None
-    max_residual: float
+    max_residual: float    # the residual of the LP's J; the witness's when symmetrizable
+    lower_bound: float     # certified: no row-stochastic J has a smaller residual
 
 
 def residual_of_witness(channel, J) -> float:
@@ -215,17 +216,128 @@ def residual_of_witness(channel, J) -> float:
     return float(np.abs(lhs - lhs.transpose(1, 0, 2)).max())
 
 
+def _defect_rows(W):
+    """D (X(X-1)/2 * O, X * S), one row per (x < xt, o): its dot with a
+    flattened J is sum_s W(o|x,s) J(s|xt) - sum_s W(o|xt,s) J(s|x)."""
+    X, S, O = W.shape
+    x, xt = np.triu_indices(X, 1)
+    pairs = np.arange(x.size)
+    D = np.zeros((x.size, O, X, S))
+    D[pairs, :, xt] = W[x].transpose(0, 2, 1)
+    D[pairs, :, x] = -W[xt].transpose(0, 2, 1)
+    return D.reshape(-1, X * S)
+
+
+def _refactor(T0, basis):
+    """The tableau of a basis, factored afresh from the slack basis's tableau
+    T0 = [A | b] over [c | 0]: B^-1 [A | b] over [c | 0] - c_B B^-1 [A | b]."""
+    m = len(basis)
+    T = np.empty_like(T0)
+    try:
+        T[:m] = np.linalg.solve(T0[:m, basis], T0[:m])
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(f"the symmetrizability LP reached a singular basis ({exc})") from exc
+    T[m] = T0[m] - T0[m, basis] @ T[:m]
+    return T
+
+
+def _max_dual(D, X, S):
+    """Solve max sum_x mu_x s.t. mu_x <= (D^T v)_{x,s} for every s, ||v||_1 <= 1,
+    the dual of min_J ||D J||_inf over row-stochastic J, by a dense tableau
+    simplex.  Returns (v, y): the optimal basic solution's v and the duals y
+    of its X*S + 1 rows, the first X*S of which are J(s|x).
+
+    The columns are v+, v-, mu+, mu- and the slacks, whose basis is feasible
+    (b is 0 but for the norm row's 1), so there is no phase 1.  Pricing is
+    Dantzig's rule, and Bland's (the lowest index) once STALL_PIVOTS pivots in
+    a row have gained nothing.  The ratio test is Harris's two passes
+    (Math. Programming 5, 1973): the largest step that leaves every basic
+    variable above -FEAS_TOL, then the largest pivot among the rows that bind
+    within it; a dual step restores a basic variable that the rounding of
+    the pivots left below -FEAS_TOL.  An optimum is only accepted from a
+    tableau factored afresh from the original columns (`_refactor`), so v and
+    y carry no error that the pivots accumulated.
+    """
+    R, m = len(D), X * S + 1
+    n = 2 * R + 2 * X + m
+    T0 = np.zeros((m + 1, n + 1))   # [A | b] over [c | 0]; the slack basis's tableau
+    T0[:-2, :R] = -D.T
+    T0[:-2, R:2 * R] = D.T
+    T0[-2, :2 * R] = 1.0
+    T0[-2, -1] = 1.0
+    mu = 2 * R + np.arange(X * S) // S
+    T0[np.arange(X * S), mu] = 1.0
+    T0[np.arange(X * S), mu + X] = -1.0
+    T0[np.arange(m), 2 * R + 2 * X + np.arange(m)] = 1.0
+    T0[-1, 2 * R:2 * R + X] = 1.0
+    T0[-1, 2 * R + X:2 * R + 2 * X] = -1.0
+    T = T0.copy()
+    basis = np.arange(2 * R + 2 * X, n)
+    fresh = True
+    best, stalled = 0.0, 0
+    for _ in range(50 * n):
+        cost, rhs = T[m, :-1], T[:m, -1]
+        j = int(cost.argmax())
+        r = None
+        if cost[j] > OPT_TOL:    # a primal step
+            bland = stalled >= STALL_PIVOTS
+            if bland:
+                j = int((cost > OPT_TOL).argmax())
+            col = T[:m, j]
+            ok = col > PIVOT_TOL
+            np.maximum(rhs, 0.0, out=rhs)   # what the ratio test let dip below 0
+            step = np.divide(rhs + FEAS_TOL, col, out=np.full(m, np.inf), where=ok).min()
+            if step < np.inf:
+                binding = ok & (rhs <= step * col)
+                r = int(np.where(binding, basis, n).argmin() if bland
+                        else np.where(binding, col, 0.0).argmax())
+        elif rhs.min() < -FEAS_TOL:    # a dual step: the most negative basic variable leaves
+            r = int(rhs.argmin())
+            row = T[r, :-1]
+            ok = row < -PIVOT_TOL
+            if ok.any():
+                j = int(np.divide(cost, row, out=np.full(n, np.inf), where=ok).argmin())
+            else:
+                r = None
+        elif fresh:
+            break
+        if r is None:
+            if fresh:
+                raise RuntimeError("the symmetrizability LP found no pivot")
+            T = _refactor(T0, basis)
+            fresh = True
+            continue
+        pivot_row = T[r] / T[r, j]
+        T -= T[:, j, None] * pivot_row
+        T[r] = pivot_row
+        basis[r] = j
+        fresh = False
+        value = -T[m, -1]
+        stalled = 0 if value > best + OPT_TOL else stalled + 1
+        best = max(best, value)
+    else:
+        raise RuntimeError("the symmetrizability LP ran out of pivots")
+    x = np.zeros(n)
+    x[basis] = T[:m, -1]
+    return x[:R] - x[R:2 * R], -T[m, 2 * R + 2 * X:n]   # a slack's reduced cost is -y
+
+
 def symmetrizability(channel, tol: float = VERDICT_TOL) -> SymVerdict:
     """Decide whether some J(s|x) averages the channel into a symmetric one.
 
-    Minimizes the maximum violation of
+    The LP minimizes the largest defect of
 
         sum_s W(o|x,s) J(s|xt)  ==  sum_s W(o|xt,s) J(s|x)    for all x, xt, o
 
-    over row-stochastic J, and declares symmetrizable iff the optimum is
-    within tol.  The returned witness is re-verified independently.
+    over row-stochastic J, a max |(D J)_r| over one defect row r per
+    (x < xt, o).  Its dual is max over ||v||_1 <= 1 of sum_x min_s (D^T v)_{x,s}
+    (`_max_dual`).  The verdict rests on two certificates computed outside
+    the solver: the residual of the solver's J (`residual_of_witness`), an
+    upper side, and, from its v scaled to ||v||_1 <= 1, the lower side
+    LB = sum_x min_s (D^T v)_{x,s} <= v^T D J <= ||D J||_inf for every
+    row-stochastic J.  Symmetrizable when the residual is within tol; not
+    symmetrizable when LB > tol; a RuntimeError when neither is proven.
     """
-    global linprog
     if not 0 <= tol < np.inf:   # NaN fails too
         raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
     W = np.asarray(channel, dtype=float)
@@ -234,31 +346,27 @@ def symmetrizability(channel, tol: float = VERDICT_TOL) -> SymVerdict:
     X, S, O = W.shape
     if X == 1:
         J = np.full((1, S), 1.0 / S)
-        return SymVerdict(True, J, residual_of_witness(W, J))
+        return SymVerdict(True, J, residual_of_witness(W, J), 0.0)
+    R = X * (X - 1) // 2 * O
+    entries = (X * S + 2) * (2 * R + 2 * X + X * S + 2)
+    if entries > MAX_LP_ENTRIES:
+        raise ResourceLimitError(
+            f"the symmetrizability LP of a channel with X={X}, S={S}, O={O} builds a "
+            f"{entries}-entry tableau, budget {MAX_LP_ENTRIES}")
 
-    # one row pair per (x < xt, o): +-(sum_s W(o|x,s) J(s|xt) - sum_s W(o|xt,s) J(s|x)) <= t
-    x, xt = np.triu_indices(X, 1)
-    pairs = np.arange(x.size)
-    D = np.zeros((x.size, O, X, S))
-    D[pairs, :, xt] = W[x].transpose(0, 2, 1)
-    D[pairs, :, x] = -W[xt].transpose(0, 2, 1)
-    D = D.reshape(-1, X * S)
-    A_ub = np.column_stack([np.stack([D, -D], axis=1).reshape(-1, X * S),
-                            np.full(2 * len(D), -1.0)])
-    A_eq = np.column_stack([np.kron(np.eye(X), np.ones(S)), np.zeros(X)])
-    c = np.zeros(X * S + 1)   # J entries, then the residual bound t
-    c[-1] = 1.0
-    if linprog is None:
-        from scipy.optimize import linprog
-    res = linprog(c, A_ub=A_ub, b_ub=np.zeros(len(A_ub)), A_eq=A_eq, b_eq=np.ones(X),
-                  bounds=(0, None), method="highs")
-    if not res.success:
-        raise RuntimeError(f"symmetrizability LP failed: {res.message}")
-    J = np.clip(res.x[:-1].reshape(X, S), 0.0, None)
+    D = _defect_rows(W)
+    v, y = _max_dual(D, X, S)
+    J = np.clip(y[:-1].reshape(X, S), 0.0, None)   # the optimal duals: each row sums to 1
     J /= J.sum(axis=1, keepdims=True)
     resid = residual_of_witness(W, J)
-    ok = resid <= tol
-    return SymVerdict(ok, J if ok else None, resid)
+    v /= max(1.0, float(np.abs(v).sum()))
+    lower = float((v @ D).reshape(X, S).min(axis=1).sum())
+    if resid <= tol:
+        return SymVerdict(True, J, resid, lower)
+    if lower > tol:
+        return SymVerdict(False, None, resid, lower)
+    raise RuntimeError(f"the symmetrizability LP proved no verdict at tol {tol!r}: its witness "
+                       f"leaves a residual of {resid!r} and its lower bound is {lower!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +699,11 @@ def classify_capacity(dmc: Dmc) -> CapacityClassification:
     """
     relay = symmetrizability(dmc.relay_marginal())
     deg = degradedness_classify(dmc)
-    if symmetrizability(dmc.joint_output()).symmetrizable:
+    # a relay defect is the sum over y of |Y| joint defects, so the joint
+    # residual of any J is at least relay.lower_bound / |Y|: above
+    # VERDICT_TOL, the joint output is proven not symmetrizable without its LP
+    if (relay.lower_bound <= dmc.ny * VERDICT_TOL
+            and symmetrizability(dmc.joint_output()).symmetrizable):
         return CapacityClassification(
             verdict="zero", clause=4, df_lower=0.0, cs_upper=0.0, exact_value=0.0,
             relay_marginal_symmetrizable=relay.symmetrizable, joint_output_symmetrizable=True,

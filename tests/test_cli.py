@@ -364,24 +364,21 @@ def test_cached_parser_carries_no_state_between_calls(capsys):
     assert vars(parser.parse_args(["example1"])) == {"command": "example1"}
 
 
-def test_a_fresh_process_loads_scipy_optimize_only_for_the_lp(capsys, channel_file):
+def test_symcheck_and_classify_run_in_a_fresh_process_without_scipy(capsys, channel_file):
+    # sys.modules["scipy"] = None makes any import of scipy raise ImportError
     script = (
         "import sys\n"
-        "import avrc, avrc.cli\n"
-        "print('scipy.optimize' in sys.modules)\n"
-        "code = avrc.cli.main(sys.argv[1:])\n"
-        "print('scipy.optimize' in sys.modules, code)\n")
-    argv = ["symcheck", "--channel", channel_file, "--target", "relay"]
+        "sys.modules['scipy'] = None\n"
+        "import avrc.cli\n"
+        "sys.exit(avrc.cli.main(sys.argv[1:]))\n")
     src = str(Path(cli.__file__).resolve().parent.parent)
-    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
-                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert lines[0] == "False"               # importing the package leaves scipy out
-    assert lines[-1] == "True 0"             # the LP loaded it
-    code, out, _ = run_cli(capsys, *argv)
-    assert code == 0
-    assert "\n".join(lines[1:-1]) + "\n" == out
+    for argv in (["symcheck", "--channel", channel_file, "--target", "relay"],
+                 ["primitive", "--channel", channel_file, "--bound", "classify"]):
+        proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                              text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and proc.stdout == out
 
 
 def test_a_fresh_process_loads_numpy_random_only_to_simulate(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avrc import discrete, optimize
+from avrc import cli, discrete, optimize
 from avrc.discrete import (
     ChannelFormatError,
     Dmc,
@@ -326,6 +327,168 @@ def test_returned_witnesses_reverify_randomized():
         verdict = symmetrizability(W)
         if verdict.symmetrizable:
             assert residual_of_witness(W, verdict.witness) <= 1e-9
+
+
+SYM_GAP = 1e-10    # the largest max_residual - lower_bound the property test allows
+
+
+def _sym_test_channel(X, S, O, kind, seed):
+    """A random channel, an additive one (S = X, W(.|x,s) depends on x + s only,
+    so J(s|x) = 1{s = x} symmetrizes it), or an additive one mixed with a
+    random channel at a weight of 1e-7 .. 1e-2."""
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return rng.dirichlet(np.ones(O), size=(X, S))
+    V = rng.dirichlet(np.ones(O), size=2 * X - 1)
+    W = V[np.add.outer(np.arange(X), np.arange(X))]
+    if kind == "additive":
+        return W
+    eps = 10.0 ** rng.uniform(-7, -2)
+    return (1 - eps) * W + eps * rng.dirichlet(np.ones(O), size=(X, X))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(X=st.integers(2, 4), S=st.integers(1, 4), O=st.integers(1, 6),
+       kind=st.sampled_from(["random", "additive", "near_additive"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_symmetrizability_verdicts_are_certified_both_ways(X, S, O, kind, seed):
+    W = _sym_test_channel(X, S, O, kind, seed)
+    S = W.shape[1]
+    tol = discrete.VERDICT_TOL
+    verdict = symmetrizability(W)
+    assert verdict.symmetrizable == (verdict.max_residual <= tol)
+    assert verdict.max_residual - verdict.lower_bound <= SYM_GAP
+    if kind == "additive":
+        assert verdict.symmetrizable
+    if verdict.symmetrizable:
+        J = verdict.witness
+        assert (J >= 0).all() and np.allclose(J.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        assert residual_of_witness(W, J) == verdict.max_residual
+    else:
+        assert verdict.witness is None and verdict.lower_bound > tol
+    # the lower bound holds for every row-stochastic J, the solver aside: the
+    # S**X deterministic ones (the vertices) and Dirichlet draws
+    rng = np.random.default_rng(seed)
+    vertices = np.eye(S)[np.stack(np.meshgrid(*[np.arange(S)] * X), -1).reshape(-1, X)]
+    for J in [*vertices, *rng.dirichlet(np.ones(S), size=(200, X))]:
+        assert verdict.lower_bound <= residual_of_witness(W, J) + 1e-12
+
+
+@pytest.mark.parametrize("stall_pivots", [0, 10**9])
+def test_either_pricing_rule_alone_reaches_the_certified_optimum(monkeypatch, stall_pivots):
+    # STALL_PIVOTS = 0 prices by Bland's rule from the first pivot, 10**9 by
+    # Dantzig's throughout; each must end at the same LP value
+    rng = np.random.default_rng(41)
+    channels = [_sym_test_channel(int(rng.integers(2, 4)), int(rng.integers(1, 4)),
+                                  int(rng.integers(1, 5)), kind, int(rng.integers(2**32)))
+                for kind in ("random", "additive", "near_additive") for _ in range(10)]
+    default = [symmetrizability(W) for W in channels]
+    monkeypatch.setattr(discrete, "STALL_PIVOTS", stall_pivots)
+    for W, ref in zip(channels, default):
+        verdict = symmetrizability(W)
+        assert verdict.symmetrizable == ref.symmetrizable
+        assert abs(verdict.max_residual - ref.max_residual) <= SYM_GAP
+        assert abs(verdict.lower_bound - ref.lower_bound) <= SYM_GAP
+
+
+def test_the_dual_step_keeps_the_certificates_tight_past_rounding(monkeypatch):
+    # with a pivot tolerance of 1e-9 and Bland's rule after 8 stalled pivots,
+    # the pivots on these channels leave basic variables below -FEAS_TOL on
+    # the refactored tableau; without the dual step that restores them, the
+    # gap between the two certificates grows to about 7e-7
+    cases = [(3, 7, 22), (3, 7, 57), (4, 3, 1), (4, 5, 12), (4, 7, 0)]
+    channels = [_sym_test_channel(X, X, O, "near_additive", seed) for X, O, seed in cases]
+    default = [symmetrizability(W) for W in channels]
+    monkeypatch.setattr(discrete, "PIVOT_TOL", 1e-9)
+    monkeypatch.setattr(discrete, "STALL_PIVOTS", 8)
+    for W, ref in zip(channels, default):
+        verdict = symmetrizability(W)
+        assert verdict.symmetrizable == ref.symmetrizable
+        assert verdict.max_residual - verdict.lower_bound <= SYM_GAP
+        assert abs(verdict.lower_bound - ref.lower_bound) <= SYM_GAP
+
+
+def test_an_lp_whose_certificates_do_not_close_raises(monkeypatch, capsys, tmp_path):
+    # a solver that returns v = 0 and the uniform J proves neither side: the
+    # uniform J leaves a residual of 1 on the identity, and the bound is 0
+    W = np.zeros((2, 2, 2))
+    for x in range(2):
+        W[x, :, x] = 1.0
+    monkeypatch.setattr(discrete, "_max_dual", lambda D, X, S: (np.zeros(len(D)),
+                                                                 np.full(X * S + 1, 1.0 / S)))
+    with pytest.raises(RuntimeError, match="proved no verdict"):
+        symmetrizability(W)
+    path = tmp_path / "ch.json"
+    path.write_text(json.dumps(dmc_to_json(Dmc(W[..., None], 0.0))))
+    assert cli.main(["symcheck", "--channel", str(path), "--target", "receiver"]) == 2
+    assert capsys.readouterr().err.startswith("error: the symmetrizability LP proved no verdict")
+
+
+def test_symmetrizability_refuses_an_lp_past_the_tableau_budget(monkeypatch, capsys, tmp_path):
+    # X = 100, S = 10, O = 1000 is a 10^6-entry kernel, within MAX_KERNEL_ENTRIES,
+    # but its 4.95e6 defect rows would take about 40 GB; a broadcast view
+    # stands in for it, and no defect array may be built before the refusal
+    def no_defects(W):
+        raise AssertionError("a defect array was built before the budget check")
+
+    monkeypatch.setattr(discrete, "_defect_rows", no_defects)
+    with pytest.raises(ResourceLimitError, match=r"X=100, S=10, O=1000 .* budget 10000000$"):
+        symmetrizability(np.broadcast_to(0.001, (100, 10, 1000)))
+    # the budget is read at the call: a 2x2x2 LP builds a 6 x 14 tableau
+    monkeypatch.setattr(discrete, "MAX_LP_ENTRIES", 83)
+    with pytest.raises(ResourceLimitError, match=r"X=2, S=2, O=2 builds a 84-entry"):
+        symmetrizability(relay_product_channel())
+    path = tmp_path / "ch.json"
+    path.write_text(json.dumps(dmc_to_json(binary_pipe_dmc())))
+    assert cli.main(["symcheck", "--channel", str(path), "--target", "relay"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: the symmetrizability LP of a channel with X=2, S=2, O=2 ")
+    assert cli.main(["primitive", "--channel", str(path), "--bound", "classify"]) == 2
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(X=st.integers(2, 3), S=st.integers(1, 3), Y=st.integers(1, 3), Y1=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_a_relay_lower_bound_proves_the_joint_output_not_symmetrizable(X, S, Y, Y1, seed):
+    W = np.random.default_rng(seed).dirichlet(np.ones(Y * Y1), size=(X, S)).reshape(X, S, Y, Y1)
+    dmc = Dmc(W, 1.0)
+    relay = symmetrizability(dmc.relay_marginal())
+    if relay.lower_bound > Y * discrete.VERDICT_TOL:
+        joint = symmetrizability(dmc.joint_output())
+        assert not joint.symmetrizable
+        assert joint.lower_bound >= relay.lower_bound / Y - 1e-12
+
+
+def _rsd_channel():
+    # the state picks the crossover of Y (0.05 or 0.2); Y1 is Y through a
+    # state-free BSC(0.1), so the relay marginal is not symmetrizable
+    A = np.zeros((2, 2, 2))
+    for x in range(2):
+        for s, eps in enumerate((0.05, 0.2)):
+            A[x, s, x], A[x, s, 1 - x] = 1 - eps, eps
+    return Dmc(np.einsum("xsy,yk->xsyk", A, np.array([[0.9, 0.1], [0.1, 0.9]])), 1.0)
+
+
+def test_classify_skips_only_joint_lps_the_relay_bound_decides(monkeypatch):
+    rng = np.random.default_rng(77)
+    channels = [Dmc(rng.dirichlet(np.ones(4), size=(2, 2)).reshape(2, 2, 2, 2),
+                    float(rng.uniform(0, 1.5))) for _ in range(3)]
+    channels += [_rsd_channel(), binary_pipe_dmc(), Dmc(additive_channel()[..., None], 1.0)]
+    records = [classify_capacity(dmc) for dmc in channels]
+    solve = discrete.symmetrizability
+    # a relay verdict without its lower bound: every joint LP runs
+    monkeypatch.setattr(discrete, "symmetrizability",
+                        lambda W: dataclasses.replace(solve(W), lower_bound=-np.inf))
+    assert [classify_capacity(dmc) for dmc in channels] == records
+
+
+def test_a_criterion_07_style_channel_runs_one_lp(monkeypatch):
+    calls = []
+    solve = discrete.symmetrizability
+    monkeypatch.setattr(discrete, "symmetrizability", lambda W: calls.append(W.shape) or solve(W))
+    cls = classify_capacity(_rsd_channel())
+    assert cls.clause == 2 and not cls.relay_marginal_symmetrizable
+    assert calls == [(2, 2, 2)]     # the relay marginal's LP only
 
 
 # ---------------------------------------------------------------------------
