@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fields import number_field, number_list_field, seed_field, shown
-from .codec import PowerCapError, SfdCodebook, draw_messages, transmit
+from .codec import PowerCapError, SfdCodebook, draw_messages, normals, row_powers, transmit
 
 STRATEGY_KINDS = ("zero", "fixed", "iid_gaussian", "impostor")
 DRAWING_KINDS = ("iid_gaussian", "impostor")   # the kinds that draw from their generators
@@ -129,8 +129,8 @@ def _fit(kind, raw, power, budget):
 
 def _iid_draw(strategy, n, rngs):
     """iid N(0, variance) symbols, one row per generator, and each row's power."""
-    rows = [r.normal(0.0, np.sqrt(strategy.variance), n) for r in rngs]
-    return np.stack(rows), np.array([row @ row for row in rows])
+    s = normals(rngs, np.sqrt(strategy.variance), (n,))
+    return s, row_powers(s)
 
 
 def _impostor_draw(n, rngs, codebook, relay_mode):
@@ -148,4 +148,4 @@ def _impostor_draw(n, rngs, codebook, relay_mode):
         raise StrategyError(f"impostor state length {n} != blocks*n = {B * codebook.n}")
     tx, _, x1 = transmit(codebook, draw_messages(codebook, rngs), rngs, relay_mode)
     s = (tx.x_prime + x1).reshape(len(rngs), n)
-    return s, np.array([row @ row for row in s])
+    return s, row_powers(s)

@@ -45,6 +45,8 @@ MAX_TABLE_BYTES = 1 << 30   # the largest codeword tables a codebook draws
 # most symbols (n * blocks) of one trial: a chunk holds at least one trial's
 # arrays, about 230 B per symbol, so the cap is about 240 MB
 MAX_TRIAL_SYMBOLS = 1 << 20
+_HALF = 1 << 32          # 2**32, the number of values of a 32-bit half word
+_PCG_PERIOD = 1 << 128   # PCG64's period; advancing by it less k steps rewinds k words
 
 
 class CodecConfigError(ValueError):
@@ -219,18 +221,82 @@ def encode(codebook: SfdCodebook, messages) -> Transmission:
     chain[:, 1:B] = msgs
     m1 = chain[:, 1:, 0]
     xp = codebook.x_prime(m1, chain[:, 1:, 1], chain[:, :-1, 0]).reshape(T * B, n)
-    # one dot product per row, the same float as xp[b] @ xp[b]
-    clipped = (xp[:, None, :] @ xp[:, :, None])[:, 0, 0] > codebook.clip_budget
+    clipped = row_powers(xp) > codebook.clip_budget
     xp[clipped] = 0.0
     return Transmission(xp.reshape(T, B, n), codebook.x2[m1], clipped.reshape(T, B))
 
 
 def draw_messages(codebook: SfdCodebook, rngs):
-    """A (T, B-1, 2) stack of uniform message pairs, one frame per generator:
-    each draws its B-1 m1 indices, then its B-1 m2 indices, in one call on a
-    (2, B-1) array of bounds (the same values and end state as two calls)."""
-    high = np.repeat([[codebook.m1_count], [codebook.m2_count]], codebook.num_blocks - 1, axis=1)
-    return np.array([r.integers(0, high) for r in rngs]).transpose(0, 2, 1)
+    """A (T, B-1, 2) stack of uniform message pairs, one frame per generator,
+    each generator's B-1 m1 indices and then its B-1 m2 indices: the values
+    and the end state of two `integers(0, count, B-1)` calls.
+
+    numpy draws an index below a count m in [2, 2**32] from one 32-bit half
+    word u as (u*m) >> 32 (Lemire's multiply-shift), drawing again while
+    (u*m) mod 2**32 < 2**32 mod m; a 64-bit word gives its low half, then its
+    high half, which the generator keeps.  So each trial takes B-1 raw words
+    (one `random_raw` call), the 2(B-1) halves of all trials are multiplied
+    out as one array, and the kept half is written back into the generator's
+    state.  A trial with a draw numpy would reject, or whose generator already
+    holds a half word, is rewound and drawn by `integers`, as are all trials
+    when a count is outside [2, 2**32] or a bit generator is not PCG64 (whose
+    words, half words and rewind this restates).
+    """
+    B = codebook.num_blocks
+    high = np.repeat([[codebook.m1_count], [codebook.m2_count]], B - 1, axis=1)
+    gens = [r.bit_generator for r in rngs]
+    if not (2 <= high.min() <= high.max() <= _HALF
+            and all(type(g) is np.random.PCG64 for g in gens)):
+        msgs = np.array([r.integers(0, high) for r in rngs], dtype=np.int64)
+        return msgs.reshape(-1, 2, B - 1).transpose(0, 2, 1)
+    words = np.array([g.random_raw(B - 1) for g in gens], dtype=np.uint64).reshape(-1, B - 1)
+    # (T, 2(B-1)): each word's low half, then its high half
+    halves = np.stack([words & (_HALF - 1), words >> 32], axis=-1).reshape(len(gens), -1)
+    counts = high.ravel().astype(np.uint64)
+    prod = halves * counts
+    msgs = (prod >> 32).astype(np.int64)
+    rejected = ((prod & (_HALF - 1)) < np.uint64(_HALF) % counts).any(axis=1)
+    for t, (g, redo, kept) in enumerate(zip(gens, rejected.tolist(), halves[:, -1].tolist())):
+        state = g.state
+        if redo or state["has_uint32"]:
+            g.advance(_PCG_PERIOD - (B - 1))   # back to the first word; clears the half word
+            back = g.state
+            back.update(has_uint32=state["has_uint32"], uinteger=state["uinteger"])
+            g.state = back
+            msgs[t] = rngs[t].integers(0, high).ravel()
+        else:
+            state["uinteger"] = kept
+            g.state = state
+    return msgs.reshape(-1, 2, B - 1).transpose(0, 2, 1)
+
+
+def normals(rngs, scale, shape):
+    """A (T, *shape) stack of normal(0.0, scale, shape) draws, one row per
+    generator: each row is filled by standard_normal, then the stack is
+    scaled and 0.0 is added, the floats numpy's normal computes as
+    0.0 + scale * g (adding 0.0 turns a -0.0 product into +0.0)."""
+    out = np.empty((len(rngs), *shape))
+    for r, row in zip(rngs, out):
+        r.standard_normal(out=row)
+    out *= scale
+    out += 0.0
+    return out
+
+
+def permutations(rngs, n):
+    """A (T, n) stack of rng.permutation(n), one row per generator: numpy's
+    permutation(n) is arange(n) shuffled, so each row of one arange stack is
+    shuffled in place."""
+    out = np.tile(np.arange(n), (len(rngs), 1))
+    for r, row in zip(rngs, out):
+        r.shuffle(row)
+    return out
+
+
+def row_powers(rows):
+    """rows[k] @ rows[k] for each row of a (K, n) array, one dot product per
+    row: the same floats as the per-row products (einsum's differ)."""
+    return (rows[:, None, :] @ rows[:, :, None])[:, 0, 0]
 
 
 def transmit(codebook: SfdCodebook, messages, rngs, relay_mode: str = "min_distance",
@@ -252,7 +318,7 @@ def transmit(codebook: SfdCodebook, messages, rngs, relay_mode: str = "min_dista
                              or (np.sort(perm, axis=-1) != np.arange(n)).any()):
         raise CodecConfigError("perm must be a (T, n) stack of permutations of range(n)")
     sd = np.sqrt(codebook.config.params.sigma2)
-    z = np.stack([r.normal(0.0, sd, (B, n)) for r in rngs])
+    z = normals(rngs, sd, (B, n))
     y1 = tx.x_direct + _through(z, perm)
     true_idx = np.asarray(messages)[..., 0] if relay_mode == "ideal" else None
     _, x1 = relay_chain(codebook, y1, relay_mode, true_idx)

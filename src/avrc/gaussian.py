@@ -206,27 +206,27 @@ def _cuts(stack, A, T):
             s2 + (1.0 - A) * P, Lam + (A - T * T) * P)
 
 
-def _face_points(stack, a, b, degree, stationary):
-    """One root family on the face alpha = a(t), theta = b*t: the crossings
+def _face_points(stack, a, degree, stationary):
+    """One root family on the face alpha = a(t), theta = t: the crossings
     sigma2*D1 = E3*E2, or E3*E2's stationary points if `stationary`.
 
-    a holds the quadratic's coefficient rows and b is 0 or 1; degree is the
-    true degree of the family's polynomial.  Each root in [0, 1] is kept as
-    found and after one Newton step on the residual in its unexpanded form.
+    a holds the quadratic's coefficient rows; degree is the true degree of
+    the family's polynomial.  Each root in [0, 1] is kept as found and after
+    one Newton step on the residual in its unexpanded form.
     """
     P, P1, Lam, s2 = stack
     e3 = _poly(-P * a[:, :2], s2 + P - P * a[:, 2:])
-    e2 = _poly(P * a[:, :1] - b * P, P * a[:, 1:2], Lam + P * a[:, 2:])
-    d1 = _poly(P * a[:, :1], P * a[:, 1:2] + 2.0 * b * np.sqrt(P * P1), Lam + P1 + P * a[:, 2:])
+    e2 = _poly(P * a[:, :1] - P, P * a[:, 1:2], Lam + P * a[:, 2:])
+    d1 = _poly(P * a[:, :1], P * a[:, 1:2] + 2.0 * np.sqrt(P * P1), Lam + P1 + P * a[:, 2:])
     prod = _polymul(e3, e2)
     poly = _polyder(prod) if stationary else _poly(-prod[:, :2], s2 * d1 - prod[:, 2:])
     poly = poly[:, -degree - 1:]
     t = np.clip(_roots(poly), 0.0, 1.0)
-    D1, E3, E2 = _cuts(stack, _polyval(a, t), b * t)
+    D1, E3, E2 = _cuts(stack, _polyval(a, t), t)
     da = _polyval(_polyder(a), t)
-    r = P * (E3 * (da - 2.0 * b * t) - da * E2) if stationary else s2 * D1 - E3 * E2
+    r = P * (E3 * (da - 2.0 * t) - da * E2) if stationary else s2 * D1 - E3 * E2
     t = np.concatenate([t, np.clip(t - r / _polyval(_polyder(poly), t), 0.0, 1.0)], axis=1)
-    return _polyval(a, t), b * t
+    return _polyval(a, t), t
 
 
 def _interior_points(stack):
@@ -302,11 +302,11 @@ def _candidates(stack):
         (_poly(alpha0, c), zero),
         (one, _poly((c0 - 1.0) / (2.0 * s), _roots(h - _poly(zero, zero, one)))),
         (_poly(t_cut * t_cut, t_c1c2 * t_c1c2 + c), _poly(t_cut, t_c1c2)),
-        _face_points(stack, _poly(one, zero, zero), 1.0, 2, False),     # rho = 1, t = sqrt(alpha)
-        _face_points(stack, _poly(zero, -2.0 * s, c0), 1.0, 2, True),   # the upper cut
-        _face_points(stack, _poly(one, zero, c), 1.0, 2, False),        # c1
-        _face_points(stack, h, 1.0, 4, False),                          # c2
-        _face_points(stack, h, 1.0, 3, True),
+        _face_points(stack, _poly(one, zero, zero), 2, False),     # rho = 1, t = sqrt(alpha)
+        _face_points(stack, _poly(zero, -2.0 * s, c0), 2, True),   # the upper cut
+        _face_points(stack, _poly(one, zero, c), 2, False),        # c1
+        _face_points(stack, h, 4, False),                          # c2
+        _face_points(stack, h, 3, True),
         _interior_points(stack),
     ]
     A, T = (np.concatenate(part, axis=1) for part in

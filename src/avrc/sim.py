@@ -47,6 +47,7 @@ from .codec import (
     decode_backward,
     destination_observation,
     draw_messages,
+    permutations,
     transmit,
 )
 WILSON_Z = 1.959963984540054   # two-sided 95%
@@ -116,10 +117,10 @@ def wilson_interval(errors: int, trials: int, z: float = WILSON_Z):
 
 def resolve_workers(requested=None):
     """Worker count: the explicit argument (at least 1), else 1.  Threads take
-    whole chunks of trials.  On a 2-vCPU host, 2 threads ran the chunked
-    mc_impostor workload at 0.71 of the 1-thread speed and mc_sweep_permuted at
-    0.38 (the per-trial loop: 0.41 and 0.33), so 1 stays the default; hosts
-    with more cores have not been measured."""
+    whole chunks of trials.  On a 2-vCPU host, 2 threads ran the benchmark's
+    mc_impostor workload at 0.61 of the 1-thread speed and mc_sweep_permuted
+    at 0.75 (medians of 10 and 4 runs of perfbench's scaling_2w), so 1 stays
+    the default; hosts with more cores have not been measured."""
     workers = 1 if requested is None else int(requested)
     if workers < 1:
         raise SimConfigError(f"workers must be >= 1, got {requested!r}")
@@ -276,7 +277,7 @@ def _run_chunk(rows, codebook, trials):
     # the zero and fixed kinds never draw, so they get no generators
     jam_rngs = {strategy: [None] * len(trials) for strategy in jammers} | dict(zip(drawing, drawn))
     msgs = draw_messages(cb, rngs)
-    perm = np.stack([rng.permutation(n) for rng in rngs]) if base.permute else None
+    perm = permutations(rngs, n) if base.permute else None
     tx, _, x1 = transmit(cb, msgs, rngs, base.relay_mode, perm)
 
     p = cb.config.params

@@ -336,6 +336,25 @@ def test_candidate_maxima_are_at_least_the_zoom_oracle():
         assert mask(stack, alpha[row][:, None], rho[row][:, None])[feasible[row], 0].all()
 
 
+def _face_points_on(stack, a, b, degree, stationary):
+    """gaussian._face_points on the face alpha = a(t), theta = b*t, b 0 or 1:
+    the form it had while _candidates still built the theta = 0 families."""
+    P, P1, Lam, s2 = stack
+    poly, polyder, polyval = gaussian._poly, gaussian._polyder, gaussian._polyval
+    e3 = poly(-P * a[:, :2], s2 + P - P * a[:, 2:])
+    e2 = poly(P * a[:, :1] - b * P, P * a[:, 1:2], Lam + P * a[:, 2:])
+    d1 = poly(P * a[:, :1], P * a[:, 1:2] + 2.0 * b * np.sqrt(P * P1), Lam + P1 + P * a[:, 2:])
+    prod = gaussian._polymul(e3, e2)
+    coef = polyder(prod) if stationary else poly(-prod[:, :2], s2 * d1 - prod[:, 2:])
+    coef = coef[:, -degree - 1:]
+    t = np.clip(gaussian._roots(coef), 0.0, 1.0)
+    D1, E3, E2 = gaussian._cuts(stack, polyval(a, t), b * t)
+    da = polyval(polyder(a), t)
+    r = P * (E3 * (da - 2.0 * b * t) - da * E2) if stationary else s2 * D1 - E3 * E2
+    t = np.concatenate([t, np.clip(t - r / polyval(polyder(coef), t), 0.0, 1.0)], axis=1)
+    return polyval(a, t), b * t
+
+
 def _ruled_out_candidates(stack):
     """The five families _candidates leaves out, built as it built them before:
     the crossings on theta = 0 and on the upper cut, the ends cut & theta = 0
@@ -348,8 +367,8 @@ def _ruled_out_candidates(stack):
     s = np.sqrt(P1 / P)
     c, c0 = (Lam + m) / P, (Lam + m - P1) / P
     zero, one = np.zeros_like(P), np.ones_like(P)
-    points = [gaussian._face_points(stack, poly(zero, one, zero), 0.0, 2, False),
-              gaussian._face_points(stack, poly(zero, -2.0 * s, c0), 1.0, 3, False),
+    points = [_face_points_on(stack, poly(zero, one, zero), 0.0, 2, False),
+              _face_points_on(stack, poly(zero, -2.0 * s, c0), 1.0, 3, False),
               (poly(c0, s ** 4 - c), zero),
               (one, np.sqrt(1.0 - c))]
     A, T = (np.concatenate(part, axis=1) for part in

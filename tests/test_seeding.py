@@ -1,7 +1,9 @@
 """The trial generators' streams against numpy's own: sim._seed_words restates
-SeedSequence's hash, and codec.draw_messages draws each trial's messages in
-one call, so both are checked draw for draw against the numpy forms they
-replace.  A numpy release that changes either fails here."""
+SeedSequence's hash, codec.draw_messages restates integers' multiply-shift
+draw on raw words, and codec.normals, codec.permutations and codec.row_powers
+stack per-trial normal, permutation and dot calls, so each is checked draw
+for draw, and state for state, against the numpy forms it replaces.  A numpy
+release that changes any of them fails here."""
 
 from types import SimpleNamespace
 
@@ -11,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from avrc import sim
-from avrc.codec import draw_messages
+from avrc.codec import draw_messages, normals, permutations, row_powers
 
 # one 32-bit word, several words, and more words than SeedSequence's 4-word pool
 entropy_ints = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**128 - 1),
@@ -82,3 +84,114 @@ def test_draw_messages_equals_two_calls_per_trial(m1, m2, blocks, seed):
     np.testing.assert_array_equal(msgs, two_calls)
     for rng, ref in zip(rngs, refs):
         assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def _next_draws(rng):
+    """What a generator draws next through each of numpy's paths: 64-bit
+    words (integers over a wide range), 32-bit halves (a small permutation)
+    and float32s (halves again)."""
+    return rng.integers(0, 2**40, 3), rng.permutation(9), rng.random(5, dtype=np.float32)
+
+
+def _assert_same_generators(rngs, refs):
+    for rng, ref in zip(rngs, refs, strict=True):
+        # some bit generators keep arrays in their state, which == cannot compare
+        np.testing.assert_equal(rng.bit_generator.state, ref.bit_generator.state)
+        for got, want in zip(_next_draws(rng), _next_draws(ref), strict=True):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+
+class _CountedGenerator(np.random.Generator):
+    """A Generator that records whether `integers` ran on it."""
+    drew_integers = False
+
+    def integers(self, *args, **kwargs):
+        self.drew_integers = True
+        return super().integers(*args, **kwargs)
+
+
+def _words_past(rng, words):
+    """The PCG state `words` raw words past rng's, leaving rng as it is."""
+    probe = np.random.Generator(np.random.PCG64())
+    probe.bit_generator.state = rng.bit_generator.state
+    probe.bit_generator.advance(words)
+    return probe.bit_generator.state["state"]
+
+
+# 2**31 + 1 and 3 * 2**30 + 1 reject about half and a quarter of their half
+# words, 2**32 - 1 almost none; 2**32 takes the half word as it is; 1 draws
+# nothing, and a count above 2**32 draws from 64-bit words
+@pytest.mark.parametrize("m1, m2", [(2**31 + 1, 3 * 2**30 + 1), (2**32 - 1, 2**31 + 1),
+                                    (2**32, 2**32 - 1), (5, 2**32), (2**32, 1), (1, 2**32),
+                                    (2**32, 2**32 + 1), (2**33 + 3, 3 * 2**30 + 1)])
+@pytest.mark.parametrize("blocks", [2, 4])
+@pytest.mark.parametrize("buffered", [False, True])
+def test_draw_messages_equals_integers_where_numpy_rejects(m1, m2, blocks, buffered):
+    code = SimpleNamespace(num_blocks=blocks, m1_count=m1, m2_count=m2)
+    rngs = [_CountedGenerator(np.random.PCG64([41, t])) for t in range(48)]
+    refs = [np.random.default_rng([41, t]) for t in range(48)]
+    if buffered:
+        # a float32 draw leaves the generator holding a 32-bit half word
+        for rng in rngs[::2] + refs[::2]:
+            rng.random(dtype=np.float32)
+    held = [ref.bit_generator.state["has_uint32"] == 1 for ref in refs]
+    unrejected = [_words_past(ref, blocks - 1) for ref in refs]
+    msgs = draw_messages(code, rngs)
+    two_calls = np.array([[r.integers(0, m1, blocks - 1), r.integers(0, m2, blocks - 1)]
+                          for r in refs]).transpose(0, 2, 1)
+    assert msgs.dtype == two_calls.dtype and msgs.shape == (48, blocks - 1, 2)
+    np.testing.assert_array_equal(msgs, two_calls)
+    # integers runs for exactly the trials the raw words cannot serve: numpy
+    # rejected a draw (so it took more than B-1 words), the generator held a
+    # half word, or a count is outside [2, 2**32]
+    outside = not (2 <= min(m1, m2) and max(m1, m2) <= 2**32)
+    rejected = [ref.bit_generator.state["state"] != want for ref, want in zip(refs, unrejected)]
+    assert [rng.drew_integers for rng in rngs] == [
+        outside or h or r for h, r in zip(held, rejected)]
+    _assert_same_generators(rngs, refs)
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox,
+                                           np.random.SFC64, np.random.PCG64DXSM])
+def test_draw_messages_on_other_bit_generators_equals_integers(bit_generator):
+    # the raw-word draw restates PCG64's; any other bit generator takes integers
+    code = SimpleNamespace(num_blocks=3, m1_count=2**31 + 1, m2_count=5)
+    rngs = [np.random.Generator(bit_generator(t)) for t in range(8)]
+    refs = [np.random.Generator(bit_generator(t)) for t in range(8)]
+    two_calls = np.array([[r.integers(0, 2**31 + 1, 2), r.integers(0, 5, 2)]
+                          for r in refs]).transpose(0, 2, 1)
+    np.testing.assert_array_equal(draw_messages(code, rngs), two_calls)
+    _assert_same_generators(rngs, refs)
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-3, 1.0])
+def test_normals_are_the_floats_of_normal(scale):
+    rngs = [np.random.default_rng([43, t]) for t in range(6)]
+    refs = [np.random.default_rng([43, t]) for t in range(6)]
+    stack = normals(rngs, scale, (3, 17))
+    want = np.stack([r.normal(0.0, scale, (3, 17)) for r in refs])
+    # byte equality also compares the sign bits of zeros: numpy's 0.0 + 0.0 * g
+    # is +0.0 for a negative g as well
+    assert stack.shape == want.shape and stack.tobytes() == want.tobytes()
+    if scale == 0.0:
+        assert not np.signbit(stack).any()
+    _assert_same_generators(rngs, refs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 16, 128, 513])
+def test_permutations_equal_permutation_per_generator(n):
+    rngs = [np.random.default_rng([47, t]) for t in range(5)]
+    refs = [np.random.default_rng([47, t]) for t in range(5)]
+    stack = permutations(rngs, n)
+    want = np.stack([r.permutation(n) for r in refs])
+    assert stack.dtype == want.dtype
+    np.testing.assert_array_equal(stack, want)
+    _assert_same_generators(rngs, refs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 127, 128, 512, 1000, 4096])
+def test_row_powers_equal_the_per_row_dot(n):
+    rows = np.random.default_rng(n).normal(size=(9, n)) * np.logspace(-3, 3, 9)[:, None]
+    want = np.array([row @ row for row in rows])
+    assert row_powers(rows).tobytes() == want.tobytes()
