@@ -108,7 +108,7 @@ def make_state(strategy: StateStrategy, n: int, rngs, codebook: SfdCodebook | No
             raw, power = _impostor_draw(n, rngs, codebook, relay_mode)
         s = _fit(strategy.kind, raw, power, budget)
 
-    energy = np.einsum("lti,lti->lt", s, s)
+    energy = row_powers(s)
     over = ~(energy <= budget * (1.0 + 1e-12))
     if over.any():
         l, t = np.argwhere(over)[0]

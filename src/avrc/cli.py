@@ -13,8 +13,6 @@ import os
 import sys
 from dataclasses import asdict
 
-import numpy as np
-
 from . import discrete, gaussian, sim
 from .gaussian import GaussianSfdParams
 
@@ -33,12 +31,6 @@ def _sig9(obj):
         return {k: _sig9(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_sig9(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _sig9(obj.tolist())
-    if isinstance(obj, (np.floating,)):
-        return _sig9(float(obj))
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
     return obj
 
 

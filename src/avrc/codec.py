@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fields import int_field, number_field, seed_field
-from .gaussian import LOG2, GaussianSfdParams, PowerSplit
+from .gaussian import GaussianSfdParams, PowerSplit, cut_gains, cut_rates
 
 FIXED_INDEX = 0   # boundary message carried by the final block and block 0's "previous"
 MAX_TABLE_BYTES = 1 << 30   # the largest codeword tables a codebook draws
@@ -98,20 +98,16 @@ def codebook_config_from_json(obj) -> CodebookConfig:
 
 
 def achievable_rate_pair(params: GaussianSfdParams, split: PowerSplit):
-    """Asymptotic per-use rate pair (relayed, direct) supported by this split.
+    """Asymptotic per-use rate pair (relayed, direct) of decode-forward at this split.
 
-    relayed: 0.5*log2( ((gamma + a + 2 rho sqrt(a gamma)) P + Lambda)
-                        / ((1 - rho^2) a P + Lambda) )
-    direct:  0.5*log2( ((1 - rho^2) a P + Lambda) / Lambda )
+    With `gaussian.cut_rates` r1 = 0.5*log2(D1/Lambda), r3 = 0.5*log2(E3/sigma2)
+    and r2 = 0.5*log2(E2/Lambda): direct = r2, and relayed = min{r1 - r2, r3},
+    the smaller of what the destination resolves of the relayed stream,
+    0.5*log2(D1/E2), and what the relay link carries, since the relay must
+    decode that stream too.  So relayed + direct is the objective f_g.
     """
-    P, P1, Lam = params.P, params.P1, params.Lambda
-    if P <= 0:
-        return 0.0, 0.0
-    a, rho = split.alpha, split.rho
-    g = P1 / P
-    num = (g + a + 2.0 * rho * np.sqrt(a * g)) * P + Lam
-    mid = (1.0 - rho * rho) * a * P + Lam
-    return float(0.5 * np.log(num / mid) / LOG2), float(0.5 * np.log(mid / Lam) / LOG2)
+    r1, r3, r2 = cut_rates(params, cut_gains(params, split.alpha, split.rho))
+    return float(min(r1 - r2, r3)), float(r2)
 
 
 def _unit_rows(rng, count, n):
@@ -294,9 +290,9 @@ def permutations(rngs, n):
 
 
 def row_powers(rows):
-    """rows[k] @ rows[k] for each row of a (K, n) array, one dot product per
-    row: the same floats as the per-row products (einsum's differ)."""
-    return (rows[:, None, :] @ rows[:, :, None])[:, 0, 0]
+    """row @ row for each row along the last axis of an array, one dot product
+    per row: the same floats as the per-row products (einsum's differ)."""
+    return (rows[..., None, :] @ rows[..., :, None])[..., 0, 0]
 
 
 def transmit(codebook: SfdCodebook, messages, rngs, relay_mode: str = "min_distance",

@@ -23,7 +23,9 @@ and upper bounds maximize F over the feasibility regions
     upper:  P1 + a*P + 2*rho*sqrt(a*P*P1) >= Lambda
 
 where the strict inequalities are implemented as >= with a small margin and
-an empty region yields rate 0 plus an infeasibility flag.
+an empty region yields rate 0 plus an infeasibility flag.  The three cut
+gains D1 - Lambda, E3 - sigma2 and E2 - Lambda (below) are stated once, in
+`cut_gains`; F, both regions and `codec.achievable_rate_pair` read them.
 
 Each program is solved at its KKT points.  In theta = rho*sqrt(alpha), with
 E3 = sigma2 + (1-a)*P, E2 = Lambda + (a - theta^2)*P and
@@ -111,34 +113,41 @@ def _half_log2_1p(x):
     return 0.5 * np.log1p(np.maximum(x, 0.0)) / LOG2
 
 
-def _fg_arrays(params, A, R):
-    """Vectorized objective over alpha array A and rho array R (same shape)."""
-    P, P1, Lam, s2 = params.P, params.P1, params.Lambda, params.sigma2
-    cross = 2.0 * R * np.sqrt(A * P * P1)
-    term1 = _half_log2_1p((P1 + A * P + cross) / Lam)
-    term2 = _half_log2_1p((1.0 - A) * P / s2) + _half_log2_1p((1.0 - R * R) * A * P / Lam)
-    return np.minimum(term1, term2)
+def cut_gains(params, A, R):
+    """D1 - Lambda, E3 - sigma2 and E2 - Lambda at alpha = A, rho = R: the power
+    each cut carries above its noise."""
+    P, P1 = params.P, params.P1
+    return P1 + A * P + 2.0 * R * np.sqrt(A * P * P1), (1.0 - A) * P, (1.0 - R * R) * A * P
+
+
+def cut_rates(params, gains):
+    """0.5*log2 of D1/Lambda, E3/sigma2 and E2/Lambda from the cut gains; the
+    objective is min{first, second + third}."""
+    d1, e3, e2 = gains
+    return (_half_log2_1p(d1 / params.Lambda), _half_log2_1p(e3 / params.sigma2),
+            _half_log2_1p(e2 / params.Lambda))
 
 
 def f_g(params: GaussianSfdParams, split: PowerSplit) -> float:
     """Evaluate the min-of-two-rates objective at one power split."""
-    return float(_fg_arrays(params, np.asarray(split.alpha), np.asarray(split.rho)))
+    return float(_score(params, split.alpha, split.rho)[0])
 
 
-def _lower_mask(params, A, R):
-    """c1 fails wherever P <= Lambda, so c2's P1/P, which divides by 0 or overflows
-    at a subnormal P, is harmless there."""
+def _score(params, A, R):
+    """(objective, lower mask, upper mask) at alpha A and rho R, arrays of one
+    shape or floats.
+
+    c1 fails wherever P <= Lambda, so c2's P1/P, which divides by 0 or
+    overflows at a subnormal P, is harmless there.
+    """
     P, P1, Lam = params.P, params.P1, params.Lambda
-    c1 = (1.0 - R * R) * A * P >= Lam + FEASIBILITY_EPS
+    gains = d1, _, e2 = cut_gains(params, A, R)
+    r1, r3, r2 = cut_rates(params, gains)
+    c1 = e2 >= Lam + FEASIBILITY_EPS
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         c2 = (np.divide(P1, P) * (np.sqrt(P1) + R * np.sqrt(A * P)) ** 2
-              >= Lam + (1.0 - R * R) * A * P + FEASIBILITY_EPS)
-    return c1 & c2
-
-
-def _upper_mask(params, A, R):
-    P, P1, Lam = params.P, params.P1, params.Lambda
-    return P1 + A * P + 2.0 * R * np.sqrt(A * P * P1) >= Lam
+              >= Lam + e2 + FEASIBILITY_EPS)
+    return np.minimum(r1, r3 + r2), c1 & c2, d1 >= Lam
 
 
 class _Stack(NamedTuple):
@@ -326,9 +335,8 @@ def _kkt_max(stack):
     """
     with np.errstate(all="ignore"):
         A, R = _candidates(stack)
-    vals = _fg_arrays(stack, A, R)
-    value = np.stack([np.where(_lower_mask(stack, A, R), vals, -np.inf),
-                      np.where(_upper_mask(stack, A, R), vals, -np.inf), vals])
+    vals, lower, upper = _score(stack, A, R)
+    value = np.stack([np.where(lower, vals, -np.inf), np.where(upper, vals, -np.inf), vals])
     k, rows = value.argmax(axis=2), np.arange(len(A))
     best = value.max(axis=2)
     empty = best == -np.inf
@@ -381,7 +389,7 @@ def det_code_bounds(params: GaussianSfdParams) -> BoundsReport:
 
 
 def _direct_rate(params):
-    return np.where(params.P > params.Lambda, _fg_arrays(params, 1.0, 0.0), 0.0)
+    return np.where(params.P > params.Lambda, _score(params, 1.0, 0.0)[0], 0.0)
 
 
 def direct_transmission_rate(params: GaussianSfdParams) -> float:

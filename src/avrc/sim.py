@@ -48,6 +48,7 @@ from .codec import (
     destination_observation,
     draw_messages,
     permutations,
+    row_powers,
     transmit,
 )
 WILSON_Z = 1.959963984540054   # two-sided 95%
@@ -282,13 +283,10 @@ def _run_chunk(rows, codebook, trials):
 
     p = cb.config.params
     slack = 1e-9 * n
-    x_prime, x_direct = tx.x_prime.reshape(-1, n), tx.x_direct.reshape(-1, n)
-    e_prime = np.einsum("bi,bi->b", x_prime, x_prime)
+    e_prime = row_powers(tx.x_prime)
     _check_power("x'", e_prime, cb.clip_budget + slack)
-    _check_power("x' + x''", e_prime + np.einsum("bi,bi->b", x_direct, x_direct),
-                 n * p.P + slack)
-    x1_rows = x1.reshape(-1, n)
-    _check_power("x1", np.einsum("bi,bi->b", x1_rows, x1_rows), n * p.P1 + slack)
+    _check_power("x' + x''", e_prime + row_powers(tx.x_direct), n * p.P + slack)
+    _check_power("x1", row_powers(x1), n * p.P1 + slack)
     clipped = int(tx.power_clipped.sum())
     signal = tx.x_prime + x1   # what the destination hears before the state
 

@@ -18,7 +18,7 @@ from avrc.codec import (
     relay_chain,
     transmit,
 )
-from avrc.gaussian import GaussianSfdParams, PowerSplit
+from avrc.gaussian import GaussianSfdParams, PowerSplit, f_g
 
 
 def make_config(n=64, blocks=3, m1=8, m2=8, P=4.0, P1=4.0, Lam=1.0, s2=0.5,
@@ -302,6 +302,18 @@ def test_achievable_rate_pair_sum_identity():
     total = 0.5 * np.log2(1 + (4 + 0.6 * 4 + 2 * 0.3 * np.sqrt(0.6 * 16)) / 1)
     assert abs((r1 + r2) - total) < 1e-12
     assert achievable_rate_pair(GaussianSfdParams(0, 1, 1, 1), split) == (0.0, 0.0)
+    # where the relay link binds, the relayed rate is what the link carries,
+    # 0.5*log2(E3/sigma2) = 0.0352 bits, not 0.5*log2(D1/E2) = 3.04 bits
+    relayed, _ = achievable_rate_pair(GaussianSfdParams(1, 100, 1, 10), PowerSplit(0.5, 0.0))
+    assert abs(relayed - 0.5 * np.log2(1 + 0.5 * 1 / 10)) < 1e-12
+    # the pair splits the objective at every tuple and split
+    rng = np.random.default_rng(43)
+    for _ in range(500):
+        params = GaussianSfdParams(*np.exp(rng.uniform(-5.0, 5.0, 4)))
+        split = PowerSplit(*rng.uniform(0.0, 1.0, 2))
+        relayed, direct = achievable_rate_pair(params, split)
+        assert relayed >= 0.0 and direct >= 0.0
+        assert abs(relayed + direct - f_g(params, split)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

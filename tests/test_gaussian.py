@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 
 from avrc import gaussian
 from avrc.gaussian import (
-    _fg_arrays,
-    _lower_mask,
-    _upper_mask,
+    _score,
     GaussianParamError,
     GaussianSfdParams,
     PowerSplit,
@@ -219,14 +217,13 @@ def test_closed_form_rho_beats_dense_scan():
                                    float(rng.uniform(0.2, 3)), float(rng.uniform(0.1, 2)))
         a = float(rng.uniform(0, 1))
         A = np.full_like(scan, a)
-        for name, region, mask in (("square", SQUARE, None), ("upper", UPPER, _upper_mask),
-                                   ("lower", LOWER, _lower_mask)):
+        for name, region in (("square", SQUARE), ("upper", UPPER), ("lower", LOWER)):
+            mask = region[0]   # the index of the region's mask in _score's output
             R, v = best_rho(params, np.array([a]), region)
-            vals = _fg_arrays(params, A, scan)
-            if mask is not None:
-                vals = np.where(mask(params, A, scan), vals, -np.inf)
+            score = _score(params, A, scan)
+            vals = score[0] if mask is None else np.where(score[mask], score[0], -np.inf)
             if np.isfinite(v[0]):
-                assert mask is None or mask(params, np.array([a]), R)[0]
+                assert mask is None or _score(params, np.array([a]), R)[mask][0]
                 assert abs(v[0] - f_g(params, PowerSplit(a, float(R[0])))) < 1e-15
             assert v[0] >= vals.max() - 1e-12
             hits[name] += bool(np.isfinite(vals.max()))
@@ -247,8 +244,8 @@ def test_det_lower_on_the_region_edge(key):
     rep = det_code_bounds(GaussianSfdParams(*key))
     assert rep.lower_feasible
     assert abs(rep.det_lower - LOWER_EDGE_VALUES[key]) < 1e-6
-    assert _lower_mask(GaussianSfdParams(*key), np.asarray(rep.lower_split.alpha),
-                       np.asarray(rep.lower_split.rho))
+    assert _score(GaussianSfdParams(*key), np.asarray(rep.lower_split.alpha),
+                  np.asarray(rep.lower_split.rho))[1]
 
 
 def _primitive_objective(alpha, P, Lam, C1):
@@ -264,10 +261,10 @@ def test_bounds_properties(P, P1, Lam, s2, C1):
     rep = det_code_bounds(params)
     assert rep.det_lower <= rep.det_upper <= rep.random_capacity
     assert rep.upper_feasible == (P1 + P + 2 * math.sqrt(P * P1) >= Lam)
-    for feasible, split, mask in ((rep.lower_feasible, rep.lower_split, _lower_mask),
-                                  (rep.upper_feasible, rep.upper_split, _upper_mask)):
+    for feasible, split, mask in ((rep.lower_feasible, rep.lower_split, 1),
+                                  (rep.upper_feasible, rep.upper_split, 2)):
         if feasible:
-            assert mask(params, np.asarray(split.alpha), np.asarray(split.rho))
+            assert _score(params, np.asarray(split.alpha), np.asarray(split.rho))[mask]
 
     v, a = primitive_gaussian_capacity(P, Lam, C1)
     grid = np.linspace(0.0, 1.0, 10001)
@@ -330,10 +327,11 @@ def test_candidate_maxima_are_at_least_the_zoom_oracle():
     assert shortfall[2].max() <= 1e-12               # square
     assert shortfall[:2].max() <= 1e-11              # lower and upper
     # each value is the objective at its split, and each split lies in its region
-    assert (_fg_arrays(stack, alpha.T, rho.T).T == value)[feasible].all()
+    assert (_score(stack, alpha.T, rho.T)[0].T == value)[feasible].all()
     assert ((0.0 <= alpha) & (alpha <= 1.0) & (0.0 <= rho) & (rho <= 1.0)).all()
-    for row, mask in ((0, _lower_mask), (1, _upper_mask)):
-        assert mask(stack, alpha[row][:, None], rho[row][:, None])[feasible[row], 0].all()
+    for row in (0, 1):
+        mask = _score(stack, alpha[row][:, None], rho[row][:, None])[1 + row]
+        assert mask[feasible[row], 0].all()
 
 
 def _face_points_on(stack, a, b, degree, stationary):

@@ -195,3 +195,5 @@ def test_row_powers_equal_the_per_row_dot(n):
     rows = np.random.default_rng(n).normal(size=(9, n)) * np.logspace(-3, 3, 9)[:, None]
     want = np.array([row @ row for row in rows])
     assert row_powers(rows).tobytes() == want.tobytes()
+    # a stack of blocks, as the power checks pass them, gives the same floats
+    assert row_powers(rows.reshape(3, 3, n)).tobytes() == want.tobytes()

@@ -1,3 +1,4 @@
+import itertools
 import json
 import tempfile
 from dataclasses import asdict, replace
@@ -11,8 +12,15 @@ from hypothesis import strategies as st
 
 from avrc import adversary, sim
 from avrc.adversary import STRATEGY_KINDS, StateStrategy
-from avrc.codec import CodebookConfig, PowerCapError, build_codebook
-from avrc.gaussian import GaussianSfdParams, PowerSplit
+from avrc.codec import (
+    CodebookConfig,
+    PowerCapError,
+    build_codebook,
+    encode,
+    relay_chain,
+    row_powers,
+)
+from avrc.gaussian import GaussianSfdParams, PowerSplit, cut_gains
 from avrc.sim import (
     SimConfig,
     SimConfigError,
@@ -88,6 +96,37 @@ def test_error_grows_with_jammer_power():
                         trials=250, master_seed=9)
         rates.append(run_monte_carlo(sim).rate)
     assert rates[0] <= rates[1] + 0.02
+
+
+def test_impostor_error_steps_up_where_its_fake_fits_the_budget():
+    # criterion 10's code: the impostor's fake transmission x' + x1 has the
+    # power of the upper cut's gain at the code's split, backed off by delta,
+    # plus the cross terms of its codewords.  Below the least fake power every
+    # fake falls back to zeros and the plain code cannot err; once every fake
+    # fits, it errs at a floor, and a shared permutation hides the code
+    params = GaussianSfdParams(P=0.2, P1=0.2, Lambda=1.0, sigma2=1e-4)
+    cfg = CodebookConfig(n=128, num_blocks=3, rate_relayed=1.5 / 128, rate_direct=1.5 / 128,
+                         params=params, split=PowerSplit(0.5, 0.0), seed=5)
+    cb = build_codebook(cfg)
+    pairs = list(itertools.product(range(cb.m1_count), range(cb.m2_count)))
+    msgs = np.array(list(itertools.product(pairs, repeat=cb.num_blocks - 1)))
+    assert len(msgs) == 16
+    tx = encode(cb, msgs)
+    _, x1 = relay_chain(cb, tx.x_direct, "ideal", msgs[..., 0])
+    power = row_powers((tx.x_prime + x1).reshape(len(msgs), -1)) / (cb.num_blocks * cb.n)
+    gain = cut_gains(params, 0.5, 0.0)[0] * (1.0 - cb.delta / params.P)   # 0.297
+    assert gain < power.min() and power.max() < 1.1 * gain   # 0.3004 to 0.3239
+    below, above = [0.25, 0.29], [0.35, 0.5]
+    assert max(below) < power.min() and power.max() < min(above)
+    for permute in (False, True):
+        base = SimConfig(cfg, StateStrategy("impostor", Lambda=1.0, seed=9), trials=400,
+                         master_seed=2, permute=permute)
+        rate = {row.Lambda: row.rate for row in attack_sweep(base, below + above)}
+        assert [rate[lam] for lam in below] == [0.0, 0.0]
+        if permute:
+            assert [rate[lam] for lam in above] == [0.0, 0.0]
+        else:
+            assert min(rate[lam] for lam in above) >= 0.4
 
 
 def test_attack_sweep_rows_and_csv(tmp_path):

@@ -21,7 +21,7 @@ REFINE_POINTS points around the best alpha so far, each window
 
 import numpy as np
 
-from avrc.gaussian import FEASIBILITY_EPS, _fg_arrays, _lower_mask, _upper_mask
+from avrc.gaussian import FEASIBILITY_EPS, _score
 
 MARGIN_SCALE = 1.01
 REFINE_ROUNDS = 16
@@ -98,21 +98,23 @@ def _lower_rho_range(params, A, margin):
     return lo, hi
 
 
-# (feasibility mask, closed-form rho interval at each alpha) of each program
+# (index of the feasibility mask in gaussian._score's output, closed-form rho
+# interval at each alpha) of each program
 SQUARE = (None, _square_rho_range)
-UPPER = (_upper_mask, _upper_rho_range)
-LOWER = (_lower_mask, _lower_rho_range)
+UPPER = (2, _upper_rho_range)
+LOWER = (1, _lower_rho_range)
 
 
 def best_rho(params, A, region):
     """Best rho of the region at each alpha in A, and the objective there."""
-    mask_fn, rho_range = region
+    mask, rho_range = region
     margin = MARGIN_SCALE * 4.0 * FEASIBILITY_EPS * (1.0 + params.Lambda + params.P)
     lo, hi = rho_range(params, A, margin)
     R = np.minimum(np.maximum(_crossing_rho(params, A), lo), hi)
-    vals = np.where(lo > hi, -np.inf, _fg_arrays(params, A, R))
-    if mask_fn is not None:
-        vals = np.where(mask_fn(params, A, R), vals, -np.inf)
+    score = _score(params, A, R)
+    vals = np.where(lo > hi, -np.inf, score[0])
+    if mask is not None:
+        vals = np.where(score[mask], vals, -np.inf)
     return R, vals
 
 
