@@ -19,13 +19,16 @@ from .discrete import (
     cutset_bound,
     df_bound,
     degradedness_classify,
+    dmc_to_json,
     mutual_information,
     symmetrizability,
 )
 from .codec import (
     CodebookConfig,
     SfdCodebook,
+    achievable_rate_pair,
     build_codebook,
+    codebook_config_to_json,
     decode_backward,
     destination_observation,
     encode,
@@ -37,9 +40,10 @@ from .sim import ErrorEstimate, SimConfig, attack_sweep, run_monte_carlo
 __all__ = [
     "BoundsReport", "CapacityClassification", "CodebookConfig",
     "Dmc", "ErrorEstimate", "GaussianSfdParams", "PowerSplit",
-    "SfdCodebook", "SimConfig", "StateStrategy", "SymVerdict", "attack_sweep",
-    "build_codebook", "classify_capacity", "cutset_bound", "decode_backward",
-    "degradedness_classify", "destination_observation", "det_code_bounds", "df_bound",
+    "SfdCodebook", "SimConfig", "StateStrategy", "SymVerdict", "achievable_rate_pair",
+    "attack_sweep", "build_codebook", "classify_capacity", "codebook_config_to_json",
+    "cutset_bound", "decode_backward", "degradedness_classify", "destination_observation",
+    "det_code_bounds", "df_bound", "dmc_to_json",
     "encode", "f_g", "figure_sweep", "gavc_point_to_point", "make_state", "mutual_information",
     "primitive_gaussian_capacity", "random_code_capacity",
     "run_monte_carlo", "symmetrizability", "transmit",

@@ -4,17 +4,17 @@ A channel here is a 4-index kernel W[x, s, y, y1]: for each input x and state
 s, a joint pmf over the destination output y and the relay observation y1.
 The relay talks to the destination over a noiseless link of `relay_rate` bits
 per use.  Every information quantity here is a sum of entropies of finite
-pmfs, each computed by one primitive (`_negent`, sum m log2 m): I(A;O) of a
-joint pmf (`_mi`), and, for a pool of inputs against a pool of averaged
-kernels, I(X;O) = H(O) - H(O|X) and I(U;O) = H(U) + H(O) - H(U,O) from output
-pmfs that one matrix product builds, without forming a joint per (input,
-state) pair.  The module decides symmetrizability by a linear program that
-a short numpy simplex solves and two certificates checked outside it prove,
-classifies degradedness by factor checks, evaluates the cutset and
-decode-forward bounds, and applies the capacity classification rules.  Every
-min-max and max-min over state pmfs q and input pmfs p is solved one way: a
-fixed pool over the inner simplex steers a simplex search over the outer one,
-and the inner optimum is refined once, at the winner.
+pmfs, each computed by one primitive (`_negent`, sum m log2 m): for a pool
+of inputs against a pool of averaged kernels, I(X;O) = H(O) - H(O|X) and
+I(U;O) = H(U) + H(O) - H(U,O) from output pmfs that one matrix product
+builds, without forming a joint per (input, state) pair.  The module
+decides symmetrizability by a linear program that a short numpy simplex
+solves and two certificates checked outside it prove, classifies
+degradedness by factor checks, evaluates the cutset and decode-forward
+bounds, and applies the capacity classification rules.  Every min-max and
+max-min over state pmfs q and input pmfs p is solved one way: a fixed pool
+over the inner simplex steers a simplex search over the outer one, and the
+inner optimum is refined once, at the winner.
 """
 
 from dataclasses import dataclass
@@ -149,7 +149,7 @@ def mutual_information(p, q, channel) -> float:
     q = validate_pmf(q)
     if W.ndim != 3 or W.shape[0] != p.size or W.shape[1] != q.size:
         raise ChannelFormatError("channel dimensions do not match the pmfs")
-    return float(_mi(p[:, None] * np.einsum("s,xso->xo", q, W)))
+    return float(_info_xo(p[None], _wq_batch(q[None], W))[0, 0])
 
 
 def _negent(M):
@@ -160,12 +160,6 @@ def _negent(M):
     np.log2(L, out=L)
     L *= M
     return L @ np.ones(M.shape[-1])   # a GEMV: .sum(axis=-1) over 2-4 entries is ~8x slower
-
-
-def _mi(J):
-    """I(A;O) = H(A) + H(O) - H(A,O) in bits from joint pmfs J[..., a, o],
-    broadcast over the leading axes."""
-    return _negent(J).sum(axis=-1) - _negent(J.sum(axis=-1)) - _negent(J.sum(axis=-2))
 
 
 def _wq_batch(Q, W3):
@@ -441,21 +435,21 @@ def _check_budget(dmc, *extra_dims):
                                      f"candidates at once, budget {MAX_GRID_POINTS}")
 
 
-def _resolution(k, resolution):
-    """A k-point search's grid: the resolution up to k = 3, else start_pool's default."""
-    return resolution if k <= 3 else None
+def _pool(k, resolution, rng):
+    """A k-point search's start pool: its grid at the resolution up to k = 3,
+    else start_pool's default."""
+    return start_pool(k, resolution if k <= 3 else None, rng)
 
 
 def _min_over_q(objective_batch, ns, rng):
     """Minimize a batched function of q over the state simplex.  Returns (q*, value)."""
-    return search_simplex(objective_batch, start_pool(ns, _resolution(ns, Q_RESOLUTION), rng),
+    return search_simplex(objective_batch, _pool(ns, Q_RESOLUTION, rng),
                           minimize=True, top=MULTISTART_TOP)
 
 
 def _max_over_p(objective_batch, nx, rng, top):
     """Maximize a batched function of p over the input simplex.  Returns (p*, value)."""
-    return search_simplex(objective_batch, start_pool(nx, _resolution(nx, P_RESOLUTION), rng),
-                          top=top)
+    return search_simplex(objective_batch, _pool(nx, P_RESOLUTION, rng), top=top)
 
 
 # largest batched array (in entries) that a pooled objective builds at once
@@ -477,8 +471,9 @@ def _min_q_max_p(combine, kernels, dmc, top):
     """min over q of max over p of combine(I(X;O_1), I(X;O_2), ...), O_k seen
     through kernels[k].  The start pool of the p search steers the q search;
     the max over p is refined once, at the winning q."""
+    _check_budget(dmc)
     rng = np.random.default_rng(SEARCH_SEED)
-    P0 = start_pool(dmc.nx, _resolution(dmc.nx, P_RESOLUTION), rng)
+    P0 = _pool(dmc.nx, P_RESOLUTION, rng)
 
     def at(P, Q):   # (M, X) inputs x (N, S) states -> (M, N) values
         return combine(*(_info_xo(P, _wq_batch(Q, W)) for W in kernels))
@@ -494,7 +489,6 @@ def cutset_bound(dmc: Dmc) -> float:
     """inf over state pmfs of max over input pmfs of
     min{ I(X;Y) + C1, I(X;Y,Y1) }, reported as the refined max over p at the
     state pmf the search picks."""
-    _check_budget(dmc)
     c1 = dmc.relay_rate
     return _min_q_max_p(lambda i_y, i_j: np.minimum(i_y + c1, i_j),
                         [dmc.receiver_marginal(), dmc.joint_output()], dmc, MULTISTART_TOP)
@@ -515,7 +509,7 @@ def _q_pool(dmc, rng):
 
 def _df_value(Pux, dmc, rng):
     """The decode-forward combination at a joint p(u,x), each min over q refined."""
-    W_y = dmc.receiver_marginal()
+    W_y, W_1 = dmc.receiver_marginal(), dmc.relay_marginal()
     px = Pux.sum(axis=0)
 
     def qmin(info):
@@ -526,7 +520,7 @@ def _df_value(Pux, dmc, rng):
 
     a = qmin(lambda Q: i_uo(Q, W_y))
     b = qmin(lambda Q: _info_xo(px[None], _wq_batch(Q, W_y))[0] - i_uo(Q, W_y))
-    c = qmin(lambda Q: i_uo(Q, dmc.relay_marginal()))
+    c = qmin(lambda Q: i_uo(Q, W_1))
     return max(float(min(a + b + dmc.relay_rate, c + b)), 0.0)    # floored as in _min_q_max_p
 
 
@@ -655,16 +649,10 @@ def _leading_starts(objective, pool, nu):
     return pool[vals[orbit] >= cut]
 
 
-def minimax_receiver_information(dmc: Dmc, order: str = "qp") -> float:
-    """min-max (order "qp") or max-min (order "pq") of I(X;Y) over q and p.
-
-    The max-min is df_bound's direct mode; the min-max is searched like the
-    cutset bound and reported as the refined max over p at its state pmf."""
-    if order == "pq":
-        return df_bound(dmc, mode="direct")
-    if order != "qp":
-        raise ValueError("order must be 'qp' or 'pq'")
-    _check_budget(dmc)
+def minimax_receiver_information(dmc: Dmc) -> float:
+    """min over q of max over p of I(X;Y), searched like the cutset bound and
+    reported as the refined max over p at its state pmf.  The max-min is
+    df_bound's direct mode."""
     return _min_q_max_p(lambda i_y: i_y, [dmc.receiver_marginal()], dmc, top=2)
 
 
@@ -710,7 +698,7 @@ def classify_capacity(dmc: Dmc) -> CapacityClassification:
             degradedness=deg.label)
     clause_1 = not relay.symmetrizable and dmc.relay_rate > 0
     if clause_1 and deg.label == "reversely_strongly_degraded":
-        v = minimax_receiver_information(dmc, "qp")
+        v = minimax_receiver_information(dmc)
         return CapacityClassification("equals_random_capacity", 2, v, v, v,
                                       False, False, deg.label)
     if clause_1 and deg.label == "strongly_degraded":

@@ -22,9 +22,10 @@ and upper bounds maximize F over the feasibility regions
             (P1/P)*(sqrt(P1) + rho*sqrt(a*P))^2 > Lambda + (1-rho^2)*a*P
     upper:  P1 + a*P + 2*rho*sqrt(a*P*P1) >= Lambda
 
-where the strict inequalities are implemented as >= with a small margin and
-an empty region yields rate 0 plus an infeasibility flag.  The three cut
-gains D1 - Lambda, E3 - sigma2 and E2 - Lambda (below) are stated once, in
+where the strict inequalities are implemented as >= with a margin relative
+to Lambda + P (so the bounds, like F, depend on ratios of the powers only)
+and an empty region yields rate 0 plus an infeasibility flag.  The cut gains
+D1 - Lambda, E3 - sigma2 and E2 - Lambda (below) are stated once, in
 `cut_gains`; F, both regions and `codec.achievable_rate_pair` read them.
 
 Each program is solved at its KKT points.  In theta = rho*sqrt(alpha), with
@@ -48,7 +49,7 @@ import numpy as np
 
 LOG2 = np.log(2.0)
 
-#: margin used to implement the strict inequalities of the lower-bound region
+#: margin, relative to Lambda + P, implementing the strict inequalities of the lower region
 FEASIBILITY_EPS = 1e-12
 
 #: most P values one sweep may ask for; a P costs about 60 us on one Xeon core,
@@ -141,12 +142,12 @@ def _score(params, A, R):
     overflows at a subnormal P, is harmless there.
     """
     P, P1, Lam = params.P, params.P1, params.Lambda
+    eps = FEASIBILITY_EPS * (Lam + P)
     gains = d1, _, e2 = cut_gains(params, A, R)
     r1, r3, r2 = cut_rates(params, gains)
-    c1 = e2 >= Lam + FEASIBILITY_EPS
+    c1 = e2 >= Lam + eps
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        c2 = (np.divide(P1, P) * (np.sqrt(P1) + R * np.sqrt(A * P)) ** 2
-              >= Lam + e2 + FEASIBILITY_EPS)
+        c2 = np.divide(P1, P) * (np.sqrt(P1) + R * np.sqrt(A * P)) ** 2 >= Lam + e2 + eps
     return np.minimum(r1, r3 + r2), c1 & c2, d1 >= Lam
 
 
@@ -296,7 +297,7 @@ def _candidates(stack):
     # the other points depend on ratios of the powers only, so they are found
     # in units of Lambda + sigma2 + P, where no polynomial coefficient overflows
     unit = stack.Lambda + stack.sigma2 + stack.P
-    m = 4.0 * FEASIBILITY_EPS * (1.0 + stack.Lambda + stack.P) / unit
+    m = 4.0 * FEASIBILITY_EPS * (stack.Lambda + stack.P) / unit
     stack = _Stack(*(col / unit for col in stack))
     P, P1, Lam, s2 = stack
     s = np.sqrt(P1 / P)
@@ -347,14 +348,16 @@ def _bounds(stack):
     """det_code_bounds at each tuple of the stack, one column per tuple.
 
     Returns (rates, alpha, rho, feasible): rates (4, n) are random capacity,
-    det lower, det upper and direct transmission; alpha and rho (3, n) the
+    det lower, det upper and direct transmission (the relay band ignored: the
+    objective at (1, 0) when P > Lambda, else 0); alpha and rho (3, n) the
     random, lower and upper splits; feasible (2, n) the lower and upper flags.
     """
     value, alpha, rho = (np.concatenate(part, axis=1) for part in zip(*(
         _kkt_max(_Stack(*(c[lo:lo + _CHUNK_TUPLES] for c in stack)))
         for lo in range(0, len(stack.P), _CHUNK_TUPLES))))
     feasible = value[:2] > -np.inf
-    rates = np.vstack([value[2], np.where(feasible, value[:2], 0.0), _direct_rate(stack)[:, 0]])
+    direct = np.where(stack.P > stack.Lambda, _score(stack, 1.0, 0.0)[0], 0.0)
+    rates = np.vstack([value[2], np.where(feasible, value[:2], 0.0), direct[:, 0]])
     return rates, alpha[[2, 0, 1]], rho[[2, 0, 1]], feasible
 
 
@@ -386,15 +389,6 @@ def det_code_bounds(params: GaussianSfdParams) -> BoundsReport:
                         lower_split=splits[1], upper_split=splits[2],
                         lower_feasible=bool(feasible[0, 0]),
                         upper_feasible=bool(feasible[1, 0]))
-
-
-def _direct_rate(params):
-    return np.where(params.P > params.Lambda, _score(params, 1.0, 0.0)[0], 0.0)
-
-
-def direct_transmission_rate(params: GaussianSfdParams) -> float:
-    """Rate of ignoring the relay band: objective at (1, 0) when P > Lambda, else 0."""
-    return float(_direct_rate(params))
 
 
 def gavc_point_to_point(P: float, Lambda: float, sigma2: float):

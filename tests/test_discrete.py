@@ -63,6 +63,13 @@ def _entropy(P):
         return -np.where(P > 0, P * np.log2(P), 0.0).sum(axis=-1)
 
 
+def _mi(J):
+    # the joint-pmf form: I(A;O) = H(A) + H(O) - H(A,O) in bits from joint
+    # pmfs J[..., a, o], broadcast over the leading axes
+    return (discrete._negent(J).sum(axis=-1) - discrete._negent(J.sum(axis=-1))
+            - discrete._negent(J.sum(axis=-2)))
+
+
 def mi_grid(P, Q, W):
     # independent grid oracle: I(X;O) = H(O) - H(O|X) for every (q, p) pair,
     # returned as an array of shape (len(Q), len(P))
@@ -205,7 +212,7 @@ def test_mi_kernel_matches_exhaustive_oracle_on_batches_with_zeros(lead):
     W = _zeroed_pmfs(rng, lead + (X, S), O)
     J = p[..., :, None] * np.einsum("...s,...xso->...xo", q, W)
     assert (J == 0).any()
-    got = discrete._mi(J)
+    got = _mi(J)
     assert got.shape == lead
     for idx in np.ndindex(*lead):
         assert abs(got[idx] - exhaustive_mi(p[idx], q[idx], W[idx])) < 1e-12
@@ -223,8 +230,8 @@ def test_mi_chain_rule_equals_conditional_sum(U, X, O, seed):
         Pux[0, 0] = 1.0
     Pux /= Pux.sum()
     WQ = _zeroed_pmfs(rng, (X,), O)
-    chain = discrete._mi(Pux.sum(axis=0)[:, None] * WQ) - discrete._mi(Pux @ WQ)
-    direct = sum(Pux[u].sum() * discrete._mi((Pux[u] / Pux[u].sum())[:, None] * WQ)
+    chain = _mi(Pux.sum(axis=0)[:, None] * WQ) - _mi(Pux @ WQ)
+    direct = sum(Pux[u].sum() * _mi((Pux[u] / Pux[u].sum())[:, None] * WQ)
                  for u in range(U) if Pux[u].sum() > 0)
     assert abs(chain - direct) < 1e-12
     assert chain >= -1e-12
@@ -235,7 +242,8 @@ def test_mi_chain_rule_equals_conditional_sum(U, X, O, seed):
        S=st.integers(1, 3), N=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
 def test_pooled_informations_match_the_kernel_on_built_joints(U, X, O, S, N, seed):
     # I(X;O) and I(U;O) for every (candidate, q) pair, from marginal entropies,
-    # against _mi on each joint built out
+    # and mutual_information at each (candidate, q), against _mi on each joint
+    # built out
     rng = np.random.default_rng(seed)
     Pux = _zeroed_pmfs(rng, (3,), U * X).reshape(3, U, X)
     Pux[0, rng.integers(U)] = 0.0                 # an unused value of U
@@ -251,8 +259,10 @@ def test_pooled_informations_match_the_kernel_on_built_joints(U, X, O, S, N, see
     assert i_xo.shape == i_uo.shape == (3, N)
     for c in range(3):
         for n in range(N):
-            assert abs(i_xo[c, n] - discrete._mi(P[c][:, None] * WQ[n])) < 1e-12
-            assert abs(i_uo[c, n] - discrete._mi(Pux[c] @ WQ[n])) < 1e-12
+            reference = _mi(P[c][:, None] * WQ[n])
+            assert abs(i_xo[c, n] - reference) < 1e-12
+            assert abs(mutual_information(P[c], Q[n], W) - reference) < 1e-12
+            assert abs(i_uo[c, n] - _mi(Pux[c] @ WQ[n])) < 1e-12
 
 
 def test_mi_grid_oracle_matches_exhaustive_oracle():
@@ -647,7 +657,7 @@ def test_df_full_on_strongly_degraded_toy():
 def test_aux_information_terms_embedding_identities():
     # with U = X (diagonal joint) the U-terms reduce to plain I(X;O) and the
     # conditional term vanishes; with U independent of X they swap roles
-    from avrc.discrete import _mi, _wq_batch
+    from avrc.discrete import _wq_batch
 
     rng = np.random.default_rng(21)
     W = rng.dirichlet(np.ones(3), size=(2, 2))
@@ -680,7 +690,7 @@ def test_df_blocks_leave_values_unchanged(monkeypatch):
 
     def values():
         return ([df_bound(dmc, mode=m) for m in ("direct", "full", "aux")]
-                + [cutset_bound(dmc), minimax_receiver_information(dmc, "qp")])
+                + [cutset_bound(dmc), minimax_receiver_information(dmc)])
 
     whole = values()
     monkeypatch.setattr(discrete, "_BLOCK_ENTRIES", 64)
@@ -848,8 +858,8 @@ def test_minimax_orders_agree_on_reversely_strongly_degraded():
         B = rng.dirichlet(np.ones(2), size=3)
         W = np.einsum("xsy,yk->xsyk", A, B)
         dmc = Dmc(W, 1.0)
-        v_qp = minimax_receiver_information(dmc, "qp")
-        v_pq = minimax_receiver_information(dmc, "pq")
+        v_qp = minimax_receiver_information(dmc)
+        v_pq = df_bound(dmc, mode="direct")
         assert abs(v_qp - v_pq) < 1e-3
 
 
@@ -893,7 +903,7 @@ def test_four_input_min_max_matches_nested_grid(seed):
     i_j = np.concatenate([mi_grid(P, Qc, dmc.joint_output()) for Qc in np.array_split(Q, 8)])
     v_mm = i_y.max(axis=1).min()
     v_cs = np.minimum(i_y + dmc.relay_rate, i_j).max(axis=1).min()
-    assert abs(minimax_receiver_information(dmc, "qp") - v_mm) < 1e-3
+    assert abs(minimax_receiver_information(dmc) - v_mm) < 1e-3
     assert abs(cutset_bound(dmc) - v_cs) < 1e-3
 
 

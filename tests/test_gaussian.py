@@ -15,7 +15,6 @@ from avrc.gaussian import (
     GaussianSfdParams,
     PowerSplit,
     det_code_bounds,
-    direct_transmission_rate,
     f_g,
     figure_sweep,
     gavc_point_to_point,
@@ -201,8 +200,8 @@ def test_sweep_range_refuses_a_count_over_the_cap_before_building_it():
 
 
 def test_direct_transmission_threshold():
-    assert direct_transmission_rate(GaussianSfdParams(1.0, 1.0, 1.0, 0.5)) == 0.0
-    v = direct_transmission_rate(GaussianSfdParams(2.0, 2.0, 1.0, 0.5))
+    assert det_code_bounds(GaussianSfdParams(1.0, 1.0, 1.0, 0.5)).direct_transmission == 0.0
+    v = det_code_bounds(GaussianSfdParams(2.0, 2.0, 1.0, 0.5)).direct_transmission
     assert abs(v - f_g(GaussianSfdParams(2, 2, 1, 0.5), PowerSplit(1, 0))) < 1e-15
 
 
@@ -334,6 +333,18 @@ def test_candidate_maxima_are_at_least_the_zoom_oracle():
         assert mask[feasible[row], 0].all()
 
 
+def test_bounds_do_not_depend_on_the_unit_of_power():
+    # the objective, both regions and their margin depend on ratios of the
+    # powers only, so scaling each tuple by a power of two moves no byte of
+    # any rate, split or flag
+    stack = _property_stack()
+    expected = gaussian._bounds(stack)
+    for k in (-100, -40, 40, 100):
+        got = gaussian._bounds(gaussian._Stack(*(col * 2.0 ** k for col in stack)))
+        for e, g in zip(expected, got):
+            assert e.tobytes() == g.tobytes(), k
+
+
 def _face_points_on(stack, a, b, degree, stationary):
     """gaussian._face_points on the face alpha = a(t), theta = b*t, b 0 or 1:
     the form it had while _candidates still built the theta = 0 families."""
@@ -359,7 +370,7 @@ def _ruled_out_candidates(stack):
     and c2 & theta = 0, and the end c1 & alpha = 1."""
     poly = gaussian._poly
     unit = stack.Lambda + stack.sigma2 + stack.P
-    m = 4.0 * gaussian.FEASIBILITY_EPS * (1.0 + stack.Lambda + stack.P) / unit
+    m = 4.0 * gaussian.FEASIBILITY_EPS * (stack.Lambda + stack.P) / unit
     stack = gaussian._Stack(*(col / unit for col in stack))
     P, P1, Lam, s2 = stack
     s = np.sqrt(P1 / P)

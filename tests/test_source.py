@@ -25,13 +25,26 @@ def _loaded_names(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
 
 
-def test_every_private_module_level_name_is_referenced():
-    # a helper or constant that no module reads any more is dead code
-    trees = _trees()
+def _read_names(trees):
+    """Every name some module loads, bare or as an attribute."""
     read = set()
     for tree in trees.values():
         read |= _loaded_names(tree)
         read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return read
+
+
+def _exported(tree):
+    """The names a module lists in __all__."""
+    return {elt.value for node in tree.body if isinstance(node, ast.Assign)
+            for target in node.targets if getattr(target, "id", None) == "__all__"
+            for elt in node.value.elts}
+
+
+def test_every_private_module_level_name_is_referenced():
+    # a helper or constant that no module reads any more is dead code
+    trees = _trees()
+    read = _read_names(trees)
     dead = []
     for name, tree in trees.items():
         for node in tree.body:
@@ -47,14 +60,22 @@ def test_every_private_module_level_name_is_referenced():
     assert dead == []
 
 
+def test_every_public_module_level_function_and_class_is_read_or_exported():
+    # a public function or class that no module reads and the package does not
+    # export is dead code too
+    trees = _trees()
+    kept = _read_names(trees) | _exported(trees["__init__.py"])
+    dead = [f"{name}:{node.lineno} {node.name}" for name, tree in trees.items()
+            for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_") and node.name not in kept]
+    assert dead == []
+
+
 def test_every_imported_name_is_used():
     unused = []
     for name, tree in _trees().items():
-        used = _loaded_names(tree)
         # a package re-exports what it lists in __all__
-        used |= {elt.value for node in tree.body if isinstance(node, ast.Assign)
-                 for target in node.targets if getattr(target, "id", None) == "__all__"
-                 for elt in node.value.elts}
+        used = _loaded_names(tree) | _exported(tree)
         for node in ast.walk(tree):
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 unused += [f"{name}:{node.lineno} {alias.name}" for alias in node.names

@@ -4,7 +4,7 @@ closed-form candidate maxima of `avrc.gaussian`.
 At fixed alpha the first cut of the objective rises in rho and the second
 falls, so the best rho of a region is the cut crossing, a quadratic root,
 clipped to the region's rho interval.  The interval's ends are drawn at
-MARGIN_SCALE times the margin m = 4*FEASIBILITY_EPS*(1 + Lambda + P) at which
+MARGIN_SCALE times the margin m = 4*FEASIBILITY_EPS*(Lambda + P) at which
 the candidates lie, and an alpha whose interval is empty scores -inf.
 
 MARGIN_SCALE is a hair above 1 because the zoom finds the last alpha at which
@@ -108,7 +108,7 @@ LOWER = (1, _lower_rho_range)
 def best_rho(params, A, region):
     """Best rho of the region at each alpha in A, and the objective there."""
     mask, rho_range = region
-    margin = MARGIN_SCALE * 4.0 * FEASIBILITY_EPS * (1.0 + params.Lambda + params.P)
+    margin = MARGIN_SCALE * 4.0 * FEASIBILITY_EPS * (params.Lambda + params.P)
     lo, hi = rho_range(params, A, margin)
     R = np.minimum(np.maximum(_crossing_rho(params, A), lo), hi)
     score = _score(params, A, R)
