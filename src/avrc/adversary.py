@@ -112,8 +112,8 @@ def make_state(strategy: StateStrategy, n: int, rngs, codebook: SfdCodebook | No
     over = ~(energy <= budget * (1.0 + 1e-12))
     if over.any():
         l, t = np.argwhere(over)[0]
-        raise PowerCapError(f"{strategy.kind} state has power {energy[l, t]!r} "
-                            f"over the budget {budget[l, 0]!r}")
+        raise PowerCapError(f"{strategy.kind} state has power {float(energy[l, t])!r} "
+                            f"over the budget {float(budget[l, 0])!r}")
     return s
 
 

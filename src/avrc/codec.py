@@ -43,7 +43,9 @@ from .gaussian import GaussianSfdParams, PowerSplit, cut_gains, cut_rates
 FIXED_INDEX = 0   # boundary message carried by the final block and block 0's "previous"
 MAX_TABLE_BYTES = 1 << 30   # the largest codeword tables a codebook draws
 # most symbols (n * blocks) of one trial: a chunk holds at least one trial's
-# arrays, about 230 B per symbol, so the cap is about 240 MB
+# arrays, and a sweep's decode stack up to four chunks' worth of observations
+# (sim._DECODE_STACK_CHUNKS), four trials at the cap; there (n = 2**18, B = 4,
+# permuted) a one-row run peaked at about 150 MB and a 9-row sweep at 270 MB
 MAX_TRIAL_SYMBOLS = 1 << 20
 _HALF = 1 << 32          # 2**32, the number of values of a 32-bit half word
 _PCG_PERIOD = 1 << 128   # PCG64's period; advancing by it less k steps rewinds k words
@@ -188,8 +190,21 @@ def _stack(arr, core, what):
 
 
 def _through(a, perm):
-    """a (T, B, n) read through each trial's permutation perm (T, n): a[t][:, perm[t]]."""
-    return a if perm is None else np.take_along_axis(a, np.asarray(perm)[..., None, :], axis=-1)
+    """a (T, B, n) read through each trial's permutation perm (T, n): a[t][:, perm[t]].
+
+    One flat take at the indices (t*B + b)*n + perm[t], refused unless perm is
+    a (T, n) integer stack with entries in [0, n): out of range, a flat index
+    would read the next block, and a negative one would wrap.
+    """
+    if perm is None:
+        return a
+    T, B, n = a.shape
+    perm = np.asarray(perm)
+    if perm.shape != (T, n) or perm.dtype.kind not in "iu" \
+            or (perm.size and not (0 <= perm.min() and perm.max() < n)):
+        raise CodecConfigError(f"perm must be a {(T, n)} stack of integers in [0, {n})")
+    starts = np.arange(0, T * B * n, n).reshape(T, B, 1)
+    return a.reshape(-1).take(starts + perm.astype(np.intp, copy=False)[:, None, :])
 
 
 @dataclass(frozen=True)

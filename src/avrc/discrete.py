@@ -77,7 +77,7 @@ class Dmc:
         if bad.size:
             x, s = bad[0]
             raise ChannelFormatError(
-                f"slice (x={x}, s={s}) sums to {sums[x, s]!r}, not 1")
+                f"slice (x={x}, s={s}) sums to {float(sums[x, s])!r}, not 1")
         if not self.relay_rate >= 0:
             raise ChannelFormatError(f"relay_rate (C1) must be >= 0, got {self.relay_rate!r}")
         object.__setattr__(self, "kernel", W)

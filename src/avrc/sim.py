@@ -20,8 +20,11 @@ rows' generators are separate, so each row gets the floats it would get
 alone.  Above a trial's state power a larger Lambda leaves the state as it
 was, and an equal state is an equal observation, so a trial is decoded again
 only in the rows where its state changed; a one-row run decodes each trial
-once, as before.  Every tally is a sum over trials, so the results are also
-identical for any chunk size.
+once.  The observations of all a chunk's rows are stacked in row order and
+decoded together, in stacks of a bounded number of trials, and each row's
+decisions are copied back before its tally is taken.  A stack decides each
+trial as that trial alone, and every tally is a sum over trials, so the
+results are also identical for any chunk size.
 """
 
 import functools
@@ -58,6 +61,10 @@ MAX_TRIALS = 10**7
 # cap on T*B*n, the symbols of one chunk of trials; a chunk's arrays are a few
 # times this many floats
 _CHUNK_ENTRIES = 1 << 14
+# a chunk decodes its rows' observations in stacks of at most this many
+# chunks' worth of trials, so a sweep of any length holds at most twice that
+# many chunks of observations: the rows' own, and the stack built from them
+_DECODE_STACK_CHUNKS = 4
 # numpy's SeedSequence hash (O'Neill's seed_seq design with numpy's constants,
 # https://www.pcg-random.org/posts/developing-a-seed_seq-alternative.html), as
 # Python ints: a uint32 scalar that overflows warns, a uint32 array does not
@@ -119,8 +126,8 @@ def wilson_interval(errors: int, trials: int, z: float = WILSON_Z):
 def resolve_workers(requested=None):
     """Worker count: the explicit argument (at least 1), else 1.  Threads take
     whole chunks of trials.  On a 2-vCPU host, 2 threads ran the benchmark's
-    mc_impostor workload at 0.61 of the 1-thread speed and mc_sweep_permuted
-    at 0.75 (medians of 10 and 4 runs of perfbench's scaling_2w), so 1 stays
+    mc_impostor workload at 0.58 of the 1-thread speed and mc_sweep_permuted
+    at 0.83 (medians of 4 and 10 runs of perfbench's scaling_2w), so 1 stays
     the default; hosts with more cores have not been measured."""
     workers = 1 if requested is None else int(requested)
     if workers < 1:
@@ -131,7 +138,7 @@ def resolve_workers(requested=None):
 def _check_power(name, energies, budget):
     """Raise PowerCapError unless every block energy is within the budget."""
     if not (energies <= budget).all():
-        raise PowerCapError(f"{name} block energy {energies.max()!r} exceeds {budget!r}")
+        raise PowerCapError(f"{name} block energy {float(energies.max())!r} exceeds {budget!r}")
 
 
 def _hash_consts(init, mult, count):
@@ -264,8 +271,13 @@ def _run_chunk(rows, codebook, trials):
     strategy then draws once, and `make_state` fits the draw to every Lambda
     of that strategy's rows.  Walking a strategy's rows in order, a trial
     whose state equals (==) its state in the row before sees the same
-    observation, so it keeps that row's decode; only the other trials are
-    decoded, as one stack.
+    observation, so it keeps that row's decode; only the other trials'
+    observations are made.  Those of all the rows go onto one stack, in
+    that order, which one decode_backward call decides when the next row's
+    trials would take it over _DECODE_STACK_CHUNKS chunks' worth, and at the
+    end; its decisions are then copied into the running error and tie
+    arrays row by row, in the same order, and each row's tally is taken
+    after its own.
     """
     cb, base = codebook, rows[0]
     B, n = cb.num_blocks, cb.n
@@ -293,6 +305,25 @@ def _run_chunk(rows, codebook, trials):
     tallies = [None] * len(rows)
     err = np.zeros(msgs.shape, dtype=bool)   # (T, B-1, 2): wrong m1, wrong m2 per block
     ties = np.zeros(len(msgs), dtype=int)
+    limit = _DECODE_STACK_CHUNKS * max(1, _CHUNK_ENTRIES // (B * n))   # trials a stack
+    planned, observed = [], []   # (row, trials, count) in walk order; their observations
+
+    def decode_planned():
+        if observed:
+            res = decode_backward(cb, observed[0] if len(observed) == 1
+                                  else np.concatenate(observed))
+            decided = np.stack([res.m_relayed, res.m_direct], axis=-1)
+        lo = 0
+        for i, fresh, count in planned:
+            if count:
+                err[fresh] = decided[lo:lo + count] != msgs[fresh]
+                ties[fresh] = res.tie_count[lo:lo + count]
+                lo += count
+            tallies[i] = (int(err.any(axis=(1, 2)).sum()), *err.sum(axis=0).T, clipped,
+                          int(ties.sum()))
+        planned.clear()
+        observed.clear()
+
     for strategy, idx in jammers.items():
         states = make_state(strategy, B * n, jam_rngs[strategy], cb, base.relay_mode,
                             [rows[i].strategy.Lambda for i in idx]).reshape(len(idx), -1, B, n)
@@ -301,13 +332,14 @@ def _run_chunk(rows, codebook, trials):
             # the first row.  == holds for +0.0 and -0.0, which the decoder's sums,
             # max, argmax and == cannot tell apart either
             fresh = slice(None) if k == 0 else np.flatnonzero((s != states[k - 1]).any(axis=(1, 2)))
-            if k == 0 or len(fresh):
-                res = decode_backward(cb, destination_observation(
+            count = len(msgs) if k == 0 else len(fresh)
+            if sum(map(len, observed)) + count > limit:
+                decode_planned()
+            planned.append((i, fresh, count))
+            if count:
+                observed.append(destination_observation(
                     signal[fresh], s[fresh], None if perm is None else perm[fresh]))
-                err[fresh] = np.stack([res.m_relayed, res.m_direct], axis=-1) != msgs[fresh]
-                ties[fresh] = res.tie_count
-            tallies[i] = (int(err.any(axis=(1, 2)).sum()), *err.sum(axis=0).T, clipped,
-                          int(ties.sum()))
+    decode_planned()
     return tallies
 
 

@@ -182,6 +182,7 @@ def test_over_power_draw_raises_power_cap_error(monkeypatch):
 
     monkeypatch.setattr(adversary, "_fit", over_power)
     cb = small_codebook()
-    with pytest.raises(PowerCapError):
-        one_state(StateStrategy("impostor", Lambda=1.0), cb.num_blocks * cb.n,
-                  np.random.default_rng(0), cb)
+    n = cb.num_blocks * cb.n
+    # the message prints plain floats, not numpy scalar reprs
+    with pytest.raises(PowerCapError, match=rf"power {4.0 * n!r} over the budget {float(n)!r}$"):
+        one_state(StateStrategy("impostor", Lambda=1.0), n, np.random.default_rng(0), cb)

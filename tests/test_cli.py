@@ -151,6 +151,18 @@ def test_primitive_rejects_nan_relay_rate(capsys, tmp_path):
     assert "C1" in err
 
 
+def test_a_slice_that_does_not_sum_to_one_is_named_with_a_plain_float(capsys, tmp_path):
+    obj = dmc_to_json(binary_pipe_dmc())
+    obj["W"][0][0][0][0] = 0.9
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "primitive", "--channel", str(path), "--bound", "cutset")
+    assert code == 2
+    assert out == ""
+    assert "slice (x=0, s=0) sums to 0.9, not 1" in err
+    assert "np." not in err
+
+
 def test_simulate_csv_and_worker_independence(capsys, tmp_path):
     cfg = {
         "codebook": {"n": 48, "blocks": 3, "rate_relayed": 0.05, "rate_direct": 0.05,

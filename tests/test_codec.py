@@ -379,6 +379,33 @@ def test_transmit_rejects_a_non_permutation():
         transmit(cb, msgs, [np.random.default_rng(0)], perm=np.zeros((1, cb.n), dtype=int))
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(T=st.integers(1, 6), B=st.integers(1, 4), n=st.integers(1, 40),
+       identity=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_flat_gather_matches_take_along_axis(T, B, n, identity, seed):
+    # one flat take at (t*B + b)*n + perm[t] reads the bits take_along_axis
+    # reads, -0.0 included
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(T, B, n))
+    zeros = rng.random((T, B, n)) < 0.3
+    a[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+    perm = np.tile(np.arange(n), (T, 1)) if identity else np.stack(
+        [rng.permutation(n) for _ in range(T)])
+    got = codec._through(a, perm)
+    assert got.shape == (T, B, n)
+    assert got.tobytes() == np.take_along_axis(a, perm[:, None, :], axis=-1).tobytes()
+    signal = np.zeros((T, B, n))
+    for bad in (perm[0], np.concatenate([perm, np.zeros((T, 1), dtype=int)], axis=1),
+                perm.astype(float)):
+        with pytest.raises(CodecConfigError):
+            destination_observation(signal, a, bad)
+    for entry in (n, -1):
+        out = perm.copy()
+        out[T - 1, seed % n] = entry
+        with pytest.raises(CodecConfigError):
+            destination_observation(signal, a, out)
+
+
 def test_identity_permutation_matches_plain():
     cb = build_codebook(make_config())
     rng = np.random.default_rng(2)

@@ -362,13 +362,25 @@ def test_over_power_relay_codeword_raises_on_the_batched_path(monkeypatch):
     monkeypatch.setattr(sim, "build_codebook", loud)
     cfg = SimConfig(base_codebook_config(), StateStrategy("zero", Lambda=1.0),
                     trials=20, master_seed=1)
-    with pytest.raises(PowerCapError, match="x1 block energy"):
+    with pytest.raises(PowerCapError, match=r"x1 block energy \d[^a-z(]* exceeds"):
         run_monte_carlo(cfg)
 
 
 def test_sweep_decodes_only_the_trials_whose_state_changed(monkeypatch):
+    _check_decode_stacks(monkeypatch, [0.5, 6.3, 8.0])
+
+
+def test_a_long_sweep_decodes_before_the_end_of_a_chunk(monkeypatch):
+    # 28 rows: each chunk fills more than one stack
+    stacks = _check_decode_stacks(monkeypatch, [0.5, 2.0, 4.0, 6.3, 7.0, 8.0, 12.0])
+    assert min(stacks) > 1
+
+
+def _check_decode_stacks(monkeypatch, lambdas):
+    """Check a sweep's decode stacks against the rule; returns each chunk's
+    stack count."""
     # impostor states have about 6.3 per symbol of power here, and the iid
-    # jammer's variance sits there too, so the middle budget splits both
+    # jammer's variance sits there too, so the middle budgets split both
     base = SimConfig(base_codebook_config(), StateStrategy("zero", Lambda=1.0),
                      trials=10, master_seed=2, permute=True)
     n = base.codebook.num_blocks * base.codebook.n
@@ -376,9 +388,9 @@ def test_sweep_decodes_only_the_trials_whose_state_changed(monkeypatch):
                   StateStrategy("fixed", Lambda=1.0, vector=tuple(0.5 * np.cos(np.arange(n)))),
                   StateStrategy("iid_gaussian", Lambda=1.0, variance=6.3, seed=5),
                   StateStrategy("impostor", Lambda=1.0, seed=3)]
-    lambdas = [0.5, 6.3, 8.0]
     chunks = [range(0, 4), range(4, 8), range(8, 10)]
     monkeypatch.setattr(sim, "_CHUNK_ENTRIES", 4 * n)
+    bound = sim._DECODE_STACK_CHUNKS * 4   # trials of one decode stack
     cb = build_codebook(base.codebook)
 
     def alone(strategy, lam, t):
@@ -386,19 +398,28 @@ def test_sweep_decodes_only_the_trials_whose_state_changed(monkeypatch):
         return adversary.make_state(strategy, n, [rng], cb, "min_distance", [lam])[0, 0]
 
     # per chunk and strategy (in the sweep's row order), the first Lambda
-    # decodes every trial and each later one the trials whose state changed
-    expected, mixed = [], 0
+    # decodes every trial and each later one the trials whose state changed;
+    # a chunk's rows go into a stack in that order, and a stack is decoded when
+    # the next row's trials would take it over the bound, and at the chunk's end
+    expected, per_chunk, mixed = [], [], 0
     for chunk in chunks:
+        stacks = [[]]
         for strategy in sorted(strategies, key=lambda s: s.kind):
             states = [[alone(strategy, lam, t) for t in chunk] for lam in lambdas]
-            expected.append(len(chunk))
+            counts = [len(chunk)]
             for prev, cur in zip(states, states[1:]):
-                fresh = sum(bool((a != b).any()) for a, b in zip(prev, cur))
-                expected += [fresh] if fresh else []
-                mixed += 0 < fresh < len(chunk)
-                # zero and fixed decode once per chunk
-                assert fresh == 0 or strategy.kind in adversary.DRAWING_KINDS
+                counts.append(sum(bool((a != b).any()) for a, b in zip(prev, cur)))
+                mixed += 0 < counts[-1] < len(chunk)
+            # zero and fixed decode once per chunk
+            assert sum(counts) == len(chunk) or strategy.kind in adversary.DRAWING_KINDS
+            for count in filter(None, counts):
+                if sum(stacks[-1]) + count > bound:
+                    stacks.append([])
+                stacks[-1].append(count)
+        expected += [sum(stack) for stack in stacks]
+        per_chunk.append(len(stacks))
     assert mixed > 0
+    assert max(expected) <= bound
     decoded = []
     real = sim.decode_backward
 
@@ -413,3 +434,4 @@ def test_sweep_decodes_only_the_trials_whose_state_changed(monkeypatch):
     shared = sim._estimates(rows, cb, 1)
     assert decoded == expected
     assert shared == [run_monte_carlo(row) for row in rows]
+    return per_chunk
