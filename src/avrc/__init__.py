@@ -34,7 +34,7 @@ from .codec import (
     encode,
     transmit,
 )
-from .adversary import StateStrategy, make_state
+from .adversary import StateStrategy, draw_state, make_state
 from .sim import ErrorEstimate, SimConfig, attack_sweep, run_monte_carlo
 
 __all__ = [
@@ -43,7 +43,7 @@ __all__ = [
     "SfdCodebook", "SimConfig", "StateStrategy", "SymVerdict", "achievable_rate_pair",
     "attack_sweep", "build_codebook", "classify_capacity", "codebook_config_to_json",
     "cutset_bound", "decode_backward", "degradedness_classify", "destination_observation",
-    "det_code_bounds", "df_bound", "dmc_to_json",
+    "det_code_bounds", "df_bound", "dmc_to_json", "draw_state",
     "encode", "f_g", "figure_sweep", "gavc_point_to_point", "make_state", "mutual_information",
     "primitive_gaussian_capacity", "random_code_capacity",
     "run_monte_carlo", "symmetrizability", "transmit",

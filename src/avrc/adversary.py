@@ -1,16 +1,15 @@
 """Jammer strategies under the hard power constraint ||s||^2 <= n * Lambda.
 
-Strategies are immutable descriptors; `make_state` is pure given (strategy,
-n, rngs, codebook, relay mode, budgets), and draws one state per generator in
-the sequence it is handed.  The codebook-aware impostor synthesizes a fake
-transmission through the real encoder and relay map and injects it as the
-state, falling back to all zeros when the fake sequence lands over power.
-
-A state is a draw that does not depend on Lambda (zeros, the fixed vector,
-iid normals or the fake transmission) followed by a budget step at n*Lambda
-(the power check, the rescale or the fallback).  So one draw can be fitted to
-several Lambda values at once, each state the same floats as at its Lambda
-alone, and a Lambda sweep draws each jammer's streams once.
+Strategies are immutable descriptors.  A state is made in two pure steps:
+`draw_state` draws the part that does not depend on Lambda (zeros, the fixed
+vector, iid normals or the fake transmission), one row per generator in the
+sequence it is handed, and `make_state` fits that draw at n * Lambda (the
+power check, the rescale or the fallback).  The codebook-aware impostor
+synthesizes a fake transmission through the real encoder and relay map and
+injects it as the state, falling back to all zeros when the fake sequence
+lands over power.  A fit leaves its draw as it was, so a Lambda sweep draws
+each jammer's streams once and fits the draw row by row, each state the same
+floats as a fresh draw fitted at its Lambda alone.
 """
 
 from dataclasses import dataclass
@@ -70,72 +69,58 @@ def strategy_to_json(strategy: StateStrategy) -> dict:
     return out
 
 
-def make_state(strategy: StateStrategy, n: int, rngs, codebook: SfdCodebook | None,
-               relay_mode: str, lambdas):
-    """An (L, T, n) stack of state sequences of length n, one per budget and
-    generator; row l always satisfies ||s||^2 <= n*lambdas[l].
+def draw_state(strategy: StateStrategy, n: int, rngs, codebook: SfdCodebook | None,
+               relay_mode: str):
+    """The part of a state that does not depend on Lambda: a (T, n) draw, one
+    row per generator, and each row's power (T,).
 
-    rngs is a sequence of T generators, one state drawn from each in turn.
+    rngs is a sequence of T generators, one row drawn from each in turn.
     The zero and fixed kinds (not in DRAWING_KINDS) never draw, so their T
     entries may be None.  The impostor reads the codebook and the relay mode
-    of the code it attacks; the other kinds ignore them.
-
-    lambdas is a sequence of L budgets, read in place of strategy.Lambda; one
-    draw is fitted to each of them, with row l equal to the state at
-    lambdas[l] alone.  The draw does not depend on Lambda, so it runs once;
-    only the budget step (the rescale, the fallback or the check) runs per
-    Lambda."""
-    rngs = list(rngs)
-    lams = np.array(lambdas, dtype=float)
-    if lams.ndim != 1 or not lams.size or not (np.isfinite(lams) & (lams > 0)).all():
-        raise StrategyError(f"Lambda values must be finite and > 0, got {shown(lambdas)}")
-    budget = n * lams[:, None]     # (L, 1), the same floats as n * Lambda
-    shape = (len(lams), len(rngs), n)
-
+    of the code it attacks; the other kinds ignore them."""
     if strategy.kind == "zero":
-        s = np.zeros(shape)
+        s = np.zeros((len(rngs), n))
     elif strategy.kind == "fixed":
         vec = np.asarray(strategy.vector, dtype=float)
         if vec.shape != (n,):
             raise StrategyError(f"fixed vector has length {vec.size}, expected {n}")
-        if (vec @ vec > budget).any():
-            raise StrategyError("fixed vector violates the power constraint")
-        s = np.tile(vec, shape[:2] + (1,))
+        s = np.tile(vec, (len(rngs), 1))
+    elif strategy.kind == "iid_gaussian":
+        s = normals(rngs, np.sqrt(strategy.variance), (n,))
     else:
-        if strategy.kind == "iid_gaussian":
-            raw, power = _iid_draw(strategy, n, rngs)
-        else:
-            raw, power = _impostor_draw(n, rngs, codebook, relay_mode)
-        s = _fit(strategy.kind, raw, power, budget)
+        s = _impostor_draw(n, rngs, codebook, relay_mode)
+    return s, row_powers(s)
+
+
+def make_state(strategy: StateStrategy, drawn):
+    """The (T, n) states of a draw_state draw fitted at strategy.Lambda, each
+    row within ||s||^2 <= n * Lambda: a fixed vector over the budget raises
+    StrategyError, an iid row over it is rescaled onto the sphere of radius
+    sqrt(n * Lambda), and an impostor row over it falls back to all zeros.
+    The draw is left as it was (zero and fixed return it), so it can be fitted
+    at any number of Lambda values, in any order."""
+    raw, power = drawn
+    budget = raw.shape[-1] * strategy.Lambda
+    if strategy.kind == "fixed" and (power > budget).any():
+        raise StrategyError("fixed vector violates the power constraint")
+    if strategy.kind == "iid_gaussian":
+        # max(power, budget) leaves sqrt(budget / budget) = 1.0 exactly on rows in budget
+        s = raw * np.sqrt(budget / np.maximum(power, budget))[:, None]
+    elif strategy.kind == "impostor":
+        s = np.where((power > budget)[:, None], 0.0, raw)
+    else:
+        s = raw
 
     energy = row_powers(s)
     over = ~(energy <= budget * (1.0 + 1e-12))
     if over.any():
-        l, t = np.argwhere(over)[0]
-        raise PowerCapError(f"{strategy.kind} state has power {float(energy[l, t])!r} "
-                            f"over the budget {float(budget[l, 0])!r}")
+        raise PowerCapError(f"{strategy.kind} state has power {float(energy[over][0])!r} "
+                            f"over the budget {float(budget)!r}")
     return s
 
 
-def _fit(kind, raw, power, budget):
-    """The (L, T, n) states of a (T, n) draw with row powers (T,) at budgets
-    (L, 1): an iid row over a budget is rescaled onto the sphere of radius
-    sqrt(budget), an impostor row over it falls back to all zeros."""
-    if kind == "iid_gaussian":
-        # max(power, budget) leaves sqrt(budget / budget) = 1.0 exactly on rows in budget
-        return raw * np.sqrt(budget / np.maximum(power, budget))[..., None]
-    return np.where((power > budget)[..., None], 0.0, raw)
-
-
-def _iid_draw(strategy, n, rngs):
-    """iid N(0, variance) symbols, one row per generator, and each row's power."""
-    s = normals(rngs, np.sqrt(strategy.variance), (n,))
-    return s, row_powers(s)
-
-
 def _impostor_draw(n, rngs, codebook, relay_mode):
-    """Fake message + fake relay response, one (T, n) row per generator, and
-    each row's power.
+    """Fake message + fake relay response, one (T, n) row per generator.
 
     Each generator draws its fake m1, fake m2 and then its fake relay-link
     noise; the fake direct-band codewords plus that noise pass through the
@@ -147,5 +132,4 @@ def _impostor_draw(n, rngs, codebook, relay_mode):
     if n != B * codebook.n:
         raise StrategyError(f"impostor state length {n} != blocks*n = {B * codebook.n}")
     tx, _, x1 = transmit(codebook, draw_messages(codebook, rngs), rngs, relay_mode)
-    s = (tx.x_prime + x1).reshape(len(rngs), n)
-    return s, row_powers(s)
+    return (tx.x_prime + x1).reshape(len(rngs), n)

@@ -13,16 +13,17 @@ uint32 arrays, and each PCG64 is handed its state words.
 The work runs per chunk of trials, and one chunk serves every row of a
 sweep: a loop draws each trial's own seeded stream in the order a trial alone
 would, and the chunk is encoded, relayed and checked once as (T, B, n)
-arrays.  Each jammer strategy that draws then draws once for the chunk,
-from streams seeded with the trials', and that draw is fitted to each Lambda
-of the sweep.  The
-rows' generators are separate, so each row gets the floats it would get
-alone.  Above a trial's state power a larger Lambda leaves the state as it
-was, and an equal state is an equal observation, so a trial is decoded again
-only in the rows where its state changed; a one-row run decodes each trial
-once.  The observations of all a chunk's rows are stacked in row order and
-decoded together, in stacks of a bounded number of trials, and each row's
-decisions are copied back before its tally is taken.  A stack decides each
+arrays.  Each jammer strategy then makes one draw for the chunk (a drawing
+kind from streams seeded with the trials'), and the draw is fitted at each
+Lambda of the sweep in turn, so a chunk holds one row's states at a time,
+whatever the length of the Lambda grid.  The rows' generators are separate,
+so each row gets the floats it would get alone.  Above a trial's state power
+a larger Lambda leaves the state as it was, and an equal state is an equal
+observation, so a trial is decoded again only in the rows where its state
+changed; a one-row run decodes each trial once.  The observations of all a
+chunk's rows are stacked in row order and decoded together, in stacks of a
+bounded number of trials, and each row's decisions are copied back before
+its tally is taken.  A stack decides each
 trial as that trial alone, and every tally is a sum over trials, so the
 results are also identical for any chunk size.
 """
@@ -38,6 +39,7 @@ from ._fields import bool_field, int_field, number_list_field, object_field, see
 from .adversary import (
     DRAWING_KINDS,
     StateStrategy,
+    draw_state,
     make_state,
     strategy_from_json,
     strategy_to_json,
@@ -90,6 +92,10 @@ class SimConfig:
     permute: bool = False
 
     def __post_init__(self):
+        try:   # int_field's rule: an integral float is read as its int, a bool is refused
+            object.__setattr__(self, "trials", int_field({"trials": self.trials}, "trials"))
+        except ValueError as exc:
+            raise SimConfigError(str(exc)) from None
         if self.trials < 1:
             raise SimConfigError("trials must be >= 1")
         if self.trials > MAX_TRIALS:
@@ -265,19 +271,19 @@ def _run_chunk(rows, codebook, trials):
     the permutation flag, and differ only in the jammer.  The trials' own
     generators ([master_seed, t]) and the jammer generators of each strategy
     that draws ([seed, master_seed, t]) are seeded once, by one _seed_words
-    pass over the chunk.  Each trial's own stream draws m1, m2,
-    the permutation and then the relay noise, as for a trial alone, and the
+    pass over the chunk.  Each trial's own stream draws m1, m2, the
+    permutation and then the relay noise, as for a trial alone, and the
     chunk is encoded, relayed and checked once as (T, B, n) arrays.  Each
-    strategy then draws once, and `make_state` fits the draw to every Lambda
-    of that strategy's rows.  Walking a strategy's rows in order, a trial
-    whose state equals (==) its state in the row before sees the same
-    observation, so it keeps that row's decode; only the other trials'
-    observations are made.  Those of all the rows go onto one stack, in
-    that order, which one decode_backward call decides when the next row's
-    trials would take it over _DECODE_STACK_CHUNKS chunks' worth, and at the
-    end; its decisions are then copied into the running error and tie
-    arrays row by row, in the same order, and each row's tally is taken
-    after its own.
+    strategy then draws once (`draw_state`), and its rows are walked in
+    order, `make_state` fitting the draw at each row's Lambda; only the
+    previous row's states are kept.  A trial whose state equals (==) its
+    state in the row before sees the same observation, so it keeps that
+    row's decode; only the other trials' observations are made.  Those of
+    all the rows go onto one stack, in that order, which one decode_backward
+    call decides when the next row's trials would take it over
+    _DECODE_STACK_CHUNKS chunks' worth, and at the end; its decisions are
+    then copied into the running error and tie arrays row by row, in the
+    same order, and each row's tally is taken after its own.
     """
     cb, base = codebook, rows[0]
     B, n = cb.num_blocks, cb.n
@@ -325,20 +331,22 @@ def _run_chunk(rows, codebook, trials):
         observed.clear()
 
     for strategy, idx in jammers.items():
-        states = make_state(strategy, B * n, jam_rngs[strategy], cb, base.relay_mode,
-                            [rows[i].strategy.Lambda for i in idx]).reshape(len(idx), -1, B, n)
-        for k, (i, s) in enumerate(zip(idx, states)):
+        drawn = draw_state(strategy, B * n, jam_rngs[strategy], cb, base.relay_mode)
+        prev = None
+        for i in idx:
+            s = make_state(rows[i].strategy, drawn).reshape(-1, B, n)
             # the trials whose state differs from the row before; all, as views, in
             # the first row.  == holds for +0.0 and -0.0, which the decoder's sums,
             # max, argmax and == cannot tell apart either
-            fresh = slice(None) if k == 0 else np.flatnonzero((s != states[k - 1]).any(axis=(1, 2)))
-            count = len(msgs) if k == 0 else len(fresh)
+            fresh = slice(None) if prev is None else np.flatnonzero((s != prev).any(axis=(1, 2)))
+            count = len(msgs) if prev is None else len(fresh)
             if sum(map(len, observed)) + count > limit:
                 decode_planned()
             planned.append((i, fresh, count))
             if count:
                 observed.append(destination_observation(
                     signal[fresh], s[fresh], None if perm is None else perm[fresh]))
+            prev = s
     decode_planned()
     return tallies
 
@@ -409,6 +417,8 @@ def attack_sweep(base: SimConfig, lambda_grid, strategies=None, workers=None):
     if not lambdas:
         raise SimConfigError("empty Lambda grid")
     strategies = list(strategies) if strategies is not None else [base.strategy]
+    if not strategies:
+        raise SimConfigError("empty strategy list")
     rows = len(lambdas) * len(strategies)
     if rows * base.trials > MAX_TRIALS:
         raise SimConfigError(f"sweep of {rows} rows x {base.trials} trials is above the cap "

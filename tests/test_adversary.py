@@ -1,15 +1,16 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avrc import adversary
 from avrc.adversary import (
     STRATEGY_KINDS,
     StateStrategy,
     StrategyError,
+    draw_state,
     make_state,
     strategy_from_json,
     strategy_to_json,
@@ -27,8 +28,8 @@ def small_codebook(P=0.2, P1=0.2, Lam=1.0, s2=1e-4, n=64, blocks=3, seed=5):
 
 
 def one_state(strategy, n, rng=None, codebook=None):
-    """make_state's one trial at strategy.Lambda: the (n,) row of its (1, 1, n) stack."""
-    return make_state(strategy, n, [rng], codebook, "min_distance", [strategy.Lambda])[0, 0]
+    """One trial's state at strategy.Lambda: the (n,) row of a one-generator draw's fit."""
+    return make_state(strategy, draw_state(strategy, n, [rng], codebook, "min_distance"))[0]
 
 
 def test_zero_strategy():
@@ -110,10 +111,6 @@ def test_strategy_validation():
         StateStrategy("iid_gaussian", Lambda=1.0)
     with pytest.raises(StrategyError):
         StateStrategy("zero", Lambda=0.0)
-    for lambdas in ([], [0.0], [1.0, float("nan")]):
-        with pytest.raises(StrategyError, match="Lambda"):
-            make_state(StateStrategy("zero", Lambda=1.0), 4, [None], None, "min_distance",
-                       lambdas)
 
 
 @pytest.mark.parametrize("kind, Lambda, variance, field", [
@@ -157,32 +154,36 @@ def test_hard_constraint_universal_randomized(kind, lam, scale, seed):
        trials=st.sampled_from([1, 3]))
 def test_one_draw_fitted_to_each_lambda_equals_that_lambda_alone(kind, lambdas, variance, seed,
                                                                  trials):
-    # a stack over Lambda is bit for bit the states at each Lambda alone: iid
-    # rows rescaled or not, impostor rows kept or fallen back to zeros
+    # one draw fitted at each Lambda in turn, ascending, descending and with
+    # repeats, is bit for bit a fresh draw fitted at that Lambda alone (iid rows
+    # rescaled or not, impostor rows kept or fallen back to zeros), and the
+    # fits leave the draw as it was, since later rows of a sweep reuse it
     cb = small_codebook()
     n = cb.num_blocks * cb.n
     vector = tuple(np.sqrt(min(lambdas)) * np.sin(np.arange(n))) if kind == "fixed" else None
     strat = StateStrategy(kind, Lambda=1.0, seed=seed, vector=vector,
                           variance=variance if kind == "iid_gaussian" else None)
 
-    def rngs():
-        return [np.random.default_rng((seed, t)) for t in range(trials)]
+    def draw():
+        rngs = [np.random.default_rng((seed, t)) for t in range(trials)]
+        return draw_state(strat, n, rngs, cb, "min_distance")
 
-    stack = make_state(strat, n, rngs(), cb, "min_distance", lambdas)
-    assert stack.shape == (len(lambdas), trials, n)
-    for lam, s in zip(lambdas, stack):
-        alone = make_state(strat, n, rngs(), cb, "min_distance", [lam])[0]
-        assert s.tobytes() == alone.tobytes()
+    drawn = draw()
+    before = [a.tobytes() for a in drawn]
+    assert drawn[0].shape == (trials, n) and drawn[1].shape == (trials,)
+    for lam in sorted(lambdas) + sorted(lambdas, reverse=True) + [v for v in lambdas for _ in "ab"]:
+        at = replace(strat, Lambda=lam)
+        s = make_state(at, drawn)
+        assert s.shape == (trials, n)
+        assert s.tobytes() == make_state(at, draw()).tobytes()
+    assert [a.tobytes() for a in drawn] == before
 
 
-def test_over_power_draw_raises_power_cap_error(monkeypatch):
-    # the cap is an explicit check, so it holds under python -O as well
-    def over_power(kind, raw, power, budget):
-        return np.full((len(budget),) + raw.shape, 2.0)
-
-    monkeypatch.setattr(adversary, "_fit", over_power)
-    cb = small_codebook()
-    n = cb.num_blocks * cb.n
+def test_over_power_draw_raises_power_cap_error():
+    # the cap is an explicit check, so it holds under python -O as well: a draw
+    # whose stated powers understate its rows passes the fallback and is caught
+    n = 192
+    drawn = (np.full((1, n), 2.0), np.zeros(1))
     # the message prints plain floats, not numpy scalar reprs
     with pytest.raises(PowerCapError, match=rf"power {4.0 * n!r} over the budget {float(n)!r}$"):
-        one_state(StateStrategy("impostor", Lambda=1.0), n, np.random.default_rng(0), cb)
+        make_state(StateStrategy("impostor", Lambda=1.0), drawn)

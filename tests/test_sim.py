@@ -1,6 +1,7 @@
 import itertools
 import json
 import tempfile
+import tracemalloc
 from dataclasses import asdict, replace
 from pathlib import Path
 from unittest import mock
@@ -80,6 +81,18 @@ def test_trials_validation():
         SimConfig(base_codebook_config(), StateStrategy("zero", Lambda=1.0), trials=0)
 
 
+@pytest.mark.parametrize("trials", [2.5, True, "3", None])
+def test_trials_must_be_an_integer(trials):
+    # 2.5 used to build a config that failed inside range(), and True ran 1 trial
+    with pytest.raises(SimConfigError, match=r"^trials must be an integer, got "):
+        SimConfig(base_codebook_config(), StateStrategy("zero", Lambda=1.0), trials=trials)
+
+
+def test_an_integral_float_trials_is_read_as_its_int():
+    cfg = SimConfig(base_codebook_config(), StateStrategy("zero", Lambda=1.0), trials=3.0)
+    assert type(cfg.trials) is int and cfg.trials == 3
+
+
 def test_trials_cap_admits_the_cap_and_refuses_one_more():
     cb, zero = base_codebook_config(), StateStrategy("zero", Lambda=1.0)
     assert SimConfig(cb, zero, trials=sim.MAX_TRIALS).trials == 10**7
@@ -149,6 +162,8 @@ def test_attack_sweep_rows_and_csv(tmp_path):
                             "ci_low", "ci_high", "clip_rate"]
     with pytest.raises(SimConfigError):
         attack_sweep(base, [])
+    with pytest.raises(SimConfigError, match="^empty strategy list$"):
+        attack_sweep(base, [1.0], [])
 
 
 def test_single_lambda_single_strategy_row():
@@ -395,7 +410,8 @@ def _check_decode_stacks(monkeypatch, lambdas):
 
     def alone(strategy, lam, t):
         rng = np.random.default_rng(np.random.SeedSequence([strategy.seed, 2, t]))
-        return adversary.make_state(strategy, n, [rng], cb, "min_distance", [lam])[0, 0]
+        drawn = adversary.draw_state(strategy, n, [rng], cb, "min_distance")
+        return adversary.make_state(replace(strategy, Lambda=lam), drawn)[0]
 
     # per chunk and strategy (in the sweep's row order), the first Lambda
     # decodes every trial and each later one the trials whose state changed;
@@ -435,3 +451,27 @@ def _check_decode_stacks(monkeypatch, lambdas):
     assert decoded == expected
     assert shared == [run_monte_carlo(row) for row in rows]
     return per_chunk
+
+
+def test_a_sweeps_memory_does_not_grow_with_its_lambda_grid():
+    # a chunk holds one trial here, and each Lambda rescales every state, so
+    # every row is decoded; its state is fitted row by row, so 32 Lambda values
+    # peak within one chunk's (T, B*n) state of 8 (a stack over Lambda held
+    # the whole grid's states: 8 and 14 MB)
+    n, B = 1 << 14, 2
+    cb = CodebookConfig(n=n, num_blocks=B, rate_relayed=1 / n, rate_direct=1 / n,
+                        params=GaussianSfdParams(4.0, 4.0, 1.0, 0.25),
+                        split=PowerSplit(0.6, 0.0), seed=11)
+    base = SimConfig(cb, StateStrategy("iid_gaussian", Lambda=1.0, variance=4.0, seed=5),
+                     trials=2, master_seed=2)
+    attack_sweep(base, [1.0])   # first-call caches stay out of the peaks
+
+    def peak(count):
+        tracemalloc.start()
+        try:
+            attack_sweep(base, np.linspace(0.1, 3.0, count))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(32) <= peak(8) + B * n * 8
