@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fields import number_field, number_list_field, seed_field, shown
-from .codec import PowerCapError, SfdCodebook, draw_messages, normals, row_powers, transmit
+from .codec import POWER_RTOL, SfdCodebook, check_power, draw_messages, normals, row_powers, transmit
 
 STRATEGY_KINDS = ("zero", "fixed", "iid_gaussian", "impostor")
 DRAWING_KINDS = ("iid_gaussian", "impostor")   # the kinds that draw from their generators
@@ -101,7 +101,7 @@ def make_state(strategy: StateStrategy, drawn):
     at any number of Lambda values, in any order."""
     raw, power = drawn
     budget = raw.shape[-1] * strategy.Lambda
-    if strategy.kind == "fixed" and (power > budget).any():
+    if strategy.kind == "fixed" and not (power <= budget * (1.0 + POWER_RTOL)).all():
         raise StrategyError("fixed vector violates the power constraint")
     if strategy.kind == "iid_gaussian":
         # max(power, budget) leaves sqrt(budget / budget) = 1.0 exactly on rows in budget
@@ -110,12 +110,7 @@ def make_state(strategy: StateStrategy, drawn):
         s = np.where((power > budget)[:, None], 0.0, raw)
     else:
         s = raw
-
-    energy = row_powers(s)
-    over = ~(energy <= budget * (1.0 + 1e-12))
-    if over.any():
-        raise PowerCapError(f"{strategy.kind} state has power {float(energy[over][0])!r} "
-                            f"over the budget {float(budget)!r}")
+    check_power(f"{strategy.kind} state", row_powers(s), budget)
     return s
 
 

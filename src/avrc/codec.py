@@ -16,6 +16,9 @@ Power accounting, with split (alpha, rho), backoff delta and gamma = P1/P:
     x''(m1)           rescaled Gaussian rows of power n*(1-alpha)*P
 
 A block whose x' exceeds the power budget n*alpha*P is sent as zero (flagged).
+`transmit` checks each block's x' + x'' against n*P and x1 against n*P1, and
+`adversary.make_state` each state against n*Lambda, all with `check_power`,
+whose allowance POWER_RTOL is relative, so no check depends on the unit of power.
 
 The randomized code shares a time permutation perm of the n symbols of every
 block: both transmitters send x[:, inv] (inv = argsort(perm)) and both
@@ -48,6 +51,7 @@ MAX_TABLE_BYTES = 1 << 30   # the largest codeword tables a codebook draws
 # M1 = M2 = 4, permuted, 4 trials) a one-row run peaked at about 194 MB and a
 # 9-row sweep (three jammers at three Lambda) at 294 MB of ru_maxrss
 MAX_TRIAL_SYMBOLS = 1 << 20
+POWER_RTOL = 1e-12   # the rounding an energy may carry above its budget, relative to it
 _HALF = 1 << 32          # 2**32, the number of values of a 32-bit half word
 _PCG_PERIOD = 1 << 128   # PCG64's period; advancing by it less k steps rewinds k words
 
@@ -62,6 +66,14 @@ class CodebookBudgetError(RuntimeError):
 
 class PowerCapError(RuntimeError):
     """A transmitted or injected sequence exceeds its power budget."""
+
+
+def check_power(name, energies, budget):
+    """Raise PowerCapError unless every energy is at most budget * (1 + POWER_RTOL)."""
+    within = energies <= budget * (1.0 + POWER_RTOL)   # written so that nan fails
+    if not within.all():
+        raise PowerCapError(f"{name} energy {float(energies[~within][0])!r} exceeds the budget "
+                            f"{float(budget)!r}")
 
 
 @dataclass(frozen=True)
@@ -314,13 +326,14 @@ def row_powers(rows):
 def transmit(codebook: SfdCodebook, messages, rngs, relay_mode: str = "min_distance",
              perm=None):
     """One sender -> relay pass over a (T, B-1, 2) stack of messages: encode,
-    draw the relay noise z, run the relay.
+    draw the relay noise z, run the relay, check the power budgets.
 
     rngs is a sequence of T generators, each drawing its own trial's (B, n)
     z, and perm (if any) is (T, n), one permutation per trial.  Returns (tx,
     y1, x1): the Transmission, the relay observations x_direct + z (z[:, perm]
     under a shared permutation, see the module docstring) and the relay's
-    (T, B, n) codewords.
+    (T, B, n) codewords.  Raises PowerCapError when a block's x' + x'' is over
+    n*P or its x1 over n*P1 (see check_power); encode's clip bounds x' alone.
     """
     tx = encode(codebook, messages)
     T, B, n = tx.x_direct.shape
@@ -334,6 +347,9 @@ def transmit(codebook: SfdCodebook, messages, rngs, relay_mode: str = "min_dista
     y1 = tx.x_direct + _through(z, perm)
     true_idx = np.asarray(messages)[..., 0] if relay_mode == "ideal" else None
     _, x1 = relay_chain(codebook, y1, relay_mode, true_idx)
+    p = codebook.config.params
+    check_power("x' + x'' block", row_powers(tx.x_prime) + row_powers(tx.x_direct), n * p.P)
+    check_power("x1 block", row_powers(x1), n * p.P1)
     return tx, y1, x1
 
 

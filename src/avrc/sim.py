@@ -12,9 +12,10 @@ uint32 arrays, and each PCG64 is handed its state words.
 
 The work runs per chunk of trials, and one chunk serves every row of a
 sweep: a loop draws each trial's own seeded stream in the order a trial alone
-would, and the chunk is encoded, relayed and checked once as (T, B, n)
-arrays.  Each jammer strategy then makes one draw for the chunk (a drawing
-kind from streams seeded with the trials'), and the draw is fitted at each
+would, and the chunk is encoded and relayed once as (T, B, n) arrays by
+`codec.transmit`, which checks the power budgets.  Each jammer strategy then
+makes one draw for the chunk (a drawing kind from streams seeded with the
+trials'), and the draw is fitted at each
 Lambda of the sweep in turn, so a chunk holds one row's states at a time,
 whatever the length of the Lambda grid.  The rows' generators are separate,
 so each row gets the floats it would get alone.  Above a trial's state power
@@ -46,14 +47,12 @@ from .adversary import (
 )
 from .codec import (
     CodebookConfig,
-    PowerCapError,
     build_codebook,
     codebook_config_from_json,
     decode_backward,
     destination_observation,
     draw_messages,
     permutations,
-    row_powers,
     transmit,
 )
 WILSON_Z = 1.959963984540054   # two-sided 95%
@@ -117,10 +116,9 @@ class ErrorEstimate:
     tie_count: int
 
 
-def wilson_interval(errors: int, trials: int, z: float = WILSON_Z):
-    if trials == 0:
-        return 0.0, 1.0
-    p = errors / trials
+def wilson_interval(errors: int, trials: int):
+    """The 95% Wilson score interval of errors out of trials >= 1."""
+    p, z = errors / trials, WILSON_Z
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
     half = z * np.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials)) / denom
@@ -139,12 +137,6 @@ def resolve_workers(requested=None):
     if workers < 1:
         raise SimConfigError(f"workers must be >= 1, got {requested!r}")
     return workers
-
-
-def _check_power(name, energies, budget):
-    """Raise PowerCapError unless every block energy is within the budget."""
-    if not (energies <= budget).all():
-        raise PowerCapError(f"{name} block energy {float(energies.max())!r} exceeds {budget!r}")
 
 
 def _hash_consts(init, mult, count):
@@ -273,7 +265,8 @@ def _run_chunk(rows, codebook, trials):
     that draws ([seed, master_seed, t]) are seeded once, by one _seed_words
     pass over the chunk.  Each trial's own stream draws m1, m2, the
     permutation and then the relay noise, as for a trial alone, and the
-    chunk is encoded, relayed and checked once as (T, B, n) arrays.  Each
+    chunk is encoded and relayed once as (T, B, n) arrays, `transmit`
+    checking the power budgets (a PowerCapError ends the run).  Each
     strategy then draws once (`draw_state`), and its rows are walked in
     order, `make_state` fitting the draw at each row's Lambda; only the
     previous row's states are kept.  A trial whose state equals (==) its
@@ -297,14 +290,7 @@ def _run_chunk(rows, codebook, trials):
     jam_rngs = {strategy: [None] * len(trials) for strategy in jammers} | dict(zip(drawing, drawn))
     msgs = draw_messages(cb, rngs)
     perm = permutations(rngs, n) if base.permute else None
-    tx, _, x1 = transmit(cb, msgs, rngs, base.relay_mode, perm)
-
-    p = cb.config.params
-    slack = 1e-9 * n
-    e_prime = row_powers(tx.x_prime)
-    _check_power("x'", e_prime, cb.clip_budget + slack)
-    _check_power("x' + x''", e_prime + row_powers(tx.x_direct), n * p.P + slack)
-    _check_power("x1", row_powers(x1), n * p.P1 + slack)
+    tx, _, x1 = transmit(cb, msgs, rngs, base.relay_mode, perm)   # checks the budgets
     clipped = int(tx.power_clipped.sum())
     signal = tx.x_prime + x1   # what the destination hears before the state
 

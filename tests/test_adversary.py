@@ -48,6 +48,21 @@ def test_fixed_strategy_power_check():
         one_state(StateStrategy("fixed", Lambda=1.0, vector=vec), 9)
 
 
+def test_a_fixed_vector_on_its_budget_sphere_is_accepted():
+    # n entries sqrt(Lambda) have ||s||^2 = n * Lambda, which rounds above the
+    # budget in about a quarter of these cases; the budget allows POWER_RTOL of
+    # rounding, as it does the iid jammer's rescaled rows
+    for n in (64, 96, 128, 192, 384):
+        for lam in np.linspace(0.1, 10.0, 200):
+            vec = (float(np.sqrt(lam)),) * n
+            s = one_state(StateStrategy("fixed", Lambda=float(lam), vector=vec), n)
+            assert s.tobytes() == np.array(vec).tobytes()
+    # a vector 1e-9 over its budget, relative, is refused
+    over = (float(np.sqrt(2.0 * (1.0 + 1e-9))),) * 64
+    with pytest.raises(StrategyError, match=r"^fixed vector violates the power constraint$"):
+        one_state(StateStrategy("fixed", Lambda=2.0, vector=over), 64)
+
+
 def test_iid_gaussian_rescaling_always_within_budget():
     # variance slightly below the budget: the cap binds on a small fraction
     lam = 1.0
@@ -66,6 +81,9 @@ def test_iid_gaussian_rescaling_always_within_budget():
 def test_impostor_requires_context():
     with pytest.raises(StrategyError):
         one_state(StateStrategy("impostor", Lambda=1.0), 64)
+    cb = small_codebook()
+    with pytest.raises(StrategyError, match=r"^impostor state length 191 != blocks\*n = 192$"):
+        one_state(StateStrategy("impostor", Lambda=1.0), 191, np.random.default_rng(0), cb)
 
 
 def test_impostor_replay_contract():
@@ -102,6 +120,8 @@ def test_strategy_json_round_trip():
     assert strategy_from_json(json.loads(blob)) == strat
     gauss = StateStrategy("iid_gaussian", Lambda=0.5, seed=1, variance=0.4)
     assert strategy_from_json(strategy_to_json(gauss)) == gauss
+    fixed = StateStrategy("fixed", Lambda=2.0, vector=(0.5, -1.0, 0.0))
+    assert strategy_from_json(json.loads(json.dumps(strategy_to_json(fixed)))) == fixed
 
 
 def test_strategy_validation():
@@ -111,6 +131,8 @@ def test_strategy_validation():
         StateStrategy("iid_gaussian", Lambda=1.0)
     with pytest.raises(StrategyError):
         StateStrategy("zero", Lambda=0.0)
+    with pytest.raises(StrategyError, match=r"^fixed strategy needs a vector$"):
+        StateStrategy("fixed", Lambda=1.0)
 
 
 @pytest.mark.parametrize("kind, Lambda, variance, field", [
@@ -185,5 +207,6 @@ def test_over_power_draw_raises_power_cap_error():
     n = 192
     drawn = (np.full((1, n), 2.0), np.zeros(1))
     # the message prints plain floats, not numpy scalar reprs
-    with pytest.raises(PowerCapError, match=rf"power {4.0 * n!r} over the budget {float(n)!r}$"):
+    with pytest.raises(PowerCapError,
+                       match=rf"energy {4.0 * n!r} exceeds the budget {float(n)!r}$"):
         make_state(StateStrategy("impostor", Lambda=1.0), drawn)

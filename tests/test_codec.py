@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,10 +10,12 @@ from avrc.codec import (
     CodebookBudgetError,
     CodebookConfig,
     CodecConfigError,
+    PowerCapError,
     _argmax_corr,
     _argmax_corr_direct,
     achievable_rate_pair,
     build_codebook,
+    check_power,
     decode_backward,
     destination_observation,
     encode,
@@ -76,6 +80,33 @@ def test_codebook_seed_determinism():
     c = build_codebook(make_config(seed=6))
     assert np.array_equal(a.v, b.v) and np.array_equal(a.x2, b.x2)
     assert not np.array_equal(a.v, c.v)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("P", 0.0, r"^codebook needs P > 0 and P1 > 0$"),
+    ("P1", 0.0, r"^codebook needs P > 0 and P1 > 0$"),
+    ("delta", 0.0, r"^delta must satisfy 0 < delta < P$"),
+    ("delta", 4.0, r"^delta must satisfy 0 < delta < P$"),
+    ("n", 0, r"^need n >= 1 and at least 2 blocks$"),
+    ("num_blocks", 1, r"^need n >= 1 and at least 2 blocks$"),
+], ids=["P", "P1", "delta_0", "delta_P", "n", "num_blocks"])
+def test_codebook_refuses_a_bad_power_backoff_or_length(field, value, message):
+    config = make_config()
+    if field in ("P", "P1"):
+        config = replace(config, params=replace(config.params, **{field: value}))
+    else:
+        config = replace(config, **{field: value})
+    with pytest.raises(CodecConfigError, match=message):
+        build_codebook(config)
+
+
+def test_check_power_allows_rounding_relative_to_the_budget():
+    for budget in (4.0 ** -30, 3.0, 4.0 ** 30):
+        check_power("x1 block", np.array([0.0, budget, budget * (1.0 + codec.POWER_RTOL)]), budget)
+        for energy in (budget * (1.0 + 4.0 * codec.POWER_RTOL), np.nan):
+            with pytest.raises(PowerCapError) as info:
+                check_power("x1 block", np.array([budget, energy]), budget)
+            assert str(info.value) == f"x1 block energy {energy!r} exceeds the budget {budget!r}"
 
 
 def test_codebook_rejects_tiny_message_counts():

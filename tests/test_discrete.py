@@ -104,6 +104,13 @@ def test_dmc_rejects_infinite_slice_sum():
         Dmc(W)
 
 
+@pytest.mark.parametrize("shape", [(2, 2, 4), (2, 2, 2, 2, 1)])
+def test_dmc_rejects_a_kernel_that_is_not_4d(shape):
+    kernel = np.full(shape, 0.25)   # each [x][s] slice sums to 1
+    with pytest.raises(ChannelFormatError, match=r"^kernel must have shape \(X, S, Y, Y1\)$"):
+        Dmc(kernel)
+
+
 @pytest.mark.parametrize("rate", [np.nan, -0.5])
 def test_dmc_rejects_bad_relay_rate(rate):
     with pytest.raises(ChannelFormatError, match=r"relay_rate \(C1\)"):
@@ -111,7 +118,7 @@ def test_dmc_rejects_bad_relay_rate(rate):
 
 
 @pytest.mark.parametrize("p", [[np.nan, 1.0], [0.5, np.nan], [np.nan, np.nan], [-0.1, 1.1],
-                               [0.5, 0.6]])
+                               [0.5, 0.6], [[0.5, 0.5]], 1.0])
 def test_validate_pmf_rejects_nan_negative_and_missum(p):
     with pytest.raises(ChannelFormatError):
         discrete.validate_pmf(p)
@@ -936,6 +943,21 @@ def test_verdicts_refuse_a_tol_that_is_not_a_finite_number_at_least_0(tol):
     dmc = binary_pipe_dmc()
     with pytest.raises(ValueError, match=r"^tol must be a finite number >= 0, got "):
         symmetrizability(dmc.joint_output(), tol)
+
+
+@pytest.mark.parametrize("shape", [(2, 4), (2, 2, 2, 2)])
+def test_symmetrizability_rejects_a_channel_that_is_not_3d(shape):
+    with pytest.raises(ChannelFormatError, match=r"^channel must have shape \(X, S, O\)$"):
+        symmetrizability(np.full(shape, 0.25))
+
+
+@pytest.mark.parametrize("kwargs, error, message", [
+    ({"mode": "both"}, ValueError, r"^mode must be one of direct\|full\|aux$"),
+    ({"aux_size": 0}, ChannelFormatError, r"^aux cardinality must be >= 1$"),
+], ids=["mode", "aux_size"])
+def test_df_rejects_an_unknown_mode_and_an_empty_aux_alphabet(kwargs, error, message):
+    with pytest.raises(error, match=message):
+        df_bound(binary_pipe_dmc(), **kwargs)
 
 
 def test_classify_strongly_degraded_closed_form():

@@ -64,6 +64,15 @@ def test_seed_words_refuse_a_trial_index_outside_one_word(index):
         sim._seed_words([[1]], [0, index])
 
 
+@pytest.mark.parametrize("n_words, dtype", [(8, np.uint32), (2, np.uint64), (4, np.uint32)])
+def test_fixed_seed_hands_out_its_four_uint64_words_only(n_words, dtype):
+    words = np.arange(4, dtype=np.uint64)
+    seed = sim._fixed_seed_type()(words)
+    assert seed.generate_state(4, np.uint64) is words
+    with pytest.raises(ValueError, match=r"^FixedSeed holds 4 uint64 words only$"):
+        seed.generate_state(n_words, dtype)
+
+
 def test_seed_words_refuse_negative_entropy():
     with pytest.raises(ValueError, match="seed entropy"):
         sim._seed_words([[1], [-1]], [0])

@@ -81,6 +81,12 @@ def test_trials_validation():
         SimConfig(base_codebook_config(), StateStrategy("zero", Lambda=1.0), trials=0)
 
 
+def test_sim_config_refuses_an_unknown_relay_mode():
+    with pytest.raises(SimConfigError, match=r"^relay_mode must be min_distance or ideal$"):
+        SimConfig(base_codebook_config(), StateStrategy("zero", Lambda=1.0), trials=1,
+                  relay_mode="oracle")
+
+
 @pytest.mark.parametrize("trials", [2.5, True, "3", None])
 def test_trials_must_be_an_integer(trials):
     # 2.5 used to build a config that failed inside range(), and True ran 1 trial
@@ -375,10 +381,49 @@ def test_over_power_relay_codeword_raises_on_the_batched_path(monkeypatch):
         return cb
 
     monkeypatch.setattr(sim, "build_codebook", loud)
-    cfg = SimConfig(base_codebook_config(), StateStrategy("zero", Lambda=1.0),
-                    trials=20, master_seed=1)
-    with pytest.raises(PowerCapError, match=r"x1 block energy \d[^a-z(]* exceeds"):
-        run_monte_carlo(cfg)
+    # caught at every unit of power: at P = P1 = 4 * 4**-20 an absolute
+    # allowance of 1e-9 * n would be about 280x the budget
+    for scale in (1.0, 4.0 ** -20):
+        cfg = SimConfig(base_codebook_config(P=4.0 * scale, P1=4.0 * scale, Lam=scale,
+                                             s2=0.25 * scale),
+                        StateStrategy("zero", Lambda=scale), trials=20, master_seed=1)
+        # plain floats (with an exponent at the small scale), not numpy scalar reprs
+        with pytest.raises(PowerCapError,
+                           match=r"^x1 block energy \d[\d.e+-]* exceeds the budget \d[\d.e+-]*$"):
+            run_monte_carlo(cfg)
+
+
+def _scaled_sweep(scale, relay_mode, permute, rho, delta):
+    """(errors, clip_rate) of a zero/iid/impostor sweep at Lambda 0.5 and 8,
+    every power (P, P1, Lambda, sigma2, delta, the grid, the iid variance)
+    times scale; delta is relative to P, None for the default."""
+    P = 4.0 * scale
+    cb = replace(base_codebook_config(P=P, P1=P, Lam=scale, s2=0.25 * scale),
+                 split=PowerSplit(0.6, rho), delta=None if delta is None else delta * P)
+    strategies = [StateStrategy("zero", Lambda=scale),
+                  StateStrategy("iid_gaussian", Lambda=scale, variance=2.0 * scale, seed=5),
+                  StateStrategy("impostor", Lambda=scale, seed=3)]
+    base = SimConfig(cb, strategies[0], trials=12, master_seed=1, relay_mode=relay_mode,
+                     permute=permute)
+    rows = attack_sweep(base, [0.5 * scale, 8.0 * scale], strategies)
+    return [(r.errors, r.clip_rate) for r in rows]
+
+
+def test_monte_carlo_counts_do_not_depend_on_the_unit_of_power():
+    # scaling every power by 4**k scales every amplitude by exactly 2**k, so
+    # each clip, fallback, rescale and decision, and each budget check, must
+    # come out the same; at delta = 1e-200 * P an x1 block's energy can round
+    # above n * P1, so the checks must allow rounding relative to the budget
+    counts = []
+    for relay_mode, permute, rho, delta in itertools.product(
+            ["min_distance", "ideal"], [False, True], [0.0, 0.6], [None, 1e-200]):
+        expected = _scaled_sweep(1.0, relay_mode, permute, rho, delta)
+        for k in (-60, -20, 20, 60):
+            assert _scaled_sweep(4.0 ** k, relay_mode, permute, rho, delta) == expected, \
+                (relay_mode, permute, rho, delta, k)
+        counts += expected
+    # the rows err and clip, so the decisions and clips are compared, not only zeros
+    assert any(errors for errors, _ in counts) and any(clip for _, clip in counts)
 
 
 def test_sweep_decodes_only_the_trials_whose_state_changed(monkeypatch):
