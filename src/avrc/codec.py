@@ -15,7 +15,8 @@ Power accounting, with split (alpha, rho), backoff delta and gamma = P1/P:
     beta              = sqrt(n*(1-rho^2)*alpha*(P-delta))
     x''(m1)           rescaled Gaussian rows of power n*(1-alpha)*P
 
-A block whose x' exceeds the power budget n*alpha*P is sent as zero (flagged).
+A block whose x' exceeds the power budget n*alpha*P, beyond the rounding
+allowance POWER_RTOL, is sent as zero (flagged).
 `transmit` checks each block's x' + x'' against n*P and x1 against n*P1, and
 `adversary.make_state` each state against n*Lambda, all with `check_power`,
 whose allowance POWER_RTOL is relative, so no check depends on the unit of power.
@@ -225,6 +226,7 @@ class Transmission:
     x_prime: np.ndarray         # (T, B, n) destination-band blocks, clipped blocks zeroed
     x_direct: np.ndarray        # (T, B, n) relay-band blocks
     power_clipped: np.ndarray   # (T, B) bool
+    energy: np.ndarray          # (T, B) row_powers(x_prime), 0 where a block was clipped
 
 
 def encode(codebook: SfdCodebook, messages) -> Transmission:
@@ -233,7 +235,8 @@ def encode(codebook: SfdCodebook, messages) -> Transmission:
     messages is a (T, B-1, 2) stack of T trials' (m1, m2) indices, and the
     arrays carry the same leading trial axis; the final block carries the
     fixed pair.  A block whose destination component overshoots the budget
-    n*alpha*P is replaced by zero and flagged.
+    n*alpha*P by more than the rounding allowance POWER_RTOL is replaced by
+    zero and flagged; a NaN energy is not clipped, so `transmit` refuses it.
     """
     B, n = codebook.num_blocks, codebook.n
     msgs = _stack(np.asarray(messages, dtype=int), (B - 1, 2), "message pairs")
@@ -245,9 +248,12 @@ def encode(codebook: SfdCodebook, messages) -> Transmission:
     chain[:, 1:B] = msgs
     m1 = chain[:, 1:, 0]
     xp = codebook.x_prime(m1, chain[:, 1:, 1], chain[:, :-1, 0]).reshape(T * B, n)
-    clipped = row_powers(xp) > codebook.clip_budget
+    energy = row_powers(xp)
+    clipped = energy > codebook.clip_budget * (1.0 + POWER_RTOL)
     xp[clipped] = 0.0
-    return Transmission(xp.reshape(T, B, n), codebook.x2[m1], clipped.reshape(T, B))
+    energy[clipped] = 0.0
+    return Transmission(xp.reshape(T, B, n), codebook.x2[m1], clipped.reshape(T, B),
+                        energy.reshape(T, B))
 
 
 def draw_messages(codebook: SfdCodebook, rngs):
@@ -348,7 +354,7 @@ def transmit(codebook: SfdCodebook, messages, rngs, relay_mode: str = "min_dista
     true_idx = np.asarray(messages)[..., 0] if relay_mode == "ideal" else None
     _, x1 = relay_chain(codebook, y1, relay_mode, true_idx)
     p = codebook.config.params
-    check_power("x' + x'' block", row_powers(tx.x_prime) + row_powers(tx.x_direct), n * p.P)
+    check_power("x' + x'' block", tx.energy + row_powers(tx.x_direct), n * p.P)
     check_power("x1 block", row_powers(x1), n * p.P1)
     return tx, y1, x1
 

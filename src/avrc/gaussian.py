@@ -36,13 +36,16 @@ stationary point of E3*E2 or a crossing of the two terms on a face, or at an
 interior crossing where their gradients are opposite.  The 46 candidates
 per tuple are those that can meet the KKT conditions (see `_candidates`),
 each in closed form or a root of a polynomial of degree at most 5, found for
-every tuple at once as companion-matrix eigenvalues.  Each is scored by F and
-masked by each region, and each program keeps its best.  The parameters may
-be (n, 1) columns: a sweep runs in chunks of whole tuples, and each tuple
-comes out as it would alone.
+every tuple at once as companion-matrix eigenvalues.  The five root families
+on the faces run as one array program (`_face_points`), with one eigensolve
+per polynomial degree, so a chunk takes five eigensolves.  Each candidate is
+scored by F and masked by each region, and each program keeps its best.  The
+parameters may be (n, 1) columns: a sweep runs in chunks of whole tuples, and
+each tuple comes out as it would alone.
 """
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -52,8 +55,10 @@ LOG2 = np.log(2.0)
 #: margin, relative to Lambda + P, implementing the strict inequalities of the lower region
 FEASIBILITY_EPS = 1e-12
 
-#: most P values one sweep may ask for; a P costs about 60 us on one Xeon core,
-#: so the cap is about a minute of work, and a larger count is refused before any is built
+#: most P values one sweep may ask for; a P of a long sweep costs about 60 us on one
+#: Xeon core (47 to 66 us over a 10^5-P sweep, mostly its eigensolves and its
+#: parameter and row objects), so the cap is about a minute of work, and a larger
+#: count is refused before any is built
 MAX_SWEEP_POINTS = 10**6
 
 
@@ -216,27 +221,53 @@ def _cuts(stack, A, T):
             s2 + (1.0 - A) * P, Lam + (A - T * T) * P)
 
 
-def _face_points(stack, a, degree, stationary):
-    """One root family on the face alpha = a(t), theta = t: the crossings
-    sigma2*D1 = E3*E2, or E3*E2's stationary points if `stationary`.
+def _face_points(stack, faces):
+    """The root families on faces alpha = a(t), theta = t, as one array program.
 
-    a holds the quadratic's coefficient rows; degree is the true degree of
-    the family's polynomial.  Each root in [0, 1] is kept as found and after
-    one Newton step on the residual in its unexpanded form.
+    faces lists (a, degree, stationary) per family: a holds the quadratic's
+    coefficient rows, and the family is the roots of a polynomial of that true
+    degree, the crossings sigma2*D1 = E3*E2, or E3*E2's stationary points if
+    `stationary`.  The families are stacked as row blocks and every step runs
+    once over all of them, save the two that depend on the degree: each run
+    of families of one degree is solved by one eigensolve at its own
+    companion size, and its polynomial's derivative is evaluated once.  Each
+    root in [0, 1] is kept as found and after one Newton step on the residual
+    in its unexpanded form.  Returns (alpha, theta) with each family's roots,
+    then its stepped roots, family after family.
     """
-    P, P1, Lam, s2 = stack
+    n, width = len(stack.P), max(degree for _, degree, _ in faces)
+    rows = _Stack(*np.tile(np.hstack(stack), (len(faces), 1)).T[:, :, None])
+    P, P1, Lam, s2 = rows
+    a = np.concatenate([a for a, _, _ in faces])
+    stationary = np.repeat([st for _, _, st in faces], n)[:, None]
     e3 = _poly(-P * a[:, :2], s2 + P - P * a[:, 2:])
     e2 = _poly(P * a[:, :1] - P, P * a[:, 1:2], Lam + P * a[:, 2:])
     d1 = _poly(P * a[:, :1], P * a[:, 1:2] + 2.0 * np.sqrt(P * P1), Lam + P1 + P * a[:, 2:])
     prod = _polymul(e3, e2)
-    poly = _polyder(prod) if stationary else _poly(-prod[:, :2], s2 * d1 - prod[:, 2:])
-    poly = poly[:, -degree - 1:]
-    t = np.clip(_roots(poly), 0.0, 1.0)
-    D1, E3, E2 = _cuts(stack, _polyval(a, t), t)
+    polys = _poly(-prod[:, :2], s2 * d1 - prod[:, 2:]), _polyder(prod)
+    # one block of rows and coefficients per run of families of one degree;
+    # the roots sit in the first `degree` columns of t, the rest stay 0
+    blocks = [(degree, polys[st][f * n:(f + 1) * n, -degree - 1:])
+              for f, (_, degree, st) in enumerate(faces)]
+    t, groups, lo = np.zeros((len(a), width)), [], 0
+    for degree, run in groupby(blocks, key=lambda block: block[0]):
+        coef = np.concatenate([c for _, c in run])
+        block, cols = slice(lo, lo + len(coef)), slice(0, degree)
+        t[block, cols] = np.clip(_roots(coef), 0.0, 1.0)
+        groups.append((block, cols, coef))
+        lo += len(coef)
+    D1, E3, E2 = _cuts(rows, _polyval(a, t), t)
     da = _polyval(_polyder(a), t)
-    r = P * (E3 * (da - 2.0 * t) - da * E2) if stationary else s2 * D1 - E3 * E2
-    t = np.concatenate([t, np.clip(t - r / _polyval(_polyder(poly), t), 0.0, 1.0)], axis=1)
-    return _polyval(a, t), t
+    r = np.where(stationary, P * (E3 * (da - 2.0 * t) - da * E2), s2 * D1 - E3 * E2)
+    step = np.zeros_like(t)
+    for block, cols, coef in groups:
+        step[block, cols] = r[block, cols] / _polyval(_polyder(coef), t[block, cols])
+    t = np.concatenate([t, np.clip(t - step, 0.0, 1.0)], axis=1)
+    # back to one row per tuple: each family's roots, then its stepped roots
+    keep = [f * 2 * width + j for f, (_, degree, _) in enumerate(faces)
+            for j in (*range(degree), *range(width, width + degree))]
+    return tuple(x.reshape(len(faces), n, 2 * width).transpose(1, 0, 2).reshape(n, -1)[:, keep]
+                 for x in (_polyval(a, t), t))
 
 
 def _interior_points(stack):
@@ -312,11 +343,11 @@ def _candidates(stack):
         (_poly(alpha0, c), zero),
         (one, _poly((c0 - 1.0) / (2.0 * s), _roots(h - _poly(zero, zero, one)))),
         (_poly(t_cut * t_cut, t_c1c2 * t_c1c2 + c), _poly(t_cut, t_c1c2)),
-        _face_points(stack, _poly(one, zero, zero), 2, False),     # rho = 1, t = sqrt(alpha)
-        _face_points(stack, _poly(zero, -2.0 * s, c0), 2, True),   # the upper cut
-        _face_points(stack, _poly(one, zero, c), 2, False),        # c1
-        _face_points(stack, h, 4, False),                          # c2
-        _face_points(stack, h, 3, True),
+        _face_points(stack, [(_poly(one, zero, zero), 2, False),     # rho = 1, t = sqrt(alpha)
+                             (_poly(zero, -2.0 * s, c0), 2, True),   # the upper cut
+                             (_poly(one, zero, c), 2, False),        # c1
+                             (h, 4, False),                          # c2
+                             (h, 3, True)]),
         _interior_points(stack),
     ]
     A, T = (np.concatenate(part, axis=1) for part in

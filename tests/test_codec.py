@@ -165,6 +165,17 @@ def test_collinear_pair_clips_and_zeroes():
     assert not tx.power_clipped[0, 1]
 
 
+def test_a_nan_block_is_not_clipped_and_transmit_refuses_it():
+    cb = build_codebook(make_config())
+    cb.v[2, 3, 0] = np.nan
+    msgs = np.array([[[2, 3], [0, 0]]])
+    tx = encode(cb, msgs)
+    assert not tx.power_clipped.any() and np.isnan(tx.energy[0, 0])
+    for mode in ("min_distance", "ideal"):
+        with pytest.raises(PowerCapError, match=r"^x' \+ x'' block energy nan exceeds the budget"):
+            transmit(cb, msgs, [np.random.default_rng(0)], mode)
+
+
 def test_relay_modes():
     cb = build_codebook(make_config())
     noiseless = cb.x2[[[5, 1, 3]]]        # the final block is not decoded
@@ -255,6 +266,7 @@ def test_a_stack_of_trials_matches_each_trial_alone():
                 cb, destination_observation(tx_t.x_prime + x1_t, s[one], perm[one]))
             assert np.array_equal(tx.x_prime[one], tx_t.x_prime)
             assert np.array_equal(tx.power_clipped[one], tx_t.power_clipped)
+            assert np.array_equal(tx.energy[one], tx_t.energy)
             assert np.array_equal(y1[one], y1_t) and np.array_equal(x1[one], x1_t)
             assert np.array_equal(res.m_relayed[one], res_t.m_relayed)
             assert np.array_equal(res.m_direct[one], res_t.m_direct)
@@ -270,14 +282,15 @@ def test_a_stack_of_trials_matches_each_trial_alone():
        m2=st.integers(2, 6), P=st.floats(0.01, 10.0), ratio=st.floats(0.1, 10.0),
        alpha=st.floats(0.0, 1.0), rho=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
 def test_encode_never_exceeds_destination_power(n, blocks, m1, m2, P, ratio, alpha, rho, seed):
-    # the power clip: no emitted x' block carries more than n * alpha * P
+    # the power clip: no emitted x' block carries more than n * alpha * P,
+    # beyond the rounding allowance
     cb = build_codebook(make_config(n=n, blocks=blocks, m1=m1, m2=m2, P=P, P1=ratio * P,
                                     alpha=alpha, rho=rho, seed=seed % (1 << 30)))
     rng = np.random.default_rng(seed)
     msgs = np.stack([rng.integers(0, cb.m1_count, blocks - 1),
                      rng.integers(0, cb.m2_count, blocks - 1)], axis=1)
     xp = encode(cb, msgs[None]).x_prime[0]
-    assert all(row @ row <= n * alpha * P for row in xp)
+    assert all(row @ row <= n * alpha * P * (1.0 + codec.POWER_RTOL) for row in xp)
 
 
 def test_round_trip_zero_state_ideal_relay():
@@ -368,11 +381,13 @@ def test_encode_gathers_the_per_block_codewords():
     chain = [(3, 1, 0), (5, 7, 3), (0, 2, 5), (0, 0, 0)]   # (m1, m2, previous m1)
     for b, (m1, m2, prev) in enumerate(chain):
         xp = cb.x_prime(m1, m2, prev)
-        clipped = xp @ xp > cb.clip_budget
+        clipped = xp @ xp > cb.clip_budget * (1.0 + codec.POWER_RTOL)
         assert tx.power_clipped[0, b] == clipped
         assert np.array_equal(tx.x_prime[0, b], np.zeros(cb.n) if clipped else xp)
         assert np.array_equal(tx.x_direct[0, b], cb.x2[m1])
     assert tx.power_clipped.dtype == bool and tx.power_clipped.shape == (1, 4)
+    # transmit's x' + x'' check reads these energies in place of recomputing them
+    assert tx.energy.tobytes() == codec.row_powers(tx.x_prime).tobytes()
 
 
 def _wrapped_pass(cb, msgs, rng, perm, s):

@@ -345,9 +345,22 @@ def test_bounds_do_not_depend_on_the_unit_of_power():
             assert e.tobytes() == g.tobytes(), k
 
 
+def test_det_lower_equals_random_capacity_iff_the_random_split_is_lower_feasible():
+    # the three programs score one candidate set, so the lower maximum reaches
+    # the square's exactly when the square's winner passes the lower mask;
+    # at P = 0 both read 0 with the mask false
+    stack = _property_stack()
+    rates, alpha, rho, _ = gaussian._bounds(stack)
+    lower = _score(stack, alpha[0][:, None], rho[0][:, None])[1][:, 0]
+    powered = stack.P[:, 0] > 0.0
+    assert np.array_equal((rates[1] == rates[0])[powered], lower[powered])
+    assert 0 < lower[powered].sum() < powered.sum()
+
+
 def _face_points_on(stack, a, b, degree, stationary):
-    """gaussian._face_points on the face alpha = a(t), theta = b*t, b 0 or 1:
-    the form it had while _candidates still built the theta = 0 families."""
+    """One root family of gaussian._face_points on the face alpha = a(t),
+    theta = b*t, b 0 or 1, solved alone: the per-family form it had while
+    _candidates still built the theta = 0 families."""
     P, P1, Lam, s2 = stack
     poly, polyder, polyval = gaussian._poly, gaussian._polyder, gaussian._polyval
     e3 = poly(-P * a[:, :2], s2 + P - P * a[:, 2:])
@@ -364,18 +377,43 @@ def _face_points_on(stack, a, b, degree, stationary):
     return polyval(a, t), b * t
 
 
+def _in_units(stack):
+    """The stack in _candidates' units of Lambda + sigma2 + P, with s = sqrt(P1/P)
+    and the margins' offsets c (c1: alpha = theta^2 + c) and c0 (the upper cut:
+    alpha = c0 - 2*s*theta)."""
+    unit = stack.Lambda + stack.sigma2 + stack.P
+    m = 4.0 * gaussian.FEASIBILITY_EPS * (stack.Lambda + stack.P) / unit
+    stack = gaussian._Stack(*(col / unit for col in stack))
+    P, P1, Lam, _ = stack
+    return stack, np.sqrt(P1 / P), (Lam + m) / P, (Lam + m - P1) / P
+
+
+def test_one_face_pass_equals_each_family_alone():
+    # each step of the pass is elementwise per row, or a stacked eigvals that
+    # solves each companion matrix alone, so each of _candidates' five face
+    # families comes out as the per-family form gives it, bit for bit
+    poly = gaussian._poly
+    for k in (0, -100, 100):
+        with np.errstate(all="ignore"):
+            stack, s, c, c0 = _in_units(
+                gaussian._Stack(*(col * 2.0 ** k for col in _property_stack())))
+            zero, one = np.zeros_like(s), np.ones_like(s)
+            h = poly(s * s + 1.0, 2.0 * s ** 3, s ** 4 - c)
+            faces = [(poly(one, zero, zero), 2, False), (poly(zero, -2.0 * s, c0), 2, True),
+                     (poly(one, zero, c), 2, False), (h, 4, False), (h, 3, True)]
+            got = gaussian._face_points(stack, faces)
+            alone = [_face_points_on(stack, a, 1.0, degree, st) for a, degree, st in faces]
+        for g, e in zip(got, zip(*alone)):
+            assert g.tobytes() == np.concatenate(e, axis=1).tobytes(), k
+
+
 def _ruled_out_candidates(stack):
     """The five families _candidates leaves out, built as it built them before:
     the crossings on theta = 0 and on the upper cut, the ends cut & theta = 0
     and c2 & theta = 0, and the end c1 & alpha = 1."""
     poly = gaussian._poly
-    unit = stack.Lambda + stack.sigma2 + stack.P
-    m = 4.0 * gaussian.FEASIBILITY_EPS * (stack.Lambda + stack.P) / unit
-    stack = gaussian._Stack(*(col / unit for col in stack))
-    P, P1, Lam, s2 = stack
-    s = np.sqrt(P1 / P)
-    c, c0 = (Lam + m) / P, (Lam + m - P1) / P
-    zero, one = np.zeros_like(P), np.ones_like(P)
+    stack, s, c, c0 = _in_units(stack)
+    zero, one = np.zeros_like(s), np.ones_like(s)
     points = [_face_points_on(stack, poly(zero, one, zero), 0.0, 2, False),
               _face_points_on(stack, poly(zero, -2.0 * s, c0), 1.0, 3, False),
               (poly(c0, s ** 4 - c), zero),
@@ -406,7 +444,9 @@ def test_the_candidates_the_kkt_conditions_rule_out_never_win():
 
     with mock.patch.object(gaussian, "_roots", counted_roots):
         expected = _chunked(gaussian._kkt_max, stack)
-    assert solves == [1000] * 7 * 10 + [200] * 7   # 7 eigensolves per chunk
+    # 5 eigensolves per chunk: c2 & alpha = 1, the three degree groups of the
+    # face pass (2, 4 and 3) and the interior quintic
+    assert solves == [1000, 3000, 1000, 1000, 1000] * 10 + [200, 600, 200, 200, 200]
     with mock.patch.object(gaussian, "_candidates", with_ruled_out):
         widened = _chunked(gaussian._kkt_max, stack)
     for e, w in zip(expected, widened):

@@ -418,6 +418,11 @@ def test_monte_carlo_counts_do_not_depend_on_the_unit_of_power():
     for relay_mode, permute, rho, delta in itertools.product(
             ["min_distance", "ideal"], [False, True], [0.0, 0.6], [None, 1e-200]):
         expected = _scaled_sweep(1.0, relay_mode, permute, rho, delta)
+        if rho == 0.0:
+            # each x' block carries n*alpha*(P - delta), which at delta = 1e-200*P
+            # rounds to the clip budget n*alpha*P and may land an ulp above it;
+            # the clip allows that rounding, as check_power does
+            assert [clip for _, clip in expected] == [0.0] * 6, (relay_mode, permute, delta)
         for k in (-60, -20, 20, 60):
             assert _scaled_sweep(4.0 ** k, relay_mode, permute, rho, delta) == expected, \
                 (relay_mode, permute, rho, delta, k)
