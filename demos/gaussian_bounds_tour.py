@@ -10,12 +10,12 @@ Run:  python demos/gaussian_bounds_tour.py
 
 import numpy as np
 
+from avrc.cli import write_csv
 from avrc.gaussian import (
     GaussianSfdParams,
     figure_sweep,
     gavc_point_to_point,
     primitive_gaussian_capacity,
-    write_sweep_csv,
 )
 
 LAMBDA, SIGMA2 = 1.0, 0.5
@@ -41,7 +41,7 @@ Reading the table:
     enough that randomization buys nothing.
 """)
 
-write_sweep_csv(rows, "gaussian_bounds_tour.csv")
+write_csv(rows, "gaussian_bounds_tour.csv")
 print("wrote gaussian_bounds_tour.csv")
 
 # the no-relay baseline shows the same dichotomy in one dimension

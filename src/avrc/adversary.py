@@ -60,15 +60,6 @@ def strategy_from_json(obj) -> StateStrategy:
     return StateStrategy(**kw)
 
 
-def strategy_to_json(strategy: StateStrategy) -> dict:
-    out = {"kind": strategy.kind, "Lambda": strategy.Lambda, "seed": strategy.seed}
-    if strategy.variance is not None:
-        out["variance"] = strategy.variance
-    if strategy.vector is not None:
-        out["vector"] = list(strategy.vector)
-    return out
-
-
 def draw_state(strategy: StateStrategy, n: int, rngs, codebook: SfdCodebook | None,
                relay_mode: str):
     """The part of a state that does not depend on Lambda: a (T, n) draw, one

@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 usage error, 2 computation or resource error.  With
 AVRC_DEBUG=1 in the environment, a computation or resource error is raised
 with its traceback instead of becoming one `error:` line and exit code 2.
-All numeric output is printed with 9 significant digits.
+All numeric output is printed with 9 significant digits.  A CSV file's
+columns are its records' dataclass fields, in order.
 """
 
 import argparse
@@ -11,7 +12,7 @@ import functools
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 from . import discrete, gaussian, sim
 from .gaussian import GaussianSfdParams
@@ -36,6 +37,18 @@ def _sig9(obj):
 
 def _emit(obj):
     print(json.dumps(_sig9(obj), indent=2))
+
+
+def write_csv(rows, path):
+    """Write a non-empty list of dataclass records as CSV: a header of their
+    field names, then one line per record, each value at 9 significant digits
+    and a string as it is."""
+    names = [f.name for f in fields(rows[0])]
+    with open(path, "w") as fh:
+        fh.write(",".join(names) + "\n")
+        for r in rows:
+            values = [getattr(r, name) for name in names]
+            fh.write(",".join([v if isinstance(v, str) else f"{v:.9g}" for v in values]) + "\n")
 
 
 @functools.cache
@@ -88,7 +101,7 @@ def _cmd_bounds(args):
 def _cmd_figure(args):
     values = gaussian.sweep_range(args.pmin, args.pmax, args.step)
     rows = gaussian.figure_sweep(values, args.Lambda, args.sigma2)
-    gaussian.write_sweep_csv(rows, args.out)
+    write_csv(rows, args.out)
 
 
 def _load_channel(path):
@@ -131,11 +144,11 @@ def _cmd_simulate(args):
         row = sim.SweepEntry(config.strategy.Lambda, config.strategy.kind,
                              est.trials, est.errors, est.rate,
                              est.ci_low, est.ci_high, est.clip_rate)
-        sim.write_attack_csv([row], args.out)
+        write_csv([row], args.out)
         _emit(asdict(est))
     else:
         rows = sim.attack_sweep(config, sweep["lambdas"], sweep["strategies"], args.workers)
-        sim.write_attack_csv(rows, args.out)
+        write_csv(rows, args.out)
         _emit([asdict(r) for r in rows])
 
 

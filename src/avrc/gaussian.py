@@ -44,6 +44,7 @@ parameters may be (n, 1) columns: a sweep runs in chunks of whole tuples, and
 each tuple comes out as it would alone.
 """
 
+import math
 from dataclasses import dataclass
 from itertools import groupby
 from typing import NamedTuple
@@ -55,10 +56,10 @@ LOG2 = np.log(2.0)
 #: margin, relative to Lambda + P, implementing the strict inequalities of the lower region
 FEASIBILITY_EPS = 1e-12
 
-#: most P values one sweep may ask for; a P of a long sweep costs about 60 us on one
-#: Xeon core (47 to 66 us over a 10^5-P sweep, mostly its eigensolves and its
-#: parameter and row objects), so the cap is about a minute of work, and a larger
-#: count is refused before any is built
+#: most P values one sweep may ask for; a P of a long sweep costs about 30 us on one
+#: Xeon core (29 to 30 us over a 10^5-P sweep, 40% of it in the eigensolves and a
+#: fifth in the parameter objects), so the cap is about half a minute of work, and
+#: a larger count is refused before any is built
 MAX_SWEEP_POINTS = 10**6
 
 
@@ -77,7 +78,7 @@ class GaussianSfdParams:
 
     def __post_init__(self):
         P, P1, Lam, s2 = (float(v) for v in (self.P, self.P1, self.Lambda, self.sigma2))
-        if not all(np.isfinite(v) for v in (P, P1, Lam, s2)):
+        if not all(math.isfinite(v) for v in (P, P1, Lam, s2)):
             raise GaussianParamError("all parameters must be finite")
         if P < 0 or P1 < 0:
             raise GaussianParamError("P and P1 must be >= 0")
@@ -481,7 +482,7 @@ def figure_sweep(p_values, Lambda: float, sigma2: float):
     if not params:
         raise GaussianParamError("empty sweep range")
     rates = _bounds(_stack(params))[0]
-    return [SweepRow(p.P, *(float(v) for v in col)) for p, col in zip(params, rates.T)]
+    return [SweepRow(p.P, *col) for p, col in zip(params, rates.T.tolist())]
 
 
 def sweep_range(p_min: float, p_max: float, step: float):
@@ -498,13 +499,3 @@ def sweep_range(p_min: float, p_max: float, step: float):
         raise GaussianParamError(f"pmin {p_min!r} to pmax {p_max!r} at step {step!r} asks for "
                                  f"{count:.0f} points, above the cap of {MAX_SWEEP_POINTS}")
     return [p_min + i * step for i in range(int(count))]
-
-
-def write_sweep_csv(rows, path):
-    """CSV with 9 significant digits per value."""
-    with open(path, "w") as fh:
-        fh.write("P,random_capacity,det_lower,det_upper,direct_transmission\n")
-        for r in rows:
-            fh.write(",".join(f"{v:.9g}" for v in
-                              (r.P, r.random_capacity, r.det_lower,
-                               r.det_upper, r.direct_transmission)) + "\n")

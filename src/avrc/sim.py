@@ -43,7 +43,6 @@ from .adversary import (
     draw_state,
     make_state,
     strategy_from_json,
-    strategy_to_json,
 )
 from .codec import (
     CodebookConfig,
@@ -419,17 +418,6 @@ def attack_sweep(base: SimConfig, lambda_grid, strategies=None, workers=None):
             for cfg, est in zip(configs, estimates)]
 
 
-SWEEP_HEADER = "Lambda,strategy,trials,errors,rate,ci_low,ci_high,clip_rate"
-
-
-def write_attack_csv(rows, path):
-    with open(path, "w") as fh:
-        fh.write(SWEEP_HEADER + "\n")
-        for r in rows:
-            fh.write(f"{r.Lambda:.9g},{r.strategy},{r.trials},{r.errors},"
-                     f"{r.rate:.9g},{r.ci_low:.9g},{r.ci_high:.9g},{r.clip_rate:.9g}\n")
-
-
 def sim_config_from_json(obj) -> tuple:
     """Read a parsed simulation request; returns (SimConfig, sweep dict or None)."""
     if not isinstance(obj, dict):
@@ -445,8 +433,9 @@ def sim_config_from_json(obj) -> tuple:
         if sweep is not None:
             sweep = object_field(obj, "sweep")
             sweep = {"lambdas": number_list_field(sweep, "lambdas"),
-                     "strategies": [strategy_from_json(s) for s in object_field(
-                         sweep, "strategies", [strategy_to_json(sim.strategy)], many=True)]}
+                     "strategies": [sim.strategy] if "strategies" not in sweep else
+                                   [strategy_from_json(s)
+                                    for s in object_field(sweep, "strategies", many=True)]}
     except KeyError as exc:
         raise SimConfigError(f"simulation config is missing the key {exc}") from exc
     return sim, sweep

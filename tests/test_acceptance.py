@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from avrc.adversary import StateStrategy
+from avrc.cli import write_csv
 from avrc.codec import (
     CodebookConfig,
     achievable_rate_pair,
@@ -43,7 +44,7 @@ from avrc.gaussian import (
     random_code_capacity,
     sweep_range,
 )
-from avrc.sim import SimConfig, run_monte_carlo, write_attack_csv, SweepEntry
+from avrc.sim import SimConfig, run_monte_carlo, SweepEntry
 
 
 def report(num, ok, detail):
@@ -272,7 +273,7 @@ def test_criterion_11_determinism_across_workers(tmp_path):
         row = SweepEntry(sim.strategy.Lambda, sim.strategy.kind, est.trials,
                          est.errors, est.rate, est.ci_low, est.ci_high, est.clip_rate)
         path = tmp_path / f"workers{workers}.csv"
-        write_attack_csv([row], path)
+        write_csv([row], path)
         payloads.append(path.read_bytes())
     report(11, payloads[0] == payloads[1],
            "CSV byte-identical across 1 and 8 workers")

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avrc import gaussian
+from avrc.cli import write_csv
 from avrc.gaussian import (
     _score,
     GaussianParamError,
@@ -21,7 +22,6 @@ from avrc.gaussian import (
     primitive_gaussian_capacity,
     random_code_capacity,
     sweep_range,
-    write_sweep_csv,
 )
 from zoom_oracle import LOWER, SQUARE, UPPER, best_rho, oracle_max
 
@@ -174,7 +174,7 @@ def test_figure_sweep_rows(tmp_path):
     with pytest.raises(GaussianParamError):
         figure_sweep([], 1.0, 0.5)
     path = tmp_path / "sweep.csv"
-    write_sweep_csv(rows, path)
+    write_csv(rows, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "P,random_capacity,det_lower,det_upper,direct_transmission"
     assert len(lines) == 2
@@ -293,9 +293,9 @@ def test_stacked_bounds_equal_one_tuple_at_a_time(tuples):
     powers, (_, _, lam, s2) = [t[0] for t in tuples], tuples[0]
     with tempfile.TemporaryDirectory() as tmp:
         one, many = Path(tmp, "one.csv"), Path(tmp, "many.csv")
-        write_sweep_csv(figure_sweep(powers, lam, s2), many)
+        write_csv(figure_sweep(powers, lam, s2), many)
         with mock.patch.object(gaussian, "_CHUNK_TUPLES", 1):
-            write_sweep_csv(figure_sweep(powers, lam, s2), one)
+            write_csv(figure_sweep(powers, lam, s2), one)
         assert one.read_bytes() == many.read_bytes()
 
 
@@ -355,6 +355,26 @@ def test_det_lower_equals_random_capacity_iff_the_random_split_is_lower_feasible
     powered = stack.P[:, 0] > 0.0
     assert np.array_equal((rates[1] == rates[0])[powered], lower[powered])
     assert 0 < lower[powered].sum() < powered.sum()
+
+
+def test_the_gap_closes_for_good_at_p_star_on_p1_equal_p_sweeps():
+    # ROADMAP item 9: at P1 = P the deterministic lower bound reaches the
+    # random-code capacity at P* = (Lambda + sigma2) * max{1, (Lambda + sigma2) / (2 sigma2)}
+    # and stays there; just below P* the gap falls under an ulp, so the strict
+    # side is checked at P*(1 - 1e-4)
+    lam, s2 = np.exp(np.random.default_rng(9).uniform(-3.0, 3.0, (2, 20, 1)))
+    total = lam + s2
+    p_star = total * np.maximum(1.0, total / (2.0 * s2))
+    powers = np.concatenate([np.broadcast_to(np.geomspace(1e-3, 1e4, 400), (20, 400)),
+                             p_star * (1.0 + 1e-6), p_star * (1.0 - 1e-4)], axis=1)
+    lam, s2 = (np.broadcast_to(v, powers.shape) for v in (lam, s2))
+    columns = (v.reshape(-1, 1) for v in (powers, powers, lam, s2))
+    rates = gaussian._bounds(gaussian._Stack(*columns))[0]
+    closed = (rates[1] == rates[0]).reshape(powers.shape)
+    sweep, above, below = closed[:, :400], closed[:, 400], closed[:, 401]
+    assert not sweep[:, 0].any() and sweep[:, -1].all()
+    assert (sweep[:, 1:] >= sweep[:, :-1]).all()        # never reopens
+    assert above.all() and not below.any()
 
 
 def _face_points_on(stack, a, b, degree, stationary):

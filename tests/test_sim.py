@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from avrc import adversary, sim
 from avrc.adversary import STRATEGY_KINDS, StateStrategy
+from avrc.cli import write_csv
 from avrc.codec import (
     CodebookConfig,
     PowerCapError,
@@ -29,7 +30,6 @@ from avrc.sim import (
     run_monte_carlo,
     sim_config_from_json,
     wilson_interval,
-    write_attack_csv,
 )
 
 
@@ -159,7 +159,7 @@ def test_attack_sweep_rows_and_csv(tmp_path):
         (0.5, "iid_gaussian"), (0.5, "zero"), (1.0, "iid_gaussian"), (1.0, "zero")]
     assert all(r.rate == 0.0 for r in rows if r.strategy == "zero")
     path = tmp_path / "sweep.csv"
-    write_attack_csv(rows, path)
+    write_csv(rows, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "Lambda,strategy,trials,errors,rate,ci_low,ci_high,clip_rate"
     assert len(lines) == 5
@@ -271,8 +271,8 @@ def test_attack_sweep_builds_one_codebook(monkeypatch, tmp_path):
     rows = attack_sweep(base, lambdas, strategies)
     assert builds == [base.codebook]
     assert [(r.errors, r.clip_rate) for r in rows] == [(e.errors, e.clip_rate) for e in alone]
-    write_attack_csv(rows, tmp_path / "shared.csv")
-    write_attack_csv([sim.SweepEntry(r.Lambda, r.strategy, e.trials, e.errors, e.rate,
+    write_csv(rows, tmp_path / "shared.csv")
+    write_csv([sim.SweepEntry(r.Lambda, r.strategy, e.trials, e.errors, e.rate,
                                      e.ci_low, e.ci_high, e.clip_rate)
                       for r, e in zip(rows, alone)], tmp_path / "alone.csv")
     assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
@@ -298,7 +298,7 @@ def _estimate_and_sweep_bytes(config, workers):
     rows = attack_sweep(config, [0.5, 2.0], workers=workers)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "sweep.csv"
-        write_attack_csv(rows, path)
+        write_csv(rows, path)
         return est, path.read_bytes()
 
 
