@@ -88,13 +88,14 @@ def make_state(strategy: StateStrategy, drawn):
     row within ||s||^2 <= n * Lambda: a fixed vector over the budget raises
     StrategyError, an iid row over it is rescaled onto the sphere of radius
     sqrt(n * Lambda), and an impostor row over it falls back to all zeros.
-    The draw is left as it was (zero and fixed return it), so it can be fitted
-    at any number of Lambda values, in any order."""
+    The draw is left as it was (zero and fixed return it, and so does an iid
+    fit with no row over the budget), so it can be fitted at any number of
+    Lambda values, in any order."""
     raw, power = drawn
     budget = raw.shape[-1] * strategy.Lambda
     if strategy.kind == "fixed" and not (power <= budget * (1.0 + POWER_RTOL)).all():
         raise StrategyError("fixed vector violates the power constraint")
-    if strategy.kind == "iid_gaussian":
+    if strategy.kind == "iid_gaussian" and (power > budget).any():
         # max(power, budget) leaves sqrt(budget / budget) = 1.0 exactly on rows in budget
         s = raw * np.sqrt(budget / np.maximum(power, budget))[:, None]
     elif strategy.kind == "impostor":

@@ -183,11 +183,16 @@ def _info_uo(Pux, WQ):
     """I(U;O) = H(U) + H(O) - H(U,O) in bits for joints Pux (C, U, X) through
     each kernel of WQ (N, X, O), O seeing U only through X, as (C, N).  The
     (U, O) joints come from one GEMM; both marginals come from Pux."""
+    return (_joint_negent(Pux, WQ) - _negent(Pux.sum(axis=2))[:, None]
+            - _negent(_wq_batch(Pux.sum(axis=1), WQ)))
+
+
+def _joint_negent(Pux, WQ):
+    """-H(U,O) for joints Pux (C, U, X) through each kernel of WQ (N, X, O),
+    as (C, N): the (U, O) joints from one GEMM."""
     C, U, X = Pux.shape
     N, _, O = WQ.shape
-    joint = _wq_batch(Pux.reshape(-1, X), WQ).reshape(C, U, N, O)
-    return (_negent(joint).sum(axis=1) - _negent(Pux.sum(axis=2))[:, None]
-            - _negent(_wq_batch(Pux.sum(axis=1), WQ)))
+    return _negent(_wq_batch(Pux.reshape(-1, X), WQ).reshape(C, U, N, O)).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -599,11 +604,16 @@ def df_bound(dmc: Dmc, aux_size: int | None = None, mode: str = "aux") -> float:
 
     # U - X - O is a Markov chain (O sees U only through X, and the state is
     # independent of (U, X)), so I(X;O|U) = I(X;O) - I(U;O) with p(x) = sum_u p(u,x)
+    # I(X;Y), I(U;Y) and I(U;Y1) are formed as _info_xo and _info_uo form
+    # them, with -H(U) and -H(Y) of a batch taken once for all three
     def batch_obj(Pflat):
         Pb = Pflat.reshape(-1, nu, nx)
-        i_xy = _info_xo(Pb.sum(axis=1), WQy, hy)
-        i_uy = _info_uo(Pb, WQy)
-        i_uy1 = _info_uo(Pb, WQ1)
+        px = Pb.sum(axis=1)
+        h_u = _negent(Pb.sum(axis=2))[:, None]
+        h_y = _negent(_wq_batch(px, WQy))
+        i_xy = px @ hy.T - h_y
+        i_uy = _joint_negent(Pb, WQy) - h_u - h_y
+        i_uy1 = _joint_negent(Pb, WQ1) - h_u - _negent(_wq_batch(px, WQ1))
         term_b = (i_xy - i_uy).min(axis=1)
         return np.minimum(i_uy.min(axis=1) + term_b + c1, i_uy1.min(axis=1) + term_b)
 

@@ -6,6 +6,7 @@ are broken toward the first (lexicographically smallest) candidate, which is
 what ``np.argmax``/``np.argmin`` already do on C-ordered arrays.
 """
 
+from functools import cache
 from itertools import chain, combinations
 from math import comb
 
@@ -18,6 +19,7 @@ MAX_GRID_POINTS = 200_000
 REFINE_ROUNDS = 8
 
 
+@cache
 def simplex_grid(k, resolution):
     """All pmfs on k atoms with entries that are multiples of 1/resolution.
 
@@ -25,17 +27,23 @@ def simplex_grid(k, resolution):
     come in lexicographic order of their counts, first entry slowest: stars and
     bars, each choice of k-1 bar positions among resolution+k-1 slots, in
     `itertools.combinations` order, read as the k gaps between the bars.
+
+    Each (k, resolution) grid is built once and cached, and the array is
+    read-only: callers read it, or copy it to change it.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if resolution < 1:
-        return np.full((1, k), 1.0 / k)
-    slots = resolution + k - 1
-    count = _simplex_count(k, resolution)
-    bars = np.fromiter(chain.from_iterable(combinations(range(slots), k - 1)),
-                       dtype=np.int64, count=count * (k - 1)).reshape(count, k - 1)
-    edges = np.column_stack([np.full(count, -1), bars, np.full(count, slots)])
-    return (np.diff(edges, axis=1) - 1) / float(resolution)
+        grid = np.full((1, k), 1.0 / k)
+    else:
+        slots = resolution + k - 1
+        count = _simplex_count(k, resolution)
+        bars = np.fromiter(chain.from_iterable(combinations(range(slots), k - 1)),
+                           dtype=np.int64, count=count * (k - 1)).reshape(count, k - 1)
+        edges = np.column_stack([np.full(count, -1), bars, np.full(count, slots)])
+        grid = (np.diff(edges, axis=1) - 1) / float(resolution)
+    grid.flags.writeable = False
+    return grid
 
 
 def grid_resolution(k):
@@ -61,13 +69,15 @@ def start_pool(k, resolution, rng):
 def search_simplex(f_batch, pool, *, minimize=False, top=4):
     """Optimize a batched function over the probability simplex of dimension k.
 
-    f_batch maps an (N, k) array of pmfs to an (N,) array of values.  The
-    search evaluates the start pool, an (N, k) array (k is read from its
-    shape), then for REFINE_ROUNDS rounds contracts a fixed pattern around
-    the best `top` candidates, to half size and then by 0.35 a round.  Ties
-    among the pool go to the earlier row.  Convex/concave objectives converge
-    to the optimum; for general objectives this is a multi-start ascent from
-    the pool.
+    f_batch maps an (N, k) array of pmfs to an (N,) array of values, each
+    row's value its own.  The search evaluates the start pool, an (N, k)
+    array (k is read from its shape), then for REFINE_ROUNDS rounds contracts
+    a fixed pattern around the best `top` candidates, to half size and then
+    by 0.35 a round.  Ties among the pool go to the earlier row.  Equal
+    centres build equal blocks of candidates, so each distinct centre's
+    block is evaluated once and its values stand for every copy.
+    Convex/concave objectives converge to the optimum; for general
+    objectives this is a multi-start ascent from the pool.
 
     Returns (x_best, value_best).
     """
@@ -86,8 +96,14 @@ def search_simplex(f_batch, pool, *, minimize=False, top=4):
         cands = pattern[None, :, :] - centers[:, None, :]
         cands *= factor
         cands += centers[:, None, :]
+        # equal centres build equal blocks: evaluate each distinct centre's
+        # block once, then copy its values to the blocks of its equal centres
+        rows = centers.tolist()
+        first = [rows.index(row) for row in rows]   # each centre's first equal centre
+        distinct = sorted(set(first))
+        vals = sign * f_batch(cands[distinct].reshape(-1, k))
+        vals = vals.reshape(len(distinct), -1)[[distinct.index(i) for i in first]].ravel()
         cands = cands.reshape(-1, k)
-        vals = sign * f_batch(cands)
         j = int(np.argmax(vals))
         if vals[j] > best_v:
             best_v = float(vals[j])
@@ -104,9 +120,10 @@ def _pattern_resolution(k):
 
 
 def refine_batch_size(k, top):
-    """Candidates search_simplex builds in one refinement round: the contraction
-    pattern around each of the `top` centres.  Unlike the first pool, this is not
-    capped by MAX_GRID_POINTS; it grows as k^2 / 2 * top for k > 6."""
+    """Candidates search_simplex builds in one refinement round, and the most
+    it evaluates: the contraction pattern around each of the `top` centres.
+    Unlike the first pool, this is not capped by MAX_GRID_POINTS; it grows as
+    k^2 / 2 * top for k > 6."""
     return max(1, top) * _simplex_count(k, _pattern_resolution(k))
 
 

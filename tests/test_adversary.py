@@ -77,6 +77,27 @@ def test_iid_gaussian_rescaling_always_within_budget():
     assert 0 < rescaled < 500   # binds on some but far from all draws
 
 
+def test_an_iid_fit_returns_its_draw_in_budget_and_rescales_the_rows_over_it():
+    strat = StateStrategy("iid_gaussian", Lambda=1.0, variance=1.0, seed=3)
+    n = 256
+    drawn = draw_state(strat, n, [np.random.default_rng((3, t)) for t in range(8)], None,
+                       "min_distance")
+    raw, power = drawn
+    # every row in budget: the draw itself, the floats the x * 1.0 rescale gives
+    roomy = replace(strat, Lambda=2.0 * float(power.max()) / n)
+    s = make_state(roomy, drawn)
+    assert np.shares_memory(s, raw)
+    assert s.tobytes() == (raw * np.sqrt(1.0 / np.maximum(power / (n * roomy.Lambda), 1.0))
+                           [:, None]).tobytes()
+    # some rows over: those land on the budget sphere, the others keep their floats
+    tight = replace(strat, Lambda=float(np.median(power)) / n)
+    over = power > n * tight.Lambda
+    s = make_state(tight, drawn)
+    assert over.any() and (~over).any() and not np.shares_memory(s, raw)
+    assert np.allclose((s[over] ** 2).sum(axis=1), n * tight.Lambda, rtol=1e-12)
+    assert s[~over].tobytes() == raw[~over].tobytes()
+
+
 def test_impostor_requires_context():
     with pytest.raises(StrategyError):
         one_state(StateStrategy("impostor", Lambda=1.0), 64)

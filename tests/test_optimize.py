@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avrc import optimize
 from avrc.optimize import (
-    REFINE_ROUNDS,
     refine_batch_size,
     search_simplex,
     simplex_grid,
     start_pool,
 )
+from search_oracle import search_every_block
 from zoom_oracle import zoom_grid_max_1d
 
 
@@ -69,15 +71,56 @@ def test_search_simplex_rejects_bad_dim():
 
 @pytest.mark.parametrize("k", [2, 5, 9, 12])
 def test_refine_batch_size_counts_each_refinement_batch(k):
+    # the target is no grid point, so the pool's three best, the first
+    # round's centres, are distinct; a round that improves leads the next
+    # with the best point twice
+    target = np.arange(1.0, k + 1) / (k * (k + 1) / 2)
     sizes = []
 
     def f(P):
-        sizes.append(P.shape[0])
-        return -((P - 1.0 / k) ** 2).sum(axis=1)
+        return -((P - target) ** 2).sum(axis=1)
 
-    search_simplex(f, start_pool(k, None, np.random.default_rng(0)), top=3)
-    # the first batch is the start pool; every later one is a refinement round
-    assert sizes[1:] == [refine_batch_size(k, 3)] * REFINE_ROUNDS
+    def counted(P):
+        sizes.append(P.shape[0])
+        return f(P)
+
+    pool = start_pool(k, None, np.random.default_rng(0))
+    centres = []
+    search_simplex(counted, pool, top=3)
+    search_every_block(f, pool, top=3, centres=centres)
+    # the first batch is the start pool; every later one is a refinement
+    # round, the pattern around each distinct centre
+    distinct = [len(np.unique(c, axis=0)) for c in centres]
+    assert sizes[1:] == [d * refine_batch_size(k, 1) for d in distinct]
+    assert distinct[0] == 3 and sizes[1] == refine_batch_size(k, 3)
+    assert max(sizes[1:]) <= refine_batch_size(k, 3) and min(distinct) < 3
+
+
+def _plateaus(k, seed):
+    """A concave function of each row, floored to multiples of 1/8: flat
+    steps, so pool rows tie and a round's centres repeat."""
+    rng = np.random.default_rng(seed)
+    target, weight = rng.dirichlet(np.ones(k)), rng.uniform(2.0, 40.0, size=k)
+
+    def f(P):
+        v = np.zeros(len(P))
+        for j in range(k):   # column by column, so each row's value is its own
+            v -= weight[j] * (P[:, j] - target[j]) ** 2
+        return np.floor(8.0 * v) / 8.0
+    return f
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(1, 5), top=st.sampled_from([1, 2, 6]), minimize=st.booleans(),
+       resolution=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_search_simplex_equals_a_search_that_evaluates_every_block(k, top, minimize,
+                                                                  resolution, seed):
+    f = _plateaus(k, seed)
+    objective = (lambda P: -f(P)) if minimize else f
+    pool = start_pool(k, resolution, np.random.default_rng(seed))
+    x, v = search_simplex(objective, pool, minimize=minimize, top=top)
+    x_ref, v_ref = search_every_block(objective, pool, minimize=minimize, top=top)
+    assert x.tobytes() == x_ref.tobytes() and v == v_ref
 
 
 def test_start_pool_samples_the_simplex_exactly_when_the_grid_passes_the_budget(monkeypatch):
