@@ -141,10 +141,7 @@ def _cmd_simulate(args):
         config, sweep = sim.sim_config_from_json(json.load(fh))
     if sweep is None:
         est = sim.run_monte_carlo(config, args.workers)
-        row = sim.SweepEntry(config.strategy.Lambda, config.strategy.kind,
-                             est.trials, est.errors, est.rate,
-                             est.ci_low, est.ci_high, est.clip_rate)
-        write_csv([row], args.out)
+        write_csv([sim.SweepEntry.from_run(config, est)], args.out)
         _emit(asdict(est))
     else:
         rows = sim.attack_sweep(config, sweep["lambdas"], sweep["strategies"], args.workers)

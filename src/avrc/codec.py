@@ -49,8 +49,9 @@ MAX_TABLE_BYTES = 1 << 30   # the largest codeword tables a codebook draws
 # most symbols (n * blocks) of one trial: a chunk holds at least one trial's
 # arrays, and a sweep's decode stack up to four chunks' worth of observations
 # (sim._DECODE_STACK_CHUNKS), four trials at the cap; there (n = 2**18, B = 4,
-# M1 = M2 = 4, permuted, 4 trials) a one-row run peaked at about 194 MB and a
-# 9-row sweep (three jammers at three Lambda) at 294 MB of ru_maxrss
+# M1 = M2 = 4, permuted, 4 trials) a one-row iid_gaussian run peaked at about
+# 150 MB and a 9-row sweep (iid_gaussian, zero and impostor at Lambda 0.5, 2
+# and 8) at 230 MB of ru_maxrss
 MAX_TRIAL_SYMBOLS = 1 << 20
 POWER_RTOL = 1e-12   # the rounding an energy may carry above its budget, relative to it
 _HALF = 1 << 32          # 2**32, the number of values of a 32-bit half word

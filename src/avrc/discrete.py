@@ -5,9 +5,11 @@ s, a joint pmf over the destination output y and the relay observation y1.
 The relay talks to the destination over a noiseless link of `relay_rate` bits
 per use.  Every information quantity here is a sum of entropies of finite
 pmfs, each computed by one primitive (`_negent`, sum m log2 m): for a pool
-of inputs against a pool of averaged kernels, I(X;O) = H(O) - H(O|X) and
-I(U;O) = H(U) + H(O) - H(U,O) from output pmfs that one matrix product
-builds, without forming a joint per (input, state) pair.  The module
+of inputs against a pool of averaged kernels, I(X;O) = H(O) - H(O|X)
+(`_info_xo`), and I(U;O) = H(U) + H(O) - H(U,O) with I(X;O|U) = I(X;O) -
+I(U;O) (`_info_u`), from output pmfs that one matrix product builds, without
+forming a joint per (input, state) pair.  The decode-forward combination of
+those terms is stated once, in `_df`.  The module
 decides symmetrizability by a linear program that a short numpy simplex
 solves and two certificates checked outside it prove, classifies
 degradedness by factor checks, evaluates the cutset and decode-forward
@@ -179,20 +181,20 @@ def _info_xo(P, WQ, h=None):
     return P @ h.T - _negent(_wq_batch(P, WQ))
 
 
-def _info_uo(Pux, WQ):
-    """I(U;O) = H(U) + H(O) - H(U,O) in bits for joints Pux (C, U, X) through
-    each kernel of WQ (N, X, O), O seeing U only through X, as (C, N).  The
-    (U, O) joints come from one GEMM; both marginals come from Pux."""
-    return (_joint_negent(Pux, WQ) - _negent(Pux.sum(axis=2))[:, None]
-            - _negent(_wq_batch(Pux.sum(axis=1), WQ)))
-
-
-def _joint_negent(Pux, WQ):
-    """-H(U,O) for joints Pux (C, U, X) through each kernel of WQ (N, X, O),
-    as (C, N): the (U, O) joints from one GEMM."""
+def _info_u(Pux, WQ, h=None):
+    """I(U;O) = H(U) + H(O) - H(U,O) and I(X;O|U) = I(X;O) - I(U;O) in bits for
+    joints Pux (C, U, X) through each kernel of WQ (N, X, O), each (C, N).
+    O sees U only through X and the state is independent of (U, X), so
+    U - X - O is a Markov chain and the chain rule gives I(X;O|U).  The (U, O)
+    joints come from one GEMM, both marginals from Pux.  I(X;O|U) needs
+    h = _negent(WQ); without it the second result is None."""
     C, U, X = Pux.shape
     N, _, O = WQ.shape
-    return _negent(_wq_batch(Pux.reshape(-1, X), WQ).reshape(C, U, N, O)).sum(axis=1)
+    px = Pux.sum(axis=1)
+    h_o = _negent(_wq_batch(px, WQ))
+    i_uo = (_negent(_wq_batch(Pux.reshape(-1, X), WQ).reshape(C, U, N, O)).sum(axis=1)
+            - _negent(Pux.sum(axis=2))[:, None] - h_o)
+    return i_uo, None if h is None else px @ h.T - h_o - i_uo
 
 
 # ---------------------------------------------------------------------------
@@ -512,21 +514,24 @@ def _q_pool(dmc, rng):
                            rng.dirichlet(np.ones(dmc.ns), size=192)])
 
 
-def _df_value(Pux, dmc, rng):
-    """The decode-forward combination at a joint p(u,x), each min over q refined."""
-    W_y, W_1 = dmc.receiver_marginal(), dmc.relay_marginal()
-    px = Pux.sum(axis=0)
+def _df(a, b, c, c1):
+    """The decode-forward combination min{a + b + C1, c + b} of a = I(U;Y),
+    b = I(X;Y|U) and c = I(U;Y1)."""
+    return np.minimum(a + b + c1, c + b)
 
-    def qmin(info):
+
+def _df_value(Pux, dmc, rng):
+    """The decode-forward combination at a joint p(u,x), each of its three
+    terms minimized over q by a refined search of its own."""
+    def qmin(W3, term):   # term 0 is I(U;O), term 1 I(X;O|U)
+        def info(Q):
+            WQ = _wq_batch(Q, W3)
+            return _info_u(Pux[None], WQ, _negent(WQ) if term else None)[term][0]
         return _min_over_q(info, dmc.ns, rng)[1]
 
-    def i_uo(Q, W3):
-        return _info_uo(Pux[None], _wq_batch(Q, W3))[0]
-
-    a = qmin(lambda Q: i_uo(Q, W_y))
-    b = qmin(lambda Q: _info_xo(px[None], _wq_batch(Q, W_y))[0] - i_uo(Q, W_y))
-    c = qmin(lambda Q: i_uo(Q, W_1))
-    return max(float(min(a + b + dmc.relay_rate, c + b)), 0.0)    # floored as in _min_q_max_p
+    W_y = dmc.receiver_marginal()
+    a, b, c = qmin(W_y, 0), qmin(W_y, 1), qmin(dmc.relay_marginal(), 0)
+    return max(float(_df(a, b, c, dmc.relay_rate)), 0.0)    # floored as in _min_q_max_p
 
 
 def aux_cardinality(dmc: Dmc, aux_size: int | None = None) -> int:
@@ -582,8 +587,8 @@ def df_bound(dmc: Dmc, aux_size: int | None = None, mode: str = "aux") -> float:
     def direct(P):   # min over the pool of I(X;Y)
         return _info_xo(P, WQy, hy).min(axis=1)
 
-    def full(P):
-        return np.minimum(direct(P) + c1, _info_xo(P, WQ1, h1).min(axis=1))
+    def full(P):   # U = X, where I(X;Y|U) = 0
+        return _df(direct(P), 0.0, _info_xo(P, WQ1, h1).min(axis=1), c1)
 
     if mode == "direct":
         return _df_value(steer(direct)[None, :], dmc, rng)
@@ -602,20 +607,10 @@ def df_bound(dmc: Dmc, aux_size: int | None = None, mode: str = "aux") -> float:
     starts.append(np.full(dim, 1.0 / dim))
     starts += [rng.dirichlet(np.ones(dim)) for _ in range(AUX_STARTS)]
 
-    # U - X - O is a Markov chain (O sees U only through X, and the state is
-    # independent of (U, X)), so I(X;O|U) = I(X;O) - I(U;O) with p(x) = sum_u p(u,x)
-    # I(X;Y), I(U;Y) and I(U;Y1) are formed as _info_xo and _info_uo form
-    # them, with -H(U) and -H(Y) of a batch taken once for all three
     def batch_obj(Pflat):
         Pb = Pflat.reshape(-1, nu, nx)
-        px = Pb.sum(axis=1)
-        h_u = _negent(Pb.sum(axis=2))[:, None]
-        h_y = _negent(_wq_batch(px, WQy))
-        i_xy = px @ hy.T - h_y
-        i_uy = _joint_negent(Pb, WQy) - h_u - h_y
-        i_uy1 = _joint_negent(Pb, WQ1) - h_u - _negent(_wq_batch(px, WQ1))
-        term_b = (i_xy - i_uy).min(axis=1)
-        return np.minimum(i_uy.min(axis=1) + term_b + c1, i_uy1.min(axis=1) + term_b)
+        i_uy, i_xy_u = _info_u(Pb, WQy, hy)
+        return _df(i_uy.min(axis=1), i_xy_u.min(axis=1), _info_u(Pb, WQ1)[0].min(axis=1), c1)
 
     # per candidate: its (U, N, O) joint pmfs
     objective = _in_blocks(batch_obj, nu * n_out)

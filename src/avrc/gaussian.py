@@ -429,11 +429,17 @@ def gavc_point_to_point(P: float, Lambda: float, sigma2: float):
     random_rate = 0.5*log2(1 + P/(sigma2+Lambda)); without shared randomness
     the rate survives exactly when Lambda < P, and collapses to 0 otherwise.
     """
+    P, Lambda, sigma2 = float(P), float(Lambda), float(sigma2)
     # written so that nan fails each check
-    if not (np.isfinite([P, Lambda, sigma2]).all() and P >= 0 and Lambda > 0 and sigma2 > 0):
+    if not (all(map(math.isfinite, (P, Lambda, sigma2))) and P >= 0 and Lambda > 0
+            and sigma2 > 0):
         raise GaussianParamError("need finite P >= 0 and Lambda, sigma2 > 0, got "
                                  f"P={P!r}, Lambda={Lambda!r}, sigma2={sigma2!r}")
-    random_rate = float(_half_log2_1p(P / (sigma2 + Lambda)))
+    noise = sigma2 + Lambda
+    if max(noise, P / noise) == float("inf"):
+        raise GaussianParamError(
+            f"P={P!r}, Lambda={Lambda!r}, sigma2={sigma2!r} overflow the rate")
+    random_rate = float(_half_log2_1p(P / noise))
     det_rate = random_rate if Lambda < P else 0.0
     return random_rate, det_rate
 
@@ -450,12 +456,15 @@ def primitive_gaussian_capacity(P: float, Lambda: float, C1: float):
 
     Returns (rate, alpha_star).
     """
+    P, Lambda, C1 = float(P), float(Lambda), float(C1)
     if not C1 >= 0:
         raise GaussianParamError(f"C1 must be >= 0, got {C1!r}")
-    if not (np.isfinite(P) and P >= 0):
+    if not (math.isfinite(P) and P >= 0):
         raise GaussianParamError(f"P must be finite and >= 0, got {P!r}")
-    if not Lambda > 0:
-        raise GaussianParamError(f"Lambda must be > 0, got {Lambda!r}")
+    if not (math.isfinite(Lambda) and Lambda > 0):
+        raise GaussianParamError(f"Lambda must be finite and > 0, got {Lambda!r}")
+    if P / Lambda == float("inf"):   # the objective's largest term
+        raise GaussianParamError(f"P={P!r}, Lambda={Lambda!r} overflow the objective")
     if P == 0.0:
         return 0.0, 0.0
     if _half_log2_1p(0.5 * P / Lambda) <= C1:      # alpha0 <= 1/2

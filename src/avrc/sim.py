@@ -275,7 +275,10 @@ def _run_chunk(rows, codebook, trials):
     call decides when the next row's trials would take it over
     _DECODE_STACK_CHUNKS chunks' worth, and at the end; its decisions are
     then copied into the running error and tie arrays row by row, in the
-    same order, and each row's tally is taken after its own.
+    same order, and each row's tally is taken after its own.  The sender
+    pass is dropped once the signal is formed, and a strategy's draw and
+    states once its rows are walked, so the last decode holds the stack and
+    little else.
     """
     cb, base = codebook, rows[0]
     B, n = cb.num_blocks, cb.n
@@ -292,6 +295,7 @@ def _run_chunk(rows, codebook, trials):
     tx, _, x1 = transmit(cb, msgs, rngs, base.relay_mode, perm)   # checks the budgets
     clipped = int(tx.power_clipped.sum())
     signal = tx.x_prime + x1   # what the destination hears before the state
+    del tx, x1   # the sender pass is not read again
 
     tallies = [None] * len(rows)
     err = np.zeros(msgs.shape, dtype=bool)   # (T, B-1, 2): wrong m1, wrong m2 per block
@@ -332,6 +336,8 @@ def _run_chunk(rows, codebook, trials):
                 observed.append(destination_observation(
                     signal[fresh], s[fresh], None if perm is None else perm[fresh]))
             prev = s
+        del drawn, s, prev   # a strategy's draw and states are not read after its rows
+    del signal
     decode_planned()
     return tallies
 
@@ -388,6 +394,12 @@ class SweepEntry:
     ci_high: float
     clip_rate: float
 
+    @classmethod
+    def from_run(cls, config: SimConfig, est: ErrorEstimate):
+        """The row of a run of config that gave the estimate est."""
+        return cls(config.strategy.Lambda, config.strategy.kind, est.trials, est.errors,
+                   est.rate, est.ci_low, est.ci_high, est.clip_rate)
+
 
 def attack_sweep(base: SimConfig, lambda_grid, strategies=None, workers=None):
     """One row per (Lambda, strategy), ordered by (Lambda, strategy kind).
@@ -413,9 +425,7 @@ def attack_sweep(base: SimConfig, lambda_grid, strategies=None, workers=None):
                for lam in sorted(lambdas) for strat in sorted(strategies, key=lambda s: s.kind)]
     nworkers = resolve_workers(workers)
     estimates = _estimates(configs, build_codebook(base.codebook), nworkers)
-    return [SweepEntry(cfg.strategy.Lambda, cfg.strategy.kind, est.trials, est.errors, est.rate,
-                       est.ci_low, est.ci_high, est.clip_rate)
-            for cfg, est in zip(configs, estimates)]
+    return list(map(SweepEntry.from_run, configs, estimates))
 
 
 def sim_config_from_json(obj) -> tuple:

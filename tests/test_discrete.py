@@ -249,9 +249,9 @@ def test_mi_chain_rule_equals_conditional_sum(U, X, O, seed):
 @given(U=st.integers(1, 4), X=st.integers(1, 4), O=st.integers(1, 4),
        S=st.integers(1, 3), N=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
 def test_pooled_informations_match_the_kernel_on_built_joints(U, X, O, S, N, seed):
-    # I(X;O) and I(U;O) for every (candidate, q) pair, from marginal entropies,
-    # and mutual_information at each (candidate, q), against _mi on each joint
-    # built out
+    # I(X;O), I(U;O) and I(X;O|U) for every (candidate, q) pair, from marginal
+    # entropies, and mutual_information at each (candidate, q), against _mi on
+    # each joint built out; I(X;O|U) against sum_u p(u) I(X;O | U=u)
     rng = np.random.default_rng(seed)
     Pux = _zeroed_pmfs(rng, (3,), U * X).reshape(3, U, X)
     Pux[0, rng.integers(U)] = 0.0                 # an unused value of U
@@ -263,14 +263,20 @@ def test_pooled_informations_match_the_kernel_on_built_joints(U, X, O, S, N, see
     WQ = discrete._wq_batch(Q, W)
     assert np.allclose(WQ, np.einsum("ns,xso->nxo", Q, W), rtol=0, atol=1e-15)
     i_xo = discrete._info_xo(P, WQ)
-    i_uo = discrete._info_uo(Pux, WQ)
-    assert i_xo.shape == i_uo.shape == (3, N)
+    i_uo, i_xo_u = discrete._info_u(Pux, WQ, discrete._negent(WQ))
+    assert discrete._info_u(Pux, WQ)[1] is None
+    assert np.array_equal(discrete._info_u(Pux, WQ)[0], i_uo)
+    assert i_xo.shape == i_uo.shape == i_xo_u.shape == (3, N)
     for c in range(3):
         for n in range(N):
             reference = _mi(P[c][:, None] * WQ[n])
             assert abs(i_xo[c, n] - reference) < 1e-12
             assert abs(mutual_information(P[c], Q[n], W) - reference) < 1e-12
             assert abs(i_uo[c, n] - _mi(Pux[c] @ WQ[n])) < 1e-12
+            pu = Pux[c].sum(axis=1)
+            given_u = sum(pu[u] * _mi((Pux[c, u] / pu[u])[:, None] * WQ[n])
+                          for u in range(U) if pu[u] > 0)
+            assert abs(i_xo_u[c, n] - given_u) < 1e-12
 
 
 def test_mi_grid_oracle_matches_exhaustive_oracle():

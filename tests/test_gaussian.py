@@ -1,4 +1,5 @@
 import math
+import re
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -159,10 +160,21 @@ def test_primitive_capacity_examples():
 @pytest.mark.parametrize("P, Lambda, C1", [
     (2, 1, float("nan")), (2, 1, -1), (-1, 1, 1), (float("nan"), 1, 1),
     (float("inf"), 1, 1), (2, 0, 1), (2, -1, 1), (2, float("nan"), 1),
+    (2, float("inf"), 1), (1e308, 1e-10, 1),   # an infinite Lambda; a P/Lambda that overflows
 ])
 def test_primitive_capacity_rejects_bad_inputs(P, Lambda, C1):
     with pytest.raises(GaussianParamError):
         primitive_gaussian_capacity(P, Lambda, C1)
+
+
+@pytest.mark.parametrize("args, match", [
+    ((1e308, 1e-300, 1e-300), "P=1e+308, Lambda=1e-300, sigma2=1e-300 overflow the rate"),
+    # the noise sigma2 + Lambda overflows, which would read the rate as 0
+    ((1.7e308, 1e308, 1e308), "P=1.7e+308, Lambda=1e+308, sigma2=1e+308 overflow the rate"),
+])
+def test_point_to_point_refuses_powers_that_overflow_the_rate(args, match):
+    with pytest.raises(GaussianParamError, match=re.escape(match)):
+        gavc_point_to_point(*args)
 
 
 def test_figure_sweep_rows(tmp_path):
